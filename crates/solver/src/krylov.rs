@@ -119,8 +119,18 @@ impl PrecondStats {
 /// Each application normalizes the residual into the hardware's dynamic
 /// range (exactly like one round of [`refine`](crate::refine)), runs the
 /// supervised solve on the *committed* structure — reusing the chip's plan
-/// cache and one-off γ calibration across applications — and rescales the
-/// validated answer back. See the module docs for the demotion contract.
+/// cache across applications — and rescales the validated answer back.
+/// See the module docs for the demotion contract.
+///
+/// Successive applications see very different residuals (a smooth
+/// right-hand side first, rough FCG residuals later), so the solution
+/// scale γ the previous solve settled at is typically several times off
+/// and costs an overflow abort or an underuse re-run. Application `k`
+/// therefore starts the solver's γ walk at
+/// `γ = κ_k·ρ(r̂)/(margin·full_scale)`, where `ρ(r̂) = r̂ᵀr̂ / r̂ᵀA·r̂` is a
+/// Rayleigh-quotient estimate of `‖A⁻¹r̂‖` and `κ_k` is a correction the
+/// [`SupervisedSolver`] learns per application index from accepted solves.
+/// The overflow/underuse walk still runs from that start.
 #[derive(Debug)]
 pub struct AnalogPreconditioner<'a> {
     solver: &'a mut SupervisedSolver,
@@ -200,6 +210,7 @@ impl<'a> AnalogPreconditioner<'a> {
     /// Applies `z ≈ M⁻¹·r`, choosing the analog or demoted path.
     pub fn apply(&mut self, r: &[f64], z: &mut [f64]) {
         assert_eq!(r.len(), z.len(), "precondition: length mismatch");
+        let index = self.stats.applications;
         self.stats.applications += 1;
         if self.kind != PrecondKind::Analog {
             return self.apply_fallback(r, z);
@@ -212,11 +223,19 @@ impl<'a> AnalogPreconditioner<'a> {
             return;
         }
         let r_unit: Vec<f64> = r.iter().map(|v| v / r_peak).collect();
+        // Rayleigh-quotient estimate of ‖A⁻¹r̂‖: r̂ᵀr̂ / r̂ᵀA·r̂.
+        let mut a_r = vec![0.0; r_unit.len()];
+        self.matrix().apply(&r_unit, &mut a_r);
+        let rho = vector::dot(&r_unit, &r_unit) / vector::dot(&r_unit, &a_r);
+        self.solver.predict_precond_scale(index, rho);
         match self.solver.solve(&r_unit) {
             Ok(report) => {
                 self.stats.analog_time_s += report.recovery.analog_time_s();
                 match report.recovery.final_path {
                     FinalPath::Analog | FinalPath::AnalogAfterRecovery => {
+                        if let Some(analog) = &report.analog {
+                            self.solver.learn_precond_scale(index, rho, analog);
+                        }
                         for (zi, si) in z.iter_mut().zip(&report.solution) {
                             *zi = r_peak * si;
                         }
@@ -439,6 +458,54 @@ mod tests {
             fcg.iterations,
             plain.iterations
         );
+    }
+
+    #[test]
+    fn cached_scales_remove_underuse_reruns_from_later_solves() {
+        // The κ table lives in the supervisor, so every FCG solve after the
+        // first starts each application at a learned solution scale.
+        let a = poisson_2d(6);
+        let n = a.dim();
+        let mut sup =
+            SupervisedSolver::new(&a, &SolverConfig::ideal(), &RecoveryConfig::default()).unwrap();
+        let mut first_iterations = None;
+        for shift in 0..4 {
+            let b: Vec<f64> = (0..n)
+                .map(|i| 0.5 + (((i + shift) % 7) as f64) * 0.25)
+                .collect();
+            let recorder = aa_obs::MemoryRecorder::shared();
+            let report = aa_obs::with_recorder(recorder.clone(), || {
+                let mut precond = AnalogPreconditioner::new(&mut sup);
+                fcg_solve(&mut precond, &b, &KrylovConfig::default()).unwrap()
+            });
+            assert!(
+                report.converged,
+                "solve {shift}: {:?}",
+                report.residual_history
+            );
+            let rel = a.residual_norm(&report.solution, &b) / vector::norm2(&b);
+            assert!(rel <= 1e-8, "solve {shift}: residual {rel:.3e}");
+            let first = *first_iterations.get_or_insert(report.iterations);
+            assert!(
+                report.iterations.abs_diff(first) <= 1,
+                "solve {shift}: {} iterations vs {first}",
+                report.iterations
+            );
+            // Each per-cause counter matches the `solver.rescale` events
+            // that carry its cause.
+            let trace = recorder.snapshot();
+            for cause in ["overflow", "underuse", "rhs_overflow", "rhs_underuse"] {
+                let events = trace
+                    .events_of_kind("solver.rescale")
+                    .filter(|e| e.field("cause") == Some(&aa_obs::Value::Str(cause.into())))
+                    .count() as u64;
+                let counter = trace.counter(&format!("solver.rescales.{cause}"));
+                assert_eq!(counter, events, "solve {shift}: {cause} counter");
+                if shift > 0 && cause == "underuse" {
+                    assert_eq!(events, 0, "solve {shift} took underuse re-runs");
+                }
+            }
+        }
     }
 
     #[test]

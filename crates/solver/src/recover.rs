@@ -31,10 +31,11 @@ use crate::SolverError;
 
 /// A snapshot of one [`SupervisedSolver`]'s mutable state: the inner
 /// solver/chip state, the lifetime seconds consumed by remapped-away chip
-/// instances, and the *original* (unshifted) fault plan kept for future
-/// remaps. The matrix and both configs are excluded — the restore path
-/// rebuilds the supervisor deterministically with [`SupervisedSolver::new`]
-/// before importing.
+/// instances, the *original* (unshifted) fault plan kept for future
+/// remaps, and the Krylov preconditioner's solution-scale table. The
+/// matrix and both configs are excluded — the restore path rebuilds the
+/// supervisor deterministically with [`SupervisedSolver::new`] before
+/// importing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisedCheckpoint {
     /// The inner solver's cross-solve state (γ plus chip runtime state;
@@ -44,6 +45,9 @@ pub struct SupervisedCheckpoint {
     pub consumed_lifetime_s: f64,
     /// The originally injected fault plan, un-shifted.
     pub fault_plan: Option<FaultPlan>,
+    /// The preconditioner's per-application scale corrections `κ_k`
+    /// (see [`AnalogPreconditioner`](crate::AnalogPreconditioner)).
+    pub precond_scales: Vec<f64>,
 }
 
 /// Policy knobs of the supervision loop.
@@ -272,6 +276,10 @@ pub struct SupervisedSolver {
     fault_plan: Option<FaultPlan>,
     /// Lifetime seconds consumed by previous chip instances (before remaps).
     consumed_lifetime_s: f64,
+    /// Krylov preconditioning's correction `κ_k` for application index `k`
+    /// of an FCG solve on this structure. Kept here, not on the inner
+    /// solver, so it outlives a single request and survives remaps.
+    precond_scales: Vec<f64>,
 }
 
 impl std::fmt::Debug for SupervisedSolver {
@@ -303,6 +311,7 @@ impl SupervisedSolver {
             inner,
             fault_plan: None,
             consumed_lifetime_s: 0.0,
+            precond_scales: Vec::new(),
         })
     }
 
@@ -316,6 +325,7 @@ impl SupervisedSolver {
             inner,
             fault_plan: None,
             consumed_lifetime_s: 0.0,
+            precond_scales: Vec::new(),
         }
     }
 
@@ -362,6 +372,7 @@ impl SupervisedSolver {
             solver: self.inner.export_state(),
             consumed_lifetime_s: self.consumed_lifetime_s,
             fault_plan: self.fault_plan.clone(),
+            precond_scales: self.precond_scales.clone(),
         }
     }
 
@@ -377,7 +388,42 @@ impl SupervisedSolver {
         self.inner.import_state(&state.solver)?;
         self.consumed_lifetime_s = state.consumed_lifetime_s;
         self.fault_plan = state.fault_plan.clone();
+        self.precond_scales = state.precond_scales.clone();
         Ok(())
+    }
+
+    /// Starts the next solve's γ walk at the prediction for Krylov
+    /// application `k`: `γ = κ_k·ρ/(margin·full_scale)`, where `rho`
+    /// estimates `‖A⁻¹r̂‖` for the normalized residual and `κ_k` is 1 for
+    /// an index not seen yet.
+    pub(crate) fn predict_precond_scale(&mut self, k: usize, rho: f64) {
+        let kappa = self.precond_scales.get(k).copied().unwrap_or(1.0);
+        let fs = self.inner.chip().config().full_scale;
+        let gamma = kappa * rho / (self.solver_config.margin * fs);
+        if gamma.is_finite() && gamma > 0.0 {
+            self.inner.set_solution_factor(gamma);
+        }
+    }
+
+    /// Refreshes `κ_k` from an accepted analog application, whose
+    /// observed correction is the solution peak the chip read,
+    /// `γ·peak_range_usage·full_scale`, over `rho`. The first observation
+    /// of an index is taken as is; later ones are averaged in log space
+    /// (geometric mean with the cached value), so one outlier residual
+    /// cannot throw the next prediction out of the accepted range.
+    pub(crate) fn learn_precond_scale(&mut self, k: usize, rho: f64, report: &AnalogSolveReport) {
+        let fs = self.inner.chip().config().full_scale;
+        let kappa = report.solution_factor * report.peak_range_usage * fs / rho;
+        if !(kappa.is_finite() && kappa > 0.0) {
+            return;
+        }
+        match self.precond_scales.get_mut(k) {
+            Some(cached) => *cached = (*cached * kappa).sqrt(),
+            None => {
+                self.precond_scales.resize(k, 1.0);
+                self.precond_scales.push(kappa);
+            }
+        }
     }
 
     /// Solves `A·u = b` under supervision.

@@ -306,6 +306,12 @@ impl AnalogSystemSolver {
         Ok(())
     }
 
+    /// Starts the next solve's overflow/underuse walk at solution scale
+    /// `gamma` instead of where the previous solve left it.
+    pub(crate) fn set_solution_factor(&mut self, gamma: f64) {
+        self.scaled.solution_factor = gamma;
+    }
+
     /// Solves `A·u = b` on the accelerator with overflow-driven retry.
     ///
     /// # Errors
@@ -346,6 +352,7 @@ impl AnalogSystemSolver {
                 allow_shrink = false;
                 retries += 1;
                 aa_obs::counter("solver.rescales", 1);
+                aa_obs::counter("solver.rescales.rhs_overflow", 1);
                 aa_obs::event(
                     aa_obs::Event::new("solver.rescale")
                         .with("cause", "rhs_overflow")
@@ -368,6 +375,7 @@ impl AnalogSystemSolver {
                 self.scaled.shrink_headroom(factor);
                 underuse_retries += 1;
                 aa_obs::counter("solver.rescales", 1);
+                aa_obs::counter("solver.rescales.rhs_underuse", 1);
                 aa_obs::event(
                     aa_obs::Event::new("solver.rescale")
                         .with("cause", "rhs_underuse")
@@ -391,6 +399,7 @@ impl AnalogSystemSolver {
                 allow_shrink = false;
                 retries += 1;
                 aa_obs::counter("solver.rescales", 1);
+                aa_obs::counter("solver.rescales.overflow", 1);
                 aa_obs::event(
                     aa_obs::Event::new("solver.rescale")
                         .with("cause", "overflow")
@@ -427,6 +436,7 @@ impl AnalogSystemSolver {
                 self.scaled.shrink_headroom(factor);
                 underuse_retries += 1;
                 aa_obs::counter("solver.rescales", 1);
+                aa_obs::counter("solver.rescales.underuse", 1);
                 aa_obs::event(
                     aa_obs::Event::new("solver.rescale")
                         .with("cause", "underuse")

@@ -335,3 +335,46 @@ fn empty_queue_checkpoint_restores_and_serves_new_work() {
     assert_eq!(recovered.completions.len(), 2);
     assert_identical(&baseline, &recovered, "idle checkpoint");
 }
+
+/// Krylov-mode requests leave learned state behind: each supervisor caches
+/// the preconditioner's per-application solution-scale corrections, and
+/// the next request on that structure starts its analog solves from them.
+/// A checkpoint taken mid-stream must carry that table, or the restored
+/// fleet would start those solves at other scales and drift in solutions,
+/// `analog_time_s`, and the schedule log.
+#[test]
+fn crash_restore_mid_krylov_stream_is_bit_identical() {
+    let mut ops = Vec::new();
+    for i in 0..12usize {
+        let s = i % 2;
+        let rhs = (0..4 + s)
+            .map(|j| 0.3 + 0.1 * ((3 * i + 5 * j) % 7) as f64)
+            .collect();
+        ops.push(Op::Submit(SolveRequest::new(s, rhs).with_krylov()));
+        if i % 2 == 1 {
+            ops.push(Op::Round);
+        }
+    }
+    // Checkpoint after three rounds of Krylov traffic have filled the
+    // tables; crash two rounds later, so the WAL replay re-serves requests
+    // whose analog solves start from the checkpointed tables.
+    let (checkpoint_at, crash_at) = (9, 15);
+    let baseline = drive(&fleet_config(1), &ops, checkpoint_at, crash_at, false);
+    assert_eq!(baseline.completions.len(), 12, "every request settled");
+    assert!(
+        baseline.completions.iter().all(|c| c.path.is_analog()),
+        "every Krylov request kept its analog preconditioner"
+    );
+    for workers in [1usize, 2] {
+        let recovered = drive(&fleet_config(workers), &ops, checkpoint_at, crash_at, true);
+        for (b, r) in baseline.completions.iter().zip(&recovered.completions) {
+            assert_eq!(b.solution, r.solution, "workers={workers}: solution");
+            assert_eq!(
+                b.analog_time_s.to_bits(),
+                r.analog_time_s.to_bits(),
+                "workers={workers}: analog_time_s"
+            );
+        }
+        assert_identical(&baseline, &recovered, &format!("krylov workers={workers}"));
+    }
+}
