@@ -805,7 +805,7 @@ impl FleetService {
                     .config
                     .design
                     .energy_j(self.structures[structure].dim(), outcome.analog_time_s);
-                aa_obs::histogram(latency_metric(priority), outcome.analog_time_s);
+                aa_obs::histogram(analog_time_metric(priority), outcome.analog_time_s);
                 self.settle(
                     shard,
                     Completion {
@@ -1265,12 +1265,13 @@ impl FleetService {
     }
 }
 
-/// The per-class latency histogram name (static, as `aa-obs` requires).
-fn latency_metric(priority: Priority) -> &'static str {
+/// The per-class histogram name of simulated analog seconds per served
+/// request (static, as `aa-obs` requires).
+fn analog_time_metric(priority: Priority) -> &'static str {
     match priority {
-        Priority::High => "sched.latency_s.high",
-        Priority::Normal => "sched.latency_s.normal",
-        Priority::Low => "sched.latency_s.low",
+        Priority::High => "sched.analog_s.high",
+        Priority::Normal => "sched.analog_s.normal",
+        Priority::Low => "sched.analog_s.low",
     }
 }
 

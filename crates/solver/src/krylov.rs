@@ -32,7 +32,7 @@ use aa_linalg::compensated;
 use aa_linalg::op::RowAccess;
 use aa_linalg::{vector, CsrMatrix, LinearOperator};
 
-use crate::recover::{FinalPath, SupervisedSolver};
+use crate::recover::{rayleigh_inverse_gain, FinalPath, SupervisedSolver};
 use crate::SolverError;
 
 /// Options for the flexible-CG loop.
@@ -223,10 +223,7 @@ impl<'a> AnalogPreconditioner<'a> {
             return;
         }
         let r_unit: Vec<f64> = r.iter().map(|v| v / r_peak).collect();
-        // Rayleigh-quotient estimate of ‖A⁻¹r̂‖: r̂ᵀr̂ / r̂ᵀA·r̂.
-        let mut a_r = vec![0.0; r_unit.len()];
-        self.matrix().apply(&r_unit, &mut a_r);
-        let rho = vector::dot(&r_unit, &r_unit) / vector::dot(&r_unit, &a_r);
+        let rho = rayleigh_inverse_gain(self.matrix(), &r_unit);
         self.solver.predict_precond_scale(index, rho);
         match self.solver.solve(&r_unit) {
             Ok(report) => {

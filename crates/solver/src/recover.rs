@@ -11,10 +11,13 @@
 //!    (one sparse mat-vec — far cheaper than a digital solve).
 //! 2. **Classify** failures: persistent overflow, a run that never settles,
 //!    or a settled-but-wrong answer.
-//! 3. **Recover** by policy: bounded retries with escalating idle cool-down
-//!    (lets transient fault windows expire), one recalibration pass (trims
-//!    out drift exactly like a static imperfection), one remap onto a fresh
-//!    accelerator instance, and finally a digital CG fallback.
+//! 3. **Recover** by policy: a near miss — a residual within the square
+//!    root of the tolerance, or a run that hit its time cap — gets one
+//!    refinement round (the paper's Algorithm 2); otherwise bounded retries
+//!    with escalating idle cool-down (lets transient fault windows expire),
+//!    one recalibration pass (trims out drift exactly like a static
+//!    imperfection), one remap onto a fresh accelerator instance, and
+//!    finally a digital CG fallback.
 //!
 //! Every attempt is logged in a [`RecoveryReport`] whose equality ignores
 //! host wall-clock noise, so identical seeds and fault plans produce
@@ -26,6 +29,9 @@ use aa_analog::{calibrate, FaultPlan};
 use aa_linalg::iterative::{cg, IterativeConfig, StoppingCriterion};
 use aa_linalg::{CsrMatrix, LinearOperator};
 
+use aa_linalg::vector;
+
+use crate::refine;
 use crate::solve::{AnalogSolveReport, AnalogSystemSolver, SolverCheckpoint, SolverConfig};
 use crate::SolverError;
 
@@ -96,8 +102,9 @@ pub enum FailureClass {
     /// The run settled and read out, but the digital residual check failed —
     /// the signature of drift, readout corruption, or a mid-run glitch.
     ResidualTooHigh,
-    /// The gradient flow never settled (e.g. an active noise burst keeps
-    /// the derivative alive).
+    /// The gradient flow did not settle within the run's time cap (e.g.
+    /// an active noise burst keeps the derivative alive, or the slowest
+    /// mode needs longer than the cap).
     NoSettle,
     /// Overflow persisted through the inner solver's whole rescale budget —
     /// the signature of a stuck-at-rail unit rather than a scaling problem.
@@ -123,6 +130,9 @@ impl FailureClass {
 pub enum RecoveryAction {
     /// The solution passed validation.
     Accept,
+    /// Add one Algorithm-2 correction to this near-miss answer: solve for
+    /// its normalized residual and validate the sum.
+    Refine,
     /// Idle for the recorded cool-down, then try again on the same chip.
     Retry {
         /// Chip-lifetime seconds idled before the next attempt.
@@ -143,6 +153,7 @@ impl RecoveryAction {
     pub fn label(&self) -> &'static str {
         match self {
             RecoveryAction::Accept => "accept",
+            RecoveryAction::Refine => "refine",
             RecoveryAction::Retry { .. } => "retry",
             RecoveryAction::Recalibrate => "recalibrate",
             RecoveryAction::Remap => "remap",
@@ -245,7 +256,8 @@ pub struct SupervisedSolveReport {
     /// The accepted (validated) solution.
     pub solution: Vec<f64>,
     /// The inner analog report of the accepted attempt (`None` when the
-    /// digital fallback produced the solution).
+    /// digital fallback produced the solution). A refined answer carries
+    /// the report of the run it refined, with the refined solution.
     pub analog: Option<AnalogSolveReport>,
     /// The recovery log.
     pub recovery: RecoveryReport,
@@ -398,8 +410,14 @@ impl SupervisedSolver {
     /// an index not seen yet.
     pub(crate) fn predict_precond_scale(&mut self, k: usize, rho: f64) {
         let kappa = self.precond_scales.get(k).copied().unwrap_or(1.0);
+        self.aim_solution_scale(kappa * rho);
+    }
+
+    /// Starts the next solve's γ walk where a solution peaking at `peak`
+    /// fills `margin` of full scale: `γ = peak/(margin·full_scale)`.
+    fn aim_solution_scale(&mut self, peak: f64) {
         let fs = self.inner.chip().config().full_scale;
-        let gamma = kappa * rho / (self.solver_config.margin * fs);
+        let gamma = peak / (self.solver_config.margin * fs);
         if gamma.is_finite() && gamma > 0.0 {
             self.inner.set_solution_factor(gamma);
         }
@@ -460,21 +478,28 @@ impl SupervisedSolver {
         let mut remaps = 0usize;
         let mut best_residual: Option<f64> = None;
         let mut wants_fallback = self.recovery.digital_fallback;
+        // The near-miss answer the next attempt refines instead of solving
+        // afresh.
+        let mut refining: Option<AnalogSolveReport> = None;
 
         for attempt in 1..=budget {
             let wall = Instant::now();
             let lifetime_before = self.total_lifetime_s();
-            let outcome = self.inner.solve(b);
+            let refined = refining.take();
+            let outcome = match &refined {
+                None => self.inner.solve_or_time_out(b),
+                Some(candidate) => self.refine(b, candidate).map(|report| (report, false)),
+            };
             let wall_s = wall.elapsed().as_secs_f64();
             let analog_time_s = self.total_lifetime_s() - lifetime_before;
 
-            let (residual, classification, error) = match outcome {
-                Ok(report) => {
+            let (candidate, residual, classification, error) = match outcome {
+                Ok((report, timed_out)) => {
                     let r = self.matrix.residual_norm(&report.solution, b) / b_norm;
                     if best_residual.is_none_or(|best| r < best) {
                         best_residual = Some(r);
                     }
-                    if r <= tol {
+                    if r <= tol && !timed_out {
                         let recovered = !attempts.is_empty();
                         attempts.push(AttemptRecord {
                             attempt,
@@ -515,24 +540,39 @@ impl SupervisedSolver {
                             },
                         });
                     }
-                    (Some(r), FailureClass::ResidualTooHigh, None)
+                    let class = if timed_out {
+                        FailureClass::NoSettle
+                    } else {
+                        FailureClass::ResidualTooHigh
+                    };
+                    (Some(report), Some(r), class, None)
                 }
-                Err(e @ SolverError::NoSteadyState { .. }) => {
-                    (None, FailureClass::NoSettle, Some(e.to_string()))
-                }
-                Err(e @ SolverError::RescaleExhausted { .. }) => {
-                    (None, FailureClass::PersistentOverflow, Some(e.to_string()))
-                }
+                Err(e @ SolverError::RescaleExhausted { .. }) => (
+                    None,
+                    None,
+                    FailureClass::PersistentOverflow,
+                    Some(e.to_string()),
+                ),
                 Err(e @ SolverError::Analog(_)) => {
-                    (None, FailureClass::ChipError, Some(e.to_string()))
+                    (None, None, FailureClass::ChipError, Some(e.to_string()))
                 }
                 // Structural problems (bad rhs, degenerate matrix) are not
                 // hardware faults; retrying cannot help.
                 Err(other) => return Err(other),
             };
 
-            let action =
-                self.pick_action(classification, attempt, recalibrations, remaps, cooldown);
+            // A fresh answer within √tol that missed tol, or whose run hit
+            // its time cap, is a near miss: one round of Algorithm 2
+            // contracts its residual r to about r², so r ≤ √tol can reach
+            // tol where a retry would reproduce the same answer. A refined
+            // answer that still fails walks the ladder below.
+            let near_miss =
+                refined.is_none() && attempt < budget && residual.is_some_and(|r| r <= tol.sqrt());
+            let action = if near_miss {
+                RecoveryAction::Refine
+            } else {
+                self.pick_action(classification, attempt, recalibrations, remaps, cooldown)
+            };
             attempts.push(AttemptRecord {
                 attempt,
                 residual,
@@ -555,6 +595,10 @@ impl SupervisedSolver {
             }
 
             match action {
+                RecoveryAction::Refine => {
+                    refining = candidate;
+                    aa_obs::counter("solver.recovery.refines", 1);
+                }
                 RecoveryAction::Retry { cooldown_s } => {
                     // Idle the chip so a transient fault window can expire.
                     self.inner.chip_mut().idle(cooldown_s);
@@ -694,6 +738,29 @@ impl SupervisedSolver {
         out
     }
 
+    /// One Algorithm-2 round on a near-miss `candidate`: solves for its
+    /// normalized residual with γ started at the Rayleigh prediction, adds
+    /// the correction, and restores the γ the candidate ran at, so later
+    /// solves start where they would have without the round. The returned
+    /// report is the candidate's with the refined solution.
+    fn refine(
+        &mut self,
+        b: &[f64],
+        candidate: &AnalogSolveReport,
+    ) -> Result<AnalogSolveReport, SolverError> {
+        let residual = self.matrix.residual(&candidate.solution, b);
+        let round = refine::correction(&residual, |r_unit| {
+            self.aim_solution_scale(rayleigh_inverse_gain(&self.matrix, r_unit));
+            self.inner.solve_or_time_out(r_unit)
+        });
+        self.inner.set_solution_factor(candidate.solution_factor);
+        let mut refined = candidate.clone();
+        if let Some((r_peak, (correction, _))) = round? {
+            vector::axpy(r_peak, &correction.solution, &mut refined.solution);
+        }
+        Ok(refined)
+    }
+
     /// Chooses the next action for a failed attempt.
     fn pick_action(
         &self,
@@ -820,6 +887,14 @@ impl SupervisedSolver {
     }
 }
 
+/// Rayleigh-quotient estimate of `‖A⁻¹v‖` for a unit-peak `v`:
+/// `vᵀv / vᵀA·v`. Costs one host mat-vec and two dot products.
+pub(crate) fn rayleigh_inverse_gain(a: &CsrMatrix, v: &[f64]) -> f64 {
+    let mut a_v = vec![0.0; v.len()];
+    a.apply(v, &mut a_v);
+    vector::dot(v, v) / vector::dot(v, &a_v)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -907,6 +982,96 @@ mod tests {
             .any(|a| a.classification == Some(FailureClass::PersistentOverflow)));
         // The digital answer is good.
         assert!(report.recovery.final_residual <= 1e-6);
+    }
+
+    /// The slowest mode of `tridiagonal(12, -1, 2, -1)` needs more than
+    /// the 300 τ cap of [`test_config`] to settle, on a healthy chip.
+    fn slow_settling() -> (CsrMatrix, Vec<f64>, RecoveryConfig) {
+        let a = CsrMatrix::tridiagonal(12, -1.0, 2.0, -1.0).unwrap();
+        let b = (0..12).map(|i| 0.1 + 0.075 * i as f64).collect();
+        let recovery = RecoveryConfig {
+            max_attempts: 3,
+            ..RecoveryConfig::default()
+        };
+        (a, b, recovery)
+    }
+
+    #[test]
+    fn settled_near_miss_is_refined_not_retried() {
+        // Without the cap the same system settles, but for this rough rhs
+        // its answer sits at the converters' quantization floor, just above
+        // the tolerance: a retry would reproduce it bit for bit.
+        let (a, _, recovery) = slow_settling();
+        let b: Vec<f64> = (0..12)
+            .map(|i| 0.1 + 0.09 * ((i * 7) % 11) as f64)
+            .collect();
+        let mut s = SupervisedSolver::new(&a, &SolverConfig::ideal(), &recovery).unwrap();
+        let report = s.solve(&b).unwrap();
+        let first = &report.recovery.attempts[0];
+        assert_eq!(first.classification, Some(FailureClass::ResidualTooHigh));
+        assert!(first.residual.is_some_and(|r| r > 1e-2 && r <= 1e-1));
+        assert_eq!(first.action, RecoveryAction::Refine);
+        assert_eq!(report.recovery.attempts.len(), 2);
+        assert_eq!(report.recovery.final_path, FinalPath::AnalogAfterRecovery);
+        assert_eq!(report.recovery.recalibrations, 0);
+        let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
+        assert!(a.residual_norm(&report.solution, &b) / b_norm <= 1e-2);
+    }
+
+    #[test]
+    fn timed_out_near_miss_is_refined_not_retried() {
+        let (a, b, recovery) = slow_settling();
+        let mut s = SupervisedSolver::new(&a, &test_config(), &recovery).unwrap();
+        let recorder = aa_obs::MemoryRecorder::shared();
+        let report = aa_obs::with_recorder(recorder.clone(), || s.solve(&b).unwrap());
+        let steps: Vec<_> = report
+            .recovery
+            .attempts
+            .iter()
+            .map(|a| (a.classification, a.action))
+            .collect();
+        assert_eq!(
+            steps,
+            [
+                (Some(FailureClass::NoSettle), RecoveryAction::Refine),
+                (None, RecoveryAction::Accept)
+            ],
+            "{:#?}",
+            report.recovery
+        );
+        assert_eq!(report.recovery.final_path, FinalPath::AnalogAfterRecovery);
+        let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
+        assert!(a.residual_norm(&report.solution, &b) / b_norm <= 1e-2);
+        // The old ladder ran every attempt to the cap before going digital.
+        let first = report.recovery.attempts[0].analog_time_s;
+        assert!(report.recovery.analog_time_s() < recovery.max_attempts as f64 * first);
+        // The trace alone says why the request took the recovery path.
+        if aa_obs::ENABLED {
+            let trace = recorder.snapshot();
+            let attempts: Vec<String> = trace
+                .events_of_kind("solver.recovery.attempt")
+                .map(|e| e.render())
+                .collect();
+            assert_eq!(attempts.len(), 2, "{attempts:?}");
+            assert!(
+                attempts[0].contains("class=no_settle action=refine residual="),
+                "{attempts:?}"
+            );
+            assert!(attempts[1].contains("action=accept"), "{attempts:?}");
+            assert_eq!(trace.counter("solver.recovery.refines"), 1);
+        }
+    }
+
+    #[test]
+    fn refined_recovery_replays_bit_identically() {
+        let (a, b, recovery) = slow_settling();
+        let run = || {
+            let mut s = SupervisedSolver::new(&a, &test_config(), &recovery).unwrap();
+            s.solve(&b).unwrap()
+        };
+        let (first, second) = (run(), run());
+        assert_eq!(first.recovery, second.recovery);
+        assert_eq!(first.solution, second.solution);
     }
 
     #[test]

@@ -127,15 +127,9 @@ pub fn solve_refined(
     let mut outcome: Option<(usize, bool)> = None;
 
     for round in 1..=config.max_rounds {
-        // "Scaling the problem up as necessary to fully use the dynamic
-        // range of the analog hardware": normalize the residual digitally,
-        // solve the unit-scale system, and scale the correction back.
-        let r_peak = vector::norm_inf(&residual);
-        if r_peak == 0.0 {
+        let Some((r_peak, report)) = correction(&residual, |r_unit| solver.solve(r_unit))? else {
             break;
-        }
-        let r_unit: Vec<f64> = residual.iter().map(|v| v / r_peak).collect();
-        let report = solver.solve(&r_unit)?;
+        };
         analog_time += report.analog_time_s;
         let new_rel = if config.compensated {
             compensated::axpy2(r_peak, &report.solution, &mut u_comp);
@@ -181,6 +175,24 @@ pub fn solve_refined(
         analog_time_s: analog_time,
         converged,
     })
+}
+
+/// The analog half of one refinement round. "Scaling the problem up as
+/// necessary to fully use the dynamic range of the analog hardware":
+/// normalizes `residual` to unit ∞-norm, solves the unit-scale system with
+/// `solve`, and returns the factor `r_peak` that scales the unit solution
+/// back into the correction. `None` for an exactly zero residual — there
+/// is nothing to correct.
+pub(crate) fn correction<T>(
+    residual: &[f64],
+    solve: impl FnOnce(&[f64]) -> Result<T, SolverError>,
+) -> Result<Option<(f64, T)>, SolverError> {
+    let r_peak = vector::norm_inf(residual);
+    if r_peak == 0.0 {
+        return Ok(None);
+    }
+    let r_unit: Vec<f64> = residual.iter().map(|v| v / r_peak).collect();
+    Ok(Some((r_peak, solve(&r_unit)?)))
 }
 
 #[cfg(test)]

@@ -321,6 +321,26 @@ impl AnalogSystemSolver {
     /// * [`SolverError::NoSteadyState`] if the flow does not settle (e.g.
     ///   non-positive-definite `A`).
     pub fn solve(&mut self, b: &[f64]) -> Result<AnalogSolveReport, SolverError> {
+        self.solve_run(b, false).map(|(report, _)| report)
+    }
+
+    /// [`solve`](Self::solve), except that a run which hits its time cap
+    /// without an exception is read out instead of reported as
+    /// [`SolverError::NoSteadyState`]. The flag is `true` for such a
+    /// timed-out readout. Only the supervisor, which validates every
+    /// answer and refines near misses, may take an unsettled state.
+    pub(crate) fn solve_or_time_out(
+        &mut self,
+        b: &[f64],
+    ) -> Result<(AnalogSolveReport, bool), SolverError> {
+        self.solve_run(b, true)
+    }
+
+    fn solve_run(
+        &mut self,
+        b: &[f64],
+        read_timed_out: bool,
+    ) -> Result<(AnalogSolveReport, bool), SolverError> {
         if b.len() != self.dim() {
             return Err(SolverError::invalid(format!(
                 "rhs has {} entries, system has {}",
@@ -408,7 +428,8 @@ impl AnalogSystemSolver {
                 );
                 continue;
             }
-            if !report.reached_steady_state {
+            let timed_out = !report.reached_steady_state;
+            if timed_out && !read_timed_out {
                 return Err(SolverError::NoSteadyState {
                     waited_s: report.duration_s,
                 });
@@ -421,8 +442,11 @@ impl AnalogSystemSolver {
                 .fold(0.0f64, |m, v| m.max(*v));
             // §III-B underuse response: if the solution sat far below full
             // scale, shrink the headroom so the next run uses the range —
-            // and therefore the converter resolution — properly.
+            // and therefore the converter resolution — properly. A
+            // timed-out run is read as it stands: a re-run would only time
+            // out again.
             if allow_shrink
+                && !timed_out
                 && peak < self.config.underuse_threshold
                 && underuse_retries < self.config.max_rescale_attempts
             {
@@ -448,15 +472,22 @@ impl AnalogSystemSolver {
 
             let raw = self.mapped.read_solution(self.config.readout_samples)?;
             let solution = self.scaled.unscale_solution(&raw);
-            self.calibrated = true;
+            // A timed-out readout skipped the underuse walk, so its γ is
+            // not one a batch should start from.
+            self.calibrated |= !timed_out;
+            let kind = if timed_out {
+                "solver.timed_out_readout"
+            } else {
+                "solver.accept"
+            };
             aa_obs::event(
-                aa_obs::Event::new("solver.accept")
+                aa_obs::Event::new(kind)
                     .with("runs", runs)
                     .with("overflow_retries", retries)
                     .with("underuse_retries", underuse_retries)
                     .with("peak", peak),
             );
-            return Ok(AnalogSolveReport {
+            let report = AnalogSolveReport {
                 solution,
                 analog_time_s: total_time,
                 runs,
@@ -465,7 +496,8 @@ impl AnalogSystemSolver {
                 peak_range_usage: peak,
                 value_factor: self.scaled.value_factor,
                 solution_factor: self.scaled.solution_factor,
-            });
+            };
+            return Ok((report, timed_out));
         }
     }
 

@@ -378,3 +378,42 @@ fn crash_restore_mid_krylov_stream_is_bit_identical() {
         assert_identical(&baseline, &recovered, &format!("krylov workers={workers}"));
     }
 }
+
+/// A healthy chip whose answers only just miss the settle cap is refined,
+/// not failed: the slowest mode of a 12-unknown tridiagonal needs more
+/// than a 300 τ cap, so each first run times out a little short of steady
+/// state. A one-shard fleet of two healthy chips serving it answers every
+/// request from the analog array and quarantines neither chip.
+#[test]
+fn near_miss_answers_keep_healthy_chips_in_rotation() {
+    let structures = vec![CsrMatrix::tridiagonal(12, -1.0, 2.0, -1.0).unwrap()];
+    let mut config = fleet_config(1);
+    config.chips = 2;
+    config.solver.engine = EngineOptions {
+        stop_on_exception: true,
+        max_tau: 300.0,
+        ..EngineOptions::default()
+    };
+    config.recovery.max_attempts = 3;
+    let mut service = FleetService::new(config, structures).expect("fleet builds");
+    for i in 0..24usize {
+        let rhs = (0..12)
+            .map(|j| 0.1 + 0.1 * ((3 * i + 5 * j) % 10) as f64)
+            .collect();
+        service
+            .submit(SolveRequest::new(0, rhs))
+            .expect("queue has room");
+        if i % 4 == 3 {
+            service.run_round();
+        }
+    }
+    service.run_until_idle();
+    let completions: Vec<&Completion> = service.completions().collect();
+    assert_eq!(completions.len(), 24, "every request settled");
+    for c in &completions {
+        assert!(c.path.is_analog(), "ticket {}: {:?}", c.ticket.0, c.path);
+    }
+    for (chip, health) in service.health().iter().enumerate() {
+        assert_eq!(health.quarantines, 0, "chip {chip} was quarantined");
+    }
+}
