@@ -115,11 +115,11 @@ pub struct ChipCheckpoint {
     /// at capture time. Restore re-primes the cache only when this is set,
     /// so a chip that would have compiled fresh still compiles fresh.
     pub plan_cache_valid: bool,
-    /// The pass configuration of the cached **optimized** plan at capture
-    /// time, if one was cached. Restore re-lowers it silently alongside the
-    /// unoptimized tape so the first post-restore optimized run is a cache
-    /// hit, keeping [`PlanStats`] and the obs journal bit-identical to the
-    /// uninterrupted run.
+    /// The pass configuration of the cached op tape at capture time, if it
+    /// was lowered with at least one pass. Restore re-lowers the tape
+    /// silently under it (or without passes when `None`), so the first
+    /// post-restore run is a cache hit, keeping [`PlanStats`] and the obs
+    /// journal bit-identical to the uninterrupted run.
     pub optimized_passes: Option<PassConfig>,
 }
 
@@ -243,21 +243,19 @@ impl AnalogChip {
         self.plan_cache.stats()
     }
 
-    /// Per-pass op-count statistics from the cached optimized plan: one
-    /// [`PassStat`] per pass that ran when it was lowered. Empty when no
-    /// optimized plan is cached (no optimized run yet, or the cache was
-    /// invalidated since).
+    /// Per-pass op-count statistics from the cached op tape: one
+    /// [`PassStat`] per pass that ran when it was lowered. Empty when the
+    /// cached tape was lowered without passes, or none is cached (no
+    /// compiled run yet, or the cache was invalidated since).
     pub fn pass_stats(&self) -> Vec<PassStat> {
         self.plan_cache.pass_log()
     }
 
-    /// Renders the committed configuration's compiled plan as a
-    /// deterministic text dump — the snapshot format the pass tests pin.
-    /// `passes.any()` selects the optimized SoA plan (lowered through the
-    /// requested pipeline); otherwise the unoptimized tape is dumped. The
-    /// dump compiles fresh from the committed registers with no fault plan
-    /// at lifetime zero, and touches neither the plan cache nor its
-    /// statistics.
+    /// Renders the committed configuration's op tape, lowered through the
+    /// `passes` pipeline, as a deterministic text dump — the snapshot
+    /// format the pass tests pin. The dump compiles fresh from the
+    /// committed registers with no fault plan at lifetime zero, and
+    /// touches neither the plan cache nor its statistics.
     ///
     /// # Errors
     ///
@@ -279,11 +277,7 @@ impl AnalogChip {
             t_offset: 0.0,
             structure: &structure,
         };
-        Ok(if passes.any() {
-            crate::ir::lower_optimized(&circuit, passes).dump()
-        } else {
-            crate::plan::CompiledPlan::lower(&circuit).dump()
-        })
+        Ok(crate::ir::lower_plan(&circuit, passes).dump())
     }
 
     /// Whether `init` (calibration) has run.
@@ -599,7 +593,7 @@ impl AnalogChip {
     /// # Errors
     ///
     /// * [`AnalogError::ProtocolViolation`] if no configuration is committed.
-    /// * [`AnalogError::Engine`] if the integration fails.
+    /// * [`AnalogError::Diverged`] if the integration diverges.
     pub fn exec(&mut self, options: &EngineOptions) -> Result<RunReport, AnalogError> {
         let registers = self
             .committed
@@ -688,7 +682,7 @@ impl AnalogChip {
     ///
     /// * [`AnalogError::ProtocolViolation`] if no configuration is committed.
     /// * [`AnalogError::ValueOutOfRange`] for lane values beyond full scale.
-    /// * [`AnalogError::Engine`] if the integration fails (any lane).
+    /// * [`AnalogError::Diverged`] if the integration diverges (any lane).
     pub fn exec_batch(
         &mut self,
         lanes: &[LaneBindings],

@@ -16,20 +16,23 @@ use crate::config::ChipConfig;
 use crate::error::AnalogError;
 use crate::exceptions::ExceptionVector;
 use crate::fault::FaultPlan;
+use crate::ir::lower_plan;
 use crate::lut::LookupTable;
 use crate::netlist::{output_port_count, InputPort, OutputPort};
 use crate::nonideal::ProcessVariation;
-use crate::passes::{pass_counter_names, PassConfig};
+use crate::passes::{pass_counter_names, PassConfig, PassStat};
+use crate::plan::{BatchRun, CompiledPlan, PlanRun};
 use crate::units::UnitId;
 
 /// Which circuit evaluator drives the RK4 inner loop.
 ///
-/// Both strategies produce **bit-identical** results (asserted by the
-/// differential property tests); they differ only in speed. The compiled
-/// path lowers the netlist once per run into flat arrays
-/// ([`crate::plan::CompiledPlan`]), removing every map lookup from the hot
-/// loop; the reference path walks the original `BTreeMap`-based structures
-/// and is kept as the behavioural oracle.
+/// Both strategies produce **bit-identical** results without passes
+/// (asserted by the differential property tests); they differ only in
+/// speed. The compiled path runs the op tape ([`crate::plan::CompiledPlan`])
+/// the committed netlist is lowered to once and cached, removing every map
+/// lookup from the hot loop; the reference path walks the original
+/// `BTreeMap`-based structures, never runs passes, and is kept as the
+/// behavioural oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalStrategy {
     /// Flat-array compiled plan — the fast default.
@@ -61,12 +64,11 @@ pub struct EngineOptions {
     /// Which evaluator runs the circuit (identical results either way).
     pub eval_strategy: EvalStrategy,
     /// Optimization passes applied when lowering the committed netlist
-    /// ([`crate::passes`]). The default, [`PassConfig::none`], keeps every
-    /// run on the bit-exact unoptimized tape; any enabled pass routes
-    /// fault-free [`EvalStrategy::Compiled`] runs through the optimized
-    /// structure-of-arrays tape under the documented tolerance contract.
-    /// Runs with an armed fault plan always fall back to the unoptimized
-    /// tape, whatever this is set to.
+    /// into the [`EvalStrategy::Compiled`] op tape ([`crate::passes`]). The
+    /// default, [`PassConfig::none`], keeps every run bit-exact against the
+    /// reference evaluator; enabled passes trade that for the documented
+    /// tolerance contract. Runs with an armed fault plan always lower
+    /// without passes, whatever this is set to.
     pub passes: PassConfig,
 }
 
@@ -166,8 +168,8 @@ pub(crate) struct Structure {
 
 /// The compiled dataflow program — the tree-walking **reference**
 /// representation, binding per-run register/fault/signal state to a
-/// (possibly cached) [`Structure`]. [`crate::plan::CompiledPlan::lower`]
-/// flattens it into the map-free fast path.
+/// (possibly cached) [`Structure`]. [`crate::ir::lower_plan`] flattens it
+/// into the map-free op tape.
 pub(crate) struct Compiled<'a> {
     pub(crate) config: &'a ChipConfig,
     pub(crate) variation: &'a ProcessVariation,
@@ -224,41 +226,16 @@ pub(crate) trait Evaluator {
 
     /// Minimum slot-buffer length this evaluator writes. The run loop
     /// sizes its tracker to the larger of this and the circuit's slot
-    /// count; only the pass-optimized tape ever needs more (scratch slots
+    /// count; only a pass-lowered tape ever needs more (scratch slots
     /// appended by `normalize_gains`).
     fn min_slots(&self) -> usize {
         0
     }
-}
 
-/// A K-lane circuit evaluator usable by the lockstep batched RK4 loop:
-/// advances every **active** lane's derivatives at once over column-major
-/// (`[index * k + lane]`) state/tracker arrays. Implemented by the
-/// unoptimized [`crate::plan::BatchRun`] and the pass-optimized
-/// [`crate::ir::OptBatchRun`].
-pub(crate) trait LaneEvaluator {
-    /// Number of lanes bound to the batch.
-    fn lanes(&self) -> usize;
-
-    /// Minimum slot-buffer length this evaluator writes per lane (see
-    /// [`Evaluator::min_slots`]).
-    fn min_slots(&self) -> usize {
-        0
-    }
-
-    /// Evaluates the circuit at time `t` for all active lanes. Retired
-    /// lanes are skipped entirely — their tracker entries, derivatives,
-    /// and slot values stay frozen at their retirement step.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_lanes(
-        &mut self,
-        t: f64,
-        state: &[f64],
-        du: &mut [f64],
-        tracker: &mut BatchTracker,
-        track: bool,
-        active: &[bool],
-    );
+    /// Writes the per-run constants the evaluator keeps out of the per-eval
+    /// loop (folded DAC constants) into a fresh tracker, once, before the
+    /// first eval.
+    fn prime(&self, _tracker: &mut Tracker) {}
 }
 
 impl Evaluator for Compiled<'_> {
@@ -527,12 +504,13 @@ impl Compiled<'_> {
 pub struct PlanStats {
     /// Netlist skeletons built ([`Structure`] compilations).
     pub structures_built: u64,
-    /// Compiled plans lowered (only on the [`EvalStrategy::Compiled`] path).
+    /// Op tapes lowered (only on the [`EvalStrategy::Compiled`] path),
+    /// whatever pass config they were lowered under.
     pub plans_lowered: u64,
     /// Runs that reused a cached structure without recompiling.
     pub cache_hits: u64,
-    /// Pass-optimized plans lowered (only when [`EngineOptions::passes`]
-    /// enables at least one pass).
+    /// The subset of `plans_lowered` lowered with at least one pass
+    /// enabled ([`EngineOptions::passes`]).
     pub optimized_lowered: u64,
     /// Stores per eval before the pass pipeline, from the most recent
     /// optimized lowering (zero while none has happened).
@@ -555,10 +533,10 @@ pub struct PlanStats {
 pub(crate) struct PlanCache {
     epoch: u64,
     structure: Option<Structure>,
-    plan: Option<crate::plan::CompiledPlan>,
-    /// Pass-optimized plan, keyed by the [`PassConfig`] it was lowered
-    /// under: a run requesting a different config re-lowers and replaces it.
-    opt: Option<(PassConfig, crate::ir::OptimizedPlan)>,
+    /// The op tape, keyed by the *effective* pass config it was lowered
+    /// under ([`effective_passes`]): a run whose effective config differs
+    /// re-lowers and replaces it.
+    plan: Option<(PassConfig, CompiledPlan)>,
     stats: PlanStats,
 }
 
@@ -567,17 +545,20 @@ impl PlanCache {
         self.stats
     }
 
-    /// The pass config of the cached optimized plan, if one is cached.
-    /// Checkpoint capture records this so restore can rebuild the same
-    /// cache contents without emitting lowering counters.
+    /// The pass config of the cached tape, when it was lowered with at
+    /// least one pass. Checkpoint capture records this so restore can
+    /// rebuild the same cache contents without emitting lowering counters.
     pub(crate) fn optimized_config(&self) -> Option<PassConfig> {
-        self.opt.as_ref().map(|(cfg, _)| *cfg)
+        self.plan
+            .as_ref()
+            .map(|(cfg, _)| *cfg)
+            .filter(PassConfig::any)
     }
 
-    /// Per-pass statistics from the cached optimized plan's lowering
-    /// (empty when no optimized plan is cached).
-    pub(crate) fn pass_log(&self) -> Vec<crate::passes::PassStat> {
-        self.opt
+    /// Per-pass statistics from the cached tape's lowering (empty when no
+    /// tape is cached or it was lowered without passes).
+    pub(crate) fn pass_log(&self) -> Vec<PassStat> {
+        self.plan
             .as_ref()
             .map(|(_, plan)| plan.pass_log.clone())
             .unwrap_or_default()
@@ -596,10 +577,11 @@ impl PlanCache {
     }
 
     /// Rebuilds the cached compilation products for `registers` at `epoch`
-    /// and overwrites `stats` with a checkpointed value, emitting no obs
-    /// counters and counting none of the work. Used when restoring a chip
-    /// from a checkpoint: the first post-restore `exec` must be a cache
-    /// hit, exactly as it would have been in the uninterrupted run.
+    /// — the tape lowered under `optimized_passes`, or without passes when
+    /// `None` — and overwrites `stats` with a checkpointed value, emitting
+    /// no obs counters and counting none of the work. Used when restoring a
+    /// chip from a checkpoint: the first post-restore `exec` must be a
+    /// cache hit, exactly as it would have been in the uninterrupted run.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn prime(
         &mut self,
@@ -614,7 +596,149 @@ impl PlanCache {
         optimized_passes: Option<PassConfig>,
     ) -> Result<(), AnalogError> {
         let structure = Structure::build(registers, config)?;
-        let (plan, opt) = {
+        let passes = optimized_passes.unwrap_or_default();
+        let plan = lower_plan(
+            &Compiled {
+                config,
+                variation,
+                registers,
+                signals,
+                faults,
+                t_offset,
+                structure: &structure,
+            },
+            &passes,
+        );
+        self.structure = Some(structure);
+        self.plan = Some((passes, plan));
+        self.epoch = epoch;
+        self.stats = stats;
+        Ok(())
+    }
+
+    /// Makes the cached structure current for `epoch`: rebuilt (dropping
+    /// the tape) on a miss, counted as a hit otherwise.
+    fn refresh(
+        &mut self,
+        registers: &Registers,
+        config: &ChipConfig,
+        epoch: u64,
+    ) -> Result<(), AnalogError> {
+        if self.is_current(epoch) {
+            self.stats.cache_hits += 1;
+            if aa_obs::is_active() {
+                aa_obs::counter("engine.plan_cache_hits", 1);
+            }
+        } else {
+            self.structure = Some(Structure::build(registers, config)?);
+            self.plan = None;
+            self.epoch = epoch;
+            self.stats.structures_built += 1;
+        }
+        Ok(())
+    }
+}
+
+/// The pass config a run lowers under, and the plan-cache key: the
+/// requested [`EngineOptions::passes`], or [`PassConfig::none`] while a
+/// fault plan is armed, so fault runs stay bit-exact against the reference
+/// evaluator whatever passes were requested.
+fn effective_passes(options: &EngineOptions, faults: Option<&FaultPlan>) -> PassConfig {
+    if faults.is_some() {
+        PassConfig::none()
+    } else {
+        options.passes
+    }
+}
+
+/// Ensures the cache's plan slot holds a tape lowered under `passes`,
+/// lowering it (and emitting the lowering counters inside the caller's
+/// compile span) when the slot is empty or keyed by a different config.
+fn ensure_plan<'c>(
+    slot: &'c mut Option<(PassConfig, CompiledPlan)>,
+    stats: &mut PlanStats,
+    circuit: &Compiled<'_>,
+    passes: PassConfig,
+) -> &'c CompiledPlan {
+    if slot.as_ref().is_none_or(|(cfg, _)| *cfg != passes) {
+        let plan = lower_plan(circuit, &passes);
+        stats.plans_lowered += 1;
+        if passes.any() {
+            stats.optimized_lowered += 1;
+            stats.ops_before = plan.ops_before;
+            stats.ops_after = plan.ops_after;
+        }
+        if aa_obs::is_active() {
+            aa_obs::counter("engine.plans_lowered", 1);
+            if passes.any() {
+                aa_obs::counter("engine.plans_optimized", 1);
+                for stat in &plan.pass_log {
+                    let (before, after) = pass_counter_names(stat.pass);
+                    aa_obs::counter(before, stat.ops_before);
+                    aa_obs::counter(after, stat.ops_after);
+                }
+            }
+        }
+        *slot = Some((passes, plan));
+    }
+    &slot.as_ref().expect("ensured above").1
+}
+
+/// Compiles a committed register file inside the `engine.compile` span —
+/// through the chip's plan cache when `cache` is given, fresh otherwise —
+/// and hands `run` the circuit plus, under [`EvalStrategy::Compiled`], its
+/// op tape (`None` selects the reference evaluator).
+///
+/// `cache` carries the chip's plan cache together with the chip's current
+/// plan epoch; `None` (the LUT-upset scratch path) compiles fresh, since a
+/// scratch register file must not pollute the cache.
+#[allow(clippy::too_many_arguments)]
+fn compile_then<R>(
+    registers: &Registers,
+    config: &ChipConfig,
+    variation: &ProcessVariation,
+    signals: &BTreeMap<usize, InputSignal>,
+    faults: Option<&FaultPlan>,
+    t_offset: f64,
+    cache: Option<(&mut PlanCache, u64)>,
+    options: &EngineOptions,
+    run: impl FnOnce(&Compiled<'_>, Option<&CompiledPlan>) -> Result<R, AnalogError>,
+) -> Result<R, AnalogError> {
+    // Plan lowering sits inside the compile span so the Compiled and
+    // Reference strategies emit identical journals (the differential tests
+    // compare traces across strategies). Cache hits keep the span too: a
+    // hit and a miss differ only in counters, never in the journal.
+    let compile_span = aa_obs::span("engine.compile");
+    let passes = effective_passes(options, faults);
+    let compiled = options.eval_strategy == EvalStrategy::Compiled;
+    match cache {
+        Some((cache, epoch)) => {
+            cache.refresh(registers, config, epoch)?;
+            let PlanCache {
+                structure,
+                plan,
+                stats,
+                ..
+            } = cache;
+            let circuit = Compiled {
+                config,
+                variation,
+                registers,
+                signals,
+                faults,
+                t_offset,
+                structure: structure.as_ref().expect("structure refreshed above"),
+            };
+            let plan = if compiled {
+                Some(ensure_plan(plan, stats, &circuit, passes))
+            } else {
+                None
+            };
+            drop(compile_span);
+            run(&circuit, plan)
+        }
+        None => {
+            let structure = Structure::build(registers, config)?;
             let circuit = Compiled {
                 config,
                 variation,
@@ -624,71 +748,16 @@ impl PlanCache {
                 t_offset,
                 structure: &structure,
             };
-            let plan = crate::plan::CompiledPlan::lower(&circuit);
-            // Rebuild the optimized plan the captured cache held, silently:
-            // the first post-restore optimized exec must be a cache hit
-            // emitting no lowering counters, exactly as the uninterrupted
-            // run's would have been.
-            let opt = optimized_passes
-                .filter(|cfg| cfg.any())
-                .map(|cfg| (cfg, crate::ir::lower_optimized(&circuit, &cfg)));
-            (plan, opt)
-        };
-        self.structure = Some(structure);
-        self.plan = Some(plan);
-        self.opt = opt;
-        self.epoch = epoch;
-        self.stats = stats;
-        Ok(())
-    }
-}
-
-/// Ensures the cache's optimized-plan slot holds a plan lowered under
-/// `passes`, re-lowering (and emitting the lowering counters inside the
-/// caller's compile span) when the slot is empty or was lowered under a
-/// different config — the pass config is part of the cache key.
-fn ensure_optimized<'c>(
-    slot: &'c mut Option<(PassConfig, crate::ir::OptimizedPlan)>,
-    stats: &mut PlanStats,
-    circuit: &Compiled<'_>,
-    passes: &PassConfig,
-) -> &'c crate::ir::OptimizedPlan {
-    let stale = match slot {
-        Some((cfg, _)) => cfg != passes,
-        None => true,
-    };
-    if stale {
-        let lowered = crate::ir::lower_optimized(circuit, passes);
-        stats.optimized_lowered += 1;
-        stats.ops_before = lowered.ops_before;
-        stats.ops_after = lowered.ops_after;
-        if aa_obs::is_active() {
-            aa_obs::counter("engine.plans_optimized", 1);
-            for stat in &lowered.pass_log {
-                let (before, after) = pass_counter_names(stat.pass);
-                aa_obs::counter(before, stat.ops_before);
-                aa_obs::counter(after, stat.ops_after);
-            }
+            let plan = compiled.then(|| lower_plan(&circuit, &passes));
+            drop(compile_span);
+            run(&circuit, plan.as_ref())
         }
-        *slot = Some((*passes, lowered));
     }
-    &slot.as_ref().expect("ensured above").1
-}
-
-/// Whether this run takes the pass-optimized tape: at least one pass
-/// enabled, no fault plan armed (fault semantics stay bit-exact on the
-/// unoptimized tape), and the compiled strategy selected (Reference is the
-/// oracle and never optimizes).
-fn use_optimized(options: &EngineOptions, faults: Option<&FaultPlan>) -> bool {
-    options.passes.any() && faults.is_none() && options.eval_strategy == EvalStrategy::Compiled
 }
 
 /// Runs a committed register file. Called by
-/// [`AnalogChip::exec`](crate::AnalogChip::exec).
-///
-/// `cache` carries the chip's plan cache together with the chip's current
-/// plan epoch; `None` (the LUT-upset scratch path) compiles fresh, since a
-/// scratch register file must not pollute the cache.
+/// [`AnalogChip::exec`](crate::AnalogChip::exec); `cache` as in
+/// [`compile_then`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_committed(
     registers: &Registers,
@@ -707,96 +776,17 @@ pub(crate) fn run_committed(
         )));
     }
     let run_span = aa_obs::span("engine.run");
-
-    // Plan lowering sits inside the compile span so the Compiled and
-    // Reference strategies emit identical journals (the differential tests
-    // compare traces across strategies). Cache hits keep the span too: a
-    // hit and a miss differ only in counters, never in the journal.
-    let compile_span = aa_obs::span("engine.compile");
-    let use_opt = use_optimized(options, faults);
-    let report = match cache {
-        Some((cache, epoch)) => {
-            if cache.structure.is_none() || cache.epoch != epoch {
-                cache.structure = Some(Structure::build(registers, config)?);
-                cache.plan = None;
-                cache.opt = None;
-                cache.epoch = epoch;
-                cache.stats.structures_built += 1;
-            } else {
-                cache.stats.cache_hits += 1;
-                if aa_obs::is_active() {
-                    aa_obs::counter("engine.plan_cache_hits", 1);
-                }
-            }
-            let PlanCache {
-                structure,
-                plan,
-                opt,
-                stats,
-                ..
-            } = cache;
-            let circuit = Compiled {
-                config,
-                variation,
-                registers,
-                signals,
-                faults,
-                t_offset,
-                structure: structure.as_ref().expect("structure ensured above"),
-            };
-            // Optimized runs never lower the baseline plan (and vice
-            // versa): each tape is lowered on first demand for its config.
-            let (plan, opt) = if use_opt {
-                (
-                    None,
-                    Some(ensure_optimized(opt, stats, &circuit, &options.passes)),
-                )
-            } else {
-                let plan = match options.eval_strategy {
-                    EvalStrategy::Compiled => {
-                        if plan.is_none() {
-                            *plan = Some(crate::plan::CompiledPlan::lower(&circuit));
-                            stats.plans_lowered += 1;
-                            if aa_obs::is_active() {
-                                aa_obs::counter("engine.plans_lowered", 1);
-                            }
-                        }
-                        plan.as_ref()
-                    }
-                    EvalStrategy::Reference => None,
-                };
-                (plan, None)
-            };
-            drop(compile_span);
-            execute(&circuit, plan, opt, options)?
-        }
-        None => {
-            let structure = Structure::build(registers, config)?;
-            let circuit = Compiled {
-                config,
-                variation,
-                registers,
-                signals,
-                faults,
-                t_offset,
-                structure: &structure,
-            };
-            let opt = if use_opt {
-                Some(crate::ir::lower_optimized(&circuit, &options.passes))
-            } else {
-                None
-            };
-            let plan = match options.eval_strategy {
-                EvalStrategy::Compiled if !use_opt => {
-                    Some(crate::plan::CompiledPlan::lower(&circuit))
-                }
-                _ => None,
-            };
-            drop(compile_span);
-            execute(&circuit, plan.as_ref(), opt.as_ref(), options)?
-        }
-    };
-
+    let report = compile_then(
+        registers,
+        config,
+        variation,
+        signals,
+        faults,
+        t_offset,
+        cache,
+        options,
+        |circuit, plan| execute(circuit, plan, options),
+    )?;
     observe_run(&report);
     drop(run_span);
     Ok(report)
@@ -880,88 +870,17 @@ pub(crate) fn run_committed_batch(
         })
         .collect();
 
-    let compile_span = aa_obs::span("engine.compile");
-    let use_opt = use_optimized(options, faults);
-    let reports = match cache {
-        Some((cache, epoch)) => {
-            if cache.structure.is_none() || cache.epoch != epoch {
-                cache.structure = Some(Structure::build(registers, config)?);
-                cache.plan = None;
-                cache.opt = None;
-                cache.epoch = epoch;
-                cache.stats.structures_built += 1;
-            } else {
-                cache.stats.cache_hits += 1;
-                if aa_obs::is_active() {
-                    aa_obs::counter("engine.plan_cache_hits", 1);
-                }
-            }
-            let PlanCache {
-                structure,
-                plan,
-                opt,
-                stats,
-                ..
-            } = cache;
-            let circuit = Compiled {
-                config,
-                variation,
-                registers,
-                signals,
-                faults,
-                t_offset,
-                structure: structure.as_ref().expect("structure ensured above"),
-            };
-            let (plan, opt) = if use_opt {
-                (
-                    None,
-                    Some(ensure_optimized(opt, stats, &circuit, &options.passes)),
-                )
-            } else {
-                let plan = match options.eval_strategy {
-                    EvalStrategy::Compiled => {
-                        if plan.is_none() {
-                            *plan = Some(crate::plan::CompiledPlan::lower(&circuit));
-                            stats.plans_lowered += 1;
-                            if aa_obs::is_active() {
-                                aa_obs::counter("engine.plans_lowered", 1);
-                            }
-                        }
-                        plan.as_ref()
-                    }
-                    EvalStrategy::Reference => None,
-                };
-                (plan, None)
-            };
-            drop(compile_span);
-            execute_batch(&circuit, plan, opt, &overlays, options)?
-        }
-        None => {
-            let structure = Structure::build(registers, config)?;
-            let circuit = Compiled {
-                config,
-                variation,
-                registers,
-                signals,
-                faults,
-                t_offset,
-                structure: &structure,
-            };
-            let opt = if use_opt {
-                Some(crate::ir::lower_optimized(&circuit, &options.passes))
-            } else {
-                None
-            };
-            let plan = match options.eval_strategy {
-                EvalStrategy::Compiled if !use_opt => {
-                    Some(crate::plan::CompiledPlan::lower(&circuit))
-                }
-                _ => None,
-            };
-            drop(compile_span);
-            execute_batch(&circuit, plan.as_ref(), opt.as_ref(), &overlays, options)?
-        }
-    };
+    let reports = compile_then(
+        registers,
+        config,
+        variation,
+        signals,
+        faults,
+        t_offset,
+        cache,
+        options,
+        |circuit, plan| execute_batch(circuit, plan, &overlays, options),
+    )?;
 
     if aa_obs::is_active() {
         aa_obs::counter("engine.batch_runs", 1);
@@ -979,67 +898,34 @@ pub(crate) fn run_committed_batch(
 /// integrations (the batched path's behavioural oracle).
 fn execute_batch(
     circuit: &Compiled<'_>,
-    plan: Option<&crate::plan::CompiledPlan>,
-    opt: Option<&crate::ir::OptimizedPlan>,
+    plan: Option<&CompiledPlan>,
     overlays: &[Registers],
     options: &EngineOptions,
 ) -> Result<Vec<RunReport>, AnalogError> {
     let execute_span = aa_obs::span("engine.execute");
-    let reports = match (opt, plan) {
+    let lane = |registers| Compiled {
+        registers,
+        ..*circuit
+    };
+    let reports = match plan {
         // A single-lane batch is exactly one sequential run (the batched
         // path's defining property), and the scalar evaluator has no
-        // lane-sweep setup cost to amortize — route it there, optimized or
-        // not.
-        (Some(opt), _) if overlays.len() == 1 => {
-            let lane_circuit = Compiled {
-                config: circuit.config,
-                variation: circuit.variation,
-                registers: &overlays[0],
-                signals: circuit.signals,
-                faults: circuit.faults,
-                t_offset: circuit.t_offset,
-                structure: circuit.structure,
-            };
-            let run = crate::ir::OptRun::bind(opt, &lane_circuit);
+        // lane-sweep setup cost to amortize — route it there.
+        Some(plan) if overlays.len() == 1 => {
+            let lane_circuit = lane(&overlays[0]);
+            let run = PlanRun::bind(plan, &lane_circuit);
             integrate(&lane_circuit, &run, options).map(|r| vec![r])
         }
-        (Some(opt), _) => {
+        Some(plan) => {
             let lane_dacs: Vec<&BTreeMap<usize, f64>> =
                 overlays.iter().map(|r| &r.dac_values).collect();
-            let mut batch = crate::ir::OptBatchRun::bind(opt, circuit, &lane_dacs);
+            let mut batch = BatchRun::bind(plan, circuit, &lane_dacs);
             integrate_batch(circuit, &mut batch, overlays, options)
         }
-        (None, Some(plan)) if overlays.len() == 1 => {
-            let lane_circuit = Compiled {
-                config: circuit.config,
-                variation: circuit.variation,
-                registers: &overlays[0],
-                signals: circuit.signals,
-                faults: circuit.faults,
-                t_offset: circuit.t_offset,
-                structure: circuit.structure,
-            };
-            let run = crate::plan::PlanRun::bind(plan, &lane_circuit);
-            integrate(&lane_circuit, &run, options).map(|r| vec![r])
-        }
-        (None, Some(plan)) => {
-            let lane_dacs: Vec<&BTreeMap<usize, f64>> =
-                overlays.iter().map(|r| &r.dac_values).collect();
-            let mut batch = crate::plan::BatchRun::bind(plan, circuit, &lane_dacs);
-            integrate_batch(circuit, &mut batch, overlays, options)
-        }
-        (None, None) => overlays
+        None => overlays
             .iter()
             .map(|regs| {
-                let lane_circuit = Compiled {
-                    config: circuit.config,
-                    variation: circuit.variation,
-                    registers: regs,
-                    signals: circuit.signals,
-                    faults: circuit.faults,
-                    t_offset: circuit.t_offset,
-                    structure: circuit.structure,
-                };
+                let lane_circuit = lane(regs);
                 integrate(&lane_circuit, &lane_circuit, options)
             })
             .collect(),
@@ -1058,9 +944,9 @@ fn execute_batch(
 // The lane loops index `active` plus several SoA columns in lockstep; a
 // range loop is the clear form, not a needless one.
 #[allow(clippy::needless_range_loop)]
-fn integrate_batch<B: LaneEvaluator>(
+fn integrate_batch(
     circuit: &Compiled<'_>,
-    batch: &mut B,
+    batch: &mut BatchRun<'_>,
     overlays: &[Registers],
     options: &EngineOptions,
 ) -> Result<Vec<RunReport>, AnalogError> {
@@ -1086,6 +972,7 @@ fn integrate_batch<B: LaneEvaluator>(
         max_abs: vec![0.0; n_slots * k],
         clipped: vec![false; n_slots * k],
     };
+    batch.prime(&mut tracker);
 
     let int_out_slots: Vec<usize> = circuit
         .structure
@@ -1293,9 +1180,7 @@ fn integrate_batch<B: LaneEvaluator>(
                     tracker.max_abs[tidx] = tracker.max_abs[tidx].max(fs * 1.0000001);
                 }
                 if !state[idx].is_finite() {
-                    return Err(AnalogError::Engine(aa_ode::OdeError::Diverged {
-                        at_time: t,
-                    }));
+                    return Err(AnalogError::Diverged { at_time: t });
                 }
             }
         }
@@ -1363,25 +1248,18 @@ fn integrate_batch<B: LaneEvaluator>(
     Ok(reports)
 }
 
-/// Binds per-run state to the chosen evaluator and runs the RK4 loop
-/// inside the `engine.execute` span.
+/// Binds per-run state to the chosen evaluator — the op tape when one is
+/// given, the reference circuit otherwise — and runs the RK4 loop inside
+/// the `engine.execute` span.
 fn execute(
     circuit: &Compiled<'_>,
-    plan: Option<&crate::plan::CompiledPlan>,
-    opt: Option<&crate::ir::OptimizedPlan>,
+    plan: Option<&CompiledPlan>,
     options: &EngineOptions,
 ) -> Result<RunReport, AnalogError> {
     let execute_span = aa_obs::span("engine.execute");
-    let report = match (opt, plan) {
-        (Some(opt), _) => {
-            let run = crate::ir::OptRun::bind(opt, circuit);
-            integrate(circuit, &run, options)
-        }
-        (None, Some(plan)) => {
-            let run = crate::plan::PlanRun::bind(plan, circuit);
-            integrate(circuit, &run, options)
-        }
-        (None, None) => integrate(circuit, circuit, options),
+    let report = match plan {
+        Some(plan) => integrate(circuit, &PlanRun::bind(plan, circuit), options),
+        None => integrate(circuit, circuit, options),
     }?;
     drop(execute_span);
     Ok(report)
@@ -1419,6 +1297,7 @@ fn integrate<E: Evaluator>(
         max_abs: vec![0.0; n_slots],
         clipped: vec![false; n_slots],
     };
+    evaluator.prime(&mut tracker);
 
     // Slot lookups resolved once, outside the loop: integrator output slots
     // (stuck-rail and saturation tracking) and analog-output sink slots
@@ -1550,9 +1429,7 @@ fn integrate<E: Evaluator>(
                 tracker.max_abs[s] = tracker.max_abs[s].max(fs * 1.0000001);
             }
             if !state[slot_state].is_finite() {
-                return Err(AnalogError::Engine(aa_ode::OdeError::Diverged {
-                    at_time: t,
-                }));
+                return Err(AnalogError::Diverged { at_time: t });
             }
         }
 

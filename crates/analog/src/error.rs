@@ -49,8 +49,11 @@ pub enum AnalogError {
         /// Description of the ordering violation.
         message: String,
     },
-    /// The continuous-time engine failed (divergence, step underflow).
-    Engine(aa_ode::OdeError),
+    /// The continuous-time engine's state diverged to non-finite values.
+    Diverged {
+        /// Per-run simulated second at which a non-finite state appeared.
+        at_time: f64,
+    },
     /// Calibration could not bring a unit within tolerance.
     CalibrationFailed {
         /// The unit that failed to calibrate.
@@ -104,7 +107,10 @@ impl fmt::Display for AnalogError {
             AnalogError::ProtocolViolation { message } => {
                 write!(f, "protocol violation: {message}")
             }
-            AnalogError::Engine(e) => write!(f, "analog engine failure: {e}"),
+            AnalogError::Diverged { at_time } => write!(
+                f,
+                "analog engine failure: state diverged to non-finite values at t = {at_time}"
+            ),
             AnalogError::CalibrationFailed { unit, residual } => {
                 write!(f, "calibration of {unit} failed with residual {residual}")
             }
@@ -112,20 +118,7 @@ impl fmt::Display for AnalogError {
     }
 }
 
-impl Error for AnalogError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            AnalogError::Engine(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<aa_ode::OdeError> for AnalogError {
-    fn from(e: aa_ode::OdeError) -> Self {
-        AnalogError::Engine(e)
-    }
-}
+impl Error for AnalogError {}
 
 #[cfg(test)]
 mod tests {
@@ -156,9 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn engine_errors_chain() {
-        use std::error::Error;
-        let e: AnalogError = aa_ode::OdeError::Diverged { at_time: 1.0 }.into();
-        assert!(e.source().is_some());
+    fn divergence_display() {
+        assert_eq!(
+            AnalogError::Diverged { at_time: 1.5 }.to_string(),
+            "analog engine failure: state diverged to non-finite values at t = 1.5"
+        );
     }
 }

@@ -1,37 +1,30 @@
-//! The typed plan IR and the optimized structure-of-arrays tape.
+//! The typed plan IR: the one lowering path from circuit to op tape.
 //!
 //! [`IrGraph::lower`] turns the engine's reference circuit into a typed op
-//! graph mirroring [`crate::plan::CompiledPlan`]'s tape, but with owned,
-//! mutable input-slot lists so the passes in [`crate::passes`] can rewrite
-//! it. After the pipeline runs, [`IrGraph::schedule`] regroups the
-//! surviving ops by `(dependency level, op kind)` into per-kind
-//! structure-of-arrays lanes: the RK4 inner loop then dispatches **once per
-//! segment** instead of once per op, sweeping homogeneous runs of
-//! multiplies, MACs, fanouts, LUTs, and sinks.
+//! graph — one node per memoryless unit in topological order, its input
+//! slots held as ranges into one shared driver-slot array that the passes
+//! in [`crate::passes`] rewrite in place. [`IrGraph::emit`] then packs the
+//! surviving nodes, still in topological order, into the linear
+//! [`CompiledPlan`] tape that [`crate::plan::PlanRun`] and
+//! [`crate::plan::BatchRun`] execute, handing over the same driver-slot
+//! array; [`lower_plan`] chains the three steps.
 //!
-//! Two executors consume the scheduled [`OptimizedPlan`]: [`OptRun`] (the
-//! sequential [`Evaluator`]) and [`OptBatchRun`] (the K-lane
-//! [`LaneEvaluator`]). Both are only reachable when no fault plan is armed,
-//! so the per-op `distort` call and its branch are gone from the hot loop
-//! entirely. The tolerance contract for the pass pipeline is documented in
-//! [`crate::passes`]: `fold_constants`, `cse`, and `dce` preserve solution
-//! values bit for bit (they only skip redundant stores), while
-//! `fuse_gain_chains` reassociates the affine arithmetic and elides the
-//! intermediate clip, so fused plans match the reference within a relative
-//! error bound rather than exactly. Ops eliminated by any pass report zero
-//! range usage and never latch exceptions.
+//! With no pass enabled the emitted tape is a pure restructuring of the
+//! reference circuit (bit-identical runs). The tolerance contract for the
+//! passes is documented in [`crate::passes`]: `fold_constants`, `cse`, and
+//! `dce` preserve solution values bit for bit (they only skip redundant
+//! stores), while `fuse_gain_chains` reassociates the affine arithmetic and
+//! elides the intermediate clip, so fused plans match the reference within
+//! a relative error bound rather than exactly. Ops eliminated by any pass
+//! report zero range usage and never latch exceptions.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use crate::chip::InputSignal;
-use crate::engine::{BatchTracker, Compiled, Evaluator, LaneEvaluator, Tracker};
+use crate::engine::Compiled;
 use crate::lut::LookupTable;
 use crate::netlist::{InputPort, OutputPort};
 use crate::passes::{run_pipeline, PassConfig, PassStat};
-use crate::plan::{
-    dump_imp, dump_slots, dump_unit, DacSource, DriverRange, Imp, InputSource, IntSource,
-};
+use crate::plan::{CompiledPlan, DacSource, DriverRange, Imp, InputSource, IntSource, Op};
 use crate::units::UnitId;
 
 /// One memoryless op's kind and kind-specific payload. Input/output slots
@@ -50,7 +43,7 @@ pub(crate) enum IrKind {
         imp: Imp,
         branches: u32,
     },
-    /// Lookup table (owned contents, as in the unoptimized tape).
+    /// Lookup table (owned contents, moved into the tape at emit).
     Lut { unit: UnitId, lut: LookupTable },
     /// ADC / analog-output sink: clip the summed input into the sink slot.
     Sink,
@@ -59,10 +52,11 @@ pub(crate) enum IrKind {
 /// One op graph node, in the netlist's topological order.
 pub(crate) struct IrNode {
     pub(crate) kind: IrKind,
-    /// Primary input's driver slots (every kind).
-    pub(crate) in0: Vec<u32>,
+    /// Primary input's driver slots (every kind). Each range is owned by
+    /// one node, so a pass may rewrite its slots in place.
+    pub(crate) in0: DriverRange,
     /// Secondary input's driver slots (`MulVar` only, empty otherwise).
-    pub(crate) in1: Vec<u32>,
+    pub(crate) in1: DriverRange,
     /// Output slot (`Fanout`: first branch slot, branches contiguous).
     pub(crate) out: u32,
     /// Cleared instead of removing the node, so slot numbering and topo
@@ -71,7 +65,7 @@ pub(crate) struct IrNode {
 }
 
 /// The typed op graph the pass pipeline rewrites. Lowered per committed
-/// netlist, consumed by [`IrGraph::schedule`] into an [`OptimizedPlan`].
+/// netlist, consumed by [`IrGraph::emit`] into a [`CompiledPlan`].
 pub(crate) struct IrGraph {
     full_scale: f64,
     omega: f64,
@@ -87,21 +81,28 @@ pub(crate) struct IrGraph {
     /// once per RK4 stage.
     const_dacs: Vec<DacSource>,
     input_sources: Vec<InputSource>,
+    /// Shared driver-slot array the node and derivative ranges index.
+    driver_slots: Vec<u32>,
     nodes: Vec<IrNode>,
-    derivs: Vec<Vec<u32>>,
+    derivs: Vec<DriverRange>,
 }
 
 impl IrGraph {
-    /// Lowers the reference circuit into the typed op graph — the same
-    /// structural walk as [`crate::plan::CompiledPlan::lower`], with owned
-    /// slot lists per node instead of ranges into a shared CSR array.
+    /// Lowers the reference circuit into the typed op graph: one node per
+    /// memoryless unit in the netlist's topological order, driver ranges
+    /// laid out node by node (`in0`, then a `MulVar`'s `in1`), then the
+    /// state derivatives.
     pub(crate) fn lower(c: &Compiled<'_>) -> Self {
-        let slots_of = |port: InputPort| -> Vec<u32> {
-            c.structure
-                .drivers
-                .get(&port)
-                .map(|s| s.iter().map(|&x| x as u32).collect())
-                .unwrap_or_default()
+        let mut driver_slots: Vec<u32> = Vec::new();
+        let mut slots_of = |port: InputPort| -> DriverRange {
+            let start = driver_slots.len() as u32;
+            if let Some(slots) = c.structure.drivers.get(&port) {
+                driver_slots.extend(slots.iter().map(|&s| s as u32));
+            }
+            DriverRange {
+                start,
+                end: driver_slots.len() as u32,
+            }
         };
 
         let int_sources: Vec<IntSource> = c
@@ -158,7 +159,7 @@ impl IrGraph {
                         Some(&gain) => nodes.push(IrNode {
                             kind: IrKind::MulGain { unit, gain, imp },
                             in0,
-                            in1: Vec::new(),
+                            in1: DriverRange::default(),
                             out,
                             live: true,
                         }),
@@ -178,7 +179,7 @@ impl IrGraph {
                         branches: c.config.inventory.fanout_branches as u32,
                     },
                     in0: slots_of(InputPort::of(unit)),
-                    in1: Vec::new(),
+                    in1: DriverRange::default(),
                     out: c.slot(OutputPort { unit, port: 0 }) as u32,
                     live: true,
                 }),
@@ -193,14 +194,14 @@ impl IrGraph {
                             .clone(),
                     },
                     in0: slots_of(InputPort::of(unit)),
-                    in1: Vec::new(),
+                    in1: DriverRange::default(),
                     out: c.slot(OutputPort::of(unit)) as u32,
                     live: true,
                 }),
                 UnitId::Adc(_) | UnitId::AnalogOutput(_) => nodes.push(IrNode {
                     kind: IrKind::Sink,
                     in0: slots_of(InputPort::of(unit)),
-                    in1: Vec::new(),
+                    in1: DriverRange::default(),
                     out: c.sink_slot(unit) as u32,
                     live: true,
                 }),
@@ -210,7 +211,7 @@ impl IrGraph {
             }
         }
 
-        let derivs: Vec<Vec<u32>> = c
+        let derivs: Vec<DriverRange> = c
             .structure
             .integrator_of_state
             .iter()
@@ -226,9 +227,15 @@ impl IrGraph {
             dac_sources,
             const_dacs: Vec::new(),
             input_sources,
+            driver_slots,
             nodes,
             derivs,
         }
+    }
+
+    /// The driver slots a range covers.
+    fn slots(&self, range: DriverRange) -> &[u32] {
+        &self.driver_slots[range.start as usize..range.end as usize]
     }
 
     /// The pass-statistics metric: output stores per circuit evaluation —
@@ -264,66 +271,66 @@ impl IrGraph {
     pub(crate) fn cse(&mut self) {
         let mut subst: Vec<u32> = (0..self.n_slots as u32).collect();
         let mut seen: BTreeMap<Vec<u64>, u32> = BTreeMap::new();
-        for node in &mut self.nodes {
+        let IrGraph {
+            driver_slots,
+            nodes,
+            derivs,
+            ..
+        } = self;
+        let substitute = |driver_slots: &mut [u32], subst: &[u32], range: DriverRange| {
+            for s in &mut driver_slots[range.start as usize..range.end as usize] {
+                *s = subst[*s as usize];
+            }
+        };
+        for node in nodes.iter_mut() {
             if !node.live {
                 continue;
             }
             // Producers precede consumers in topo order, so applying the
             // substitution at read time resolves every chain in one walk.
-            for s in node.in0.iter_mut() {
-                *s = subst[*s as usize];
-            }
-            for s in node.in1.iter_mut() {
-                *s = subst[*s as usize];
-            }
-            let mut dead = false;
-            match &mut node.kind {
-                IrKind::Fanout { branches, .. } if *branches > 1 => {
+            substitute(driver_slots, &subst, node.in0);
+            substitute(driver_slots, &subst, node.in1);
+            let slots = |range: DriverRange| {
+                driver_slots[range.start as usize..range.end as usize]
+                    .iter()
+                    .map(|&s| s as u64)
+            };
+            let key = match &mut node.kind {
+                IrKind::Fanout { branches, .. } => {
                     for p in 1..*branches {
                         subst[(node.out + p) as usize] = node.out;
                     }
                     *branches = 1;
+                    continue;
                 }
                 IrKind::MulGain { gain, imp, .. } => {
                     let mut key = vec![0u64, gain.to_bits()];
                     key.extend(imp.bits());
-                    key.extend(node.in0.iter().map(|&s| s as u64));
-                    match seen.get(&key) {
-                        Some(&canon) => {
-                            subst[node.out as usize] = canon;
-                            dead = true;
-                        }
-                        None => {
-                            seen.insert(key, node.out);
-                        }
-                    }
+                    key.extend(slots(node.in0));
+                    key
                 }
                 IrKind::MulVar { imp, .. } => {
                     let mut key = vec![1u64];
                     key.extend(imp.bits());
-                    key.extend(node.in0.iter().map(|&s| s as u64));
+                    key.extend(slots(node.in0));
                     key.push(u64::MAX);
-                    key.extend(node.in1.iter().map(|&s| s as u64));
-                    match seen.get(&key) {
-                        Some(&canon) => {
-                            subst[node.out as usize] = canon;
-                            dead = true;
-                        }
-                        None => {
-                            seen.insert(key, node.out);
-                        }
-                    }
+                    key.extend(slots(node.in1));
+                    key
                 }
-                _ => {}
-            }
-            if dead {
-                node.live = false;
+                _ => continue,
+            };
+            match seen.get(&key) {
+                Some(&canon) => {
+                    subst[node.out as usize] = canon;
+                    node.live = false;
+                }
+                None => {
+                    seen.insert(key, node.out);
+                }
             }
         }
-        for d in self.derivs.iter_mut() {
-            for s in d.iter_mut() {
-                *s = subst[*s as usize];
-            }
+        for &d in derivs.iter() {
+            substitute(driver_slots, &subst, d);
         }
     }
 
@@ -336,13 +343,13 @@ impl IrGraph {
         // Static consumer counts are sound here: fusion only ever drops a
         // slot's count from one to zero, never from two to one.
         let mut consumers = vec![0u32; self.n_slots];
-        for node in self.nodes.iter().filter(|n| n.live) {
-            for &s in node.in0.iter().chain(&node.in1) {
-                consumers[s as usize] += 1;
-            }
-        }
-        for d in &self.derivs {
-            for &s in d {
+        let live_inputs = self
+            .nodes
+            .iter()
+            .filter(|n| n.live)
+            .flat_map(|n| [n.in0, n.in1]);
+        for range in live_inputs.chain(self.derivs.iter().copied()) {
+            for &s in self.slots(range) {
                 consumers[s as usize] += 1;
             }
         }
@@ -362,8 +369,8 @@ impl IrGraph {
                     kind: IrKind::MulGain { unit, gain, imp },
                     in0,
                     ..
-                } if in0.len() == 1 => (
-                    in0[0] as usize,
+                } if in0.end - in0.start == 1 => (
+                    self.driver_slots[in0.start as usize] as usize,
                     gain * imp.coefficient(),
                     imp.constant(),
                     *unit,
@@ -385,7 +392,7 @@ impl IrGraph {
             // j(i(x)) = k_j·(k_i·x + c_i) + c_j, standalone gains stay exact.
             let a = k_j * k_i;
             let b = k_j * c_i + c_j;
-            let inherited = std::mem::take(&mut self.nodes[i].in0);
+            let inherited = self.nodes[i].in0;
             self.nodes[i].live = false;
             producer[s] = None;
             consumers[s] = 0;
@@ -435,7 +442,7 @@ impl IrGraph {
             // is programmable; each prefix writes a fresh slot the next
             // stage reads, so topo order holds by construction.
             let mut residual = a;
-            let mut in0 = std::mem::take(&mut node.in0);
+            let mut in0 = node.in0;
             while residual.abs() > mg {
                 residual /= mg;
                 let out = self.n_slots as u32;
@@ -447,11 +454,16 @@ impl IrGraph {
                         b: 0.0,
                     },
                     in0,
-                    in1: Vec::new(),
+                    in1: DriverRange::default(),
                     out,
                     live: true,
                 });
-                in0 = vec![out];
+                let start = self.driver_slots.len() as u32;
+                self.driver_slots.push(out);
+                in0 = DriverRange {
+                    start,
+                    end: start + 1,
+                };
             }
             node.kind = IrKind::Mac {
                 unit,
@@ -471,8 +483,8 @@ impl IrGraph {
     /// range records the report still omits either way).
     pub(crate) fn dce(&mut self) {
         let mut needed = vec![false; self.n_slots];
-        for d in &self.derivs {
-            for &s in d {
+        for &d in &self.derivs {
+            for &s in self.slots(d) {
                 needed[s as usize] = true;
             }
         }
@@ -492,8 +504,10 @@ impl IrGraph {
             };
             if keep {
                 let node = &self.nodes[idx];
-                for &s in node.in0.iter().chain(&node.in1) {
-                    needed[s as usize] = true;
+                for range in [node.in0, node.in1] {
+                    for &s in self.slots(range) {
+                        needed[s as usize] = true;
+                    }
                 }
             } else {
                 self.nodes[idx].live = false;
@@ -501,145 +515,67 @@ impl IrGraph {
         }
     }
 
-    /// Groups the surviving ops into the SoA op-kind tape: nodes are stably
-    /// sorted by `(dependency level, kind rank)` — level ordering preserves
-    /// every producer-before-consumer constraint, kind ranking within a
-    /// level maximizes homogeneous run length — then packed into per-kind
-    /// lane arrays with maximal same-kind segments.
-    pub(crate) fn schedule(self, pass_log: Vec<PassStat>, ops_before: u64) -> OptimizedPlan {
+    /// Packs the surviving nodes, in topological order, into the linear op
+    /// tape. The driver-slot array moves over as is: ranges of eliminated
+    /// nodes stay behind unread.
+    pub(crate) fn emit(self, pass_log: Vec<PassStat>, ops_before: u64) -> CompiledPlan {
         let ops_after = self.ops_per_eval();
-        let mut level = vec![0u32; self.n_slots];
-        let mut order: Vec<(u32, u8, usize)> = Vec::new();
-        for (idx, node) in self.nodes.iter().enumerate() {
-            if !node.live {
-                continue;
-            }
-            let lv = 1 + node
-                .in0
-                .iter()
-                .chain(&node.in1)
-                .map(|&s| level[s as usize])
-                .max()
-                .unwrap_or(0);
-            let (rank, outs) = match &node.kind {
-                IrKind::MulGain { .. } => (0u8, 1),
-                IrKind::Mac { .. } => (1, 1),
-                IrKind::MulVar { .. } => (2, 1),
-                IrKind::Fanout { branches, .. } => (3, *branches),
-                IrKind::Lut { .. } => (4, 1),
-                IrKind::Sink => (5, 1),
-            };
-            for p in 0..outs {
-                level[(node.out + p) as usize] = lv;
-            }
-            order.push((lv, rank, idx));
-        }
-        order.sort_by_key(|&(lv, rank, _)| (lv, rank));
-
-        fn push_range(driver_slots: &mut Vec<u32>, slots: &[u32]) -> DriverRange {
-            let start = driver_slots.len() as u32;
-            driver_slots.extend_from_slice(slots);
-            DriverRange {
-                start,
-                end: driver_slots.len() as u32,
-            }
-        }
-
-        let mut driver_slots: Vec<u32> = Vec::new();
-        let mut segments: Vec<Segment> = Vec::new();
-        let mut mulgain = MulGainLanes::default();
-        let mut mac = MacLanes::default();
-        let mut mulvar = MulVarLanes::default();
-        let mut fanout = FanoutLanes::default();
-        let mut lut_lanes = LutLanes::default();
-        let mut sink = SinkLanes::default();
-
-        for &(_, _, idx) in &order {
-            let node = &self.nodes[idx];
-            let in0 = push_range(&mut driver_slots, &node.in0);
-            let (kind, pos) = match &node.kind {
-                IrKind::MulGain { unit, gain, imp } => {
-                    mulgain.unit.push(*unit);
-                    mulgain.gain.push(*gain);
-                    mulgain.imp.push(*imp);
-                    mulgain.in0.push(in0);
-                    mulgain.out.push(node.out);
-                    (SegKind::MulGain, mulgain.out.len() as u32)
-                }
-                IrKind::Mac { unit, a, b } => {
-                    mac.unit.push(*unit);
-                    mac.a.push(*a);
-                    mac.b.push(*b);
-                    mac.in0.push(in0);
-                    mac.out.push(node.out);
-                    (SegKind::Mac, mac.out.len() as u32)
-                }
-                IrKind::MulVar { unit, imp } => {
-                    mulvar.unit.push(*unit);
-                    mulvar.imp.push(*imp);
-                    mulvar.in0.push(in0);
-                    mulvar.in1.push(push_range(&mut driver_slots, &node.in1));
-                    mulvar.out.push(node.out);
-                    (SegKind::MulVar, mulvar.out.len() as u32)
-                }
+        let mut ops = Vec::with_capacity(self.nodes.len());
+        for node in self.nodes.into_iter().filter(|n| n.live) {
+            let IrNode { in0, in1, out, .. } = node;
+            ops.push(match node.kind {
+                IrKind::MulGain { unit, gain, imp } => Op::MulGain {
+                    unit,
+                    gain,
+                    imp,
+                    in0,
+                    out,
+                },
+                IrKind::Mac { unit, a, b } => Op::Mac {
+                    unit,
+                    a,
+                    b,
+                    in0,
+                    out,
+                },
+                IrKind::MulVar { unit, imp } => Op::MulVar {
+                    unit,
+                    imp,
+                    in0,
+                    in1,
+                    out,
+                },
                 IrKind::Fanout {
                     unit,
                     imp,
                     branches,
-                } => {
-                    fanout.unit.push(*unit);
-                    fanout.imp.push(*imp);
-                    fanout.in0.push(in0);
-                    fanout.out0.push(node.out);
-                    fanout.branches.push(*branches);
-                    (SegKind::Fanout, fanout.out0.len() as u32)
-                }
-                IrKind::Lut { unit, lut } => {
-                    lut_lanes.unit.push(*unit);
-                    lut_lanes.lut.push(lut.clone());
-                    lut_lanes.in0.push(in0);
-                    lut_lanes.out.push(node.out);
-                    (SegKind::Lut, lut_lanes.out.len() as u32)
-                }
-                IrKind::Sink => {
-                    sink.in0.push(in0);
-                    sink.out.push(node.out);
-                    (SegKind::Sink, sink.out.len() as u32)
-                }
-            };
-            match segments.last_mut() {
-                Some(seg) if seg.kind == kind => seg.end = pos,
-                _ => segments.push(Segment {
-                    kind,
-                    start: pos - 1,
-                    end: pos,
-                }),
-            }
+                } => Op::Fanout {
+                    unit,
+                    imp,
+                    input: in0,
+                    out0: out,
+                    branches,
+                },
+                IrKind::Lut { unit, lut } => Op::Lut {
+                    unit,
+                    lut,
+                    input: in0,
+                    out,
+                },
+                IrKind::Sink => Op::Sink { input: in0, out },
+            });
         }
-
-        let derivs: Vec<DriverRange> = self
-            .derivs
-            .iter()
-            .map(|d| push_range(&mut driver_slots, d))
-            .collect();
-
-        OptimizedPlan {
+        CompiledPlan {
             full_scale: self.full_scale,
             omega: self.omega,
             n_slots: self.n_slots,
-            driver_slots,
+            driver_slots: self.driver_slots,
             int_sources: self.int_sources,
             dac_sources: self.dac_sources,
             const_dacs: self.const_dacs,
             input_sources: self.input_sources,
-            segments,
-            mulgain,
-            mac,
-            mulvar,
-            fanout,
-            lut: lut_lanes,
-            sink,
-            derivs,
+            ops,
+            derivs: self.derivs,
             pass_log,
             ops_before,
             ops_after,
@@ -647,972 +583,12 @@ impl IrGraph {
     }
 }
 
-/// Lowers the reference circuit through the IR and the pass pipeline into
-/// the scheduled SoA tape. The compile-span counterpart of
-/// [`crate::plan::CompiledPlan::lower`] for pass-enabled runs.
-pub(crate) fn lower_optimized(c: &Compiled<'_>, cfg: &PassConfig) -> OptimizedPlan {
+/// Lowers the reference circuit into the engine's op tape: the IR walk,
+/// the pass pipeline `cfg` enables (none for `PassConfig::none()`), and
+/// the emit.
+pub(crate) fn lower_plan(c: &Compiled<'_>, cfg: &PassConfig) -> CompiledPlan {
     let mut graph = IrGraph::lower(c);
     let ops_before = graph.ops_per_eval();
     let pass_log = run_pipeline(&mut graph, cfg);
-    graph.schedule(pass_log, ops_before)
-}
-
-/// Which lane-array family a [`Segment`] indexes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SegKind {
-    MulGain,
-    Mac,
-    MulVar,
-    Fanout,
-    Lut,
-    Sink,
-}
-
-impl SegKind {
-    fn name(self) -> &'static str {
-        match self {
-            SegKind::MulGain => "mul.gain",
-            SegKind::Mac => "mac",
-            SegKind::MulVar => "mul.var",
-            SegKind::Fanout => "fanout",
-            SegKind::Lut => "lut",
-            SegKind::Sink => "sink",
-        }
-    }
-}
-
-/// A maximal run of same-kind ops: `start..end` indexes into that kind's
-/// lane arrays.
-pub(crate) struct Segment {
-    kind: SegKind,
-    start: u32,
-    end: u32,
-}
-
-/// SoA lanes for gain-mode multipliers.
-#[derive(Default)]
-struct MulGainLanes {
-    unit: Vec<UnitId>,
-    gain: Vec<f64>,
-    imp: Vec<Imp>,
-    in0: Vec<DriverRange>,
-    out: Vec<u32>,
-}
-
-/// SoA lanes for fused multiply-accumulates (unit label: the surviving
-/// downstream multiplier of the fused chain).
-#[derive(Default)]
-struct MacLanes {
-    unit: Vec<UnitId>,
-    a: Vec<f64>,
-    b: Vec<f64>,
-    in0: Vec<DriverRange>,
-    out: Vec<u32>,
-}
-
-/// SoA lanes for variable-mode multipliers.
-#[derive(Default)]
-struct MulVarLanes {
-    unit: Vec<UnitId>,
-    imp: Vec<Imp>,
-    in0: Vec<DriverRange>,
-    in1: Vec<DriverRange>,
-    out: Vec<u32>,
-}
-
-/// SoA lanes for fanouts (contiguous branch slots from `out0`).
-#[derive(Default)]
-struct FanoutLanes {
-    unit: Vec<UnitId>,
-    imp: Vec<Imp>,
-    in0: Vec<DriverRange>,
-    out0: Vec<u32>,
-    branches: Vec<u32>,
-}
-
-/// SoA lanes for lookup tables.
-#[derive(Default)]
-struct LutLanes {
-    unit: Vec<UnitId>,
-    lut: Vec<LookupTable>,
-    in0: Vec<DriverRange>,
-    out: Vec<u32>,
-}
-
-/// SoA lanes for ADC / analog-output sinks.
-#[derive(Default)]
-struct SinkLanes {
-    in0: Vec<DriverRange>,
-    out: Vec<u32>,
-}
-
-/// The pass-optimized, segment-scheduled execution tape for one committed
-/// netlist under one [`PassConfig`]. Cached in the chip's
-/// [`PlanCache`](crate::engine::PlanCache) keyed by `(plan epoch,
-/// PassConfig)`; executed through [`OptRun`] / [`OptBatchRun`].
-pub(crate) struct OptimizedPlan {
-    full_scale: f64,
-    omega: f64,
-    /// Slot-buffer length the tape writes — the structure's slot count
-    /// plus any scratch slots `normalize_gains` appended for peeled
-    /// stages. The run loops size their trackers to at least this.
-    pub(crate) n_slots: usize,
-    driver_slots: Vec<u32>,
-    int_sources: Vec<IntSource>,
-    dac_sources: Vec<DacSource>,
-    const_dacs: Vec<DacSource>,
-    input_sources: Vec<InputSource>,
-    segments: Vec<Segment>,
-    mulgain: MulGainLanes,
-    mac: MacLanes,
-    mulvar: MulVarLanes,
-    fanout: FanoutLanes,
-    lut: LutLanes,
-    sink: SinkLanes,
-    derivs: Vec<DriverRange>,
-    /// Per-pass before/after op counts, in pipeline order.
-    pub(crate) pass_log: Vec<PassStat>,
-    /// Stores per eval before any pass ran.
-    pub(crate) ops_before: u64,
-    /// Stores per eval after the pipeline.
-    pub(crate) ops_after: u64,
-}
-
-impl OptimizedPlan {
-    /// Renders the optimized tape in the same deterministic snapshot format
-    /// as [`crate::plan::CompiledPlan::dump`], extended with `src dac.const`
-    /// lines for folded constants, `op mac` lines for fused chains, `seg`
-    /// markers delimiting the homogeneous dispatch runs, and trailing
-    /// per-pass statistics lines.
-    pub(crate) fn dump(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "plan fs={} states={} stores={}\n",
-            self.full_scale,
-            self.derivs.len(),
-            self.ops_after
-        ));
-        for src in &self.int_sources {
-            out.push_str(&format!(
-                "src int u={}{} -> s{}\n",
-                dump_unit(src.unit),
-                dump_imp(&src.imp),
-                src.out
-            ));
-        }
-        for src in &self.dac_sources {
-            out.push_str(&format!(
-                "src dac u={}{} -> s{}\n",
-                dump_unit(src.unit),
-                dump_imp(&src.imp),
-                src.out
-            ));
-        }
-        for src in &self.const_dacs {
-            out.push_str(&format!(
-                "src dac.const u={}{} -> s{}\n",
-                dump_unit(src.unit),
-                dump_imp(&src.imp),
-                src.out
-            ));
-        }
-        for src in &self.input_sources {
-            out.push_str(&format!(
-                "src in u={} ch={} -> s{}\n",
-                dump_unit(src.unit),
-                src.channel,
-                src.out
-            ));
-        }
-        for seg in &self.segments {
-            out.push_str(&format!(
-                "seg {} ({})\n",
-                seg.kind.name(),
-                seg.end - seg.start
-            ));
-            for i in seg.start as usize..seg.end as usize {
-                match seg.kind {
-                    SegKind::MulGain => out.push_str(&format!(
-                        "op mul.gain u={} g={}{} in={} -> s{}\n",
-                        dump_unit(self.mulgain.unit[i]),
-                        self.mulgain.gain[i],
-                        dump_imp(&self.mulgain.imp[i]),
-                        dump_slots(&self.driver_slots, self.mulgain.in0[i]),
-                        self.mulgain.out[i]
-                    )),
-                    SegKind::Mac => out.push_str(&format!(
-                        "op mac u={} a={} b={} in={} -> s{}\n",
-                        dump_unit(self.mac.unit[i]),
-                        self.mac.a[i],
-                        self.mac.b[i],
-                        dump_slots(&self.driver_slots, self.mac.in0[i]),
-                        self.mac.out[i]
-                    )),
-                    SegKind::MulVar => out.push_str(&format!(
-                        "op mul.var u={}{} in0={} in1={} -> s{}\n",
-                        dump_unit(self.mulvar.unit[i]),
-                        dump_imp(&self.mulvar.imp[i]),
-                        dump_slots(&self.driver_slots, self.mulvar.in0[i]),
-                        dump_slots(&self.driver_slots, self.mulvar.in1[i]),
-                        self.mulvar.out[i]
-                    )),
-                    SegKind::Fanout => out.push_str(&format!(
-                        "op fanout u={}{} in={} -> s{}..s{} ({})\n",
-                        dump_unit(self.fanout.unit[i]),
-                        dump_imp(&self.fanout.imp[i]),
-                        dump_slots(&self.driver_slots, self.fanout.in0[i]),
-                        self.fanout.out0[i],
-                        self.fanout.out0[i] + self.fanout.branches[i] - 1,
-                        self.fanout.branches[i]
-                    )),
-                    SegKind::Lut => out.push_str(&format!(
-                        "op lut u={} in={} -> s{}\n",
-                        dump_unit(self.lut.unit[i]),
-                        dump_slots(&self.driver_slots, self.lut.in0[i]),
-                        self.lut.out[i]
-                    )),
-                    SegKind::Sink => out.push_str(&format!(
-                        "op sink in={} -> s{}\n",
-                        dump_slots(&self.driver_slots, self.sink.in0[i]),
-                        self.sink.out[i]
-                    )),
-                }
-            }
-        }
-        for (state, range) in self.derivs.iter().enumerate() {
-            out.push_str(&format!(
-                "deriv state{} in={}\n",
-                state,
-                dump_slots(&self.driver_slots, *range)
-            ));
-        }
-        for stat in &self.pass_log {
-            out.push_str(&format!(
-                "pass {}: {} -> {}\n",
-                stat.pass, stat.ops_before, stat.ops_after
-            ));
-        }
-        out
-    }
-}
-
-/// One run's view of a cached [`OptimizedPlan`] — the optimized counterpart
-/// of [`crate::plan::PlanRun`]. Only reachable when no fault plan is armed,
-/// so there is no `distort` step anywhere in the eval.
-pub(crate) struct OptRun<'a> {
-    plan: &'a OptimizedPlan,
-    /// Per-run constants for the non-folded DAC sources.
-    dac_values: Vec<f64>,
-    /// Folded DAC constants: `(slot, imp-applied value)` — written (and
-    /// clipped) once into the tracker on the first eval, then left alone
-    /// (nothing else writes those slots).
-    const_values: Vec<(u32, f64)>,
-    signals: Vec<Option<&'a InputSignal>>,
-    /// Interior-mutable because [`Evaluator::eval_circuit`] takes `&self`.
-    primed: Cell<bool>,
-}
-
-impl<'a> OptRun<'a> {
-    /// Binds the optimized plan to one run's register/signal state.
-    pub(crate) fn bind(plan: &'a OptimizedPlan, c: &Compiled<'a>) -> Self {
-        let dac_values = plan
-            .dac_sources
-            .iter()
-            .map(|src| c.registers.dac_values.get(&src.dac).copied().unwrap_or(0.0))
-            .collect();
-        let const_values = plan
-            .const_dacs
-            .iter()
-            .map(|src| {
-                let v = c.registers.dac_values.get(&src.dac).copied().unwrap_or(0.0);
-                (src.out, src.imp.apply(v))
-            })
-            .collect();
-        let signals = plan
-            .input_sources
-            .iter()
-            .map(|src| {
-                let enabled = c
-                    .registers
-                    .inputs_enabled
-                    .get(&src.channel)
-                    .copied()
-                    .unwrap_or(false);
-                if enabled {
-                    c.signals.get(&src.channel)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        OptRun {
-            plan,
-            dac_values,
-            const_values,
-            signals,
-            primed: Cell::new(false),
-        }
-    }
-
-    /// Sum of driver currents over a CSR range — same fold order as
-    /// [`crate::plan::PlanRun`].
-    #[inline]
-    fn sum(&self, range: DriverRange, values: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for &s in &self.plan.driver_slots[range.start as usize..range.end as usize] {
-            acc += values[s as usize];
-        }
-        acc
-    }
-
-    /// Clips to full scale, recording range usage and clip events.
-    #[inline]
-    fn clip(
-        &self,
-        value: f64,
-        slot: usize,
-        max_abs: &mut [f64],
-        clipped: &mut [bool],
-        track: bool,
-    ) -> f64 {
-        let fs = self.plan.full_scale;
-        if track {
-            let mag = value.abs();
-            if mag > max_abs[slot] {
-                max_abs[slot] = mag;
-            }
-            if mag > fs {
-                clipped[slot] = true;
-            }
-        }
-        value.clamp(-fs, fs)
-    }
-}
-
-impl Evaluator for OptRun<'_> {
-    fn min_slots(&self) -> usize {
-        self.plan.n_slots
-    }
-
-    fn eval_circuit(
-        &self,
-        t: f64,
-        state: &[f64],
-        du: &mut [f64],
-        tracker: &mut Tracker,
-        track: bool,
-    ) {
-        let plan = self.plan;
-        let fs = plan.full_scale;
-        let Tracker {
-            values,
-            max_abs,
-            clipped,
-        } = tracker;
-
-        // Folded DAC constants: written once per run. The first eval is
-        // always a k1 stage with `track` set, so range usage records
-        // exactly what the unfolded per-eval writes would have recorded.
-        if !self.primed.get() {
-            for &(slot, v) in &self.const_values {
-                let s = slot as usize;
-                values[s] = self.clip(v, s, max_abs, clipped, track);
-            }
-            self.primed.set(true);
-        }
-
-        // Sources: integrator outputs (their state, through imperfection).
-        for (slot_state, src) in plan.int_sources.iter().enumerate() {
-            let out = src.imp.apply(state[slot_state]);
-            let s = src.out as usize;
-            values[s] = out.clamp(-fs, fs);
-            if track {
-                let mag = out.abs();
-                if mag > max_abs[s] {
-                    max_abs[s] = mag;
-                }
-                if mag > fs {
-                    clipped[s] = true;
-                }
-            }
-        }
-        // Sources: non-folded DAC constants.
-        for (src, &value) in plan.dac_sources.iter().zip(&self.dac_values) {
-            let out = src.imp.apply(value);
-            let s = src.out as usize;
-            values[s] = self.clip(out, s, max_abs, clipped, track);
-        }
-        // Sources: external analog inputs.
-        for (src, signal) in plan.input_sources.iter().zip(&self.signals) {
-            let raw = signal.map(|f| f(t)).unwrap_or(0.0);
-            let s = src.out as usize;
-            values[s] = self.clip(raw, s, max_abs, clipped, track);
-        }
-
-        // The scheduled tape: one dispatch per homogeneous segment.
-        for seg in &plan.segments {
-            let r = seg.start as usize..seg.end as usize;
-            match seg.kind {
-                SegKind::MulGain => {
-                    let l = &plan.mulgain;
-                    for i in r {
-                        let v = l.imp[i].apply(l.gain[i] * self.sum(l.in0[i], values));
-                        let s = l.out[i] as usize;
-                        values[s] = self.clip(v, s, max_abs, clipped, track);
-                    }
-                }
-                SegKind::Mac => {
-                    let l = &plan.mac;
-                    for i in r {
-                        let v = l.a[i].mul_add(self.sum(l.in0[i], values), l.b[i]);
-                        let s = l.out[i] as usize;
-                        values[s] = self.clip(v, s, max_abs, clipped, track);
-                    }
-                }
-                SegKind::MulVar => {
-                    let l = &plan.mulvar;
-                    for i in r {
-                        let ideal = self.sum(l.in0[i], values) * self.sum(l.in1[i], values) / fs;
-                        let v = l.imp[i].apply(ideal);
-                        let s = l.out[i] as usize;
-                        values[s] = self.clip(v, s, max_abs, clipped, track);
-                    }
-                }
-                SegKind::Fanout => {
-                    let l = &plan.fanout;
-                    for i in r {
-                        let v = l.imp[i].apply(self.sum(l.in0[i], values));
-                        for p in 0..l.branches[i] {
-                            let s = (l.out0[i] + p) as usize;
-                            values[s] = self.clip(v, s, max_abs, clipped, track);
-                        }
-                    }
-                }
-                SegKind::Lut => {
-                    let l = &plan.lut;
-                    for i in r {
-                        let v = l.lut[i].evaluate(self.sum(l.in0[i], values));
-                        let s = l.out[i] as usize;
-                        values[s] = self.clip(v, s, max_abs, clipped, track);
-                    }
-                }
-                SegKind::Sink => {
-                    let l = &plan.sink;
-                    for i in r {
-                        let v = self.sum(l.in0[i], values);
-                        let s = l.out[i] as usize;
-                        values[s] = self.clip(v, s, max_abs, clipped, track);
-                    }
-                }
-            }
-        }
-
-        // Integrator derivatives: ω_u times the summed input current.
-        for (slot_state, &range) in plan.derivs.iter().enumerate() {
-            du[slot_state] = plan.omega * self.sum(range, values);
-        }
-    }
-}
-
-/// Sums each lane's driver currents over a CSR range into `acc[..k]` — the
-/// optimized-plan counterpart of the batched accumulator sweep in
-/// [`crate::plan`].
-#[inline]
-fn sum_into(plan: &OptimizedPlan, k: usize, range: DriverRange, values: &[f64], acc: &mut [f64]) {
-    let acc = &mut acc[..k];
-    acc.fill(0.0);
-    for &s in &plan.driver_slots[range.start as usize..range.end as usize] {
-        let col = &values[s as usize * k..][..k];
-        for (a, &v) in acc.iter_mut().zip(col) {
-            *a += v;
-        }
-    }
-}
-
-/// The K-lane batched view of a cached [`OptimizedPlan`] — the optimized
-/// counterpart of [`crate::plan::BatchRun`]. Lanes differ only in their DAC
-/// constants (dynamic and folded alike), exactly as in the unoptimized
-/// batch; fault plans never reach this path.
-pub(crate) struct OptBatchRun<'a> {
-    plan: &'a OptimizedPlan,
-    k: usize,
-    /// Per-lane non-folded DAC constants: `dac_values[src_idx * k + lane]`.
-    dac_values: Vec<f64>,
-    /// Folded DAC constants, per lane (lane bindings override DAC
-    /// registers, so the folded value is lane-specific too).
-    const_slots: Vec<u32>,
-    const_vals: Vec<f64>,
-    signals: Vec<Option<&'a InputSignal>>,
-    scratch0: Vec<f64>,
-    scratch1: Vec<f64>,
-    primed: bool,
-}
-
-impl<'a> OptBatchRun<'a> {
-    /// Binds the optimized plan to K lanes' DAC register maps plus the
-    /// shared run state from `c`.
-    pub(crate) fn bind(
-        plan: &'a OptimizedPlan,
-        c: &Compiled<'a>,
-        lane_dacs: &[&BTreeMap<usize, f64>],
-    ) -> Self {
-        let k = lane_dacs.len();
-        let mut dac_values = Vec::with_capacity(plan.dac_sources.len() * k);
-        for src in &plan.dac_sources {
-            for dacs in lane_dacs {
-                dac_values.push(dacs.get(&src.dac).copied().unwrap_or(0.0));
-            }
-        }
-        let mut const_slots = Vec::with_capacity(plan.const_dacs.len());
-        let mut const_vals = Vec::with_capacity(plan.const_dacs.len() * k);
-        for src in &plan.const_dacs {
-            const_slots.push(src.out);
-            for dacs in lane_dacs {
-                const_vals.push(src.imp.apply(dacs.get(&src.dac).copied().unwrap_or(0.0)));
-            }
-        }
-        let signals = plan
-            .input_sources
-            .iter()
-            .map(|src| {
-                let enabled = c
-                    .registers
-                    .inputs_enabled
-                    .get(&src.channel)
-                    .copied()
-                    .unwrap_or(false);
-                if enabled {
-                    c.signals.get(&src.channel)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        OptBatchRun {
-            plan,
-            k,
-            dac_values,
-            const_slots,
-            const_vals,
-            signals,
-            scratch0: vec![0.0; k],
-            scratch1: vec![0.0; k],
-            primed: false,
-        }
-    }
-
-    /// Lane `lane`'s sum of driver currents over a CSR range.
-    #[inline]
-    fn sum(&self, range: DriverRange, values: &[f64], lane: usize) -> f64 {
-        let k = self.k;
-        let mut acc = 0.0;
-        for &s in &self.plan.driver_slots[range.start as usize..range.end as usize] {
-            acc += values[s as usize * k + lane];
-        }
-        acc
-    }
-
-    /// Clips to full scale against the lane-expanded index.
-    #[inline]
-    fn clip(
-        &self,
-        value: f64,
-        idx: usize,
-        max_abs: &mut [f64],
-        clipped: &mut [bool],
-        track: bool,
-    ) -> f64 {
-        let fs = self.plan.full_scale;
-        if track {
-            let mag = value.abs();
-            if mag > max_abs[idx] {
-                max_abs[idx] = mag;
-            }
-            if mag > fs {
-                clipped[idx] = true;
-            }
-        }
-        value.clamp(-fs, fs)
-    }
-
-    /// The branch-free all-lanes-live evaluation over the scheduled tape.
-    /// `KC` is the compile-time lane count for the monomorphized widths, or
-    /// 0 for the runtime-width instantiation.
-    fn eval_unmasked<const KC: usize>(
-        &mut self,
-        t: f64,
-        state: &[f64],
-        du: &mut [f64],
-        tracker: &mut BatchTracker,
-        track: bool,
-    ) {
-        let plan = self.plan;
-        let k = if KC == 0 { self.k } else { KC };
-        let fs = plan.full_scale;
-        let mut acc0 = std::mem::take(&mut self.scratch0);
-        let mut acc1 = std::mem::take(&mut self.scratch1);
-        let dac_values: &[f64] = &self.dac_values;
-        let signals = &self.signals;
-        let BatchTracker {
-            values,
-            max_abs,
-            clipped,
-        } = tracker;
-
-        // Same store/track shape as the unoptimized batched path: the
-        // `track` branch hoisted out of the lane loop, exact-length
-        // subslices so the untracked loop vectorizes.
-        macro_rules! store_map {
-            ($col:expr, $src:expr, |$x:ident| $v:expr) => {{
-                let col = $col;
-                let src = &$src[..k];
-                let out = &mut values[col..col + k];
-                if track {
-                    let mab = &mut max_abs[col..col + k];
-                    let clp = &mut clipped[col..col + k];
-                    for lane in 0..k {
-                        let $x = src[lane];
-                        let v: f64 = $v;
-                        let mag = v.abs();
-                        if mag > mab[lane] {
-                            mab[lane] = mag;
-                        }
-                        if mag > fs {
-                            clp[lane] = true;
-                        }
-                        out[lane] = v.clamp(-fs, fs);
-                    }
-                } else {
-                    for (o, &$x) in out.iter_mut().zip(src) {
-                        let v: f64 = $v;
-                        *o = v.clamp(-fs, fs);
-                    }
-                }
-            }};
-        }
-
-        // Sources: integrator outputs (their state, through imperfection).
-        for (slot_state, src) in plan.int_sources.iter().enumerate() {
-            let imp = src.imp;
-            store_map!(src.out as usize * k, state[slot_state * k..], |x| imp
-                .apply(x));
-        }
-        // Sources: non-folded DAC constants.
-        for (src_idx, src) in plan.dac_sources.iter().enumerate() {
-            let imp = src.imp;
-            store_map!(src.out as usize * k, dac_values[src_idx * k..], |x| imp
-                .apply(x));
-        }
-        // Sources: external analog inputs, evaluated once and broadcast.
-        for (src, signal) in plan.input_sources.iter().zip(signals) {
-            let raw = signal.map(|f| f(t)).unwrap_or(0.0);
-            acc0[..k].fill(raw);
-            store_map!(src.out as usize * k, acc0, |x| x);
-        }
-
-        // The scheduled tape: one dispatch per segment, lane sweeps inside.
-        for seg in &plan.segments {
-            let r = seg.start as usize..seg.end as usize;
-            match seg.kind {
-                SegKind::MulGain => {
-                    let l = &plan.mulgain;
-                    for i in r {
-                        sum_into(plan, k, l.in0[i], values, &mut acc0);
-                        let (gain, imp) = (l.gain[i], l.imp[i]);
-                        store_map!(l.out[i] as usize * k, acc0, |x| imp.apply(gain * x));
-                    }
-                }
-                SegKind::Mac => {
-                    let l = &plan.mac;
-                    for i in r {
-                        sum_into(plan, k, l.in0[i], values, &mut acc0);
-                        let (a, b) = (l.a[i], l.b[i]);
-                        store_map!(l.out[i] as usize * k, acc0, |x| a.mul_add(x, b));
-                    }
-                }
-                SegKind::MulVar => {
-                    let l = &plan.mulvar;
-                    for i in r {
-                        sum_into(plan, k, l.in0[i], values, &mut acc0);
-                        sum_into(plan, k, l.in1[i], values, &mut acc1);
-                        let imp = l.imp[i];
-                        for (a, &b) in acc0[..k].iter_mut().zip(&acc1[..k]) {
-                            *a = *a * b / fs;
-                        }
-                        store_map!(l.out[i] as usize * k, acc0, |x| imp.apply(x));
-                    }
-                }
-                SegKind::Fanout => {
-                    let l = &plan.fanout;
-                    for i in r {
-                        sum_into(plan, k, l.in0[i], values, &mut acc0);
-                        let imp = l.imp[i];
-                        for a in acc0[..k].iter_mut() {
-                            *a = imp.apply(*a);
-                        }
-                        for port in 0..l.branches[i] {
-                            store_map!((l.out0[i] + port) as usize * k, acc0, |x| x);
-                        }
-                    }
-                }
-                SegKind::Lut => {
-                    let l = &plan.lut;
-                    for i in r {
-                        sum_into(plan, k, l.in0[i], values, &mut acc0);
-                        let lut = &l.lut[i];
-                        store_map!(l.out[i] as usize * k, acc0, |x| lut.evaluate(x));
-                    }
-                }
-                SegKind::Sink => {
-                    let l = &plan.sink;
-                    for i in r {
-                        sum_into(plan, k, l.in0[i], values, &mut acc0);
-                        store_map!(l.out[i] as usize * k, acc0, |x| x);
-                    }
-                }
-            }
-        }
-
-        // Integrator derivatives: ω_u times the summed input current.
-        for (slot_state, &range) in plan.derivs.iter().enumerate() {
-            sum_into(plan, k, range, values, &mut acc0);
-            let out = &mut du[slot_state * k..][..k];
-            for (o, &a) in out.iter_mut().zip(&acc0[..k]) {
-                *o = plan.omega * a;
-            }
-        }
-
-        self.scratch0 = acc0;
-        self.scratch1 = acc1;
-    }
-
-    /// The general evaluation with per-lane `active` masking.
-    // The lane loops index `active` plus several SoA columns in lockstep; a
-    // range loop is the clear form, not a needless one.
-    #[allow(clippy::needless_range_loop)]
-    fn eval_masked(
-        &self,
-        t: f64,
-        state: &[f64],
-        du: &mut [f64],
-        tracker: &mut BatchTracker,
-        track: bool,
-        active: &[bool],
-    ) {
-        let plan = self.plan;
-        let k = self.k;
-        let fs = plan.full_scale;
-        let BatchTracker {
-            values,
-            max_abs,
-            clipped,
-        } = tracker;
-
-        // Sources: integrator outputs (their state, through imperfection).
-        for (slot_state, src) in plan.int_sources.iter().enumerate() {
-            let s = src.out as usize;
-            for lane in 0..k {
-                if !active[lane] {
-                    continue;
-                }
-                let out = src.imp.apply(state[slot_state * k + lane]);
-                let idx = s * k + lane;
-                values[idx] = out.clamp(-fs, fs);
-                if track {
-                    let mag = out.abs();
-                    if mag > max_abs[idx] {
-                        max_abs[idx] = mag;
-                    }
-                    if mag > fs {
-                        clipped[idx] = true;
-                    }
-                }
-            }
-        }
-        // Sources: non-folded DAC constants.
-        for (src_idx, src) in plan.dac_sources.iter().enumerate() {
-            let s = src.out as usize;
-            for lane in 0..k {
-                if !active[lane] {
-                    continue;
-                }
-                let out = src.imp.apply(self.dac_values[src_idx * k + lane]);
-                let idx = s * k + lane;
-                values[idx] = self.clip(out, idx, max_abs, clipped, track);
-            }
-        }
-        // Sources: external analog inputs (shared pure functions of time).
-        for (src, signal) in plan.input_sources.iter().zip(&self.signals) {
-            let raw = signal.map(|f| f(t)).unwrap_or(0.0);
-            let s = src.out as usize;
-            for lane in 0..k {
-                if !active[lane] {
-                    continue;
-                }
-                let idx = s * k + lane;
-                values[idx] = self.clip(raw, idx, max_abs, clipped, track);
-            }
-        }
-
-        // The scheduled tape.
-        for seg in &plan.segments {
-            let r = seg.start as usize..seg.end as usize;
-            match seg.kind {
-                SegKind::MulGain => {
-                    let l = &plan.mulgain;
-                    for i in r {
-                        let s = l.out[i] as usize;
-                        for lane in 0..k {
-                            if !active[lane] {
-                                continue;
-                            }
-                            let v = l.imp[i].apply(l.gain[i] * self.sum(l.in0[i], values, lane));
-                            let idx = s * k + lane;
-                            values[idx] = self.clip(v, idx, max_abs, clipped, track);
-                        }
-                    }
-                }
-                SegKind::Mac => {
-                    let l = &plan.mac;
-                    for i in r {
-                        let s = l.out[i] as usize;
-                        for lane in 0..k {
-                            if !active[lane] {
-                                continue;
-                            }
-                            let v = l.a[i].mul_add(self.sum(l.in0[i], values, lane), l.b[i]);
-                            let idx = s * k + lane;
-                            values[idx] = self.clip(v, idx, max_abs, clipped, track);
-                        }
-                    }
-                }
-                SegKind::MulVar => {
-                    let l = &plan.mulvar;
-                    for i in r {
-                        let s = l.out[i] as usize;
-                        for lane in 0..k {
-                            if !active[lane] {
-                                continue;
-                            }
-                            let ideal = self.sum(l.in0[i], values, lane)
-                                * self.sum(l.in1[i], values, lane)
-                                / fs;
-                            let v = l.imp[i].apply(ideal);
-                            let idx = s * k + lane;
-                            values[idx] = self.clip(v, idx, max_abs, clipped, track);
-                        }
-                    }
-                }
-                SegKind::Fanout => {
-                    let l = &plan.fanout;
-                    for i in r {
-                        for lane in 0..k {
-                            if !active[lane] {
-                                continue;
-                            }
-                            let v = l.imp[i].apply(self.sum(l.in0[i], values, lane));
-                            for port in 0..l.branches[i] {
-                                let idx = (l.out0[i] + port) as usize * k + lane;
-                                values[idx] = self.clip(v, idx, max_abs, clipped, track);
-                            }
-                        }
-                    }
-                }
-                SegKind::Lut => {
-                    let l = &plan.lut;
-                    for i in r {
-                        let s = l.out[i] as usize;
-                        for lane in 0..k {
-                            if !active[lane] {
-                                continue;
-                            }
-                            let v = l.lut[i].evaluate(self.sum(l.in0[i], values, lane));
-                            let idx = s * k + lane;
-                            values[idx] = self.clip(v, idx, max_abs, clipped, track);
-                        }
-                    }
-                }
-                SegKind::Sink => {
-                    let l = &plan.sink;
-                    for i in r {
-                        let s = l.out[i] as usize;
-                        for lane in 0..k {
-                            if !active[lane] {
-                                continue;
-                            }
-                            let v = self.sum(l.in0[i], values, lane);
-                            let idx = s * k + lane;
-                            values[idx] = self.clip(v, idx, max_abs, clipped, track);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Integrator derivatives: ω_u times the summed input current.
-        for (slot_state, &range) in plan.derivs.iter().enumerate() {
-            for lane in 0..k {
-                if !active[lane] {
-                    continue;
-                }
-                du[slot_state * k + lane] = plan.omega * self.sum(range, values, lane);
-            }
-        }
-    }
-}
-
-impl LaneEvaluator for OptBatchRun<'_> {
-    fn lanes(&self) -> usize {
-        self.k
-    }
-
-    fn min_slots(&self) -> usize {
-        self.plan.n_slots
-    }
-
-    fn eval_lanes(
-        &mut self,
-        t: f64,
-        state: &[f64],
-        du: &mut [f64],
-        tracker: &mut BatchTracker,
-        track: bool,
-        active: &[bool],
-    ) {
-        // Folded DAC constants: every lane's column written once per run
-        // (first eval is a tracked k1 stage; retired lanes freeze on their
-        // own afterwards because nothing else writes these slots).
-        if !self.primed {
-            self.primed = true;
-            let k = self.k;
-            let fs = self.plan.full_scale;
-            for (cidx, &slot) in self.const_slots.iter().enumerate() {
-                for lane in 0..k {
-                    let v = self.const_vals[cidx * k + lane];
-                    let idx = slot as usize * k + lane;
-                    if track {
-                        let mag = v.abs();
-                        if mag > tracker.max_abs[idx] {
-                            tracker.max_abs[idx] = mag;
-                        }
-                        if mag > fs {
-                            tracker.clipped[idx] = true;
-                        }
-                    }
-                    tracker.values[idx] = v.clamp(-fs, fs);
-                }
-            }
-        }
-        if active.iter().all(|&a| a) {
-            match self.k {
-                2 => self.eval_unmasked::<2>(t, state, du, tracker, track),
-                4 => self.eval_unmasked::<4>(t, state, du, tracker, track),
-                8 => self.eval_unmasked::<8>(t, state, du, tracker, track),
-                16 => self.eval_unmasked::<16>(t, state, du, tracker, track),
-                _ => self.eval_unmasked::<0>(t, state, du, tracker, track),
-            }
-        } else {
-            self.eval_masked(t, state, du, tracker, track, active);
-        }
-    }
+    graph.emit(pass_log, ops_before)
 }

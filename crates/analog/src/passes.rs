@@ -22,7 +22,7 @@
 //!    sink (ADC / analog output) are removed.
 //!
 //! **Tolerance contract.** `PassConfig::none()` plans are bit-identical to
-//! the unoptimized tape (and hence to `EvalStrategy::Reference`). Any
+//! `EvalStrategy::Reference`. Any
 //! enabled pass may reassociate floating-point arithmetic (folding bakes
 //! `imp.apply` in a different association; fusion multiplies affine
 //! coefficients through), so optimized results are only guaranteed to match
@@ -30,14 +30,15 @@
 //! reference run latches **no** overflow exceptions — fusion elides
 //! intermediate clips, so saturating circuits may diverge beyond the bound.
 //! Eliminated ops report zero range usage and never latch exceptions.
-//! Optimized plans never run with an armed fault plan: the engine falls
-//! back to the unoptimized tape so fault semantics stay bit-exact.
+//! Optimized plans never run with an armed fault plan: the engine lowers
+//! such runs under `PassConfig::none()` (their *effective* config, which
+//! also keys the plan cache), so fault semantics stay bit-exact.
 
 use crate::ir::IrGraph;
 
-/// Which optimization passes run when lowering a committed netlist into an
-/// optimized plan. The default ([`PassConfig::none`]) disables them all,
-/// keeping every run on the bit-exact unoptimized tape.
+/// Which optimization passes run when lowering a committed netlist into the
+/// op tape. The default ([`PassConfig::none`]) disables them all, keeping
+/// every run bit-exact against the reference evaluator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PassConfig {
     /// Fold fixed DAC inputs into constants computed once per run.
@@ -54,7 +55,7 @@ pub struct PassConfig {
 }
 
 impl PassConfig {
-    /// No passes: the optimized path is bypassed entirely and runs stay
+    /// No passes: the lowering is purely structural and runs stay
     /// bit-identical to [`crate::engine::EvalStrategy::Reference`].
     pub fn none() -> Self {
         PassConfig::default()
@@ -72,8 +73,8 @@ impl PassConfig {
         }
     }
 
-    /// Whether any pass is enabled (i.e. whether an optimized plan would be
-    /// lowered at all).
+    /// Whether any pass is enabled (i.e. whether a lowering under this
+    /// config counts as an optimized one).
     pub fn any(&self) -> bool {
         self.fold_constants || self.dce || self.cse || self.fuse_gain_chains || self.normalize_gains
     }

@@ -1,9 +1,9 @@
-//! Compiled evaluation plans: the engine's map-free fast path.
+//! The compiled evaluation plan: the engine's one linear op tape.
 //!
 //! [`crate::engine`] first builds the tree-walking `Compiled` circuit, whose
 //! `eval` resolves every unit through `BTreeMap`s (`slot_index`, `drivers`,
-//! per-unit register maps) four times per RK4 step. [`CompiledPlan`] lowers
-//! that structure **once per committed netlist** into flat arrays:
+//! per-unit register maps) four times per RK4 step. [`CompiledPlan`] is that
+//! circuit lowered **once per committed netlist** into flat arrays:
 //!
 //! * CSR-style driver lists — one shared `driver_slots` array with
 //!   `(start, end)` ranges per consumer, so an input-branch current sum is a
@@ -13,6 +13,19 @@
 //!   per-unit imperfection parameters pre-expanded into the factors the
 //!   reference formula uses.
 //!
+//! There is one lowering: [`crate::ir::lower_plan`] walks the circuit into
+//! the typed IR, runs the [`crate::passes`] pipeline the run's effective
+//! [`PassConfig`](crate::passes::PassConfig) enables, and emits this tape.
+//! With no pass enabled — the default, and forced whenever a fault plan is
+//! armed — the lowering is purely structural: every floating-point
+//! operation keeps the exact order and association of the reference
+//! evaluator, so compiled runs are **bit-identical** to reference runs (the
+//! differential property tests in `tests/property_tests.rs` assert this
+//! across random netlists, process variation, and active fault plans).
+//! Enabled passes add two things to the same tape — `Mac` ops for fused
+//! gain chains and folded DAC constants written once per run — under the
+//! tolerance contract documented in [`crate::passes`].
+//!
 //! The plan owns everything it bakes in, so the chip's
 //! [`PlanCache`](crate::engine::PlanCache) can keep it alive across runs —
 //! repeated solves against an unchanged netlist (the block-Jacobi sweep
@@ -20,34 +33,18 @@
 //! run without invalidating the cache — DAC constants, input-signal
 //! attachment/enables, the fault plan, and the lifetime-clock offset — is
 //! **not** baked in: [`PlanRun`] snapshots those per run and pairs them with
-//! the shared plan for the RK4 loop.
-//!
-//! The lowering is purely structural: every floating-point operation keeps
-//! the exact order and association of the reference evaluator, so compiled
-//! runs are **bit-identical** to reference runs (the differential property
-//! tests in `tests/properties.rs` assert this across random netlists,
-//! process variation, and active fault plans). What cannot be pre-resolved —
+//! the shared plan for the RK4 loop. What cannot be pre-resolved —
 //! fault-plan adjustments and external input signals, both functions of
 //! time — stays a per-eval call, exactly as in the reference path.
-//!
-//! When optimization passes are enabled
-//! ([`EngineOptions::passes`](crate::engine::EngineOptions)), the committed
-//! netlist is instead lowered through the typed IR in [`crate::ir`] and the
-//! pass pipeline in [`crate::passes`]; that path trades the bit-exactness
-//! guarantee for a documented relative-error tolerance (constant folding and
-//! gain-chain fusion reassociate floats) and regroups the tape into
-//! structure-of-arrays op-kind lanes. This module remains the unoptimized
-//! semantics: `PassConfig::none()` runs stay bit-identical to the reference
-//! evaluator through the tape below.
 
 use std::collections::BTreeMap;
 
 use crate::chip::InputSignal;
-use crate::engine::{BatchTracker, Compiled, Evaluator, LaneEvaluator, Tracker};
+use crate::engine::{BatchTracker, Compiled, Evaluator, Tracker};
 use crate::fault::FaultPlan;
 use crate::lut::LookupTable;
-use crate::netlist::{InputPort, OutputPort};
 use crate::nonideal::BlockImperfection;
+use crate::passes::PassStat;
 use crate::units::UnitId;
 
 /// A block's transfer imperfection with the trim-DAC conversions done ahead
@@ -108,7 +105,7 @@ impl Imp {
 
 /// A consumer's driver list: a `(start, end)` range into
 /// [`CompiledPlan::driver_slots`]. An unconnected port is the empty range.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct DriverRange {
     pub(crate) start: u32,
     pub(crate) end: u32,
@@ -146,12 +143,22 @@ pub(crate) struct InputSource {
 }
 
 /// One memoryless unit on the op tape, in topological order.
-enum Op {
+pub(crate) enum Op {
     /// Multiplier in gain mode: `gain · Σin0`.
     MulGain {
         unit: UnitId,
         gain: f64,
         imp: Imp,
+        in0: DriverRange,
+        out: u32,
+    },
+    /// Fused multiply-accumulate `a · Σin0 + b` (one `mul_add`): a gain
+    /// chain collapsed by `fuse_gain_chains`, labelled with the chain's
+    /// downstream multiplier. Never produced without passes.
+    Mac {
+        unit: UnitId,
+        a: f64,
+        b: f64,
         in0: DriverRange,
         out: u32,
     },
@@ -187,193 +194,59 @@ enum Op {
     Sink { input: DriverRange, out: u32 },
 }
 
-/// The flat-array execution plan for one committed netlist.
+/// The flat-array execution plan for one committed netlist under one pass
+/// configuration.
 ///
-/// Built by [`CompiledPlan::lower`] from the engine's reference circuit,
-/// owned (cacheable across runs), and consumed through [`PlanRun`] bound to
-/// one run's register/fault/signal state; both evaluator paths are selected
-/// by [`crate::engine::EvalStrategy`].
+/// Emitted by [`crate::ir::lower_plan`], owned (cacheable across runs), and
+/// consumed through [`PlanRun`] (sequential) or [`BatchRun`] (K lanes)
+/// bound to one run's register/fault/signal state.
 pub(crate) struct CompiledPlan {
-    full_scale: f64,
-    omega: f64,
+    pub(crate) full_scale: f64,
+    pub(crate) omega: f64,
+    /// Slot-buffer length the tape writes — the structure's slot count
+    /// plus any scratch slots `normalize_gains` appended for peeled
+    /// stages. The run loops size their trackers to at least this.
+    pub(crate) n_slots: usize,
     /// Shared driver-slot array indexed by the `DriverRange`s (CSR layout).
-    driver_slots: Vec<u32>,
-    int_sources: Vec<IntSource>,
-    dac_sources: Vec<DacSource>,
-    input_sources: Vec<InputSource>,
-    ops: Vec<Op>,
+    pub(crate) driver_slots: Vec<u32>,
+    pub(crate) int_sources: Vec<IntSource>,
+    /// DAC sources fetched per run and applied per eval.
+    pub(crate) dac_sources: Vec<DacSource>,
+    /// DAC sources folded by `fold_constants`: their imperfection-applied
+    /// values are computed at bind and written once per run, before the
+    /// first eval ([`Evaluator::prime`]). Folding only happens with passes
+    /// enabled, so these never meet an armed fault plan.
+    pub(crate) const_dacs: Vec<DacSource>,
+    pub(crate) input_sources: Vec<InputSource>,
+    pub(crate) ops: Vec<Op>,
     /// Per-state derivative input range (the integrator's input port).
-    derivs: Vec<DriverRange>,
+    pub(crate) derivs: Vec<DriverRange>,
+    /// Per-pass before/after store counts, in pipeline order (empty when
+    /// no pass ran).
+    pub(crate) pass_log: Vec<PassStat>,
+    /// Output stores per circuit evaluation before any pass ran — the
+    /// pass-statistics metric: one per per-eval source, one per op output
+    /// slot (a fanout stores once per branch).
+    pub(crate) ops_before: u64,
+    /// Output stores per circuit evaluation of this tape (folded DAC
+    /// constants excluded: they are written once per run).
+    pub(crate) ops_after: u64,
 }
 
 impl CompiledPlan {
-    /// Lowers the reference circuit into flat arrays. Pure restructuring:
-    /// no arithmetic is reassociated and no behaviour is resolved earlier
-    /// than the reference path resolves it (except reads of committed
-    /// registers that only change behind a plan-epoch bump).
-    pub(crate) fn lower(c: &Compiled<'_>) -> Self {
-        let mut driver_slots: Vec<u32> = Vec::new();
-        let mut range_of = |port: InputPort| -> DriverRange {
-            let start = driver_slots.len() as u32;
-            if let Some(slots) = c.structure.drivers.get(&port) {
-                driver_slots.extend(slots.iter().map(|&s| s as u32));
-            }
-            DriverRange {
-                start,
-                end: driver_slots.len() as u32,
-            }
-        };
-
-        let int_sources: Vec<IntSource> = c
-            .structure
-            .integrator_of_state
-            .iter()
-            .map(|&i| {
-                let unit = UnitId::Integrator(i);
-                IntSource {
-                    unit,
-                    imp: Imp::lower(c.variation.of(unit)),
-                    out: c.slot(OutputPort::of(unit)) as u32,
-                }
-            })
-            .collect();
-
-        let dac_sources: Vec<DacSource> = c
-            .structure
-            .dacs
-            .iter()
-            .map(|&i| {
-                let unit = UnitId::Dac(i);
-                DacSource {
-                    unit,
-                    dac: i,
-                    imp: Imp::lower(c.variation.of(unit)),
-                    out: c.slot(OutputPort::of(unit)) as u32,
-                }
-            })
-            .collect();
-
-        let input_sources: Vec<InputSource> = c
-            .structure
-            .analog_inputs
-            .iter()
-            .map(|&i| {
-                let unit = UnitId::AnalogInput(i);
-                InputSource {
-                    unit,
-                    channel: i,
-                    out: c.slot(OutputPort::of(unit)) as u32,
-                }
-            })
-            .collect();
-
-        let mut ops: Vec<Op> = Vec::with_capacity(c.structure.topo.len());
-        for &unit in &c.structure.topo {
-            match unit {
-                UnitId::Multiplier(i) => {
-                    let imp = Imp::lower(c.variation.of(unit));
-                    let in0 = range_of(InputPort { unit, port: 0 });
-                    let out = c.slot(OutputPort::of(unit)) as u32;
-                    match c.registers.mul_gains.get(&i) {
-                        Some(&gain) => ops.push(Op::MulGain {
-                            unit,
-                            gain,
-                            imp,
-                            in0,
-                            out,
-                        }),
-                        None => {
-                            let in1 = range_of(InputPort { unit, port: 1 });
-                            ops.push(Op::MulVar {
-                                unit,
-                                imp,
-                                in0,
-                                in1,
-                                out,
-                            });
-                        }
-                    }
-                }
-                UnitId::Fanout(_) => {
-                    let branches = c.config.inventory.fanout_branches as u32;
-                    ops.push(Op::Fanout {
-                        unit,
-                        imp: Imp::lower(c.variation.of(unit)),
-                        input: range_of(InputPort::of(unit)),
-                        out0: c.slot(OutputPort { unit, port: 0 }) as u32,
-                        branches,
-                    });
-                }
-                UnitId::Lut(i) => {
-                    ops.push(Op::Lut {
-                        unit,
-                        lut: c
-                            .registers
-                            .luts
-                            .get(&i)
-                            .unwrap_or(&c.structure.default_lut)
-                            .clone(),
-                        input: range_of(InputPort::of(unit)),
-                        out: c.slot(OutputPort::of(unit)) as u32,
-                    });
-                }
-                UnitId::Adc(_) | UnitId::AnalogOutput(_) => {
-                    ops.push(Op::Sink {
-                        input: range_of(InputPort::of(unit)),
-                        out: c.sink_slot(unit) as u32,
-                    });
-                }
-                UnitId::Integrator(_) | UnitId::Dac(_) | UnitId::AnalogInput(_) => {
-                    unreachable!("stateful/source units are not in the memoryless order")
-                }
-            }
-        }
-
-        let derivs: Vec<DriverRange> = c
-            .structure
-            .integrator_of_state
-            .iter()
-            .map(|&i| range_of(InputPort::of(UnitId::Integrator(i))))
-            .collect();
-
-        CompiledPlan {
-            full_scale: c.config.full_scale,
-            omega: c.config.omega(),
-            driver_slots,
-            int_sources,
-            dac_sources,
-            input_sources,
-            ops,
-            derivs,
-        }
-    }
-
     /// Renders the plan in the deterministic textual snapshot format pinned
     /// by `tests/ir_passes.rs` (documented in DESIGN.md §13): one header
     /// line, one line per source, one per op in tape order, one per state
-    /// derivative. Floats print via `Display` (shortest round-trip), block
-    /// imperfections only when non-identity — an ideal config dumps tidy.
+    /// derivative, then one line per pass that ran. Floats print via
+    /// `Display` (shortest round-trip), block imperfections only when
+    /// non-identity — an ideal config dumps tidy.
     pub(crate) fn dump(&self) -> String {
         let mut buf = String::new();
-        // The header's store count is the per-eval output-store metric the
-        // pass statistics use: one per source plus one per op output slot
-        // (a fanout stores once per branch).
-        let written = self.int_sources.len()
-            + self.dac_sources.len()
-            + self.input_sources.len()
-            + self
-                .ops
-                .iter()
-                .map(|op| match op {
-                    Op::Fanout { branches, .. } => *branches as usize,
-                    _ => 1,
-                })
-                .sum::<usize>();
         buf.push_str(&format!(
             "plan fs={} states={} stores={}\n",
             self.full_scale,
             self.derivs.len(),
-            written
+            self.ops_after
         ));
         for src in &self.int_sources {
             buf.push_str(&format!(
@@ -383,13 +256,15 @@ impl CompiledPlan {
                 src.out
             ));
         }
-        for src in &self.dac_sources {
-            buf.push_str(&format!(
-                "src dac u={}{} -> s{}\n",
-                dump_unit(src.unit),
-                dump_imp(&src.imp),
-                src.out
-            ));
+        for (kind, dacs) in [("dac", &self.dac_sources), ("dac.const", &self.const_dacs)] {
+            for src in dacs {
+                buf.push_str(&format!(
+                    "src {kind} u={}{} -> s{}\n",
+                    dump_unit(src.unit),
+                    dump_imp(&src.imp),
+                    src.out
+                ));
+            }
         }
         for src in &self.input_sources {
             buf.push_str(&format!(
@@ -399,6 +274,7 @@ impl CompiledPlan {
                 src.out
             ));
         }
+        let slots = |range: DriverRange| dump_slots(&self.driver_slots, range);
         for op in &self.ops {
             match op {
                 Op::MulGain {
@@ -412,7 +288,21 @@ impl CompiledPlan {
                     dump_unit(*unit),
                     gain,
                     dump_imp(imp),
-                    dump_slots(&self.driver_slots, *in0),
+                    slots(*in0),
+                    out
+                )),
+                Op::Mac {
+                    unit,
+                    a,
+                    b,
+                    in0,
+                    out,
+                } => buf.push_str(&format!(
+                    "op mac u={} a={} b={} in={} -> s{}\n",
+                    dump_unit(*unit),
+                    a,
+                    b,
+                    slots(*in0),
                     out
                 )),
                 Op::MulVar {
@@ -425,8 +315,8 @@ impl CompiledPlan {
                     "op mul.var u={}{} in0={} in1={} -> s{}\n",
                     dump_unit(*unit),
                     dump_imp(imp),
-                    dump_slots(&self.driver_slots, *in0),
-                    dump_slots(&self.driver_slots, *in1),
+                    slots(*in0),
+                    slots(*in1),
                     out
                 )),
                 Op::Fanout {
@@ -439,7 +329,7 @@ impl CompiledPlan {
                     "op fanout u={}{} in={} -> s{}..s{} ({})\n",
                     dump_unit(*unit),
                     dump_imp(imp),
-                    dump_slots(&self.driver_slots, *input),
+                    slots(*input),
                     out0,
                     out0 + branches - 1,
                     branches
@@ -449,29 +339,55 @@ impl CompiledPlan {
                 } => buf.push_str(&format!(
                     "op lut u={} in={} -> s{}\n",
                     dump_unit(*unit),
-                    dump_slots(&self.driver_slots, *input),
+                    slots(*input),
                     out
                 )),
-                Op::Sink { input, out } => buf.push_str(&format!(
-                    "op sink in={} -> s{}\n",
-                    dump_slots(&self.driver_slots, *input),
-                    out
-                )),
+                Op::Sink { input, out } => {
+                    buf.push_str(&format!("op sink in={} -> s{}\n", slots(*input), out))
+                }
             }
         }
         for (state, range) in self.derivs.iter().enumerate() {
+            buf.push_str(&format!("deriv state{} in={}\n", state, slots(*range)));
+        }
+        for stat in &self.pass_log {
             buf.push_str(&format!(
-                "deriv state{} in={}\n",
-                state,
-                dump_slots(&self.driver_slots, *range)
+                "pass {}: {} -> {}\n",
+                stat.pass, stat.ops_before, stat.ops_after
             ));
         }
         buf
     }
+
+    /// Resolves each input source's stimulus for one run: `None` when the
+    /// channel is disabled or has no attached signal (both read as 0.0).
+    fn signals<'a>(&self, c: &Compiled<'a>) -> Vec<Option<&'a InputSignal>> {
+        self.input_sources
+            .iter()
+            .map(|src| {
+                let enabled = c
+                    .registers
+                    .inputs_enabled
+                    .get(&src.channel)
+                    .copied()
+                    .unwrap_or(false);
+                if enabled {
+                    c.signals.get(&src.channel)
+                } else {
+                    None
+                }
+            })
+            .collect()
+    }
+}
+
+/// A DAC register's programmed constant (0.0 when unprogrammed).
+fn dac_value(dacs: &BTreeMap<usize, f64>, src: &DacSource) -> f64 {
+    dacs.get(&src.dac).copied().unwrap_or(0.0)
 }
 
 /// Short deterministic unit label for plan dumps (`int0`, `mul3`, …).
-pub(crate) fn dump_unit(unit: UnitId) -> String {
+fn dump_unit(unit: UnitId) -> String {
     match unit {
         UnitId::Integrator(i) => format!("int{i}"),
         UnitId::Multiplier(i) => format!("mul{i}"),
@@ -486,7 +402,7 @@ pub(crate) fn dump_unit(unit: UnitId) -> String {
 
 /// Imperfection suffix for plan dumps: empty for an ideal block, the four
 /// affine terms otherwise.
-pub(crate) fn dump_imp(imp: &Imp) -> String {
+fn dump_imp(imp: &Imp) -> String {
     if imp.is_identity() {
         String::new()
     } else {
@@ -495,7 +411,7 @@ pub(crate) fn dump_imp(imp: &Imp) -> String {
 }
 
 /// A driver-slot list for plan dumps: `[s1 s4]`, `[]` when unconnected.
-pub(crate) fn dump_slots(driver_slots: &[u32], range: DriverRange) -> String {
+fn dump_slots(driver_slots: &[u32], range: DriverRange) -> String {
     let slots: Vec<String> = driver_slots[range.start as usize..range.end as usize]
         .iter()
         .map(|s| format!("s{s}"))
@@ -514,6 +430,9 @@ pub(crate) struct PlanRun<'a> {
     /// Programmed DAC constants, parallel to `plan.dac_sources` — fetched
     /// per run exactly as the reference path fetches them per eval.
     dac_values: Vec<f64>,
+    /// Imperfection-applied folded constants, parallel to
+    /// `plan.const_dacs`.
+    const_values: Vec<f64>,
     /// Resolved stimuli, parallel to `plan.input_sources`: `None` when the
     /// channel is disabled or has no attached signal (both read as 0.0).
     signals: Vec<Option<&'a InputSignal>>,
@@ -522,34 +441,22 @@ pub(crate) struct PlanRun<'a> {
 impl<'a> PlanRun<'a> {
     /// Binds the plan to one run's register/fault/signal state.
     pub(crate) fn bind(plan: &'a CompiledPlan, c: &Compiled<'a>) -> Self {
-        let dac_values = plan
-            .dac_sources
-            .iter()
-            .map(|src| c.registers.dac_values.get(&src.dac).copied().unwrap_or(0.0))
-            .collect();
-        let signals = plan
-            .input_sources
-            .iter()
-            .map(|src| {
-                let enabled = c
-                    .registers
-                    .inputs_enabled
-                    .get(&src.channel)
-                    .copied()
-                    .unwrap_or(false);
-                if enabled {
-                    c.signals.get(&src.channel)
-                } else {
-                    None
-                }
-            })
-            .collect();
+        let dacs = &c.registers.dac_values;
         PlanRun {
             plan,
             faults: c.faults,
             t_offset: c.t_offset,
-            dac_values,
-            signals,
+            dac_values: plan
+                .dac_sources
+                .iter()
+                .map(|src| dac_value(dacs, src))
+                .collect(),
+            const_values: plan
+                .const_dacs
+                .iter()
+                .map(|src| src.imp.apply(dac_value(dacs, src)))
+                .collect(),
+            signals: plan.signals(c),
         }
     }
 
@@ -601,6 +508,20 @@ impl<'a> PlanRun<'a> {
 }
 
 impl Evaluator for PlanRun<'_> {
+    fn min_slots(&self) -> usize {
+        self.plan.n_slots
+    }
+
+    /// Writes the folded DAC constants, tracked — exactly what the first
+    /// (tracked k1) eval would record if they were still per-eval sources.
+    /// Nothing else writes their slots.
+    fn prime(&self, tracker: &mut Tracker) {
+        for (src, &v) in self.plan.const_dacs.iter().zip(&self.const_values) {
+            let s = src.out as usize;
+            tracker.values[s] = self.clip(v, s, &mut tracker.max_abs, &mut tracker.clipped, true);
+        }
+    }
+
     fn eval_circuit(
         &self,
         t: f64,
@@ -659,6 +580,17 @@ impl Evaluator for PlanRun<'_> {
                 } => {
                     let ideal = gain * self.sum(*in0, values);
                     let v = self.distort(*unit, t, imp.apply(ideal));
+                    let s = *out as usize;
+                    values[s] = self.clip(v, s, max_abs, clipped, track);
+                }
+                Op::Mac {
+                    unit,
+                    a,
+                    b,
+                    in0,
+                    out,
+                } => {
+                    let v = self.distort(*unit, t, a.mul_add(self.sum(*in0, values), *b));
                     let s = *out as usize;
                     values[s] = self.clip(v, s, max_abs, clipped, track);
                 }
@@ -731,6 +663,10 @@ pub(crate) struct BatchRun<'a> {
     k: usize,
     /// Per-lane DAC constants, source-major: `dac_values[src_idx * k + lane]`.
     dac_values: Vec<f64>,
+    /// Per-lane imperfection-applied folded constants, source-major like
+    /// `dac_values` (lane bindings override DAC registers, so a folded
+    /// value is lane-specific too).
+    const_values: Vec<f64>,
     /// Resolved stimuli (shared across lanes; signals are pure functions of
     /// time, the workspace-wide determinism assumption).
     signals: Vec<Option<&'a InputSignal>>,
@@ -766,34 +702,24 @@ impl<'a> BatchRun<'a> {
         let k = lane_dacs.len();
         let mut dac_values = Vec::with_capacity(plan.dac_sources.len() * k);
         for src in &plan.dac_sources {
-            for dacs in lane_dacs {
-                dac_values.push(dacs.get(&src.dac).copied().unwrap_or(0.0));
-            }
+            dac_values.extend(lane_dacs.iter().map(|dacs| dac_value(dacs, src)));
         }
-        let signals = plan
-            .input_sources
-            .iter()
-            .map(|src| {
-                let enabled = c
-                    .registers
-                    .inputs_enabled
-                    .get(&src.channel)
-                    .copied()
-                    .unwrap_or(false);
-                if enabled {
-                    c.signals.get(&src.channel)
-                } else {
-                    None
-                }
-            })
-            .collect();
+        let mut const_values = Vec::with_capacity(plan.const_dacs.len() * k);
+        for src in &plan.const_dacs {
+            const_values.extend(
+                lane_dacs
+                    .iter()
+                    .map(|dacs| src.imp.apply(dac_value(dacs, src))),
+            );
+        }
         BatchRun {
             plan,
             faults: c.faults,
             t_offset: c.t_offset,
             k,
             dac_values,
-            signals,
+            const_values,
+            signals: plan.signals(c),
             scratch0: vec![0.0; k],
             scratch1: vec![0.0; k],
         }
@@ -944,6 +870,11 @@ impl<'a> BatchRun<'a> {
                     let (gain, imp) = (*gain, *imp);
                     store_map!(*out as usize * k, acc0, |x| imp.apply(gain * x));
                 }
+                Op::Mac { a, b, in0, out, .. } => {
+                    sum_into(plan, k, *in0, values, &mut acc0);
+                    let (a, b) = (*a, *b);
+                    store_map!(*out as usize * k, acc0, |x| a.mul_add(x, b));
+                }
                 Op::MulVar {
                     imp, in0, in1, out, ..
                 } => {
@@ -1089,6 +1020,24 @@ impl<'a> BatchRun<'a> {
                         values[idx] = self.clip(v, idx, max_abs, clipped, track);
                     }
                 }
+                Op::Mac {
+                    unit,
+                    a,
+                    b,
+                    in0,
+                    out,
+                } => {
+                    let s = *out as usize;
+                    for lane in 0..k {
+                        if !active[lane] {
+                            continue;
+                        }
+                        let ideal = a.mul_add(self.sum(*in0, values, lane), *b);
+                        let v = self.distort(*unit, t, ideal);
+                        let idx = s * k + lane;
+                        values[idx] = self.clip(v, idx, max_abs, clipped, track);
+                    }
+                }
                 Op::MulVar {
                     unit,
                     imp,
@@ -1169,9 +1118,31 @@ impl<'a> BatchRun<'a> {
     }
 }
 
-impl LaneEvaluator for BatchRun<'_> {
-    fn lanes(&self) -> usize {
+impl BatchRun<'_> {
+    /// Number of lanes bound to the batch.
+    pub(crate) fn lanes(&self) -> usize {
         self.k
+    }
+
+    /// Minimum slot-buffer length the tape writes per lane (see
+    /// [`Evaluator::min_slots`]).
+    pub(crate) fn min_slots(&self) -> usize {
+        self.plan.n_slots
+    }
+
+    /// Writes every lane's folded DAC constants, tracked — the batched
+    /// [`Evaluator::prime`]. Nothing else writes their slots, so a retired
+    /// lane's column freezes on its own.
+    pub(crate) fn prime(&self, tracker: &mut BatchTracker) {
+        let k = self.k;
+        for (cidx, src) in self.plan.const_dacs.iter().enumerate() {
+            for lane in 0..k {
+                let idx = src.out as usize * k + lane;
+                let v = self.const_values[cidx * k + lane];
+                tracker.values[idx] =
+                    self.clip(v, idx, &mut tracker.max_abs, &mut tracker.clipped, true);
+            }
+        }
     }
 
     /// Evaluates the circuit at time `t` for all **active** lanes at once.
@@ -1185,7 +1156,7 @@ impl LaneEvaluator for BatchRun<'_> {
     /// floating-point sequence: an unmasked fast path when every lane is
     /// live and no fault plan is armed (lane loops innermost and
     /// branch-free, so they vectorize), and the masked general path.
-    fn eval_lanes(
+    pub(crate) fn eval_lanes(
         &mut self,
         t: f64,
         state: &[f64],

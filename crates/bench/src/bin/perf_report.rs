@@ -16,8 +16,8 @@
 //!    **krylov_precond** group: plain digital CG vs analog-preconditioned
 //!    flexible CG on 2D Poisson systems, each row tagged with
 //!    `krylov_speedup` (the CG/FCG iteration ratio — gated at ≥1/0.7x for
-//!    n ≥ 64 on multi-core machines, recorded with a NOT-GATED banner
-//!    otherwise), and the **refine_compensated** pair: iterative refinement
+//!    n ≥ 64 on every host: iteration counts are exact, not host time),
+//!    and the **refine_compensated** pair: iterative refinement
 //!    with f64 vs two-float compensated residual accumulation on an
 //!    ill-conditioned system, the floor ratio recorded as
 //!    `refine_ulp_gain`.
@@ -419,12 +419,13 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
         );
     }
 
-    // 1d. Plan-IR optimization passes: sequential RK4 throughput of the
-    // pass-optimized SoA tape against the unoptimized linear tape on the
-    // solver-mapped 2D Poisson circuit (n = 16) — the pipeline's headline
-    // number. Both paths run the same fixed τ span (steady detection off),
-    // so the ratio isolates per-step evaluation cost. The per-pass op
-    // counts are written to PASS_STATS.json as a non-gating artifact.
+    // 1d. Plan-IR optimization passes: sequential RK4 throughput of the op
+    // tape lowered with every pass against the same tape lowered without
+    // passes, on the solver-mapped 2D Poisson circuit (n = 16) — the
+    // pipeline's headline number. Both run the same fixed τ span (steady
+    // detection off), so the ratio isolates per-step evaluation cost. The
+    // per-pass op counts are written to PASS_STATS.json as a non-gating
+    // artifact.
     let ir_l = 4usize;
     let ir_n = ir_l * ir_l;
     let ir_tau = if quick { 30.0 } else { 120.0 };
@@ -442,7 +443,9 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
         passes,
         ..EngineOptions::default()
     };
-    // Warm both plans so neither best-of window pays the one-time lowering.
+    // The chip caches one tape, so switching configs re-lowers: the warm-up
+    // runs pay the first lowerings, and each best-of window below pays one
+    // more in its first repetition, which the minimum discards.
     ir_chip
         .exec(&ir_options(aa_analog::PassConfig::none()))
         .expect("warmup");
@@ -517,7 +520,7 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
     )
     .expect("write PASS_STATS.json");
     println!("  wrote PASS_STATS.json ({} passes)", pass_log.len());
-    // The pass-pipeline gate: the optimized tape must hold a ≥1.15x
+    // The pass-pipeline gate: the pass-lowered tape must hold a ≥1.15x
     // sequential advantage. Same single-core escape hatch as above.
     if cores >= 2 {
         assert!(
@@ -655,26 +658,16 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
             krylov_speedup: Some(iter_ratio),
             refine_ulp_gain: None,
         });
-        // The tentpole's acceptance gate: at n ≥ 64 the analog
-        // preconditioner must cut the iteration count to ≤0.7x plain CG.
-        // The ratio is recorded unconditionally; the hard assert follows
-        // the same single-core escape hatch as every other gate here.
+        // At n ≥ 64 the analog preconditioner must cut the iteration
+        // count to ≤0.7x plain CG. Iteration counts are exact and
+        // host-independent, so the gate fires on every host.
         if n >= 64 {
-            let bound = 0.7 * plain.iterations as f64;
-            if cores >= 2 {
-                assert!(
-                    (fcg.iterations as f64) <= bound,
-                    "krylov_precond regression: fcg {} iters > 0.7x cg {} iters at n={n}",
-                    fcg.iterations,
-                    plain.iterations
-                );
-            } else if (fcg.iterations as f64) > bound {
-                println!(
-                    "WARNING: fcg {} iters > 0.7x cg {} iters at n={n}, but only {cores} core \
-                     is available (noisy runner — NOT GATED)",
-                    fcg.iterations, plain.iterations
-                );
-            }
+            assert!(
+                (fcg.iterations as f64) <= 0.7 * plain.iterations as f64,
+                "krylov_precond regression: fcg {} iters > 0.7x cg {} iters at n={n}",
+                fcg.iterations,
+                plain.iterations
+            );
         }
     }
 

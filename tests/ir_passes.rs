@@ -1,17 +1,18 @@
 //! Per-pass snapshot tests for the plan IR pipeline: each optimization
 //! pass gets at least one pinned before/after tape dump through the
 //! deterministic `AnalogChip::dump_plan` format (DESIGN.md §13), plus
-//! pass-statistics plumbing checks (`pass_stats`, `PlanStats` counters)
-//! and checkpoint/restore of the optimized-plan cache.
+//! pass-statistics plumbing checks (`pass_stats`, `PlanStats` counters),
+//! batched and fault-plan runs of the pass-lowered tape, and
+//! checkpoint/restore of the optimized-plan cache.
 //!
 //! The snapshots are exact-string pins on an ideal chip (no process
 //! variation), so every float prints tidily and any change to lowering,
-//! pass behaviour, scheduling, or the dump format shows up as a readable
+//! pass behaviour, or the dump format shows up as a readable
 //! text diff.
 
 use analog_accel::analog::netlist::{InputPort, OutputPort};
 use analog_accel::analog::units::UnitId;
-use analog_accel::analog::{EvalStrategy, PassConfig};
+use analog_accel::analog::{EvalStrategy, LaneBindings, PassConfig};
 use analog_accel::prelude::*;
 
 fn conn(chip: &mut AnalogChip, from: OutputPort, to: InputPort) {
@@ -112,8 +113,8 @@ fn opts(passes: PassConfig) -> EngineOptions {
 }
 
 /// The unoptimized tape dump: the `PassConfig::none()` baseline every
-/// optimized snapshot below diffs against. No `seg` markers, no `pass`
-/// statistics lines — a plain linear tape.
+/// optimized snapshot below diffs against. No folded `dac.const` sources,
+/// no `mac` ops, no `pass` statistics lines.
 #[test]
 fn unoptimized_tape_snapshot() {
     assert_eq!(
@@ -142,11 +143,8 @@ fn fold_constants_snapshot() {
         "plan fs=1 states=1 stores=5\n\
          src int u=int0 -> s0\n\
          src dac.const u=dac0 -> s5\n\
-         seg fanout (1)\n\
          op fanout u=fan0 in=[s0] -> s2..s3 (2)\n\
-         seg mul.gain (1)\n\
          op mul.gain u=mul0 g=-1 in=[s3] -> s1\n\
-         seg sink (1)\n\
          op sink in=[s2] -> s4\n\
          deriv state0 in=[s1 s5]\n\
          pass fold_constants: 6 -> 5\n"
@@ -168,9 +166,7 @@ fn cse_snapshot() {
             .unwrap(),
         "plan fs=1 states=1 stores=3\n\
          src int u=int0 -> s0\n\
-         seg fanout (1)\n\
          op fanout u=fan0 in=[s0] -> s3..s3 (1)\n\
-         seg mul.gain (1)\n\
          op mul.gain u=mul1 g=-1 in=[s3] -> s2\n\
          deriv state0 in=[s2 s2]\n\
          pass cse: 5 -> 3\n"
@@ -199,7 +195,6 @@ fn fuse_gain_chains_snapshot() {
         .unwrap(),
         "plan fs=1 states=1 stores=2\n\
          src int u=int0 -> s0\n\
-         seg mac (1)\n\
          op mac u=mul1 a=-0.4 b=0 in=[s0] -> s2\n\
          deriv state0 in=[s2]\n\
          pass fuse_gain_chains: 3 -> 2\n"
@@ -248,7 +243,6 @@ fn normalize_gains_snapshot() {
         .unwrap(),
         "plan fs=1 states=1 stores=2\n\
          src int u=int0 -> s0\n\
-         seg mac (1)\n\
          op mac u=mul1 a=-2.7 b=0 in=[s0] -> s2\n\
          deriv state0 in=[s2]\n\
          pass fuse_gain_chains: 3 -> 2\n"
@@ -262,7 +256,6 @@ fn normalize_gains_snapshot() {
         .unwrap(),
         "plan fs=1 states=1 stores=3\n\
          src int u=int0 -> s0\n\
-         seg mac (2)\n\
          op mac u=mul1 a=2 b=0 in=[s0] -> s3\n\
          op mac u=mul1 a=-1.35 b=0 in=[s3] -> s2\n\
          deriv state0 in=[s2]\n\
@@ -317,11 +310,8 @@ fn dce_snapshot() {
          src int u=int0 -> s0\n\
          src dac u=dac0 -> s6\n\
          src dac u=dac1 -> s7\n\
-         seg fanout (1)\n\
          op fanout u=fan0 in=[s0] -> s3..s4 (2)\n\
-         seg mul.gain (1)\n\
          op mul.gain u=mul0 g=-1 in=[s4] -> s1\n\
-         seg sink (1)\n\
          op sink in=[s3] -> s5\n\
          deriv state0 in=[s1 s6]\n\
          pass dce: 8 -> 7\n"
@@ -340,11 +330,8 @@ fn full_pipeline_snapshot() {
          src int u=int0 -> s0\n\
          src dac.const u=dac0 -> s6\n\
          src dac.const u=dac1 -> s7\n\
-         seg fanout (1)\n\
          op fanout u=fan0 in=[s0] -> s3..s3 (1)\n\
-         seg mul.gain (1)\n\
          op mul.gain u=mul0 g=-1 in=[s3] -> s1\n\
-         seg sink (1)\n\
          op sink in=[s3] -> s5\n\
          deriv state0 in=[s1 s6]\n\
          pass fold_constants: 8 -> 6\n\
@@ -464,4 +451,120 @@ fn checkpoint_restores_the_optimized_plan_cache() {
     original.exec(&opts(PassConfig::full())).unwrap();
     assert_eq!(original.plan_stats(), restored.plan_stats());
     assert_eq!(original.pass_stats(), restored.pass_stats());
+}
+
+/// `chip` with a DAC drive added on the integrator input (`du/dt = a·u + d`
+/// once fused), so batch lanes can differ in their right-hand side.
+fn with_drive(mut chip: AnalogChip) -> AnalogChip {
+    conn(
+        &mut chip,
+        OutputPort::of(UnitId::Dac(0)),
+        InputPort::of(UnitId::Integrator(0)),
+    );
+    chip.set_dac_constant(0, 0.0).unwrap();
+    chip.cfg_commit().unwrap();
+    chip
+}
+
+/// A fully pass-lowered batch — fused `Mac` ops, folded per-lane DAC
+/// constants, and (on the hot chain) a `normalize_gains` scratch slot —
+/// answers every lane bit-identically to a sequential full-pass run with
+/// that lane's bindings. The drives are chosen so the lanes settle at
+/// different steps: the sweep runs unmasked while all lanes are live and
+/// masked after the first retires, so both lane evaluators are covered.
+#[test]
+fn full_pass_batch_lanes_match_sequential_runs() {
+    let options = opts(PassConfig::full());
+    for (name, fixture) in [
+        ("chain", chain_chip as fn() -> AnalogChip),
+        ("hot chain", hot_chain_chip),
+    ] {
+        let dump = fixture().dump_plan(&PassConfig::full()).unwrap();
+        assert!(
+            dump.contains("op mac"),
+            "{name}: the chain must fuse\n{dump}"
+        );
+        let mut chip = with_drive(fixture());
+        let drives: Vec<f64> = [0.0, 0.05, -0.1, 0.15]
+            .iter()
+            .map(|&d| chip.quantize_dac(d))
+            .collect();
+        let lanes: Vec<LaneBindings> = drives
+            .iter()
+            .map(|&d| LaneBindings {
+                dac_values: Some([(0, d)].into()),
+                int_initial: None,
+            })
+            .collect();
+        let batch = chip.exec_batch(&lanes, &options).unwrap();
+        let mut steps: Vec<usize> = batch.reports.iter().map(|r| r.steps).collect();
+        steps.sort_unstable();
+        steps.dedup();
+        assert_eq!(steps.len(), drives.len(), "{name}: lanes must retire apart");
+        for (lane, (&d, batched)) in drives.iter().zip(&batch.reports).enumerate() {
+            let mut seq = with_drive(fixture());
+            seq.set_dac_constant(0, d).unwrap();
+            seq.cfg_commit().unwrap();
+            let sequential = seq.exec(&options).unwrap();
+            assert_eq!(batched, &sequential, "{name} lane {lane}");
+        }
+    }
+}
+
+/// A chip configured for full passes that alternates an armed and a
+/// disarmed fault plan: every armed run lowers without passes and equals a
+/// `PassConfig::none()` run bit for bit (a twin chip at the same lifetime
+/// instant), and every disarmed run equals the first full-pass run. The
+/// one-slot plan cache re-lowers on each switch.
+#[test]
+fn alternating_fault_plans_switch_between_full_and_pass_free_tapes() {
+    let options = EngineOptions {
+        max_tau: 300.0,
+        ..opts(PassConfig::full())
+    };
+    let none_options = EngineOptions {
+        passes: PassConfig::none(),
+        ..options.clone()
+    };
+    let plan = FaultPlan::new(11)
+        .with_event(FaultEvent {
+            kind: FaultKind::GainDrift {
+                unit: UnitId::Multiplier(0),
+                magnitude: 0.05,
+                ramp_s: 0.0,
+            },
+            start_s: 0.0,
+            duration_s: None,
+        })
+        .with_event(FaultEvent {
+            kind: FaultKind::NoiseBurst {
+                unit: UnitId::Integrator(0),
+                amplitude: 0.01,
+            },
+            start_s: 0.0,
+            duration_s: None,
+        });
+    let mut chip = with_drive(chain_chip());
+    let mut twin = with_drive(chain_chip());
+    let first = chip.exec(&options).unwrap();
+    twin.exec(&options).unwrap();
+    for round in 0..3 {
+        chip.inject_fault_plan(plan.clone());
+        twin.inject_fault_plan(plan.clone());
+        let armed = chip.exec(&options).unwrap();
+        let pass_free = twin.exec(&none_options).unwrap();
+        assert!(armed.faults_active_steps > 0, "round {round}");
+        assert_eq!(armed, pass_free, "round {round}: armed run");
+        chip.clear_fault_plan();
+        twin.clear_fault_plan();
+        assert_eq!(
+            chip.exec(&options).unwrap(),
+            first,
+            "round {round}: disarmed run"
+        );
+        twin.exec(&options).unwrap();
+    }
+    let stats = chip.plan_stats();
+    assert_eq!(stats.optimized_lowered, 4, "{stats:?}");
+    assert_eq!(stats.plans_lowered, 7, "{stats:?}");
 }
