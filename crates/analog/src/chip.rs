@@ -802,9 +802,9 @@ impl AnalogChip {
     /// clock to that lane's own end instant, so `readSerial`/`analogAvg`/
     /// `readExp` behave exactly as they would after a sequential
     /// [`exec`](Self::exec) of that lane. Callers that also need the
-    /// readout-noise stream to match save [`noise_rng_state`]
-    /// (Self::noise_rng_state) before the first lane and restore it before
-    /// each. Call [`finish_batch`](Self::finish_batch) when done.
+    /// readout-noise stream to match save
+    /// [`noise_rng_state`](Self::noise_rng_state) before the first lane and
+    /// restore it before each. Call [`finish_batch`](Self::finish_batch) when done.
     ///
     /// # Errors
     ///

@@ -28,7 +28,7 @@ use crate::units::UnitId;
 ///
 /// Both strategies produce **bit-identical** results without passes
 /// (asserted by the differential property tests); they differ only in
-/// speed. The compiled path runs the op tape ([`crate::plan::CompiledPlan`])
+/// speed. The compiled path runs the op tape (`plan::CompiledPlan`)
 /// the committed netlist is lowered to once and cached, removing every map
 /// lookup from the hot loop; the reference path walks the original
 /// `BTreeMap`-based structures, never runs passes, and is kept as the
@@ -50,7 +50,10 @@ pub struct EngineOptions {
     /// Stop when the largest normalized state derivative (per `τ`) falls
     /// below this value. `None` disables steady-state detection (the real
     /// chip only stops on `execStop`/timeout; steady detection is a
-    /// convenience of the simulation test-bench).
+    /// convenience of the simulation test-bench). The default `1e-6` is a
+    /// floor for linear solves: `aa-solver`'s `AnalogSystemSolver` loosens
+    /// it per matrix to the derivative below which the ADC readout can no
+    /// longer change.
     pub steady_tol: Option<f64>,
     /// Safety cap on simulated time, in units of `τ`.
     pub max_tau: f64,
@@ -201,7 +204,7 @@ pub(crate) struct BatchTracker {
 }
 
 /// Per-lane register overrides for one lane of a batched execution —
-/// exactly the per-run state a [`crate::plan::PlanRun`] snapshots without
+/// exactly the per-run state a `plan::PlanRun` snapshots without
 /// invalidating the plan cache: DAC constants (the RHS) and integrator
 /// initial conditions. `None` means "use the committed registers".
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -497,12 +500,12 @@ impl Compiled<'_> {
     }
 }
 
-/// Cumulative counts of compilation work done through a [`PlanCache`] —
+/// Cumulative counts of compilation work done through a chip's plan cache —
 /// the observable proof that repeated runs of an unchanged netlist reuse
 /// one lowered plan instead of re-lowering per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanStats {
-    /// Netlist skeletons built ([`Structure`] compilations).
+    /// Netlist skeletons built (`Structure` compilations).
     pub structures_built: u64,
     /// Op tapes lowered (only on the [`EvalStrategy::Compiled`] path),
     /// whatever pass config they were lowered under.

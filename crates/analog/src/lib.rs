@@ -15,7 +15,7 @@
 //!   exception reads.
 //! * **Non-ideal behaviour**: [`nonideal`] — per-instance offset bias, gain
 //!   error, and clipping nonlinearity, with trim-DAC compensation found by
-//!   host-driven binary search ([`calibrate`]).
+//!   host-driven binary search ([`calibrate()`]).
 //! * **Exceptions**: [`ExceptionVector`] — overflow latches that tell the
 //!   host to rescale and re-run, plus dynamic-range-underuse reporting.
 //! * **Continuous-time execution**: [`engine`] — the committed netlist is

@@ -1,6 +1,6 @@
 //! The optimization pass pipeline over the plan IR.
 //!
-//! [`crate::ir`] lowers a committed netlist into a typed op graph; this
+//! The `ir` module lowers a committed netlist into a typed op graph; this
 //! module decides **what** runs over that graph and in which order, and
 //! reports per-pass op counts. The pipeline is fixed:
 //!

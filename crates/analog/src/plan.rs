@@ -2,7 +2,7 @@
 //!
 //! [`crate::engine`] first builds the tree-walking `Compiled` circuit, whose
 //! `eval` resolves every unit through `BTreeMap`s (`slot_index`, `drivers`,
-//! per-unit register maps) four times per RK4 step. [`CompiledPlan`] is that
+//! per-unit register maps) four times per RK4 step. `CompiledPlan` is that
 //! circuit lowered **once per committed netlist** into flat arrays:
 //!
 //! * CSR-style driver lists — one shared `driver_slots` array with
@@ -13,7 +13,7 @@
 //!   per-unit imperfection parameters pre-expanded into the factors the
 //!   reference formula uses.
 //!
-//! There is one lowering: [`crate::ir::lower_plan`] walks the circuit into
+//! There is one lowering: `ir::lower_plan` walks the circuit into
 //! the typed IR, runs the [`crate::passes`] pipeline the run's effective
 //! [`PassConfig`](crate::passes::PassConfig) enables, and emits this tape.
 //! With no pass enabled — the default, and forced whenever a fault plan is
@@ -26,13 +26,12 @@
 //! gain chains and folded DAC constants written once per run — under the
 //! tolerance contract documented in [`crate::passes`].
 //!
-//! The plan owns everything it bakes in, so the chip's
-//! [`PlanCache`](crate::engine::PlanCache) can keep it alive across runs —
-//! repeated solves against an unchanged netlist (the block-Jacobi sweep
-//! loop, supervised retries) lower once and reuse. What changes from run to
+//! The plan owns everything it bakes in, so the chip's `PlanCache` can keep
+//! it alive across runs — repeated solves against an unchanged netlist (the
+//! block-Jacobi sweep loop, supervised retries) lower once and reuse. What changes from run to
 //! run without invalidating the cache — DAC constants, input-signal
 //! attachment/enables, the fault plan, and the lifetime-clock offset — is
-//! **not** baked in: [`PlanRun`] snapshots those per run and pairs them with
+//! **not** baked in: `PlanRun` snapshots those per run and pairs them with
 //! the shared plan for the RK4 loop. What cannot be pre-resolved —
 //! fault-plan adjustments and external input signals, both functions of
 //! time — stays a per-eval call, exactly as in the reference path.

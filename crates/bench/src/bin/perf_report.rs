@@ -16,8 +16,9 @@
 //!    **krylov_precond** group: plain digital CG vs analog-preconditioned
 //!    flexible CG on 2D Poisson systems, each row tagged with
 //!    `krylov_speedup` (the CG/FCG iteration ratio — gated at ≥1/0.7x for
-//!    n ≥ 64 on every host: iteration counts are exact, not host time),
-//!    and the **refine_compensated** pair: iterative refinement
+//!    n ≥ 64 on every host: iteration counts are exact, not host time; the
+//!    FCG row's config also names the preconditioner's simulated analog
+//!    time), and the **refine_compensated** pair: iterative refinement
 //!    with f64 vs two-float compensated residual accumulation on an
 //!    ill-conditioned system, the floor ratio recorded as
 //!    `refine_ulp_gain`.
@@ -614,9 +615,13 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
         let fcg_s = start.elapsed().as_secs_f64();
         assert!(fcg.converged, "FCG must converge at n={n}");
         let iter_ratio = plain.iterations as f64 / fcg.iterations as f64;
+        // Simulated chip time of every preconditioner application: the
+        // time to tolerance the iteration count alone does not show.
+        let precond_ms = fcg.precond.analog_time_s * 1e3;
         println!(
-            "  n = {n:>4}: cg {:>3} iters ({cg_s:9.4} s)   fcg {:>3} iters ({fcg_s:9.4} s)   \
-             {iter_ratio:5.2}x fewer iterations, precond path {}",
+            "  n = {n:>4}: cg {:>3} iters ({cg_s:9.4} s)   fcg {:>3} iters ({fcg_s:9.4} s, \
+             {precond_ms:.2} ms simulated analog)   {iter_ratio:5.2}x fewer iterations, \
+             precond path {}",
             plain.iterations,
             fcg.iterations,
             fcg.precond.final_path().label()
@@ -641,7 +646,8 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
         records.push(BenchRecord {
             bench: "krylov_precond".to_string(),
             config: format!(
-                "poisson 2d n={n}, fcg analog precond, {} iters",
+                "poisson 2d n={n}, fcg analog precond, {} iters, \
+                 {precond_ms:.3} ms simulated analog",
                 fcg.iterations
             ),
             wall_ms: fcg_s * 1e3,

@@ -239,7 +239,7 @@ const BENCH_KEYS: [&str; 15] = [
 /// Schema check for a `BENCH_engine.json` document, run before the file is
 /// (over)written so a serialization bug can never clobber the previous
 /// report with garbage: the document must parse, be a non-empty array of
-/// records carrying exactly [`BENCH_KEYS`], with non-empty string `bench`,
+/// records carrying exactly `BENCH_KEYS`, with non-empty string `bench`,
 /// string `config`, finite non-negative `wall_ms`, `steps_per_sec` /
 /// `requests_per_sec` / `speedup_vs_serial` / `checkpoint_restore_ms` /
 /// `batched_speedup` / `ir_speedup` / `krylov_speedup` /

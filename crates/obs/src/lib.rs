@@ -19,7 +19,7 @@
 //!
 //! Recorders are **thread-inherited**, not global: [`with_recorder`]
 //! installs one for the duration of a closure on the current thread, and
-//! [`aa_linalg::parallel::scoped_map`]-style fan-outs carry it across
+//! `aa_linalg::parallel::scoped_map`-style fan-outs carry it across
 //! worker threads by [`Recorder::fork`]ing one child per task and
 //! [`Recorder::join`]ing the children back **in input order**. Two
 //! consequences fall out:

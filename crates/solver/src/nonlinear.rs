@@ -1,7 +1,7 @@
 //! Nonlinear systems of equations on the accelerator — the paper's stated
 //! future work (§VI-F).
 //!
-//! "The solution of nonlinear PDEs … requir[es] Newton-Raphson method-based
+//! "The solution of nonlinear PDEs … requir\[es\] Newton-Raphson method-based
 //! iterative solvers. These iterative solvers have continuous time
 //! formulations, which again involve solving ODEs of the form
 //! du/dt = f(u(t)). It is within our near future work to investigate how

@@ -9,6 +9,7 @@
 use aa_analog::{calibrate, ChipConfig, EngineOptions, NonIdealityConfig};
 use aa_linalg::{CsrMatrix, LinearOperator};
 
+use crate::estimate::scaled_lambda_min;
 use crate::mapping::MappedSystem;
 use crate::scaling::ScaledSystem;
 use crate::SolverError;
@@ -24,7 +25,10 @@ pub struct SolverConfig {
     pub nonideal: NonIdealityConfig,
     /// Run calibration (`init`) before the first solve.
     pub calibrate: bool,
-    /// Engine integration options.
+    /// Engine integration options. Each run stops at the looser of
+    /// `engine.steady_tol` and the tolerance below which the ADC readout
+    /// can no longer change ([`AnalogSystemSolver::new`]); `None` keeps
+    /// steady-state detection off.
     pub engine: EngineOptions,
     /// Target fraction of full scale for the expected solution peak.
     pub margin: f64,
@@ -176,6 +180,9 @@ pub struct AnalogSystemSolver {
     scaled: ScaledSystem,
     matrix: CsrMatrix,
     config: SolverConfig,
+    /// The engine options every run uses: `config.engine` with the settle
+    /// tolerance loosened to [`readout_settle_tol`].
+    engine: EngineOptions,
     /// Whether any solve has been accepted under the current `γ` — i.e.
     /// the overflow/underuse walk has settled. A batch on an uncalibrated
     /// solver pre-pays one sequential solve to establish `γ` instead of
@@ -196,6 +203,12 @@ impl std::fmt::Debug for AnalogSystemSolver {
 impl AnalogSystemSolver {
     /// Scales and compiles `a` onto a fresh accelerator instance.
     ///
+    /// Every run of the solver stops once its readout is within half an
+    /// ADC code of the settled state: the configured `steady_tol` is
+    /// loosened to `λ̃_min · adc_lsb / (2√n)` whenever that is looser, with
+    /// `λ̃_min` the smallest eigenvalue of the value-scaled matrix
+    /// ([`scaled_lambda_min`]).
+    ///
     /// # Errors
     ///
     /// * [`SolverError::InvalidProblem`] for degenerate matrices.
@@ -213,11 +226,16 @@ impl AnalogSystemSolver {
         if config.calibrate {
             calibrate(mapped.chip_mut())?;
         }
+        let engine = EngineOptions {
+            steady_tol: readout_settle_tol(a, &template, config.engine.steady_tol),
+            ..config.engine.clone()
+        };
         Ok(AnalogSystemSolver {
             mapped,
             scaled,
             matrix: a.clone(),
             config: config.clone(),
+            engine,
             calibrated: false,
         })
     }
@@ -235,6 +253,13 @@ impl AnalogSystemSolver {
     /// The configuration in effect.
     pub fn config(&self) -> &SolverConfig {
         &self.config
+    }
+
+    /// The settle tolerance every run of this solver stops at
+    /// ([`readout_settle_tol`]).
+    #[cfg(test)]
+    pub(crate) fn steady_tol(&self) -> Option<f64> {
+        self.engine.steady_tol
     }
 
     /// The scaling currently applied.
@@ -404,7 +429,7 @@ impl AnalogSystemSolver {
                 continue;
             }
             self.mapped.program_rhs(&b_scaled, None)?;
-            let report = self.mapped.chip_mut().exec(&self.config.engine)?;
+            let report = self.mapped.chip_mut().exec(&self.engine)?;
             total_time += report.duration_s;
             runs += 1;
 
@@ -589,10 +614,7 @@ impl AnalogSystemSolver {
 
         self.mapped.ensure_committed()?;
         let noise_entry = self.mapped.chip().noise_rng_state();
-        let batch = self
-            .mapped
-            .chip_mut()
-            .exec_batch(&lanes, &self.config.engine)?;
+        let batch = self.mapped.chip_mut().exec_batch(&lanes, &self.engine)?;
         for (lane, &j) in lane_columns.iter().enumerate() {
             let report = &batch.reports[lane];
             if report.exceptions.any() {
@@ -643,6 +665,25 @@ impl AnalogSystemSolver {
         }
         Ok(out)
     }
+}
+
+/// The steady tolerance at which a run's ADC readout can no longer change.
+///
+/// The value-scaled flow `du/dτ = b̃ − Ã·u` with SPD `Ã` leaves a drift
+/// `‖u − u*‖∞ ≤ ‖u − u*‖₂ ≤ √n·max|du/dτ| / λ̃_min`, so once
+/// `max|du/dτ| ≤ λ̃_min · adc_lsb / (2√n)` every integrator is within half
+/// an ADC code of its settled state. That bound replaces `configured`
+/// whenever it is looser; a looser configured tolerance is kept, `None`
+/// (detection off) stays `None`, and a matrix whose `λ̃_min` cannot be
+/// estimated ([`scaled_lambda_min`] errs) keeps `configured`.
+fn readout_settle_tol(a: &CsrMatrix, chip: &ChipConfig, configured: Option<f64>) -> Option<f64> {
+    let configured = configured?;
+    let Ok(lambda) = scaled_lambda_min(a) else {
+        return Some(configured);
+    };
+    // `Ã = A·max_gain/max|a_ij|`, so its λ_min is the estimate's times the gain.
+    let bound = lambda * chip.max_gain * chip.adc_lsb() / (2.0 * (a.dim() as f64).sqrt());
+    Some(configured.max(bound))
 }
 
 #[cfg(test)]
@@ -800,6 +841,97 @@ mod tests {
         let (t11, s11) = time_for(11);
         assert!(s11 > s5);
         assert!(t11 > t5, "finer grid must take longer: {t5} vs {t11}");
+    }
+
+    #[test]
+    fn settle_bound_readout_is_within_one_code_of_full_settle() {
+        // 1D and 2D Poisson, and diagonally dominant tridiagonals like the
+        // fleet's mixed workload.
+        let mut matrices: Vec<CsrMatrix> = [4, 9, 16].into_iter().map(poisson_1d).collect();
+        for l in [3, 4, 6, 8] {
+            matrices.push(CsrMatrix::from_row_access(
+                &PoissonStencil::new_2d(l).unwrap(),
+            ));
+        }
+        for i in [0usize, 3, 6, 9, 12, 15] {
+            let diag = 2.0 + 0.1 * (i % 4) as f64;
+            matrices.push(CsrMatrix::tridiagonal(4 + (i * 5) % 13, -1.0, diag, -1.0).unwrap());
+        }
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(17);
+        for a in matrices {
+            let n = a.dim();
+            let b: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
+            let mut bounded = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+            assert!(bounded.steady_tol().is_some_and(|tol| tol > 1e-6));
+            let report = bounded.solve(&b).unwrap();
+
+            // The same solve at the same γ, with detection off, integrated
+            // for 40 time constants of its slowest mode.
+            let lambda = scaled_lambda_min(&a).unwrap();
+            let mut cfg = SolverConfig::ideal();
+            cfg.engine.steady_tol = None;
+            cfg.engine.max_tau = 40.0 / lambda;
+            let mut settled = AnalogSystemSolver::new(&a, &cfg).unwrap();
+            settled.set_solution_factor(report.solution_factor);
+            let (full, timed_out) = settled.solve_or_time_out(&b).unwrap();
+            assert!(timed_out, "detection off runs to the cap");
+            assert_eq!(full.solution_factor, report.solution_factor);
+
+            let lsb = bounded.chip().config().adc_lsb();
+            for (x, y) in report.solution.iter().zip(&full.solution) {
+                let codes = (x - y).abs() / (report.solution_factor * lsb);
+                assert!(codes <= 1.0 + 1e-9, "n = {n}: {codes} codes apart");
+            }
+            assert!(report.analog_time_s < full.analog_time_s);
+        }
+    }
+
+    #[test]
+    fn settle_bound_keeps_disabled_and_looser_tolerances() {
+        let a = poisson_1d(6);
+        let lambda = scaled_lambda_min(&a).unwrap();
+        let lsb = SolverConfig::ideal().chip_template().adc_lsb();
+        let bound = lambda * lsb / (2.0 * 6f64.sqrt());
+        let solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+        assert_eq!(solver.steady_tol(), Some(bound));
+
+        // A configured tolerance looser than the bound is kept.
+        let mut cfg = SolverConfig::ideal();
+        cfg.engine.steady_tol = Some(10.0 * bound);
+        let solver = AnalogSystemSolver::new(&a, &cfg).unwrap();
+        assert_eq!(solver.steady_tol(), Some(10.0 * bound));
+
+        // Detection off stays off: the run goes to its cap.
+        cfg.engine.steady_tol = None;
+        cfg.engine.max_tau = 50.0;
+        let mut solver = AnalogSystemSolver::new(&a, &cfg).unwrap();
+        assert_eq!(solver.steady_tol(), None);
+        let tau = 1.0 / solver.chip().config().omega();
+        match solver.solve(&[1.0; 6]) {
+            Err(SolverError::NoSteadyState { waited_s }) => {
+                assert!((waited_s / tau - 50.0).abs() < 1e-6, "{}", waited_s / tau)
+            }
+            other => panic!("expected NoSteadyState, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unestimable_spectrum_keeps_the_configured_tolerance() {
+        // An indefinite matrix has no positive λ_min to bound the drift by,
+        // and one with eigenvalues 2 ± i√2 no converged estimate of it.
+        let indefinite = [Triplet::new(0, 0, 1.0), Triplet::new(1, 1, -1.0)];
+        let rotating = [
+            Triplet::new(0, 0, 2.0),
+            Triplet::new(0, 1, 2.0),
+            Triplet::new(1, 0, -1.0),
+            Triplet::new(1, 1, 2.0),
+        ];
+        for triplets in [&indefinite[..], &rotating[..]] {
+            let a = CsrMatrix::from_triplets(2, triplets).unwrap();
+            assert!(scaled_lambda_min(&a).is_err());
+            let solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+            assert_eq!(solver.steady_tol(), SolverConfig::ideal().engine.steady_tol);
+        }
     }
 
     #[test]

@@ -380,13 +380,13 @@ fn crash_restore_mid_krylov_stream_is_bit_identical() {
 }
 
 /// A healthy chip whose answers only just miss the settle cap is refined,
-/// not failed: the slowest mode of a 12-unknown tridiagonal needs more
+/// not failed: the slowest mode of a 13-unknown tridiagonal needs more
 /// than a 300 τ cap, so each first run times out a little short of steady
 /// state. A one-shard fleet of two healthy chips serving it answers every
 /// request from the analog array and quarantines neither chip.
 #[test]
 fn near_miss_answers_keep_healthy_chips_in_rotation() {
-    let structures = vec![CsrMatrix::tridiagonal(12, -1.0, 2.0, -1.0).unwrap()];
+    let structures = vec![CsrMatrix::tridiagonal(13, -1.0, 2.0, -1.0).unwrap()];
     let mut config = fleet_config(1);
     config.chips = 2;
     config.solver.engine = EngineOptions {
@@ -397,7 +397,7 @@ fn near_miss_answers_keep_healthy_chips_in_rotation() {
     config.recovery.max_attempts = 3;
     let mut service = FleetService::new(config, structures).expect("fleet builds");
     for i in 0..24usize {
-        let rhs = (0..12)
+        let rhs = (0..13)
             .map(|j| 0.1 + 0.1 * ((3 * i + 5 * j) % 10) as f64)
             .collect();
         service
