@@ -21,7 +21,7 @@ use crate::lut::LookupTable;
 use crate::netlist::{output_port_count, InputPort, OutputPort};
 use crate::nonideal::ProcessVariation;
 use crate::passes::{pass_counter_names, PassConfig, PassStat};
-use crate::plan::{BatchRun, CompiledPlan, PlanRun};
+use crate::plan::{BatchRun, CompiledPlan};
 use crate::units::UnitId;
 
 /// Which circuit evaluator drives the RK4 inner loop.
@@ -187,24 +187,17 @@ pub(crate) struct Compiled<'a> {
     pub(crate) structure: &'a Structure,
 }
 
-/// Per-eval scratch and accumulated run observations.
+/// Per-eval scratch and accumulated run observations for K lanes, stored
+/// column-major (`[slot * k + lane]`) so a lane sweep over one slot is
+/// contiguous; at K = 1 each array is a plain per-slot vector.
 pub(crate) struct Tracker {
     pub(crate) values: Vec<f64>,
     pub(crate) max_abs: Vec<f64>,
     pub(crate) clipped: Vec<bool>,
 }
 
-/// The K-lane variant of [`Tracker`]: the same three arrays, lane-expanded
-/// column-major (`[slot * k + lane]`) so a batched eval sweeps the lanes of
-/// one slot contiguously.
-pub(crate) struct BatchTracker {
-    pub(crate) values: Vec<f64>,
-    pub(crate) max_abs: Vec<f64>,
-    pub(crate) clipped: Vec<bool>,
-}
-
 /// Per-lane register overrides for one lane of a batched execution —
-/// exactly the per-run state a `plan::PlanRun` snapshots without
+/// exactly the per-run state a `plan::BatchRun` binds per lane without
 /// invalidating the plan cache: DAC constants (the RHS) and integrator
 /// initial conditions. `None` means "use the committed registers".
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -215,21 +208,17 @@ pub struct LaneBindings {
     pub int_initial: Option<BTreeMap<usize, f64>>,
 }
 
-/// A circuit evaluator usable by the RK4 loop: writes state derivatives into
-/// `du` and (when `track` is set) records range usage and clip events.
+/// A circuit evaluator the RK4 driver ([`integrate`]) advances over
+/// [`Evaluator::lanes`] lanes in lockstep: the op tape (`plan::BatchRun`,
+/// any K) or the reference circuit (K = 1). `state`, `du` and the tracker
+/// arrays are column-major, `[index * k + lane]`.
 pub(crate) trait Evaluator {
-    fn eval_circuit(
-        &self,
-        t: f64,
-        state: &[f64],
-        du: &mut [f64],
-        tracker: &mut Tracker,
-        track: bool,
-    );
+    /// Number of lanes K advanced per eval.
+    fn lanes(&self) -> usize;
 
-    /// Minimum slot-buffer length this evaluator writes. The run loop
-    /// sizes its tracker to the larger of this and the circuit's slot
-    /// count; only a pass-lowered tape ever needs more (scratch slots
+    /// Minimum per-lane slot-buffer length this evaluator writes. The
+    /// driver sizes its tracker to the larger of this and the circuit's
+    /// slot count; only a pass-lowered tape ever needs more (scratch slots
     /// appended by `normalize_gains`).
     fn min_slots(&self) -> usize {
         0
@@ -239,19 +228,20 @@ pub(crate) trait Evaluator {
     /// loop (folded DAC constants) into a fresh tracker, once, before the
     /// first eval.
     fn prime(&self, _tracker: &mut Tracker) {}
-}
 
-impl Evaluator for Compiled<'_> {
-    fn eval_circuit(
-        &self,
+    /// Evaluates the circuit at time `t` for every lane whose `active`
+    /// entry is set, writing state derivatives into `du` and, when `track`
+    /// is set, recording range usage and clip events (done once per step,
+    /// on the k1 stage). Retired lanes are left untouched.
+    fn eval(
+        &mut self,
         t: f64,
         state: &[f64],
         du: &mut [f64],
         tracker: &mut Tracker,
         track: bool,
-    ) {
-        self.eval(t, state, du, tracker, track);
-    }
+        active: &[bool],
+    );
 }
 
 impl Structure {
@@ -385,11 +375,24 @@ impl Compiled<'_> {
         }
         value.clamp(-fs, fs)
     }
+}
 
-    /// Evaluates the circuit at time `t` for integrator states `state`,
-    /// writing state derivatives into `du`. When `track` is set, range usage
-    /// and clip events are recorded (done once per step, on the k1 stage).
-    fn eval(&self, t: f64, state: &[f64], du: &mut [f64], tracker: &mut Tracker, track: bool) {
+/// The reference evaluator: one lane, walking the `BTreeMap` structures. The
+/// driver only evaluates while its lane is live, so `active` is never read.
+impl Evaluator for Compiled<'_> {
+    fn lanes(&self) -> usize {
+        1
+    }
+
+    fn eval(
+        &mut self,
+        t: f64,
+        state: &[f64],
+        du: &mut [f64],
+        tracker: &mut Tracker,
+        track: bool,
+        _active: &[bool],
+    ) {
         let fs = self.config.full_scale;
         let Tracker {
             values,
@@ -788,8 +791,10 @@ pub(crate) fn run_committed(
         t_offset,
         cache,
         options,
-        |circuit, plan| execute(circuit, plan, options),
-    )?;
+        |circuit, plan| execute_batch(circuit, plan, std::slice::from_ref(registers), options),
+    )?
+    .pop()
+    .expect("one lane yields one report");
     observe_run(&report);
     drop(run_span);
     Ok(report)
@@ -896,9 +901,10 @@ pub(crate) fn run_committed_batch(
     Ok(reports)
 }
 
-/// Dispatches a batch to the chosen evaluator inside the `engine.execute`
-/// span: the compiled lockstep sweep, or K sequential reference
-/// integrations (the batched path's behavioural oracle).
+/// Runs K lanes through the chosen evaluator inside the `engine.execute`
+/// span: one lockstep sweep of the op tape (a sequential run is its K = 1
+/// lane), or K sequential single-lane reference integrations from the same
+/// start instant — the compiled path's behavioural oracle.
 fn execute_batch(
     circuit: &Compiled<'_>,
     plan: Option<&CompiledPlan>,
@@ -906,50 +912,47 @@ fn execute_batch(
     options: &EngineOptions,
 ) -> Result<Vec<RunReport>, AnalogError> {
     let execute_span = aa_obs::span("engine.execute");
-    let lane = |registers| Compiled {
-        registers,
-        ..*circuit
-    };
     let reports = match plan {
-        // A single-lane batch is exactly one sequential run (the batched
-        // path's defining property), and the scalar evaluator has no
-        // lane-sweep setup cost to amortize — route it there.
-        Some(plan) if overlays.len() == 1 => {
-            let lane_circuit = lane(&overlays[0]);
-            let run = PlanRun::bind(plan, &lane_circuit);
-            integrate(&lane_circuit, &run, options).map(|r| vec![r])
-        }
         Some(plan) => {
             let lane_dacs: Vec<&BTreeMap<usize, f64>> =
                 overlays.iter().map(|r| &r.dac_values).collect();
             let mut batch = BatchRun::bind(plan, circuit, &lane_dacs);
-            integrate_batch(circuit, &mut batch, overlays, options)
+            integrate(circuit, &mut batch, overlays, options)?
         }
-        None => overlays
-            .iter()
-            .map(|regs| {
-                let lane_circuit = lane(regs);
-                integrate(&lane_circuit, &lane_circuit, options)
-            })
-            .collect(),
-    }?;
+        None => {
+            let mut reports = Vec::with_capacity(overlays.len());
+            for registers in overlays {
+                let mut lane = Compiled {
+                    registers,
+                    ..*circuit
+                };
+                let lane_regs = std::slice::from_ref(registers);
+                reports.extend(integrate(circuit, &mut lane, lane_regs, options)?);
+            }
+            reports
+        }
+    };
     drop(execute_span);
     Ok(reports)
 }
 
-/// The lockstep K-lane RK4 loop. Structured exactly like [`integrate`] with
-/// a lane sweep inside every phase: all lanes share the time axis (`dt` and
-/// the end-of-run horizon are lane-independent), and a lane **retires**
-/// individually the moment its own stop condition fires — its state column,
-/// tracker entries, waveforms, and step count freeze at that instant, so
-/// every column's [`RunReport`] is bit-identical to the sequential run that
-/// would have broken out of the loop right there.
+/// The RK4 driver — the engine's one integration loop — generic over the
+/// circuit evaluator and its lane count K. `circuit` supplies the
+/// structural metadata (slot numbering, used-unit lists, timeout, fault
+/// schedule) shared by every lane, `overlays` each lane's initial
+/// conditions, and `evaluator` the per-stage arithmetic. All lanes share the
+/// time axis (`dt` and the end-of-run horizon are lane-independent), and a
+/// lane **retires** individually the moment its own stop condition fires:
+/// its state column, tracker entries, waveforms and step count freeze at
+/// that instant, so every column's [`RunReport`] is bit-identical to the
+/// single-lane run that would have stopped right there. A sequential run is
+/// the K = 1 case.
 // The lane loops index `active` plus several SoA columns in lockstep; a
 // range loop is the clear form, not a needless one.
 #[allow(clippy::needless_range_loop)]
-fn integrate_batch(
+fn integrate<E: Evaluator>(
     circuit: &Compiled<'_>,
-    batch: &mut BatchRun<'_>,
+    evaluator: &mut E,
     overlays: &[Registers],
     options: &EngineOptions,
 ) -> Result<Vec<RunReport>, AnalogError> {
@@ -957,10 +960,14 @@ fn integrate_batch(
     let config = circuit.config;
     let faults = circuit.faults;
     let t_offset = circuit.t_offset;
-    let k = batch.lanes();
+    let k = evaluator.lanes();
     debug_assert_eq!(k, overlays.len());
     let n = circuit.n_states();
-    let n_slots = circuit.structure.slot_index.len().max(batch.min_slots());
+    let n_slots = circuit
+        .structure
+        .slot_index
+        .len()
+        .max(evaluator.min_slots());
     let fs = config.full_scale;
     let omega = config.omega();
     let dt = options.dt_tau / omega;
@@ -970,13 +977,16 @@ fn integrate_batch(
     let cap_s = options.max_tau / omega;
     let end_s = timeout_s.map_or(cap_s, |t| t.min(cap_s));
 
-    let mut tracker = BatchTracker {
+    let mut tracker = Tracker {
         values: vec![0.0; n_slots * k],
         max_abs: vec![0.0; n_slots * k],
         clipped: vec![false; n_slots * k],
     };
-    batch.prime(&mut tracker);
+    evaluator.prime(&mut tracker);
 
+    // Slot lookups resolved once, outside the loop: integrator output slots
+    // (stuck-rail and saturation tracking) and analog-output sink slots
+    // (waveform sampling).
     let int_out_slots: Vec<usize> = circuit
         .structure
         .integrator_of_state
@@ -1005,6 +1015,9 @@ fn integrate_batch(
     let mut mid = vec![0.0; n * k];
 
     // Per-lane waveform decimation state and retirement bookkeeping.
+    // Sampling starts dense and decimates by two whenever the buffer
+    // doubles past the target, so the retained samples span the whole
+    // (unknown-in-advance) run at roughly uniform spacing.
     let mut stride = vec![1usize; k];
     let mut waves: Vec<Vec<Vec<(f64, f64)>>> = vec![vec![Vec::new(); aout_sinks.len()]; k];
     let mut active = vec![true; k];
@@ -1020,8 +1033,8 @@ fn integrate_batch(
 
     loop {
         // Stuck-at-rail faults pin the integrator state and latch an
-        // overflow exception — the draw is per `(integrator, t)`, shared by
-        // every still-active lane.
+        // overflow exception, exactly as a genuine saturation would — the
+        // draw is per `(integrator, t)`, shared by every still-active lane.
         if let Some(plan) = faults {
             if plan.any_active(t_offset + t) {
                 for lane in 0..k {
@@ -1047,7 +1060,7 @@ fn integrate_batch(
         }
 
         // k1 also refreshes slot values at time t (used for sampling below).
-        batch.eval_lanes(t, &state, &mut k1, &mut tracker, true, &active);
+        evaluator.eval(t, &state, &mut k1, &mut tracker, true, &active);
 
         // Record output waveforms, per lane (decimation state is per lane:
         // a retired lane's buffers must stop exactly where its sequential
@@ -1084,7 +1097,8 @@ fn integrate_batch(
             }
             if n > 0 {
                 if let Some(tol) = options.steady_tol {
-                    let dnorm = (0..n).fold(0.0f64, |m, i| m.max(k1[i * k + lane].abs())) / omega;
+                    let column = k1[lane..].iter().step_by(k);
+                    let dnorm = column.fold(0.0f64, |m, v| m.max(v.abs())) / omega;
                     if dnorm <= tol {
                         reached_steady[lane] = true;
                     }
@@ -1125,7 +1139,7 @@ fn integrate_batch(
                 }
             }
         }
-        batch.eval_lanes(t + 0.5 * h, &mid, &mut k2, &mut tracker, false, &active);
+        evaluator.eval(t + 0.5 * h, &mid, &mut k2, &mut tracker, false, &active);
         if all_active {
             for idx in 0..n * k {
                 mid[idx] = state[idx] + 0.5 * h * k2[idx];
@@ -1139,7 +1153,7 @@ fn integrate_batch(
                 }
             }
         }
-        batch.eval_lanes(t + 0.5 * h, &mid, &mut k3, &mut tracker, false, &active);
+        evaluator.eval(t + 0.5 * h, &mid, &mut k3, &mut tracker, false, &active);
         if all_active {
             for idx in 0..n * k {
                 mid[idx] = state[idx] + h * k3[idx];
@@ -1153,7 +1167,7 @@ fn integrate_batch(
                 }
             }
         }
-        batch.eval_lanes(t + h, &mid, &mut k4, &mut tracker, false, &active);
+        evaluator.eval(t + h, &mid, &mut k4, &mut tracker, false, &active);
         if all_active {
             for idx in 0..n * k {
                 state[idx] += h / 6.0 * (k1[idx] + 2.0 * k2[idx] + 2.0 * k3[idx] + k4[idx]);
@@ -1170,19 +1184,18 @@ fn integrate_batch(
         }
 
         // Integrator saturation at the rails, per active lane.
-        for (slot_state, s) in int_out_slots.iter().copied().enumerate() {
-            for lane in 0..k {
-                if !active[lane] {
+        for (row, &s) in state.chunks_exact_mut(k).zip(&int_out_slots) {
+            for (lane, (x, &live)) in row.iter_mut().zip(&active).enumerate() {
+                if !live {
                     continue;
                 }
-                let idx = slot_state * k + lane;
-                if state[idx].abs() > fs {
-                    state[idx] = state[idx].clamp(-fs, fs);
+                if x.abs() > fs {
+                    *x = x.clamp(-fs, fs);
                     let tidx = s * k + lane;
                     tracker.clipped[tidx] = true;
                     tracker.max_abs[tidx] = tracker.max_abs[tidx].max(fs * 1.0000001);
                 }
-                if !state[idx].is_finite() {
+                if !x.is_finite() {
                     return Err(AnalogError::Diverged { at_time: t });
                 }
             }
@@ -1192,8 +1205,8 @@ fn integrate_batch(
         steps += 1;
     }
 
-    // Harvest per-lane observations — the same walk as `integrate`, over
-    // each lane's column of the tracker and state.
+    // Harvest per-lane observations over each lane's column of the tracker
+    // and state.
     let mut reports = Vec::with_capacity(k);
     for lane in 0..k {
         let mut exceptions = ExceptionVector::new();
@@ -1249,244 +1262,6 @@ fn integrate_batch(
         });
     }
     Ok(reports)
-}
-
-/// Binds per-run state to the chosen evaluator — the op tape when one is
-/// given, the reference circuit otherwise — and runs the RK4 loop inside
-/// the `engine.execute` span.
-fn execute(
-    circuit: &Compiled<'_>,
-    plan: Option<&CompiledPlan>,
-    options: &EngineOptions,
-) -> Result<RunReport, AnalogError> {
-    let execute_span = aa_obs::span("engine.execute");
-    let report = match plan {
-        Some(plan) => integrate(circuit, &PlanRun::bind(plan, circuit), options),
-        None => integrate(circuit, circuit, options),
-    }?;
-    drop(execute_span);
-    Ok(report)
-}
-
-/// The RK4 run loop, generic over the circuit evaluator. `circuit` supplies
-/// the structural metadata (slot numbering, used-unit lists); `evaluator`
-/// does the per-stage arithmetic.
-fn integrate<E: Evaluator>(
-    circuit: &Compiled<'_>,
-    evaluator: &E,
-    options: &EngineOptions,
-) -> Result<RunReport, AnalogError> {
-    let registers = circuit.registers;
-    let config = circuit.config;
-    let faults = circuit.faults;
-    let t_offset = circuit.t_offset;
-    let n = circuit.n_states();
-    let n_slots = circuit
-        .structure
-        .slot_index
-        .len()
-        .max(evaluator.min_slots());
-    let fs = config.full_scale;
-    let omega = config.omega();
-    let dt = options.dt_tau / omega;
-    let timeout_s = registers
-        .timeout_cycles
-        .map(|c| c as f64 / CONTROL_CLOCK_HZ);
-    let cap_s = options.max_tau / omega;
-    let end_s = timeout_s.map_or(cap_s, |t| t.min(cap_s));
-
-    let mut tracker = Tracker {
-        values: vec![0.0; n_slots],
-        max_abs: vec![0.0; n_slots],
-        clipped: vec![false; n_slots],
-    };
-    evaluator.prime(&mut tracker);
-
-    // Slot lookups resolved once, outside the loop: integrator output slots
-    // (stuck-rail and saturation tracking) and analog-output sink slots
-    // (waveform sampling), which previously went through `slot_index` every
-    // step and every sample respectively.
-    let int_out_slots: Vec<usize> = circuit
-        .structure
-        .integrator_of_state
-        .iter()
-        .map(|&i| circuit.slot(OutputPort::of(UnitId::Integrator(i))))
-        .collect();
-    let aout_sinks: Vec<usize> = circuit
-        .structure
-        .analog_outputs
-        .iter()
-        .map(|&i| circuit.sink_slot(UnitId::AnalogOutput(i)))
-        .collect();
-
-    // Initial conditions.
-    let mut state: Vec<f64> = circuit
-        .structure
-        .integrator_of_state
-        .iter()
-        .map(|i| registers.int_initial.get(i).copied().unwrap_or(0.0))
-        .collect();
-
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut mid = vec![0.0; n];
-
-    // Waveform sampling starts dense and decimates by two whenever the
-    // buffer doubles past the target, so the retained samples always span
-    // the whole (unknown-in-advance) run at roughly uniform spacing.
-    let mut stride = 1usize;
-    let mut waves: Vec<Vec<(f64, f64)>> = vec![Vec::new(); aout_sinks.len()];
-
-    let mut t = 0.0;
-    let mut steps = 0usize;
-    let mut reached_steady = false;
-    let mut timed_out = false;
-    let mut aborted_on_exception = false;
-    let mut faults_active_steps = 0usize;
-
-    loop {
-        // Stuck-at-rail faults pin the integrator state and latch an
-        // overflow exception, exactly as a genuine saturation would.
-        if let Some(plan) = faults {
-            if plan.any_active(t_offset + t) {
-                faults_active_steps += 1;
-            }
-            for (slot_state, &int_idx) in circuit.structure.integrator_of_state.iter().enumerate() {
-                if let Some(rail) = plan.stuck_rail(int_idx, t_offset + t) {
-                    state[slot_state] = rail.sign() * fs;
-                    let s = int_out_slots[slot_state];
-                    tracker.clipped[s] = true;
-                    tracker.max_abs[s] = tracker.max_abs[s].max(fs * 1.0000001);
-                }
-            }
-        }
-
-        // k1 also refreshes slot values at time t (used for sampling below).
-        evaluator.eval_circuit(t, &state, &mut k1, &mut tracker, true);
-
-        // Record output waveforms.
-        if steps.is_multiple_of(stride) || t >= end_s {
-            let mut overflow = false;
-            for (wave, &slot) in waves.iter_mut().zip(&aout_sinks) {
-                wave.push((t, tracker.values[slot]));
-                overflow |=
-                    options.waveform_samples > 0 && wave.len() >= 2 * options.waveform_samples;
-            }
-            if overflow {
-                for wave in waves.iter_mut() {
-                    let mut keep = 0;
-                    wave.retain(|_| {
-                        keep += 1;
-                        keep % 2 == 1
-                    });
-                }
-                stride = stride.saturating_mul(2);
-            }
-        }
-
-        // Stop checks. The dnorm reduction over k1 only runs when a steady
-        // tolerance is actually configured.
-        if n > 0 {
-            if let Some(tol) = options.steady_tol {
-                let dnorm = k1.iter().fold(0.0f64, |m, v| m.max(v.abs())) / omega;
-                if dnorm <= tol {
-                    reached_steady = true;
-                }
-            }
-        }
-        if t >= end_s {
-            timed_out = timeout_s.is_some_and(|ts| t >= ts);
-        }
-        if options.stop_on_exception && tracker.clipped.iter().any(|c| *c) {
-            aborted_on_exception = true;
-        }
-        if reached_steady || aborted_on_exception || t >= end_s || n == 0 {
-            break;
-        }
-
-        // RK4 step (k1 already computed).
-        let h = dt.min(end_s - t);
-        for i in 0..n {
-            mid[i] = state[i] + 0.5 * h * k1[i];
-        }
-        evaluator.eval_circuit(t + 0.5 * h, &mid, &mut k2, &mut tracker, false);
-        for i in 0..n {
-            mid[i] = state[i] + 0.5 * h * k2[i];
-        }
-        evaluator.eval_circuit(t + 0.5 * h, &mid, &mut k3, &mut tracker, false);
-        for i in 0..n {
-            mid[i] = state[i] + h * k3[i];
-        }
-        evaluator.eval_circuit(t + h, &mid, &mut k4, &mut tracker, false);
-        for i in 0..n {
-            state[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-
-        // Integrator saturation at the rails.
-        for (slot_state, s) in int_out_slots.iter().copied().enumerate() {
-            if state[slot_state].abs() > fs {
-                state[slot_state] = state[slot_state].clamp(-fs, fs);
-                tracker.clipped[s] = true;
-                tracker.max_abs[s] = tracker.max_abs[s].max(fs * 1.0000001);
-            }
-            if !state[slot_state].is_finite() {
-                return Err(AnalogError::Diverged { at_time: t });
-            }
-        }
-
-        t += h;
-        steps += 1;
-    }
-
-    // Harvest observations.
-    let mut exceptions = ExceptionVector::new();
-    let mut range_usage = BTreeMap::new();
-    for (slot, unit) in circuit.structure.unit_of_slot.iter().enumerate() {
-        if tracker.clipped[slot] {
-            exceptions.latch(*unit);
-        }
-        let usage = tracker.max_abs[slot] / fs;
-        range_usage
-            .entry(*unit)
-            .and_modify(|u: &mut f64| *u = u.max(usage))
-            .or_insert(usage);
-    }
-    let integrator_values: BTreeMap<usize, f64> = circuit
-        .structure
-        .integrator_of_state
-        .iter()
-        .enumerate()
-        .map(|(s, &i)| (i, state[s]))
-        .collect();
-    let adc_inputs: BTreeMap<usize, f64> = circuit
-        .structure
-        .adcs
-        .iter()
-        .map(|&i| (i, tracker.values[circuit.sink_slot(UnitId::Adc(i))]))
-        .collect();
-    let output_waveforms: BTreeMap<usize, Vec<(f64, f64)>> = circuit
-        .structure
-        .analog_outputs
-        .iter()
-        .copied()
-        .zip(waves)
-        .collect();
-
-    Ok(RunReport {
-        duration_s: t,
-        steps,
-        reached_steady_state: reached_steady,
-        timed_out,
-        aborted_on_exception,
-        exceptions,
-        range_usage,
-        integrator_values,
-        adc_inputs,
-        output_waveforms,
-        faults_active_steps,
-    })
 }
 
 #[cfg(test)]

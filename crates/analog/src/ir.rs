@@ -5,9 +5,9 @@
 //! slots held as ranges into one shared driver-slot array that the passes
 //! in [`crate::passes`] rewrite in place. [`IrGraph::emit`] then packs the
 //! surviving nodes, still in topological order, into the linear
-//! [`CompiledPlan`] tape that [`crate::plan::PlanRun`] and
-//! [`crate::plan::BatchRun`] execute, handing over the same driver-slot
-//! array; [`lower_plan`] chains the three steps.
+//! [`CompiledPlan`] tape that [`crate::plan::BatchRun`] executes (K lanes,
+//! or one for a sequential run), handing over the same driver-slot array;
+//! [`lower_plan`] chains the three steps.
 //!
 //! With no pass enabled the emitted tape is a pure restructuring of the
 //! reference circuit (bit-identical runs). The tolerance contract for the

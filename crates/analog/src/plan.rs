@@ -28,18 +28,19 @@
 //!
 //! The plan owns everything it bakes in, so the chip's `PlanCache` can keep
 //! it alive across runs — repeated solves against an unchanged netlist (the
-//! block-Jacobi sweep loop, supervised retries) lower once and reuse. What changes from run to
-//! run without invalidating the cache — DAC constants, input-signal
-//! attachment/enables, the fault plan, and the lifetime-clock offset — is
-//! **not** baked in: `PlanRun` snapshots those per run and pairs them with
-//! the shared plan for the RK4 loop. What cannot be pre-resolved —
-//! fault-plan adjustments and external input signals, both functions of
-//! time — stays a per-eval call, exactly as in the reference path.
+//! block-Jacobi sweep loop, supervised retries) lower once and reuse. What
+//! changes from run to run without invalidating the cache — DAC constants,
+//! input-signal attachment/enables, the fault plan, and the lifetime-clock
+//! offset — is **not** baked in: `BatchRun` snapshots those per run (per
+//! lane for the DAC constants) and pairs them with the shared plan for the
+//! RK4 driver. What cannot be pre-resolved — fault-plan adjustments and
+//! external input signals, both functions of time — stays a per-eval call,
+//! exactly as in the reference path.
 
 use std::collections::BTreeMap;
 
 use crate::chip::InputSignal;
-use crate::engine::{BatchTracker, Compiled, Evaluator, Tracker};
+use crate::engine::{Compiled, Evaluator, Tracker};
 use crate::fault::FaultPlan;
 use crate::lut::LookupTable;
 use crate::nonideal::BlockImperfection;
@@ -120,7 +121,7 @@ pub(crate) struct IntSource {
 
 /// One DAC output. The programmed constant is **not** baked in — DACs are
 /// reprogrammed on every solve without invalidating the plan cache, so
-/// [`PlanRun`] fetches the value from the committed registers per run.
+/// [`BatchRun`] fetches each lane's value from its registers per run.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DacSource {
     pub(crate) unit: UnitId,
@@ -131,7 +132,7 @@ pub(crate) struct DacSource {
 }
 
 /// One external analog input. Whether the channel is enabled and which
-/// stimulus is attached are per-run state (resolved by [`PlanRun`]); only
+/// stimulus is attached are per-run state (resolved by [`BatchRun`]); only
 /// the channel index and output slot are structural.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InputSource {
@@ -197,8 +198,8 @@ pub(crate) enum Op {
 /// configuration.
 ///
 /// Emitted by [`crate::ir::lower_plan`], owned (cacheable across runs), and
-/// consumed through [`PlanRun`] (sequential) or [`BatchRun`] (K lanes)
-/// bound to one run's register/fault/signal state.
+/// executed through a [`BatchRun`] bound to one run's register/fault/signal
+/// state — K lanes, or one for a sequential run.
 pub(crate) struct CompiledPlan {
     pub(crate) full_scale: f64,
     pub(crate) omega: f64,
@@ -418,243 +419,18 @@ fn dump_slots(driver_slots: &[u32], range: DriverRange) -> String {
     format!("[{}]", slots.join(" "))
 }
 
-/// One run's view of a (shared, possibly cached) [`CompiledPlan`]: the
-/// per-run state the plan deliberately does not bake in — fault schedule,
-/// lifetime-clock offset, current DAC constants, and resolved input
-/// signals — snapshotted at `execStart`.
-pub(crate) struct PlanRun<'a> {
-    plan: &'a CompiledPlan,
-    faults: Option<&'a FaultPlan>,
-    t_offset: f64,
-    /// Programmed DAC constants, parallel to `plan.dac_sources` — fetched
-    /// per run exactly as the reference path fetches them per eval.
-    dac_values: Vec<f64>,
-    /// Imperfection-applied folded constants, parallel to
-    /// `plan.const_dacs`.
-    const_values: Vec<f64>,
-    /// Resolved stimuli, parallel to `plan.input_sources`: `None` when the
-    /// channel is disabled or has no attached signal (both read as 0.0).
-    signals: Vec<Option<&'a InputSignal>>,
-}
-
-impl<'a> PlanRun<'a> {
-    /// Binds the plan to one run's register/fault/signal state.
-    pub(crate) fn bind(plan: &'a CompiledPlan, c: &Compiled<'a>) -> Self {
-        let dacs = &c.registers.dac_values;
-        PlanRun {
-            plan,
-            faults: c.faults,
-            t_offset: c.t_offset,
-            dac_values: plan
-                .dac_sources
-                .iter()
-                .map(|src| dac_value(dacs, src))
-                .collect(),
-            const_values: plan
-                .const_dacs
-                .iter()
-                .map(|src| src.imp.apply(dac_value(dacs, src)))
-                .collect(),
-            signals: plan.signals(c),
-        }
-    }
-
-    /// Sum of driver currents over a CSR range — the same fold order as the
-    /// reference `input_sum` (`0.0 + v₀ + v₁ + …` over the connection
-    /// order).
-    #[inline]
-    fn sum(&self, range: DriverRange, values: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for &s in &self.plan.driver_slots[range.start as usize..range.end as usize] {
-            acc += values[s as usize];
-        }
-        acc
-    }
-
-    /// Applies any active analog-path faults, identically to the reference
-    /// `distort`.
-    #[inline]
-    fn distort(&self, unit: UnitId, t: f64, value: f64) -> f64 {
-        match self.faults {
-            Some(plan) => plan.analog_adjust(unit, self.t_offset + t, value),
-            None => value,
-        }
-    }
-
-    /// Clips to full scale, recording range usage and clip events when
-    /// tracking — identical to the reference `clip`.
-    #[inline]
-    fn clip(
-        &self,
-        value: f64,
-        slot: usize,
-        max_abs: &mut [f64],
-        clipped: &mut [bool],
-        track: bool,
-    ) -> f64 {
-        let fs = self.plan.full_scale;
-        if track {
-            let mag = value.abs();
-            if mag > max_abs[slot] {
-                max_abs[slot] = mag;
-            }
-            if mag > fs {
-                clipped[slot] = true;
-            }
-        }
-        value.clamp(-fs, fs)
-    }
-}
-
-impl Evaluator for PlanRun<'_> {
-    fn min_slots(&self) -> usize {
-        self.plan.n_slots
-    }
-
-    /// Writes the folded DAC constants, tracked — exactly what the first
-    /// (tracked k1) eval would record if they were still per-eval sources.
-    /// Nothing else writes their slots.
-    fn prime(&self, tracker: &mut Tracker) {
-        for (src, &v) in self.plan.const_dacs.iter().zip(&self.const_values) {
-            let s = src.out as usize;
-            tracker.values[s] = self.clip(v, s, &mut tracker.max_abs, &mut tracker.clipped, true);
-        }
-    }
-
-    fn eval_circuit(
-        &self,
-        t: f64,
-        state: &[f64],
-        du: &mut [f64],
-        tracker: &mut Tracker,
-        track: bool,
-    ) {
-        let plan = self.plan;
-        let fs = plan.full_scale;
-        let Tracker {
-            values,
-            max_abs,
-            clipped,
-        } = tracker;
-
-        // Sources: integrator outputs (their state, through imperfection).
-        // Range usage tracks the pre-clamp magnitude, as in the reference.
-        for (slot_state, src) in plan.int_sources.iter().enumerate() {
-            let out = self.distort(src.unit, t, src.imp.apply(state[slot_state]));
-            let s = src.out as usize;
-            values[s] = out.clamp(-fs, fs);
-            if track {
-                let mag = out.abs();
-                if mag > max_abs[s] {
-                    max_abs[s] = mag;
-                }
-                if mag > fs {
-                    clipped[s] = true;
-                }
-            }
-        }
-        // Sources: DAC constants (the per-run snapshot).
-        for (src, &value) in plan.dac_sources.iter().zip(&self.dac_values) {
-            let out = self.distort(src.unit, t, src.imp.apply(value));
-            let s = src.out as usize;
-            values[s] = self.clip(out, s, max_abs, clipped, track);
-        }
-        // Sources: external analog inputs (no imperfection applied).
-        for (src, signal) in plan.input_sources.iter().zip(&self.signals) {
-            let raw = signal.map(|f| f(t)).unwrap_or(0.0);
-            let out = self.distort(src.unit, t, raw);
-            let s = src.out as usize;
-            values[s] = self.clip(out, s, max_abs, clipped, track);
-        }
-
-        // The op tape: memoryless units in dependency order.
-        for op in &plan.ops {
-            match op {
-                Op::MulGain {
-                    unit,
-                    gain,
-                    imp,
-                    in0,
-                    out,
-                } => {
-                    let ideal = gain * self.sum(*in0, values);
-                    let v = self.distort(*unit, t, imp.apply(ideal));
-                    let s = *out as usize;
-                    values[s] = self.clip(v, s, max_abs, clipped, track);
-                }
-                Op::Mac {
-                    unit,
-                    a,
-                    b,
-                    in0,
-                    out,
-                } => {
-                    let v = self.distort(*unit, t, a.mul_add(self.sum(*in0, values), *b));
-                    let s = *out as usize;
-                    values[s] = self.clip(v, s, max_abs, clipped, track);
-                }
-                Op::MulVar {
-                    unit,
-                    imp,
-                    in0,
-                    in1,
-                    out,
-                } => {
-                    let ideal = self.sum(*in0, values) * self.sum(*in1, values) / fs;
-                    let v = self.distort(*unit, t, imp.apply(ideal));
-                    let s = *out as usize;
-                    values[s] = self.clip(v, s, max_abs, clipped, track);
-                }
-                Op::Fanout {
-                    unit,
-                    imp,
-                    input,
-                    out0,
-                    branches,
-                } => {
-                    let v = self.distort(*unit, t, imp.apply(self.sum(*input, values)));
-                    for port in 0..*branches {
-                        let s = (out0 + port) as usize;
-                        values[s] = self.clip(v, s, max_abs, clipped, track);
-                    }
-                }
-                Op::Lut {
-                    unit,
-                    lut,
-                    input,
-                    out,
-                } => {
-                    let v = self.distort(*unit, t, lut.evaluate(self.sum(*input, values)));
-                    let s = *out as usize;
-                    values[s] = self.clip(v, s, max_abs, clipped, track);
-                }
-                Op::Sink { input, out } => {
-                    let v = self.sum(*input, values);
-                    let s = *out as usize;
-                    values[s] = self.clip(v, s, max_abs, clipped, track);
-                }
-            }
-        }
-
-        // Integrator derivatives: ω_u times the summed input current.
-        for (slot_state, &range) in plan.derivs.iter().enumerate() {
-            du[slot_state] = plan.omega * self.sum(range, values);
-        }
-    }
-}
-
 /// The K-lane batched view of a (shared, possibly cached) [`CompiledPlan`]:
 /// one RK4 sweep advances K right-hand sides in lockstep.
 ///
 /// All per-lane arrays are column-major SoA — `values[slot * k + lane]` — so
 /// the inner loop of every tape op is a tight sweep over the K lanes of one
-/// slot. Each lane performs **exactly** the floating-point sequence
-/// [`PlanRun`] would perform for that lane alone: the plan metadata, process
+/// slot. Each lane performs **exactly** the floating-point sequence of the
+/// reference evaluator for that lane alone: the plan metadata, process
 /// variation, and fault schedule are shared (loaded once per op, applied per
 /// lane), and fault adjustments are pure functions of `(unit, t, value)`, so
 /// a lane's trajectory is bit-identical to a sequential solve started from
 /// the same chip instant. Only the DAC constants differ per lane — the K
-/// RHS snapshots the batch carries.
+/// RHS snapshots the batch carries. A sequential run is the K = 1 batch.
 pub(crate) struct BatchRun<'a> {
     plan: &'a CompiledPlan,
     faults: Option<&'a FaultPlan>,
@@ -669,8 +445,9 @@ pub(crate) struct BatchRun<'a> {
     /// Resolved stimuli (shared across lanes; signals are pure functions of
     /// time, the workspace-wide determinism assumption).
     signals: Vec<Option<&'a InputSignal>>,
-    /// Lane-wide accumulator scratch for the unmasked fast path (two
-    /// buffers: `MulVar` needs both operand sums live at once).
+    /// Lane-wide accumulator scratch for the unmasked fast path at a
+    /// runtime width (two buffers: `MulVar` needs both operand sums live at
+    /// once); the monomorphized widths use stack arrays instead.
     scratch0: Vec<f64>,
     scratch1: Vec<f64>,
 }
@@ -683,7 +460,13 @@ fn sum_into(plan: &CompiledPlan, k: usize, range: DriverRange, values: &[f64], a
     let acc = &mut acc[..k];
     acc.fill(0.0);
     for &s in &plan.driver_slots[range.start as usize..range.end as usize] {
-        let col = &values[s as usize * k..][..k];
+        // A one-lane column is one element: index it directly, so a
+        // sequential run's fetch takes one bounds check, as scalar code's.
+        let col = if k == 1 {
+            std::slice::from_ref(&values[s as usize])
+        } else {
+            &values[s as usize * k..][..k]
+        };
         for (a, &v) in acc.iter_mut().zip(col) {
             *a += v;
         }
@@ -725,10 +508,11 @@ impl<'a> BatchRun<'a> {
     }
 
     /// Lane `lane`'s sum of driver currents over a CSR range — the same fold
-    /// order as [`PlanRun::sum`].
+    /// order as the reference `input_sum` (`0.0 + v₀ + v₁ + …` over the
+    /// connection order). `KC` as in [`Self::eval_lanes_masked`].
     #[inline]
-    fn sum(&self, range: DriverRange, values: &[f64], lane: usize) -> f64 {
-        let k = self.k;
+    fn sum<const KC: usize>(&self, range: DriverRange, values: &[f64], lane: usize) -> f64 {
+        let k = if KC == 0 { self.k } else { KC };
         let mut acc = 0.0;
         for &s in &self.plan.driver_slots[range.start as usize..range.end as usize] {
             acc += values[s as usize * k + lane];
@@ -736,9 +520,9 @@ impl<'a> BatchRun<'a> {
         acc
     }
 
-    /// Applies any active analog-path faults, identically to
-    /// [`PlanRun::distort`] — the draw is shared per `(unit, t)` across
-    /// lanes because the adjustment is a pure counter-based function.
+    /// Applies any active analog-path faults, identically to the reference
+    /// `distort` — the draw is shared per `(unit, t)` across lanes because
+    /// the adjustment is a pure counter-based function.
     #[inline]
     fn distort(&self, unit: UnitId, t: f64, value: f64) -> f64 {
         match self.faults {
@@ -785,17 +569,32 @@ impl<'a> BatchRun<'a> {
         t: f64,
         state: &[f64],
         du: &mut [f64],
-        tracker: &mut BatchTracker,
+        tracker: &mut Tracker,
         track: bool,
     ) {
         let plan = self.plan;
         let k = if KC == 0 { self.k } else { KC };
         let fs = plan.full_scale;
-        let mut acc0 = std::mem::take(&mut self.scratch0);
-        let mut acc1 = std::mem::take(&mut self.scratch1);
+        // Lane-wide accumulators: stack arrays at a compile-time width, so
+        // the K = 1 sums of a sequential run stay in registers as scalar
+        // code's would; the reusable heap scratch at a runtime width.
+        let (mut fixed0, mut fixed1) = ([0.0f64; KC], [0.0f64; KC]);
+        let (mut heap0, mut heap1) = if KC == 0 {
+            (
+                std::mem::take(&mut self.scratch0),
+                std::mem::take(&mut self.scratch1),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let (acc0, acc1): (&mut [f64], &mut [f64]) = if KC == 0 {
+            (&mut heap0, &mut heap1)
+        } else {
+            (&mut fixed0, &mut fixed1)
+        };
         let dac_values: &[f64] = &self.dac_values;
         let signals = &self.signals;
-        let BatchTracker {
+        let Tracker {
             values,
             max_abs,
             clipped,
@@ -865,20 +664,20 @@ impl<'a> BatchRun<'a> {
                     out,
                     ..
                 } => {
-                    sum_into(plan, k, *in0, values, &mut acc0);
+                    sum_into(plan, k, *in0, values, acc0);
                     let (gain, imp) = (*gain, *imp);
                     store_map!(*out as usize * k, acc0, |x| imp.apply(gain * x));
                 }
                 Op::Mac { a, b, in0, out, .. } => {
-                    sum_into(plan, k, *in0, values, &mut acc0);
+                    sum_into(plan, k, *in0, values, acc0);
                     let (a, b) = (*a, *b);
                     store_map!(*out as usize * k, acc0, |x| a.mul_add(x, b));
                 }
                 Op::MulVar {
                     imp, in0, in1, out, ..
                 } => {
-                    sum_into(plan, k, *in0, values, &mut acc0);
-                    sum_into(plan, k, *in1, values, &mut acc1);
+                    sum_into(plan, k, *in0, values, acc0);
+                    sum_into(plan, k, *in1, values, acc1);
                     let imp = *imp;
                     for (a, &b) in acc0[..k].iter_mut().zip(&acc1[..k]) {
                         *a = *a * b / fs;
@@ -892,7 +691,7 @@ impl<'a> BatchRun<'a> {
                     branches,
                     ..
                 } => {
-                    sum_into(plan, k, *input, values, &mut acc0);
+                    sum_into(plan, k, *input, values, acc0);
                     for a in acc0[..k].iter_mut() {
                         *a = imp.apply(*a);
                     }
@@ -903,11 +702,11 @@ impl<'a> BatchRun<'a> {
                 Op::Lut {
                     lut, input, out, ..
                 } => {
-                    sum_into(plan, k, *input, values, &mut acc0);
+                    sum_into(plan, k, *input, values, acc0);
                     store_map!(*out as usize * k, acc0, |x| lut.evaluate(x));
                 }
                 Op::Sink { input, out } => {
-                    sum_into(plan, k, *input, values, &mut acc0);
+                    sum_into(plan, k, *input, values, acc0);
                     store_map!(*out as usize * k, acc0, |x| x);
                 }
             }
@@ -915,35 +714,42 @@ impl<'a> BatchRun<'a> {
 
         // Integrator derivatives: ω_u times the summed input current.
         for (slot_state, &range) in plan.derivs.iter().enumerate() {
-            sum_into(plan, k, range, values, &mut acc0);
+            sum_into(plan, k, range, values, acc0);
             let out = &mut du[slot_state * k..][..k];
             for (o, &a) in out.iter_mut().zip(&acc0[..k]) {
                 *o = plan.omega * a;
             }
         }
 
-        self.scratch0 = acc0;
-        self.scratch1 = acc1;
+        if KC == 0 {
+            self.scratch0 = heap0;
+            self.scratch1 = heap1;
+        }
     }
 
     /// The general evaluation: per-lane `active` masking and per-`(unit,t)`
     /// fault adjustments, lane loop innermost over the shared op metadata.
+    ///
+    /// `KC` is 1 for a sequential run (every faulted sequential run lands
+    /// here, so its lane loops must fold away) or 0 for the runtime width.
     // The lane loops index `active` plus several SoA columns in lockstep;
     // a range loop is the clear form, not a needless one.
     #[allow(clippy::needless_range_loop)]
-    fn eval_lanes_masked(
+    fn eval_lanes_masked<const KC: usize>(
         &self,
         t: f64,
         state: &[f64],
         du: &mut [f64],
-        tracker: &mut BatchTracker,
+        tracker: &mut Tracker,
         track: bool,
         active: &[bool],
     ) {
         let plan = self.plan;
-        let k = self.k;
+        let k = if KC == 0 { self.k } else { KC };
+        // A lone lane is live whenever the driver evaluates.
+        let live = |lane: usize| KC == 1 || active[lane];
         let fs = plan.full_scale;
-        let BatchTracker {
+        let Tracker {
             values,
             max_abs,
             clipped,
@@ -953,7 +759,7 @@ impl<'a> BatchRun<'a> {
         for (slot_state, src) in plan.int_sources.iter().enumerate() {
             let s = src.out as usize;
             for lane in 0..k {
-                if !active[lane] {
+                if !live(lane) {
                     continue;
                 }
                 let out = self.distort(src.unit, t, src.imp.apply(state[slot_state * k + lane]));
@@ -974,7 +780,7 @@ impl<'a> BatchRun<'a> {
         for (src_idx, src) in plan.dac_sources.iter().enumerate() {
             let s = src.out as usize;
             for lane in 0..k {
-                if !active[lane] {
+                if !live(lane) {
                     continue;
                 }
                 let value = self.dac_values[src_idx * k + lane];
@@ -989,7 +795,7 @@ impl<'a> BatchRun<'a> {
             let raw = signal.map(|f| f(t)).unwrap_or(0.0);
             let s = src.out as usize;
             for lane in 0..k {
-                if !active[lane] {
+                if !live(lane) {
                     continue;
                 }
                 let out = self.distort(src.unit, t, raw);
@@ -1010,10 +816,10 @@ impl<'a> BatchRun<'a> {
                 } => {
                     let s = *out as usize;
                     for lane in 0..k {
-                        if !active[lane] {
+                        if !live(lane) {
                             continue;
                         }
-                        let ideal = gain * self.sum(*in0, values, lane);
+                        let ideal = gain * self.sum::<KC>(*in0, values, lane);
                         let v = self.distort(*unit, t, imp.apply(ideal));
                         let idx = s * k + lane;
                         values[idx] = self.clip(v, idx, max_abs, clipped, track);
@@ -1028,10 +834,10 @@ impl<'a> BatchRun<'a> {
                 } => {
                     let s = *out as usize;
                     for lane in 0..k {
-                        if !active[lane] {
+                        if !live(lane) {
                             continue;
                         }
-                        let ideal = a.mul_add(self.sum(*in0, values, lane), *b);
+                        let ideal = a.mul_add(self.sum::<KC>(*in0, values, lane), *b);
                         let v = self.distort(*unit, t, ideal);
                         let idx = s * k + lane;
                         values[idx] = self.clip(v, idx, max_abs, clipped, track);
@@ -1046,11 +852,12 @@ impl<'a> BatchRun<'a> {
                 } => {
                     let s = *out as usize;
                     for lane in 0..k {
-                        if !active[lane] {
+                        if !live(lane) {
                             continue;
                         }
-                        let ideal =
-                            self.sum(*in0, values, lane) * self.sum(*in1, values, lane) / fs;
+                        let ideal = self.sum::<KC>(*in0, values, lane)
+                            * self.sum::<KC>(*in1, values, lane)
+                            / fs;
                         let v = self.distort(*unit, t, imp.apply(ideal));
                         let idx = s * k + lane;
                         values[idx] = self.clip(v, idx, max_abs, clipped, track);
@@ -1064,10 +871,11 @@ impl<'a> BatchRun<'a> {
                     branches,
                 } => {
                     for lane in 0..k {
-                        if !active[lane] {
+                        if !live(lane) {
                             continue;
                         }
-                        let v = self.distort(*unit, t, imp.apply(self.sum(*input, values, lane)));
+                        let v =
+                            self.distort(*unit, t, imp.apply(self.sum::<KC>(*input, values, lane)));
                         for port in 0..*branches {
                             let idx = (out0 + port) as usize * k + lane;
                             values[idx] = self.clip(v, idx, max_abs, clipped, track);
@@ -1082,11 +890,14 @@ impl<'a> BatchRun<'a> {
                 } => {
                     let s = *out as usize;
                     for lane in 0..k {
-                        if !active[lane] {
+                        if !live(lane) {
                             continue;
                         }
-                        let v =
-                            self.distort(*unit, t, lut.evaluate(self.sum(*input, values, lane)));
+                        let v = self.distort(
+                            *unit,
+                            t,
+                            lut.evaluate(self.sum::<KC>(*input, values, lane)),
+                        );
                         let idx = s * k + lane;
                         values[idx] = self.clip(v, idx, max_abs, clipped, track);
                     }
@@ -1094,10 +905,10 @@ impl<'a> BatchRun<'a> {
                 Op::Sink { input, out } => {
                     let s = *out as usize;
                     for lane in 0..k {
-                        if !active[lane] {
+                        if !live(lane) {
                             continue;
                         }
-                        let v = self.sum(*input, values, lane);
+                        let v = self.sum::<KC>(*input, values, lane);
                         let idx = s * k + lane;
                         values[idx] = self.clip(v, idx, max_abs, clipped, track);
                     }
@@ -1108,31 +919,29 @@ impl<'a> BatchRun<'a> {
         // Integrator derivatives: ω_u times the summed input current.
         for (slot_state, &range) in plan.derivs.iter().enumerate() {
             for lane in 0..k {
-                if !active[lane] {
+                if !live(lane) {
                     continue;
                 }
-                du[slot_state * k + lane] = plan.omega * self.sum(range, values, lane);
+                du[slot_state * k + lane] = plan.omega * self.sum::<KC>(range, values, lane);
             }
         }
     }
 }
 
-impl BatchRun<'_> {
-    /// Number of lanes bound to the batch.
-    pub(crate) fn lanes(&self) -> usize {
+impl Evaluator for BatchRun<'_> {
+    fn lanes(&self) -> usize {
         self.k
     }
 
-    /// Minimum slot-buffer length the tape writes per lane (see
-    /// [`Evaluator::min_slots`]).
-    pub(crate) fn min_slots(&self) -> usize {
+    fn min_slots(&self) -> usize {
         self.plan.n_slots
     }
 
-    /// Writes every lane's folded DAC constants, tracked — the batched
-    /// [`Evaluator::prime`]. Nothing else writes their slots, so a retired
-    /// lane's column freezes on its own.
-    pub(crate) fn prime(&self, tracker: &mut BatchTracker) {
+    /// Writes every lane's folded DAC constants, tracked — exactly what the
+    /// first (tracked k1) eval would record if they were still per-eval
+    /// sources. Nothing else writes their slots, so a retired lane's column
+    /// freezes on its own.
+    fn prime(&self, tracker: &mut Tracker) {
         let k = self.k;
         for (cidx, src) in self.plan.const_dacs.iter().enumerate() {
             for lane in 0..k {
@@ -1144,41 +953,41 @@ impl BatchRun<'_> {
         }
     }
 
-    /// Evaluates the circuit at time `t` for all **active** lanes at once.
-    /// `state`/`du` are `n_states * k`, the tracker arrays `n_slots * k`,
-    /// all column-major (`[index * k + lane]`). Retired lanes are skipped
-    /// entirely — their tracker entries, derivatives, and slot values stay
-    /// frozen at their retirement step, exactly as a sequential run that
-    /// already broke out of the loop.
-    ///
     /// Dispatches between two bodies performing the identical per-lane
     /// floating-point sequence: an unmasked fast path when every lane is
     /// live and no fault plan is armed (lane loops innermost and
-    /// branch-free, so they vectorize), and the masked general path.
-    pub(crate) fn eval_lanes(
+    /// branch-free, so they vectorize), and the masked general path. A lone
+    /// lane is live whenever the driver evaluates, so K = 1 skips the mask
+    /// scan.
+    fn eval(
         &mut self,
         t: f64,
         state: &[f64],
         du: &mut [f64],
-        tracker: &mut BatchTracker,
+        tracker: &mut Tracker,
         track: bool,
         active: &[bool],
     ) {
-        if self.faults.is_none() && active.iter().all(|&a| a) {
+        let all_live = self.k == 1 || active.iter().all(|&a| a);
+        if self.faults.is_none() && all_live {
             // Monomorphize the hot widths: with the lane count a compile-
             // time constant, every lane loop unrolls and vectorizes and the
             // accumulator fills stop being runtime-length memsets — the
             // difference between a batched sweep that beats K sequential
-            // runs and one that loses to them at small K.
+            // runs and one that loses to them at small K. K = 1 is every
+            // sequential compiled run.
             match self.k {
+                1 => self.eval_lanes_unmasked::<1>(t, state, du, tracker, track),
                 2 => self.eval_lanes_unmasked::<2>(t, state, du, tracker, track),
                 4 => self.eval_lanes_unmasked::<4>(t, state, du, tracker, track),
                 8 => self.eval_lanes_unmasked::<8>(t, state, du, tracker, track),
                 16 => self.eval_lanes_unmasked::<16>(t, state, du, tracker, track),
                 _ => self.eval_lanes_unmasked::<0>(t, state, du, tracker, track),
             }
+        } else if self.k == 1 {
+            self.eval_lanes_masked::<1>(t, state, du, tracker, track, active);
         } else {
-            self.eval_lanes_masked(t, state, du, tracker, track, active);
+            self.eval_lanes_masked::<0>(t, state, du, tracker, track, active);
         }
     }
 }

@@ -213,13 +213,6 @@ impl ScheduleLog {
         (n > 0).then(|| self.energy_j_by_class[rank] / n as f64)
     }
 
-    /// Events of one variant-discriminating predicate, e.g. quarantines.
-    pub fn quarantine_events(&self) -> impl Iterator<Item = &ScheduleEvent> {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, ScheduleEvent::Quarantined { .. }))
-    }
-
     /// Records a completion's per-class aggregates.
     pub(crate) fn tally_completion(&mut self, priority: Priority, energy_j: f64) {
         let rank = priority.rank();
@@ -277,7 +270,6 @@ mod tests {
         assert_eq!(lines[3], "r1 quarantine c2");
         assert_eq!(lines[4], "r1 requeue t3 c2 columns=4");
         assert_eq!(lines[5], "spill t5 shard0->shard1");
-        assert_eq!(log.quarantine_events().count(), 1);
     }
 
     #[test]

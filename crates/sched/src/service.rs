@@ -310,15 +310,6 @@ impl FleetService {
         self.shards[shard].queue.len()
     }
 
-    /// The `(chip_offset, chip_count)` range one shard owns.
-    ///
-    /// # Panics
-    ///
-    /// If `shard` is out of range.
-    pub fn shard_chips(&self, shard: usize) -> (usize, usize) {
-        (self.shards[shard].chip_offset, self.shards[shard].chips())
-    }
-
     /// The fleet-wide schedule log accumulated so far.
     pub fn log(&self) -> &ScheduleLog {
         &self.log
@@ -1738,8 +1729,6 @@ mod tests {
         let cfg = FleetConfig::new(4).with_shards(2);
         let mut fleet = FleetService::new(cfg, vec![tri(4), tri(5)]).unwrap();
         assert_eq!(fleet.shard_count(), 2);
-        assert_eq!(fleet.shard_chips(0), (0, 2));
-        assert_eq!(fleet.shard_chips(1), (2, 2));
         // Structure 0 homes to shard 0, structure 1 to shard 1.
         for _ in 0..3 {
             fleet.submit(SolveRequest::new(0, vec![1.0; 4])).unwrap();

@@ -71,13 +71,6 @@ pub struct RefinedReport {
     pub converged: bool,
 }
 
-impl RefinedReport {
-    /// Relative residual after the last round (`None` before any round ran).
-    pub fn final_rel_residual(&self) -> Option<f64> {
-        self.residual_history.last().copied()
-    }
-}
-
 /// Runs Algorithm 2 on an [`AnalogSystemSolver`].
 ///
 /// # Errors

@@ -24,7 +24,8 @@ use crate::SolverError;
 pub struct ScaledSystem {
     /// `Ã = A/s`, every coefficient within the gain range.
     pub matrix: CsrMatrix,
-    /// The value-scale factor `s ≥ 1` applied to the matrix.
+    /// The value-scale factor `s ≥ 1` applied to the matrix; it is also the
+    /// time stretch (the scaled flow settles `s×` slower).
     pub value_factor: f64,
     /// The solution-scale factor `γ > 0`: the hardware solves for `u/γ`.
     pub solution_factor: f64,
@@ -89,14 +90,6 @@ impl ScaledSystem {
     /// `u = γ·ũ`.
     pub fn unscale_solution(&self, scaled: &[f64]) -> Vec<f64> {
         scaled.iter().map(|v| v * self.solution_factor).collect()
-    }
-
-    /// The time-stretch factor: the scaled flow settles `s×` slower
-    /// ("given limited bandwidth in the system, we have restricted the
-    /// dynamic range in A by extending the time it takes for the ODE to
-    /// simulate").
-    pub fn time_stretch(&self) -> f64 {
-        self.value_factor
     }
 
     /// Doubles the solution headroom — the host's response to an overflow
@@ -175,8 +168,6 @@ mod tests {
         let scaled = ScaledSystem::new(&a, 1.0, 1.0, 0.9, 1.0).unwrap();
         assert!((scaled.value_factor - 0.3).abs() < 1e-15);
         assert!((scaled.matrix.max_abs() - 1.0).abs() < 1e-12);
-        // Scaling up shortens the solve: time stretch below 1.
-        assert!(scaled.time_stretch() < 1.0);
     }
 
     #[test]
@@ -204,13 +195,6 @@ mod tests {
         assert!(ScaledSystem::new(&id, 0.0, 1.0, 0.9, 1.0).is_err());
         assert!(ScaledSystem::new(&id, 1.0, 1.0, 1.5, 1.0).is_err());
         assert!(ScaledSystem::new(&id, 1.0, 1.0, 0.9, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn time_stretch_equals_value_factor() {
-        let a = CsrMatrix::tridiagonal(4, -2.0, 8.0, -2.0).unwrap();
-        let scaled = ScaledSystem::new(&a, 1.0, 1.0, 0.9, 1.0).unwrap();
-        assert_eq!(scaled.time_stretch(), 8.0);
     }
 
     #[test]

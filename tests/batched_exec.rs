@@ -38,12 +38,22 @@ fn arbitrary_unit(rng: &mut Rng64, max_index: usize) -> UnitId {
 /// conditions, LUT programs, input stimuli, and optionally a drawn process
 /// variation. Returns `None` when the random netlist fails commit.
 fn arbitrary_chip(rng: &mut Rng64) -> Option<AnalogChip> {
+    arbitrary_chip_with(rng, |_| {})
+}
+
+/// [`arbitrary_chip`] with `prewire` applied to the fresh chip before the
+/// random topology is drawn; `prewire` draws nothing from `rng`.
+fn arbitrary_chip_with(
+    rng: &mut Rng64,
+    prewire: impl FnOnce(&mut AnalogChip),
+) -> Option<AnalogChip> {
     let nonideal = if rng.flip() {
         NonIdealityConfig::default().with_seed(rng.next_u64())
     } else {
         NonIdealityConfig::none()
     };
     let mut chip = AnalogChip::new(ChipConfig::ideal().with_nonideal(nonideal));
+    prewire(&mut chip);
     for _ in 0..(8 + rng.below(25)) {
         let from = OutputPort {
             unit: arbitrary_unit(rng, 4),
@@ -76,6 +86,33 @@ fn arbitrary_chip(rng: &mut Rng64) -> Option<AnalogChip> {
     chip.set_timeout(20 + rng.below(480) as u64);
     chip.cfg_commit().ok()?;
     Some(chip)
+}
+
+/// Wires integrators 0 and 1 into the Figure 1 loop — output through a
+/// fanout into a multiplier back into its own input, plus a DAC drive, the
+/// fanout's second branch tapping an ADC — so every lane integrates for
+/// many steps whatever the random topology adds.
+fn prewire_loops(chip: &mut AnalogChip) {
+    for i in 0..2 {
+        let (int, fan, mul) = (
+            UnitId::Integrator(i),
+            UnitId::Fanout(i),
+            UnitId::Multiplier(i),
+        );
+        let wires = [
+            (OutputPort::of(int), InputPort::of(fan)),
+            (OutputPort { unit: fan, port: 0 }, InputPort::of(mul)),
+            (OutputPort::of(mul), InputPort::of(int)),
+            (OutputPort::of(UnitId::Dac(i)), InputPort::of(int)),
+            (
+                OutputPort { unit: fan, port: 1 },
+                InputPort::of(UnitId::Adc(i)),
+            ),
+        ];
+        for (from, to) in wires {
+            chip.set_conn(from, to).unwrap();
+        }
+    }
 }
 
 /// Draws a small schedule of mixed transient fault events.
@@ -141,22 +178,33 @@ fn bindings_for(chip: &AnalogChip, raw: &[RawLane]) -> Vec<LaneBindings> {
         .collect()
 }
 
-/// The tentpole's differential guarantee: every column of a batched run is
-/// bit-identical to a sequential run of that lane — reports, exception
+/// The batched path's differential guarantee: every column of a batched run
+/// is bit-identical to a sequential run of that lane — reports, exception
 /// latches, ADC inputs, waveforms, everything — under both evaluator
-/// strategies, with and without active fault plans.
+/// strategies, with and without active fault plans, at K = 1, every
+/// monomorphized lane width and the generic one (K = 3).
+///
+/// Sequential and batched compiled runs share one RK4 driver and one op-tape
+/// executor, so under [`EvalStrategy::Compiled`] each column is also checked
+/// against a sequential [`EvalStrategy::Reference`] run: the independent
+/// oracle a defect common to both compiled paths cannot slip past.
 #[test]
 fn batched_exec_is_bit_identical_per_column() {
+    // Case `c` runs width `WIDTHS[c % 6]`, so the 24 cases cover every
+    // width under every (strategy, fault plan) pairing: the compiled
+    // fault-free cases run the unmasked eval body, the faulted ones the
+    // masked body.
+    const WIDTHS: [usize; 6] = [1, 2, 3, 4, 8, 16];
     let mut rng = Rng64::seed_from_u64(0xba7c4);
     let mut compared = 0;
     let mut attempts = 0;
-    while compared < 12 {
+    while compared < 4 * WIDTHS.len() {
         attempts += 1;
-        assert!(attempts < 200, "too few valid random netlists");
+        assert!(attempts < 400, "too few valid random netlists");
         let case_seed = rng.next_u64();
-        let with_faults = rng.flip();
-        let k = 2 + rng.below(3);
-        let strategy = if rng.flip() {
+        let k = WIDTHS[compared % WIDTHS.len()];
+        let with_faults = (compared / WIDTHS.len()) % 2 == 1;
+        let strategy = if compared < 2 * WIDTHS.len() {
             EvalStrategy::Compiled
         } else {
             EvalStrategy::Reference
@@ -168,7 +216,12 @@ fn batched_exec_is_bit_identical_per_column() {
         // difference between the two paths is batched vs sequential.
         let build = || {
             let mut case_rng = Rng64::seed_from_u64(case_seed);
-            let mut chip = arbitrary_chip(&mut case_rng)?;
+            let mut chip = arbitrary_chip_with(&mut case_rng, prewire_loops)?;
+            // A negative gain on loop 0 keeps one state settling (lanes
+            // retire at different steps) or mid-transient at the timeout,
+            // where any arithmetic defect shows in the report.
+            chip.set_mul_gain(0, -0.75).unwrap();
+            chip.cfg_commit().ok()?;
             if with_faults {
                 chip.inject_fault_plan(arbitrary_plan(&mut case_rng));
             }
@@ -207,6 +260,29 @@ fn batched_exec_is_bit_identical_per_column() {
                 batch.reports[j], seq,
                 "batched lane diverged from sequential (case seed {case_seed:#x}, lane {j}/{k})"
             );
+            if strategy == EvalStrategy::Compiled {
+                let mut ref_chip = build().expect("same seed committed once already");
+                for (&i, &v) in dacs {
+                    ref_chip.set_dac_constant(i, v).unwrap();
+                }
+                for (&i, &v) in ints {
+                    ref_chip.set_int_initial(i, v).unwrap();
+                }
+                ref_chip.cfg_commit().unwrap();
+                let reference = ref_chip
+                    .exec(&EngineOptions {
+                        eval_strategy: EvalStrategy::Reference,
+                        ..options.clone()
+                    })
+                    .unwrap_or_else(|e| {
+                        panic!("reference lane {j} failed (case {case_seed:#x}): {e}")
+                    });
+                assert_eq!(
+                    batch.reports[j], reference,
+                    "batched lane diverged from the reference evaluator \
+                     (case seed {case_seed:#x}, lane {j}/{k})"
+                );
+            }
 
             // Readout equality: staging the lane and matching the noise
             // stream makes every ADC conversion identical too.
