@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn settle_time_tracks_the_converter_precision_model() {
         // The engine stops once the readout is within half an ADC code of
-        // the settled state. From rest that takes about
+        // the settled state. A run from rest takes about
         // ln(2√n·|ũ|/lsb)/λ̃_min time constants against the model's
         // ln(2^bits)/λ̃_min, so one settled 12-bit run lands within a few
         // tens of percent of the prediction.
@@ -162,15 +162,26 @@ mod tests {
                     .collect()
             };
             let mut solver = AnalogSystemSolver::new(&a, &cfg).unwrap();
-            // The first solve walks γ; time a run at the settled scale.
+            // The first solve walks γ; the second starts warm from its
+            // answer. Time a run from rest at the settled scale on a fresh
+            // solver.
             solver.solve(&rhs(0)).unwrap();
-            let report = solver.solve(&rhs(1)).unwrap();
+            let warm = solver.solve(&rhs(1)).unwrap();
+            let mut fresh = AnalogSystemSolver::new(&a, &cfg).unwrap();
+            fresh.set_solution_factor(warm.solution_factor);
+            let report = fresh.solve(&rhs(1)).unwrap();
             assert_eq!(report.runs, 1);
             let predicted = predicted_solve_time_s(&a, &design).unwrap();
             let ratio = report.analog_time_s / predicted;
             assert!(
                 ratio > 0.8 && ratio < 1.5,
                 "n = {n}: measured {:.3e} vs predicted {predicted:.3e} (ratio {ratio:.2})",
+                report.analog_time_s
+            );
+            assert!(
+                warm.analog_time_s <= report.analog_time_s,
+                "n = {n}: warm {:.3e} vs cold {:.3e}",
+                warm.analog_time_s,
                 report.analog_time_s
             );
         }

@@ -312,7 +312,10 @@ impl MappedSystem {
     }
 
     /// Programs a (scaled) right-hand side into the DACs, plus initial
-    /// conditions, and commits the configuration.
+    /// conditions, and commits the configuration. The initial state
+    /// (`None` is zero) is clamped to full scale and quantized to the DAC
+    /// resolution, so a programmed start carries no more precision than
+    /// the host's converters.
     ///
     /// # Errors
     ///
@@ -323,13 +326,7 @@ impl MappedSystem {
         b_scaled: &[f64],
         initial: Option<&[f64]>,
     ) -> Result<(), SolverError> {
-        if b_scaled.len() != self.n {
-            return Err(SolverError::invalid(format!(
-                "rhs has {} entries, system has {}",
-                b_scaled.len(),
-                self.n
-            )));
-        }
+        self.check_lengths(b_scaled, initial)?;
         let fs = self.chip.config().full_scale;
         for (i, v) in b_scaled.iter().enumerate() {
             if v.abs() > fs {
@@ -339,32 +336,29 @@ impl MappedSystem {
             }
             self.chip.set_dac_constant(i, *v)?;
         }
-        for i in 0..self.n {
-            let u0 = initial.map(|u| u[i]).unwrap_or(0.0);
-            self.chip.set_int_initial(i, u0.clamp(-fs, fs))?;
+        for (i, u0) in self.initial_conditions(initial) {
+            self.chip.set_int_initial(i, u0)?;
         }
         self.chip.cfg_commit()?;
         Ok(())
     }
 
     /// Builds the per-lane register overlay a batched execution needs for
-    /// one (scaled) right-hand side: DAC constants quantized exactly as
-    /// [`program_rhs`](Self::program_rhs) would store them, plus zero
-    /// initial conditions — so a batched lane is bit-identical to the
-    /// sequential programming path.
+    /// one (scaled) right-hand side: DAC constants and initial conditions
+    /// (`None` is zero) quantized exactly as
+    /// [`program_rhs`](Self::program_rhs) would store them — so a batched
+    /// lane is bit-identical to the sequential programming path.
     ///
     /// # Errors
     ///
     /// [`SolverError::InvalidProblem`] on length mismatch or values beyond
     /// full scale (grow the solution headroom and rescale).
-    pub fn lane_bindings(&self, b_scaled: &[f64]) -> Result<aa_analog::LaneBindings, SolverError> {
-        if b_scaled.len() != self.n {
-            return Err(SolverError::invalid(format!(
-                "rhs has {} entries, system has {}",
-                b_scaled.len(),
-                self.n
-            )));
-        }
+    pub fn lane_bindings(
+        &self,
+        b_scaled: &[f64],
+        initial: Option<&[f64]>,
+    ) -> Result<aa_analog::LaneBindings, SolverError> {
+        self.check_lengths(b_scaled, initial)?;
         let fs = self.chip.config().full_scale;
         let mut dacs = BTreeMap::new();
         for (i, v) in b_scaled.iter().enumerate() {
@@ -377,8 +371,30 @@ impl MappedSystem {
         }
         Ok(aa_analog::LaneBindings {
             dac_values: Some(dacs),
-            int_initial: Some((0..self.n).map(|i| (i, 0.0)).collect()),
+            int_initial: Some(self.initial_conditions(initial)),
         })
+    }
+
+    fn check_lengths(&self, b_scaled: &[f64], initial: Option<&[f64]>) -> Result<(), SolverError> {
+        let initial_len = initial.map_or(self.n, <[f64]>::len);
+        for (what, len) in [("rhs", b_scaled.len()), ("initial state", initial_len)] {
+            if len != self.n {
+                return Err(SolverError::invalid(format!(
+                    "{what} has {len} entries, system has {}",
+                    self.n
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The `setIntInitial` value of every integrator: `initial` (scaled
+    /// domain) clamped to full scale and quantized to the DAC resolution;
+    /// zero without one.
+    fn initial_conditions(&self, initial: Option<&[f64]>) -> BTreeMap<usize, f64> {
+        (0..self.n)
+            .map(|i| (i, initial.map_or(0.0, |u| self.chip.quantize_dac(u[i]))))
+            .collect()
     }
 
     /// Commits the draft configuration if no commit is in effect yet (a
@@ -557,6 +573,33 @@ mod tests {
         assert!(mapped.program_rhs(&[0.1], None).is_err());
         assert!(mapped.program_rhs(&[0.1, 2.0], None).is_err());
         assert!(mapped.program_rhs(&[0.1, 0.2], None).is_ok());
+        assert!(mapped.program_rhs(&[0.1, 0.2], Some(&[0.0])).is_err());
+        assert!(mapped.lane_bindings(&[0.1, 0.2], Some(&[0.0])).is_err());
+    }
+
+    #[test]
+    fn initial_state_is_clamped_and_quantized_alike_on_both_paths() {
+        let a = CsrMatrix::identity(2);
+        let mut mapped = MappedSystem::new(&a, &ChipConfig::ideal()).unwrap();
+        let initial = [0.3001, -7.0];
+        let lane = mapped.lane_bindings(&[0.1, 0.2], Some(&initial)).unwrap();
+        let ints = lane.int_initial.clone().unwrap();
+        let q = |v: f64| mapped.chip().quantize_dac(v);
+        assert_eq!(ints[&0], q(0.3001));
+        assert_eq!(ints[&1], -mapped.chip().config().full_scale);
+        assert_ne!(ints[&0], 0.3001, "carries no more than DAC precision");
+
+        // The sequential path programs the same state: a run from it
+        // reproduces the lane's run on an identical chip.
+        let mut twin = MappedSystem::new(&a, &ChipConfig::ideal()).unwrap();
+        twin.ensure_committed().unwrap();
+        let batch = twin
+            .chip_mut()
+            .exec_batch(&[lane], &EngineOptions::default())
+            .unwrap();
+        mapped.program_rhs(&[0.1, 0.2], Some(&initial)).unwrap();
+        let sequential = mapped.chip_mut().exec(&EngineOptions::default()).unwrap();
+        assert_eq!(batch.reports[0], sequential);
     }
 
     #[test]

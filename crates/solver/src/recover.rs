@@ -818,10 +818,13 @@ impl SupervisedSolver {
     }
 
     /// Rebuilds the inner solver on a fresh accelerator instance, carrying
-    /// the remaining fault windows over to its lifetime clock.
+    /// the remaining fault windows over to its lifetime clock. The
+    /// warm-start basis is host data, not chip state, so it carries over.
     fn remap(&mut self) -> Result<(), SolverError> {
         self.consumed_lifetime_s += self.inner.chip().lifetime_s();
+        let warm_start = self.inner.warm_start().cloned();
         self.inner = AnalogSystemSolver::new(&self.matrix, &self.solver_config)?;
+        self.inner.set_warm_start(warm_start);
         if let Some(plan) = &self.fault_plan {
             self.inner
                 .chip_mut()
@@ -1104,6 +1107,17 @@ mod tests {
             s.solve(&[1.0]),
             Err(SolverError::InvalidProblem { .. })
         ));
+    }
+
+    #[test]
+    fn remap_keeps_the_warm_start_basis() {
+        let a = poisson_3();
+        let mut s = SupervisedSolver::new(&a, &test_config(), &RecoveryConfig::default()).unwrap();
+        s.solve(&[1.0, 0.5, 1.0]).unwrap();
+        let basis = s.inner.warm_start().cloned();
+        assert!(basis.is_some());
+        s.remap().unwrap();
+        assert_eq!(s.inner.warm_start().cloned(), basis);
     }
 
     #[test]

@@ -86,6 +86,12 @@ impl ScaledSystem {
         b.iter().map(|v| v * k).collect()
     }
 
+    /// A solution in the hardware domain, `ũ = u / γ` (a run's initial
+    /// state).
+    pub fn scale_solution(&self, u: &[f64]) -> Vec<f64> {
+        u.iter().map(|v| v / self.solution_factor).collect()
+    }
+
     /// Recovers the true solution from the hardware steady state:
     /// `u = γ·ũ`.
     pub fn unscale_solution(&self, scaled: &[f64]) -> Vec<f64> {

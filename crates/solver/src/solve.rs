@@ -7,7 +7,7 @@
 //! averaged ADC conversions.
 
 use aa_analog::{calibrate, ChipConfig, EngineOptions, NonIdealityConfig};
-use aa_linalg::{CsrMatrix, LinearOperator};
+use aa_linalg::{vector, CsrMatrix, LinearOperator};
 
 use crate::estimate::scaled_lambda_min;
 use crate::mapping::MappedSystem;
@@ -147,12 +147,46 @@ pub enum BatchColumn {
     Fallback(&'static str),
 }
 
+/// The solver's one-vector warm-start basis: its last settled readout
+/// `u_p` and the energy `u_pᵀA·u_p`.
+///
+/// A run for `b` starts at the A-norm-optimal multiple `α·u_p`, with the
+/// Galerkin coefficient `α = u_pᵀb / u_pᵀA·u_p` (the one-vector case of
+/// Fischer's projection method for successive right-hand sides). It
+/// minimizes `‖u* − α·u_p‖_A` over `α`, and `α = 0` is the cold start, so
+/// the guess is never further from the answer in the A-norm than zero is.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WarmStart {
+    /// The last settled (unscaled) readout `u_p`.
+    pub basis: Vec<f64>,
+    /// `u_pᵀA·u_p`, positive.
+    pub energy: f64,
+}
+
+impl WarmStart {
+    /// The basis for a settled readout `u` of `A·u = b`; `None` when
+    /// `u_pᵀA·u_p` is not positive (a zero readout spans nothing).
+    fn new(a: &CsrMatrix, u: &[f64]) -> Option<Self> {
+        let energy = vector::dot(u, &a.apply_vec(u));
+        (energy.is_finite() && energy > 0.0).then(|| WarmStart {
+            basis: u.to_vec(),
+            energy,
+        })
+    }
+
+    /// The Galerkin coefficient `α` for `b` and the guess `α·u_p`.
+    fn guess(&self, b: &[f64]) -> (f64, Vec<f64>) {
+        let alpha = vector::dot(&self.basis, b) / self.energy;
+        (alpha, self.basis.iter().map(|u| alpha * u).collect())
+    }
+}
+
 /// A snapshot of one [`AnalogSystemSolver`]'s cross-solve mutable state:
 /// the adaptive solution-scale factor `γ` (walked by overflow/underuse
-/// retries across solves) plus the underlying chip's runtime state. The
-/// matrix, config, and compiled circuit are excluded — the restore path
-/// rebuilds them deterministically with [`AnalogSystemSolver::new`] before
-/// importing.
+/// retries across solves), the warm-start basis, plus the underlying
+/// chip's runtime state. The matrix, config, and compiled circuit are
+/// excluded — the restore path rebuilds them deterministically with
+/// [`AnalogSystemSolver::new`] before importing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverCheckpoint {
     /// The solution-scale factor `γ` in effect at capture time.
@@ -166,6 +200,8 @@ pub struct SolverCheckpoint {
     /// ([`SolverError::CheckpointMismatch`](crate::SolverError)) — the
     /// cached plans and obs journals would not line up.
     pub passes: aa_analog::PassConfig,
+    /// The warm-start basis the next run starts from (`None` starts cold).
+    pub warm_start: Option<WarmStart>,
     /// The chip's mutable runtime state.
     pub chip: aa_analog::ChipCheckpoint,
 }
@@ -188,6 +224,9 @@ pub struct AnalogSystemSolver {
     /// solver pre-pays one sequential solve to establish `γ` instead of
     /// running a sweep that every column would fall out of.
     calibrated: bool,
+    /// The last settled readout every run starts from; `None` until a run
+    /// settles, so a fresh solver's first solve starts at zero.
+    warm_start: Option<WarmStart>,
 }
 
 impl std::fmt::Debug for AnalogSystemSolver {
@@ -237,6 +276,7 @@ impl AnalogSystemSolver {
             config: config.clone(),
             engine,
             calibrated: false,
+            warm_start: None,
         })
     }
 
@@ -302,6 +342,7 @@ impl AnalogSystemSolver {
             solution_factor: self.scaled.solution_factor,
             calibrated: self.calibrated,
             passes: self.config.engine.passes,
+            warm_start: self.warm_start.clone(),
             chip: self.mapped.chip().export_state(),
         }
     }
@@ -327,6 +368,7 @@ impl AnalogSystemSolver {
         }
         self.scaled.solution_factor = state.solution_factor;
         self.calibrated = state.calibrated;
+        self.warm_start = state.warm_start.clone();
         self.mapped.chip_mut().import_state(&state.chip)?;
         Ok(())
     }
@@ -335,6 +377,25 @@ impl AnalogSystemSolver {
     /// `gamma` instead of where the previous solve left it.
     pub(crate) fn set_solution_factor(&mut self, gamma: f64) {
         self.scaled.solution_factor = gamma;
+    }
+
+    /// The warm-start basis the next run starts from.
+    pub(crate) fn warm_start(&self) -> Option<&WarmStart> {
+        self.warm_start.as_ref()
+    }
+
+    /// Carries a warm-start basis over from another solver of the same
+    /// matrix (a remap onto a fresh chip keeps the host's last answer).
+    pub(crate) fn set_warm_start(&mut self, warm_start: Option<WarmStart>) {
+        self.warm_start = warm_start;
+    }
+
+    /// The Galerkin guess `(α, α·u_p)` for `b` from the current basis, and
+    /// its count on `solver.warm_starts`.
+    fn warm_guess(&self, b: &[f64]) -> Option<(f64, Vec<f64>)> {
+        let guess = self.warm_start.as_ref()?.guess(b);
+        aa_obs::counter("solver.warm_starts", 1);
+        Some(guess)
     }
 
     /// Solves `A·u = b` on the accelerator with overflow-driven retry.
@@ -382,6 +443,9 @@ impl AnalogSystemSolver {
         // Once overflow forces headroom growth, further shrinking would
         // ping-pong; underuse retries are disabled from then on.
         let mut allow_shrink = true;
+        // Every run of the γ walk starts from the same guess, rescaled to
+        // the walk's current γ.
+        let guess = self.warm_guess(b);
 
         loop {
             let b_scaled = self.scaled.scale_rhs(b);
@@ -428,7 +492,8 @@ impl AnalogSystemSolver {
                 );
                 continue;
             }
-            self.mapped.program_rhs(&b_scaled, None)?;
+            let initial = guess.as_ref().map(|(_, u0)| self.scaled.scale_solution(u0));
+            self.mapped.program_rhs(&b_scaled, initial.as_deref())?;
             let report = self.mapped.chip_mut().exec(&self.engine)?;
             total_time += report.duration_s;
             runs += 1;
@@ -498,20 +563,26 @@ impl AnalogSystemSolver {
             let raw = self.mapped.read_solution(self.config.readout_samples)?;
             let solution = self.scaled.unscale_solution(&raw);
             // A timed-out readout skipped the underuse walk, so its γ is
-            // not one a batch should start from.
+            // not one a batch should start from, and its state is not a
+            // settled answer to start the next run from.
             self.calibrated |= !timed_out;
             let kind = if timed_out {
                 "solver.timed_out_readout"
             } else {
+                self.warm_start = WarmStart::new(&self.matrix, &solution);
                 "solver.accept"
             };
-            aa_obs::event(
-                aa_obs::Event::new(kind)
+            if aa_obs::is_active() {
+                let mut ev = aa_obs::Event::new(kind)
                     .with("runs", runs)
                     .with("overflow_retries", retries)
                     .with("underuse_retries", underuse_retries)
-                    .with("peak", peak),
-            );
+                    .with("peak", peak);
+                if let Some((alpha, _)) = &guess {
+                    ev = ev.with("alpha", *alpha);
+                }
+                aa_obs::event(ev);
+            }
             let report = AnalogSolveReport {
                 solution,
                 analog_time_s: total_time,
@@ -543,6 +614,10 @@ impl AnalogSystemSolver {
     /// the remaining columns keep their batched result. Each solved column's
     /// readout replays the readout-noise stream from the batch entry state,
     /// so its conversions match what a first sequential solve would see.
+    ///
+    /// Every lane starts from its own Galerkin multiple of the warm-start
+    /// basis as it stood at batch entry (after the pre-calibration solve, if
+    /// one ran); the last solved column becomes the basis afterwards.
     ///
     /// # Errors
     ///
@@ -604,7 +679,10 @@ impl AnalogSystemSolver {
                 out.push(BatchColumn::Fallback("rhs_underuse"));
                 continue;
             }
-            lanes.push(self.mapped.lane_bindings(&b_scaled)?);
+            let initial = self
+                .warm_guess(b)
+                .map(|(_, u0)| self.scaled.scale_solution(&u0));
+            lanes.push(self.mapped.lane_bindings(&b_scaled, initial.as_deref())?);
             lane_columns.push(j);
             out.push(BatchColumn::Fallback("pending"));
         }
@@ -650,6 +728,13 @@ impl AnalogSystemSolver {
             });
         }
         self.mapped.chip_mut().finish_batch(&batch);
+        let last_solved = lane_columns.iter().rev().find_map(|&j| match &out[j] {
+            BatchColumn::Solved(report) => Some(&report.solution),
+            BatchColumn::Fallback(_) => None,
+        });
+        if let Some(solution) = last_solved {
+            self.warm_start = WarmStart::new(&self.matrix, solution);
+        }
         if aa_obs::is_active() {
             let solved = out
                 .iter()
@@ -864,25 +949,112 @@ mod tests {
             let mut bounded = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
             assert!(bounded.steady_tol().is_some_and(|tol| tol > 1e-6));
             let report = bounded.solve(&b).unwrap();
+            // A correlated second right-hand side, started warm from the
+            // first answer.
+            let b_next: Vec<f64> = b.iter().map(|v| 0.8 * v + rng.range(-0.2, 0.2)).collect();
+            assert!(bounded.warm_start().is_some());
+            let warm = bounded.solve(&b_next).unwrap();
 
-            // The same solve at the same γ, with detection off, integrated
-            // for 40 time constants of its slowest mode.
-            let lambda = scaled_lambda_min(&a).unwrap();
-            let mut cfg = SolverConfig::ideal();
-            cfg.engine.steady_tol = None;
-            cfg.engine.max_tau = 40.0 / lambda;
-            let mut settled = AnalogSystemSolver::new(&a, &cfg).unwrap();
-            settled.set_solution_factor(report.solution_factor);
-            let (full, timed_out) = settled.solve_or_time_out(&b).unwrap();
-            assert!(timed_out, "detection off runs to the cap");
-            assert_eq!(full.solution_factor, report.solution_factor);
+            for (b, report) in [(&b, report), (&b_next, warm)] {
+                // The same solve at the same γ, cold, with detection off,
+                // integrated for 40 time constants of its slowest mode.
+                let lambda = scaled_lambda_min(&a).unwrap();
+                let mut cfg = SolverConfig::ideal();
+                cfg.engine.steady_tol = None;
+                cfg.engine.max_tau = 40.0 / lambda;
+                let mut settled = AnalogSystemSolver::new(&a, &cfg).unwrap();
+                settled.set_solution_factor(report.solution_factor);
+                let (full, timed_out) = settled.solve_or_time_out(b).unwrap();
+                assert!(timed_out, "detection off runs to the cap");
+                assert_eq!(full.solution_factor, report.solution_factor);
 
-            let lsb = bounded.chip().config().adc_lsb();
-            for (x, y) in report.solution.iter().zip(&full.solution) {
-                let codes = (x - y).abs() / (report.solution_factor * lsb);
-                assert!(codes <= 1.0 + 1e-9, "n = {n}: {codes} codes apart");
+                let lsb = bounded.chip().config().adc_lsb();
+                for (x, y) in report.solution.iter().zip(&full.solution) {
+                    let codes = (x - y).abs() / (report.solution_factor * lsb);
+                    assert!(codes <= 1.0 + 1e-9, "n = {n}: {codes} codes apart");
+                }
+                assert!(report.analog_time_s < full.analog_time_s);
             }
-            assert!(report.analog_time_s < full.analog_time_s);
+        }
+    }
+
+    /// `‖u* − u0‖_A` for `A·u* = b`.
+    fn a_norm_error(a: &CsrMatrix, b: &[f64], u0: &[f64]) -> f64 {
+        let exact = aa_linalg::direct::solve(&a.to_dense(), b).unwrap();
+        let e: Vec<f64> = exact.iter().zip(u0).map(|(x, g)| x - g).collect();
+        vector::dot(&e, &a.apply_vec(&e)).sqrt()
+    }
+
+    #[test]
+    fn warm_guess_is_never_further_than_zero_in_the_a_norm() {
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(5);
+        for a in [
+            poisson_1d(7),
+            CsrMatrix::from_row_access(&PoissonStencil::new_2d(4).unwrap()),
+            CsrMatrix::tridiagonal(9, -1.0, 2.3, -1.0).unwrap(),
+        ] {
+            let n = a.dim();
+            let mut solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+            assert!(solver.warm_start().is_none(), "a fresh solver starts cold");
+            let mut b: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
+            solver.solve(&b).unwrap();
+            for step in 0..12 {
+                let basis = solver.warm_start().unwrap().clone();
+                b = match step % 4 {
+                    // Sign-flipped.
+                    0 => b.iter().map(|v| -v).collect(),
+                    // A-orthogonal to u_p: u_pᵀA·u* = u_pᵀb = 0.
+                    1 => {
+                        let r: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
+                        let c =
+                            vector::dot(&basis.basis, &r) / vector::dot(&basis.basis, &basis.basis);
+                        r.iter().zip(&basis.basis).map(|(r, u)| r - c * u).collect()
+                    }
+                    // Correlated with the last right-hand side.
+                    2 => b.iter().map(|v| 0.7 * v + rng.range(-0.3, 0.3)).collect(),
+                    // Fresh.
+                    _ => (0..n).map(|_| rng.range(-1.0, 1.0)).collect(),
+                };
+                let (alpha, guess) = basis.guess(&b);
+                let cold = a_norm_error(&a, &b, &vec![0.0; n]);
+                let warm = a_norm_error(&a, &b, &guess);
+                assert!(warm <= cold * (1.0 + 1e-12), "step {step}: {warm} > {cold}");
+                if step % 4 == 1 {
+                    assert!(alpha.abs() < 1e-12, "A-orthogonal rhs: α = {alpha}");
+                }
+                solver.solve(&b).unwrap();
+            }
+
+            // An all-zero right-hand side projects onto the zero guess.
+            let zero = vec![0.0; n];
+            let (alpha, guess) = solver.warm_start().unwrap().guess(&zero);
+            assert_eq!(alpha, 0.0);
+            assert!(guess.iter().all(|g| *g == 0.0));
+            assert_eq!(a_norm_error(&a, &zero, &guess), 0.0);
+        }
+    }
+
+    #[test]
+    fn warm_start_settles_a_correlated_stream_sooner_than_cold() {
+        let a = CsrMatrix::from_row_access(&PoissonStencil::new_2d(4).unwrap());
+        let n = a.dim();
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(9);
+        let mut b: Vec<f64> = (0..n).map(|_| rng.range(0.2, 1.0)).collect();
+        let mut solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+        solver.solve(&b).unwrap();
+        for _ in 0..4 {
+            b = b.iter().map(|v| v + rng.range(-0.1, 0.1)).collect();
+            let warm = solver.solve(&b).unwrap();
+            let mut fresh = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+            fresh.set_solution_factor(warm.solution_factor);
+            let cold = fresh.solve(&b).unwrap();
+            assert_eq!((warm.runs, cold.runs), (1, 1));
+            assert!(
+                warm.analog_time_s < cold.analog_time_s,
+                "warm {} vs cold {}",
+                warm.analog_time_s,
+                cold.analog_time_s
+            );
         }
     }
 
@@ -944,19 +1116,31 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_with_matching_passes() {
         let a = poisson_1d(4);
-        let b = vec![0.4, -0.1, 0.3, 0.2];
+        let stream = [
+            vec![0.4, -0.1, 0.3, 0.2],
+            vec![0.5, -0.2, 0.3, 0.1],
+            vec![0.3, 0.0, 0.4, 0.2],
+            vec![0.4, -0.1, 0.2, 0.3],
+        ];
         let mut cfg = SolverConfig::ideal();
         cfg.engine.passes = aa_analog::PassConfig::full();
         let mut original = AnalogSystemSolver::new(&a, &cfg).unwrap();
-        original.solve(&b).unwrap();
+        for b in &stream[..2] {
+            original.solve(b).unwrap();
+        }
+        // Mid-stream: the snapshot carries the warm-start basis.
         let snap = original.export_state();
         assert_eq!(snap.passes, aa_analog::PassConfig::full());
+        assert!(snap.warm_start.is_some());
 
         let mut restored = AnalogSystemSolver::new(&a, &cfg).unwrap();
         restored.import_state(&snap).unwrap();
-        let from_restored = restored.solve(&b).unwrap();
-        let from_original = original.solve(&b).unwrap();
-        assert_eq!(from_restored.solution, from_original.solution);
+        for b in &stream[2..] {
+            let from_restored = restored.solve(b).unwrap();
+            let from_original = original.solve(b).unwrap();
+            assert_eq!(from_restored, from_original);
+        }
+        assert_eq!(restored.export_state(), original.export_state());
     }
 
     #[test]
