@@ -222,12 +222,12 @@ impl FleetConfig {
     }
 
     /// The deterministic per-chip seed: `base_seed` mixed with the index.
-    pub fn chip_seed(&self, chip: usize) -> u64 {
+    fn chip_seed(&self, chip: usize) -> u64 {
         mix64(self.base_seed ^ mix64(chip as u64 + 1))
     }
 
     /// The effective worker count.
-    pub fn effective_workers(&self) -> usize {
+    fn effective_workers(&self) -> usize {
         let w = if self.workers == 0 {
             self.chips
         } else {

@@ -19,8 +19,9 @@ use aa_pde::{CoarseSolver, PdeError};
 use crate::recover::{FinalPath, RecoveryConfig, SupervisedSolver};
 use crate::solve::SolverConfig;
 
-/// Default number of per-grid-size solver instances kept compiled.
-pub const DEFAULT_CACHE_CAPACITY: usize = 8;
+/// Number of per-grid-size solver instances kept compiled; the least
+/// recently used one is evicted first.
+const CACHE_CAPACITY: usize = 8;
 
 /// An [`aa_pde::CoarseSolver`] backed by the supervised analog accelerator.
 ///
@@ -41,11 +42,9 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 8;
 /// ```
 pub struct AnalogCoarseSolver {
     config: SolverConfig,
-    recovery: RecoveryConfig,
     /// One compiled supervised solver per coarse grid size, tagged with a
     /// last-use stamp for LRU eviction.
     cache: BTreeMap<usize, (u64, SupervisedSolver)>,
-    capacity: usize,
     stamp: u64,
     /// Total simulated analog time spent in coarse solves, seconds.
     analog_time_s: f64,
@@ -53,6 +52,8 @@ pub struct AnalogCoarseSolver {
     solves: usize,
     cache_hits: usize,
     cache_misses: usize,
+    /// Coarse solves whose answer came from the digital fallback after
+    /// analog recovery was exhausted.
     fallback_solves: usize,
 }
 
@@ -60,7 +61,6 @@ impl std::fmt::Debug for AnalogCoarseSolver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AnalogCoarseSolver")
             .field("cached_sizes", &self.cache.keys().collect::<Vec<_>>())
-            .field("capacity", &self.capacity)
             .field("solves", &self.solves)
             .field("cache_hits", &self.cache_hits)
             .field("cache_misses", &self.cache_misses)
@@ -72,13 +72,11 @@ impl std::fmt::Debug for AnalogCoarseSolver {
 
 impl AnalogCoarseSolver {
     /// Creates a coarse solver that instantiates accelerators per grid size
-    /// on demand, with the default recovery policy and cache capacity.
+    /// on demand, with the default recovery policy.
     pub fn new(config: SolverConfig) -> Self {
         AnalogCoarseSolver {
             config,
-            recovery: RecoveryConfig::default(),
             cache: BTreeMap::new(),
-            capacity: DEFAULT_CACHE_CAPACITY,
             stamp: 0,
             analog_time_s: 0.0,
             solves: 0,
@@ -86,25 +84,6 @@ impl AnalogCoarseSolver {
             cache_misses: 0,
             fallback_solves: 0,
         }
-    }
-
-    /// Replaces the recovery policy applied to every coarse solve.
-    pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Bounds the number of compiled solver instances kept alive. The least
-    /// recently used entry is evicted first. A capacity of `0` disables the
-    /// cache entirely: every coarse solve compiles a fresh solver (and
-    /// counts as a miss) instead of constructing an LRU that could never
-    /// hold an entry.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
-        while self.cache.len() > self.capacity {
-            self.evict_lru();
-        }
-        self
     }
 
     /// Total simulated analog time consumed so far (including rejected
@@ -129,12 +108,6 @@ impl AnalogCoarseSolver {
         self.cache_misses
     }
 
-    /// Coarse solves whose answer came from the digital fallback after
-    /// analog recovery was exhausted.
-    pub fn fallback_solves(&self) -> usize {
-        self.fallback_solves
-    }
-
     fn evict_lru(&mut self) {
         if let Some(&l) = self
             .cache
@@ -150,7 +123,6 @@ impl AnalogCoarseSolver {
 impl CoarseSolver for AnalogCoarseSolver {
     fn solve_coarse(&mut self, a: &PoissonStencil, b: &[f64]) -> Result<Vec<f64>, PdeError> {
         let l = a.points_per_side();
-        let mut uncached: Option<SupervisedSolver> = None;
         if self.cache.contains_key(&l) {
             self.cache_hits += 1;
             aa_obs::counter("solver.coarse.cache_hits", 1);
@@ -158,32 +130,19 @@ impl CoarseSolver for AnalogCoarseSolver {
             self.cache_misses += 1;
             aa_obs::counter("solver.coarse.cache_misses", 1);
             let matrix = CsrMatrix::from_row_access(a);
-            let solver =
-                SupervisedSolver::new(&matrix, &self.config, &self.recovery).map_err(|e| {
-                    PdeError::InvalidGrid {
-                        message: format!("analog coarse solver construction failed: {e}"),
-                    }
-                })?;
-            if self.capacity == 0 {
-                // Cache disabled: use the fresh solver once, never store it.
-                uncached = Some(solver);
-            } else {
-                if self.cache.len() >= self.capacity {
-                    self.evict_lru();
-                }
-                self.cache.insert(l, (self.stamp, solver));
+            let solver = SupervisedSolver::new(&matrix, &self.config, &RecoveryConfig::default())
+                .map_err(|e| PdeError::InvalidGrid {
+                message: format!("analog coarse solver construction failed: {e}"),
+            })?;
+            if self.cache.len() >= CACHE_CAPACITY {
+                self.evict_lru();
             }
+            self.cache.insert(l, (self.stamp, solver));
         }
         self.stamp += 1;
-        let solver = match &mut uncached {
-            Some(s) => s,
-            None => {
-                let entry = self.cache.get_mut(&l).expect("inserted above");
-                entry.0 = self.stamp;
-                &mut entry.1
-            }
-        };
-        let report = solver.solve(b).map_err(|e| PdeError::InvalidGrid {
+        let entry = self.cache.get_mut(&l).expect("inserted above");
+        entry.0 = self.stamp;
+        let report = entry.1.solve(b).map_err(|e| PdeError::InvalidGrid {
             message: format!("analog coarse solve failed: {e}"),
         })?;
         self.analog_time_s += report.recovery.analog_time_s();
@@ -215,7 +174,7 @@ mod tests {
         assert!(report.converged);
         assert!(analog.solves() > 0);
         assert!(analog.analog_time_s() > 0.0);
-        assert_eq!(analog.fallback_solves(), 0);
+        assert_eq!(analog.fallback_solves, 0);
         // Same answer as the all-digital path.
         let mut digital = CgCoarseSolver::default();
         let reference = mg.solve(problem.rhs(), &mut digital, 1e-10, 60).unwrap();
@@ -265,38 +224,25 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_least_recently_used_size() {
-        let mut analog = AnalogCoarseSolver::new(SolverConfig::ideal()).with_cache_capacity(2);
-        let s3 = PoissonStencil::new_1d(3).unwrap();
-        let s4 = PoissonStencil::new_1d(4).unwrap();
-        let s5 = PoissonStencil::new_1d(5).unwrap();
-        analog.solve_coarse(&s3, &[1.0; 3]).unwrap(); // miss {3}
-        analog.solve_coarse(&s4, &[1.0; 4]).unwrap(); // miss {3,4}
-        analog.solve_coarse(&s3, &[0.5; 3]).unwrap(); // hit, 3 now most recent
-        analog.solve_coarse(&s5, &[1.0; 5]).unwrap(); // miss, evicts 4
-        assert_eq!(analog.cache.len(), 2);
-        assert!(analog.cache.contains_key(&3) && analog.cache.contains_key(&5));
-        analog.solve_coarse(&s4, &[1.0; 4]).unwrap(); // recompile 4
-        assert_eq!(analog.cache_misses(), 4);
+        let mut analog = AnalogCoarseSolver::new(SolverConfig::ideal());
+        let solve = |analog: &mut AnalogCoarseSolver, l: usize| {
+            let stencil = PoissonStencil::new_1d(l).unwrap();
+            analog.solve_coarse(&stencil, &vec![1.0; l]).unwrap();
+        };
+        // Fill the cache with sizes 3, 4, …, then touch 3 again.
+        let sizes: Vec<usize> = (3..3 + CACHE_CAPACITY).collect();
+        for &l in &sizes {
+            solve(&mut analog, l); // miss
+        }
+        solve(&mut analog, 3); // hit, 3 now most recent
+        let extra = 3 + CACHE_CAPACITY;
+        solve(&mut analog, extra); // miss, evicts 4
+        assert_eq!(analog.cache.len(), CACHE_CAPACITY);
+        assert!(analog.cache.contains_key(&3) && analog.cache.contains_key(&extra));
+        assert!(!analog.cache.contains_key(&4));
+        solve(&mut analog, 4); // recompile 4
+        assert_eq!(analog.cache_misses(), CACHE_CAPACITY + 2);
         assert_eq!(analog.cache_hits(), 1);
-        assert_eq!(analog.solves(), 5);
-    }
-
-    #[test]
-    fn zero_cache_capacity_disables_the_cache() {
-        let mut analog = AnalogCoarseSolver::new(SolverConfig::ideal()).with_cache_capacity(0);
-        let s3 = PoissonStencil::new_1d(3).unwrap();
-        let first = analog.solve_coarse(&s3, &[1.0; 3]).unwrap();
-        let second = analog.solve_coarse(&s3, &[1.0; 3]).unwrap();
-        assert_eq!(first, second, "fresh per-solve instances are deterministic");
-        assert_eq!(analog.cache.len(), 0, "nothing is ever stored");
-        assert_eq!(analog.cache_misses(), 2, "every solve recompiles");
-        assert_eq!(analog.cache_hits(), 0);
-        assert_eq!(analog.solves(), 2);
-        // Shrinking an already-populated cache to zero drops its entries.
-        let mut populated = AnalogCoarseSolver::new(SolverConfig::ideal());
-        populated.solve_coarse(&s3, &[1.0; 3]).unwrap();
-        assert_eq!(populated.cache.len(), 1);
-        let emptied = populated.with_cache_capacity(0);
-        assert_eq!(emptied.cache.len(), 0);
+        assert_eq!(analog.solves(), CACHE_CAPACITY + 3);
     }
 }

@@ -40,7 +40,7 @@ pub enum MappingStrategy {
 /// [`MappingStrategy::SharedOffDiagonal`] applies when, in every row, all
 /// off-diagonal coefficients are equal (within `tolerance`, relative to the
 /// largest coefficient).
-pub fn detect_strategy(a: &CsrMatrix, tolerance: f64) -> MappingStrategy {
+fn detect_strategy(a: &CsrMatrix, tolerance: f64) -> MappingStrategy {
     let scale = a.max_abs().max(f64::MIN_POSITIVE);
     for i in 0..a.dim() {
         let mut shared: Option<f64> = None;

@@ -32,7 +32,9 @@ use aa_linalg::{CsrMatrix, LinearOperator};
 use aa_linalg::vector;
 
 use crate::refine;
-use crate::solve::{AnalogSolveReport, AnalogSystemSolver, SolverCheckpoint, SolverConfig};
+use crate::solve::{
+    AnalogSolveReport, AnalogSystemSolver, SolverCheckpoint, SolverConfig, WarmSlot,
+};
 use crate::SolverError;
 
 /// A snapshot of one [`SupervisedSolver`]'s mutable state: the inner
@@ -60,6 +62,10 @@ pub struct SupervisedCheckpoint {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryConfig {
     /// Accept a solution when `‖b − A·x‖₂ / ‖b‖₂` is at or below this.
+    /// It also sets where every supervised analog run stops: once the
+    /// run's own residual is within a quarter of it, or once its readout
+    /// can no longer change if that comes first. Settling further buys
+    /// precision this check discards.
     pub residual_tolerance: f64,
     /// Total analog attempts (including the first) before falling back.
     pub max_attempts: usize,
@@ -327,20 +333,6 @@ impl SupervisedSolver {
         })
     }
 
-    /// Wraps an existing solver (its matrix and config are reused for
-    /// remaps).
-    pub fn from_solver(inner: AnalogSystemSolver, recovery: &RecoveryConfig) -> Self {
-        SupervisedSolver {
-            matrix: inner.matrix().clone(),
-            solver_config: inner.config().clone(),
-            recovery: recovery.clone(),
-            inner,
-            fault_plan: None,
-            consumed_lifetime_s: 0.0,
-            precond_scales: Vec::new(),
-        }
-    }
-
     /// Injects a runtime-fault schedule into the underlying chip. The plan
     /// is kept so a mid-recovery remap carries the remaining fault windows
     /// over to the replacement instance.
@@ -354,16 +346,6 @@ impl SupervisedSolver {
         &self.inner
     }
 
-    /// Mutable access to the wrapped solver.
-    pub fn inner_mut(&mut self) -> &mut AnalogSystemSolver {
-        &mut self.inner
-    }
-
-    /// The recovery policy in effect.
-    pub fn recovery_config(&self) -> &RecoveryConfig {
-        &self.recovery
-    }
-
     /// Compiled-plan cache statistics of the underlying chip, so a fleet
     /// scheduler can report batching effectiveness without reaching through
     /// [`inner`](Self::inner) manually.
@@ -373,7 +355,7 @@ impl SupervisedSolver {
 
     /// Total chip-lifetime seconds across every instance this supervisor has
     /// used (current chip plus any remapped-away predecessors).
-    pub fn total_lifetime_s(&self) -> f64 {
+    fn total_lifetime_s(&self) -> f64 {
         self.consumed_lifetime_s + self.inner.chip().lifetime_s()
     }
 
@@ -487,7 +469,7 @@ impl SupervisedSolver {
             let lifetime_before = self.total_lifetime_s();
             let refined = refining.take();
             let outcome = match &refined {
-                None => self.inner.solve_or_time_out(b),
+                None => self.inner.solve_or_time_out(b, tol, WarmSlot::Request),
                 Some(candidate) => self.refine(b, candidate).map(|report| (report, false)),
             };
             let wall_s = wall.elapsed().as_secs_f64();
@@ -500,6 +482,11 @@ impl SupervisedSolver {
                         best_residual = Some(r);
                     }
                     if r <= tol && !timed_out {
+                        if refined.is_some() {
+                            // The refined answer, not the readout it
+                            // refined, is what the next request starts from.
+                            self.inner.set_request_basis(&report.solution);
+                        }
                         let recovered = !attempts.is_empty();
                         attempts.push(AttemptRecord {
                             attempt,
@@ -671,7 +658,8 @@ impl SupervisedSolver {
         let _span = aa_obs::span("solver.recovery.batch");
         aa_obs::counter("solver.supervised_batches", 1);
         let wall = Instant::now();
-        let columns = match self.inner.solve_batch(bs) {
+        let tol = self.recovery.residual_tolerance;
+        let columns = match self.inner.solve_batch_within(bs, Some(tol)) {
             Ok(columns) => columns,
             Err(_) => {
                 // The shared sweep failed as a whole (or a rhs was
@@ -682,7 +670,6 @@ impl SupervisedSolver {
             }
         };
         let wall_s = wall.elapsed().as_secs_f64();
-        let tol = self.recovery.residual_tolerance;
         let mut batched_accepts = 0usize;
         let out = bs
             .iter()
@@ -739,7 +726,8 @@ impl SupervisedSolver {
     }
 
     /// One Algorithm-2 round on a near-miss `candidate`: solves for its
-    /// normalized residual with γ started at the Rayleigh prediction, adds
+    /// normalized residual with γ started at the Rayleigh prediction (and
+    /// from the correction basis, so the request basis is left alone), adds
     /// the correction, and restores the γ the candidate ran at, so later
     /// solves start where they would have without the round. The returned
     /// report is the candidate's with the refined solution.
@@ -751,7 +739,9 @@ impl SupervisedSolver {
         let residual = self.matrix.residual(&candidate.solution, b);
         let round = refine::correction(&residual, |r_unit| {
             self.aim_solution_scale(rayleigh_inverse_gain(&self.matrix, r_unit));
-            self.inner.solve_or_time_out(r_unit)
+            let tol = self.recovery.residual_tolerance;
+            self.inner
+                .solve_or_time_out(r_unit, tol, WarmSlot::Correction)
         });
         self.inner.set_solution_factor(candidate.solution_factor);
         let mut refined = candidate.clone();
@@ -819,12 +809,12 @@ impl SupervisedSolver {
 
     /// Rebuilds the inner solver on a fresh accelerator instance, carrying
     /// the remaining fault windows over to its lifetime clock. The
-    /// warm-start basis is host data, not chip state, so it carries over.
+    /// warm-start bases are host data, not chip state, so they carry over.
     fn remap(&mut self) -> Result<(), SolverError> {
         self.consumed_lifetime_s += self.inner.chip().lifetime_s();
-        let warm_start = self.inner.warm_start().cloned();
-        self.inner = AnalogSystemSolver::new(&self.matrix, &self.solver_config)?;
-        self.inner.set_warm_start(warm_start);
+        let fresh = AnalogSystemSolver::new(&self.matrix, &self.solver_config)?;
+        let old = std::mem::replace(&mut self.inner, fresh);
+        self.inner.keep_warm_starts_of(&old);
         if let Some(plan) = &self.fault_plan {
             self.inner
                 .chip_mut()
@@ -987,11 +977,12 @@ mod tests {
         assert!(report.recovery.final_residual <= 1e-6);
     }
 
-    /// The slowest mode of `tridiagonal(12, -1, 2, -1)` needs more than
-    /// the 300 τ cap of [`test_config`] to settle, on a healthy chip.
+    /// The slowest mode of `tridiagonal(18, -1, 2, -1)` needs more than
+    /// the 300 τ cap of [`test_config`] to settle, on a healthy chip, even
+    /// under the supervised stop rule ([`assert_outlasts_the_cap`]).
     fn slow_settling() -> (CsrMatrix, Vec<f64>, RecoveryConfig) {
-        let a = CsrMatrix::tridiagonal(12, -1.0, 2.0, -1.0).unwrap();
-        let b = (0..12).map(|i| 0.1 + 0.075 * i as f64).collect();
+        let a = CsrMatrix::tridiagonal(18, -1.0, 2.0, -1.0).unwrap();
+        let b = (0..18).map(|i| 0.1 + 0.075 * i as f64).collect();
         let recovery = RecoveryConfig {
             max_attempts: 3,
             ..RecoveryConfig::default()
@@ -999,16 +990,42 @@ mod tests {
         (a, b, recovery)
     }
 
-    #[test]
-    fn settled_near_miss_is_refined_not_retried() {
-        // Without the cap the same system settles, but for this rough rhs
-        // its answer sits at the converters' quantization floor, just above
-        // the tolerance: a retry would reproduce it bit for bit.
-        let (a, _, recovery) = slow_settling();
-        let b: Vec<f64> = (0..12)
+    /// The premise of [`slow_settling`]: one supervised run of `b` at solution
+    /// scale `gamma`, on a healthy chip without the cap, settles only after
+    /// more than the cap's 300 τ.
+    fn assert_outlasts_the_cap(a: &CsrMatrix, b: &[f64], gamma: f64, recovery: &RecoveryConfig) {
+        let mut healthy = AnalogSystemSolver::new(a, &SolverConfig::ideal()).unwrap();
+        healthy.set_solution_factor(gamma);
+        let (run, timed_out) = healthy
+            .solve_or_time_out(b, recovery.residual_tolerance, WarmSlot::Request)
+            .unwrap();
+        let tau = 1.0 / healthy.chip().config().omega();
+        assert!(!timed_out && run.runs == 1, "{run:?}");
+        assert!(
+            run.analog_time_s > test_config().engine.max_tau * tau,
+            "settles in {} τ",
+            run.analog_time_s / tau
+        );
+    }
+
+    /// A supervisor on `tridiagonal(12, -1, 2, -1)` without a cap, and a
+    /// rough right-hand side whose first answer is a settled near miss.
+    fn near_miss() -> (SupervisedSolver, CsrMatrix, Vec<f64>) {
+        let a = CsrMatrix::tridiagonal(12, -1.0, 2.0, -1.0).unwrap();
+        let b = (0..12)
             .map(|i| 0.1 + 0.09 * ((i * 7) % 11) as f64)
             .collect();
-        let mut s = SupervisedSolver::new(&a, &SolverConfig::ideal(), &recovery).unwrap();
+        let (_, _, recovery) = slow_settling();
+        let s = SupervisedSolver::new(&a, &SolverConfig::ideal(), &recovery).unwrap();
+        (s, a, b)
+    }
+
+    #[test]
+    fn settled_near_miss_is_refined_not_retried() {
+        // Without a cap this system settles, but for this rough rhs its
+        // answer sits at the converters' quantization floor, just above the
+        // tolerance: a retry would reproduce it bit for bit.
+        let (mut s, a, b) = near_miss();
         let report = s.solve(&b).unwrap();
         let first = &report.recovery.attempts[0];
         assert_eq!(first.classification, Some(FailureClass::ResidualTooHigh));
@@ -1043,6 +1060,10 @@ mod tests {
             report.recovery
         );
         assert_eq!(report.recovery.final_path, FinalPath::AnalogAfterRecovery);
+        // The first attempt timed out because the system is slow, not
+        // because anything failed (the refined report keeps its γ).
+        let gamma = report.analog.as_ref().unwrap().solution_factor;
+        assert_outlasts_the_cap(&a, &b, gamma, &recovery);
         let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!(a.residual_norm(&report.solution, &b) / b_norm <= 1e-2);
         // The old ladder ran every attempt to the cap before going digital.
@@ -1110,14 +1131,54 @@ mod tests {
     }
 
     #[test]
-    fn remap_keeps_the_warm_start_basis() {
-        let a = poisson_3();
-        let mut s = SupervisedSolver::new(&a, &test_config(), &RecoveryConfig::default()).unwrap();
-        s.solve(&[1.0, 0.5, 1.0]).unwrap();
-        let basis = s.inner.warm_start().cloned();
-        assert!(basis.is_some());
+    fn refined_answer_becomes_the_request_basis() {
+        let (mut s, _, b) = near_miss();
+        let report = s.solve(&b).unwrap();
+        assert_eq!(report.recovery.attempts[0].action, RecoveryAction::Refine);
+        assert_eq!(report.recovery.final_path, FinalPath::AnalogAfterRecovery);
+        // The next request starts from the accepted answer, not from the
+        // correction the refinement round read out.
+        let state = s.export_state().solver;
+        assert_eq!(state.warm_start.unwrap().basis, report.solution);
+        let correction = state
+            .correction_warm_start
+            .expect("the round's run settled");
+        assert_ne!(correction.basis, report.solution);
+    }
+
+    #[test]
+    fn checkpoint_round_trips_both_warm_start_bases() {
+        let (mut original, a, b) = near_miss();
+        original.solve(&b).unwrap();
+        let snap = original.export_state();
+        assert!(snap.solver.warm_start.is_some());
+        assert!(snap.solver.correction_warm_start.is_some());
+
+        let mut restored =
+            SupervisedSolver::new(&a, &SolverConfig::ideal(), &original.recovery).unwrap();
+        restored.import_state(&snap).unwrap();
+        // Further near misses read the correction basis as well.
+        let stream: Vec<Vec<f64>> = (1..4)
+            .map(|k| b.iter().map(|v| v * (1.0 - 0.1 * k as f64)).collect())
+            .collect();
+        for b in &stream {
+            let from_restored = restored.solve(b).unwrap();
+            let from_original = original.solve(b).unwrap();
+            assert_eq!(from_restored, from_original);
+        }
+        assert_eq!(restored.export_state(), original.export_state());
+    }
+
+    #[test]
+    fn remap_keeps_the_warm_start_bases() {
+        let (mut s, _, b) = near_miss();
+        s.solve(&b).unwrap();
+        let before = s.export_state().solver;
+        assert!(before.warm_start.is_some() && before.correction_warm_start.is_some());
         s.remap().unwrap();
-        assert_eq!(s.inner.warm_start().cloned(), basis);
+        let after = s.export_state().solver;
+        assert_eq!(after.warm_start, before.warm_start);
+        assert_eq!(after.correction_warm_start, before.correction_warm_start);
     }
 
     #[test]

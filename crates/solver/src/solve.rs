@@ -27,8 +27,10 @@ pub struct SolverConfig {
     pub calibrate: bool,
     /// Engine integration options. Each run stops at the looser of
     /// `engine.steady_tol` and the tolerance below which the ADC readout
-    /// can no longer change ([`AnalogSystemSolver::new`]); `None` keeps
-    /// steady-state detection off.
+    /// can no longer change ([`AnalogSystemSolver::new`]) — or, under a
+    /// [`SupervisedSolver`](crate::SupervisedSolver), the looser of that
+    /// and the tolerance at which the run's residual meets the
+    /// supervisor's; `None` keeps steady-state detection off.
     pub engine: EngineOptions,
     /// Target fraction of full scale for the expected solution peak.
     pub margin: f64,
@@ -181,9 +183,32 @@ impl WarmStart {
     }
 }
 
+/// Which warm-start basis a run starts from and, once settled, refreshes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum WarmSlot {
+    /// A request's own right-hand side.
+    Request,
+    /// A refinement round's normalized residual: its answer is a
+    /// correction, a poor guess for the next request's solution.
+    Correction,
+}
+
+/// The share `θ` of the supervisor's residual tolerance that a supervised
+/// run may leave unsettled when it stops.
+///
+/// In the value-scaled flow `dũ/dτ = b̃ − Ã·ũ` the derivative the engine
+/// checks for steady state is the run's residual, so a run stopped at
+/// `max|dũ/dτ| ≤ θ·tol·‖b̃‖₂/√n` has
+/// `‖b̃ − Ã·ũ‖₂ ≤ √n·max|dũ/dτ| ≤ θ·tol·‖b̃‖₂`. Every scaling is a scalar
+/// (`b − A·u = s·γ·(b̃ − Ã·ũ)`), so the unscaled system has the same
+/// relative residual. The remaining `1 − θ = ¾` of the tolerance is left
+/// for what the readout adds to the settled state: ADC quantization and
+/// readout noise.
+pub(crate) const SETTLE_SHARE: f64 = 0.25;
+
 /// A snapshot of one [`AnalogSystemSolver`]'s cross-solve mutable state:
 /// the adaptive solution-scale factor `γ` (walked by overflow/underuse
-/// retries across solves), the warm-start basis, plus the underlying
+/// retries across solves), the two warm-start bases, plus the underlying
 /// chip's runtime state. The matrix, config, and compiled circuit are
 /// excluded — the restore path rebuilds them deterministically with
 /// [`AnalogSystemSolver::new`] before importing.
@@ -200,8 +225,12 @@ pub struct SolverCheckpoint {
     /// ([`SolverError::CheckpointMismatch`](crate::SolverError)) — the
     /// cached plans and obs journals would not line up.
     pub passes: aa_analog::PassConfig,
-    /// The warm-start basis the next run starts from (`None` starts cold).
+    /// The warm-start basis the next request's runs start from (`None`
+    /// starts cold).
     pub warm_start: Option<WarmStart>,
+    /// The warm-start basis the next refinement round's correction run
+    /// starts from (`None` starts cold).
+    pub correction_warm_start: Option<WarmStart>,
     /// The chip's mutable runtime state.
     pub chip: aa_analog::ChipCheckpoint,
 }
@@ -217,16 +246,20 @@ pub struct AnalogSystemSolver {
     matrix: CsrMatrix,
     config: SolverConfig,
     /// The engine options every run uses: `config.engine` with the settle
-    /// tolerance loosened to [`readout_settle_tol`].
+    /// tolerance loosened to [`readout_settle_tol`] (and, for a supervised
+    /// run, further to [`residual_settle_tol`]).
     engine: EngineOptions,
     /// Whether any solve has been accepted under the current `γ` — i.e.
     /// the overflow/underuse walk has settled. A batch on an uncalibrated
     /// solver pre-pays one sequential solve to establish `γ` instead of
     /// running a sweep that every column would fall out of.
     calibrated: bool,
-    /// The last settled readout every run starts from; `None` until a run
-    /// settles, so a fresh solver's first solve starts at zero.
+    /// The last settled answer every request's runs start from; `None`
+    /// until a run settles, so a fresh solver's first solve starts at zero.
     warm_start: Option<WarmStart>,
+    /// The last settled correction a refinement round's run starts from
+    /// ([`WarmSlot::Correction`]).
+    correction_warm_start: Option<WarmStart>,
 }
 
 impl std::fmt::Debug for AnalogSystemSolver {
@@ -277,6 +310,7 @@ impl AnalogSystemSolver {
             engine,
             calibrated: false,
             warm_start: None,
+            correction_warm_start: None,
         })
     }
 
@@ -312,11 +346,6 @@ impl AnalogSystemSolver {
         &self.mapped
     }
 
-    /// Mutable access to the compiled circuit (fault injection, ablations).
-    pub fn mapped_mut(&mut self) -> &mut MappedSystem {
-        &mut self.mapped
-    }
-
     /// The underlying chip instance.
     pub fn chip(&self) -> &aa_analog::AnalogChip {
         self.mapped.chip()
@@ -343,6 +372,7 @@ impl AnalogSystemSolver {
             calibrated: self.calibrated,
             passes: self.config.engine.passes,
             warm_start: self.warm_start.clone(),
+            correction_warm_start: self.correction_warm_start.clone(),
             chip: self.mapped.chip().export_state(),
         }
     }
@@ -369,6 +399,7 @@ impl AnalogSystemSolver {
         self.scaled.solution_factor = state.solution_factor;
         self.calibrated = state.calibrated;
         self.warm_start = state.warm_start.clone();
+        self.correction_warm_start = state.correction_warm_start.clone();
         self.mapped.chip_mut().import_state(&state.chip)?;
         Ok(())
     }
@@ -379,23 +410,41 @@ impl AnalogSystemSolver {
         self.scaled.solution_factor = gamma;
     }
 
-    /// The warm-start basis the next run starts from.
-    pub(crate) fn warm_start(&self) -> Option<&WarmStart> {
-        self.warm_start.as_ref()
+    /// Carries both warm-start bases over from another solver of the same
+    /// matrix (a remap onto a fresh chip keeps the host's last answers).
+    pub(crate) fn keep_warm_starts_of(&mut self, other: &AnalogSystemSolver) {
+        self.warm_start = other.warm_start.clone();
+        self.correction_warm_start = other.correction_warm_start.clone();
     }
 
-    /// Carries a warm-start basis over from another solver of the same
-    /// matrix (a remap onto a fresh chip keeps the host's last answer).
-    pub(crate) fn set_warm_start(&mut self, warm_start: Option<WarmStart>) {
-        self.warm_start = warm_start;
+    /// Makes `u`, an answer the supervisor accepted for `A·u = b`, the
+    /// basis the next request starts from (a refined answer is better than
+    /// the readout it refined).
+    pub(crate) fn set_request_basis(&mut self, u: &[f64]) {
+        self.warm_start = WarmStart::new(&self.matrix, u);
     }
 
-    /// The Galerkin guess `(α, α·u_p)` for `b` from the current basis, and
-    /// its count on `solver.warm_starts`.
-    fn warm_guess(&self, b: &[f64]) -> Option<(f64, Vec<f64>)> {
-        let guess = self.warm_start.as_ref()?.guess(b);
+    /// The Galerkin guess `(α, α·u_p)` for `b` from the basis in `slot`,
+    /// and its count on `solver.warm_starts`.
+    fn warm_guess(&self, b: &[f64], slot: WarmSlot) -> Option<(f64, Vec<f64>)> {
+        let basis = match slot {
+            WarmSlot::Request => &self.warm_start,
+            WarmSlot::Correction => &self.correction_warm_start,
+        };
+        let guess = basis.as_ref()?.guess(b);
         aa_obs::counter("solver.warm_starts", 1);
         Some(guess)
+    }
+
+    /// The engine options of one run: the solver's own, with the settle
+    /// tolerance loosened to `target` (a supervised run's
+    /// [`residual_settle_tol`]) when that is given and looser.
+    fn run_options(&self, target: Option<f64>) -> EngineOptions {
+        let mut engine = self.engine.clone();
+        if let (Some(steady), Some(target)) = (engine.steady_tol.as_mut(), target) {
+            *steady = steady.max(target);
+        }
+        engine
     }
 
     /// Solves `A·u = b` on the accelerator with overflow-driven retry.
@@ -407,10 +456,14 @@ impl AnalogSystemSolver {
     /// * [`SolverError::NoSteadyState`] if the flow does not settle (e.g.
     ///   non-positive-definite `A`).
     pub fn solve(&mut self, b: &[f64]) -> Result<AnalogSolveReport, SolverError> {
-        self.solve_run(b, false).map(|(report, _)| report)
+        self.solve_run(b, None, WarmSlot::Request, false)
+            .map(|(report, _)| report)
     }
 
-    /// [`solve`](Self::solve), except that a run which hits its time cap
+    /// [`solve`](Self::solve) under a supervisor whose relative residual
+    /// tolerance is `tol`: every run stops once its residual meets
+    /// [`SETTLE_SHARE`] of `tol` ([`residual_settle_tol`]), starts from and
+    /// refreshes the basis in `slot`, and a run which hits its time cap
     /// without an exception is read out instead of reported as
     /// [`SolverError::NoSteadyState`]. The flag is `true` for such a
     /// timed-out readout. Only the supervisor, which validates every
@@ -418,13 +471,17 @@ impl AnalogSystemSolver {
     pub(crate) fn solve_or_time_out(
         &mut self,
         b: &[f64],
+        tol: f64,
+        slot: WarmSlot,
     ) -> Result<(AnalogSolveReport, bool), SolverError> {
-        self.solve_run(b, true)
+        self.solve_run(b, Some(tol), slot, true)
     }
 
     fn solve_run(
         &mut self,
         b: &[f64],
+        tol: Option<f64>,
+        slot: WarmSlot,
         read_timed_out: bool,
     ) -> Result<(AnalogSolveReport, bool), SolverError> {
         if b.len() != self.dim() {
@@ -445,7 +502,7 @@ impl AnalogSystemSolver {
         let mut allow_shrink = true;
         // Every run of the γ walk starts from the same guess, rescaled to
         // the walk's current γ.
-        let guess = self.warm_guess(b);
+        let guess = self.warm_guess(b, slot);
 
         loop {
             let b_scaled = self.scaled.scale_rhs(b);
@@ -494,7 +551,8 @@ impl AnalogSystemSolver {
             }
             let initial = guess.as_ref().map(|(_, u0)| self.scaled.scale_solution(u0));
             self.mapped.program_rhs(&b_scaled, initial.as_deref())?;
-            let report = self.mapped.chip_mut().exec(&self.engine)?;
+            let engine = self.run_options(tol.map(|tol| residual_settle_tol(tol, &b_scaled)));
+            let report = self.mapped.chip_mut().exec(&engine)?;
             total_time += report.duration_s;
             runs += 1;
 
@@ -569,7 +627,11 @@ impl AnalogSystemSolver {
             let kind = if timed_out {
                 "solver.timed_out_readout"
             } else {
-                self.warm_start = WarmStart::new(&self.matrix, &solution);
+                let basis = WarmStart::new(&self.matrix, &solution);
+                match slot {
+                    WarmSlot::Request => self.warm_start = basis,
+                    WarmSlot::Correction => self.correction_warm_start = basis,
+                }
                 "solver.accept"
             };
             if aa_obs::is_active() {
@@ -626,6 +688,19 @@ impl AnalogSystemSolver {
     /// * [`SolverError::Analog`] if the shared engine sweep itself fails;
     ///   no per-column outcome exists in that case.
     pub fn solve_batch(&mut self, bs: &[Vec<f64>]) -> Result<Vec<BatchColumn>, SolverError> {
+        self.solve_batch_within(bs, None)
+    }
+
+    /// [`solve_batch`](Self::solve_batch), under a supervisor whose relative
+    /// residual tolerance is `tol` when that is given: the pre-calibration
+    /// solve then stops as a supervised run does, and the shared sweep at
+    /// the smallest lane's [`residual_settle_tol`] (the engine has one
+    /// settle tolerance for all lanes).
+    pub(crate) fn solve_batch_within(
+        &mut self,
+        bs: &[Vec<f64>],
+        tol: Option<f64>,
+    ) -> Result<Vec<BatchColumn>, SolverError> {
         for b in bs {
             if b.len() != self.dim() {
                 return Err(SolverError::invalid(format!(
@@ -651,7 +726,7 @@ impl AnalogSystemSolver {
             None
         } else {
             aa_obs::counter("solver.batch_calibrations", 1);
-            Some(self.solve(&bs[0])?)
+            Some(self.solve_run(&bs[0], tol, WarmSlot::Request, false)?.0)
         };
 
         let fs = self.mapped.chip().config().full_scale;
@@ -660,6 +735,8 @@ impl AnalogSystemSolver {
         let mut out: Vec<BatchColumn> = Vec::with_capacity(bs.len());
         let mut lanes = Vec::new();
         let mut lane_columns = Vec::new();
+        // The loosest settle target every lane's residual still meets.
+        let mut lane_target: Option<f64> = None;
         for (j, b) in bs.iter().enumerate() {
             if j == 0 {
                 if let Some(report) = calibration.as_ref() {
@@ -680,9 +757,13 @@ impl AnalogSystemSolver {
                 continue;
             }
             let initial = self
-                .warm_guess(b)
+                .warm_guess(b, WarmSlot::Request)
                 .map(|(_, u0)| self.scaled.scale_solution(&u0));
             lanes.push(self.mapped.lane_bindings(&b_scaled, initial.as_deref())?);
+            if let Some(tol) = tol {
+                let target = residual_settle_tol(tol, &b_scaled);
+                lane_target = Some(lane_target.map_or(target, |t| t.min(target)));
+            }
             lane_columns.push(j);
             out.push(BatchColumn::Fallback("pending"));
         }
@@ -692,7 +773,8 @@ impl AnalogSystemSolver {
 
         self.mapped.ensure_committed()?;
         let noise_entry = self.mapped.chip().noise_rng_state();
-        let batch = self.mapped.chip_mut().exec_batch(&lanes, &self.engine)?;
+        let engine = self.run_options(lane_target);
+        let batch = self.mapped.chip_mut().exec_batch(&lanes, &engine)?;
         for (lane, &j) in lane_columns.iter().enumerate() {
             let report = &batch.reports[lane];
             if report.exceptions.any() {
@@ -769,6 +851,13 @@ fn readout_settle_tol(a: &CsrMatrix, chip: &ChipConfig, configured: Option<f64>)
     // `Ã = A·max_gain/max|a_ij|`, so its λ_min is the estimate's times the gain.
     let bound = lambda * chip.max_gain * chip.adc_lsb() / (2.0 * (a.dim() as f64).sqrt());
     Some(configured.max(bound))
+}
+
+/// The settle tolerance at which a run programmed with `b_scaled` meets
+/// [`SETTLE_SHARE`] of the supervisor's relative residual tolerance `tol`:
+/// `θ·tol·‖b̃‖₂/√n`, since `‖b̃ − Ã·ũ‖₂ ≤ √n·max|dũ/dτ|`.
+fn residual_settle_tol(tol: f64, b_scaled: &[f64]) -> f64 {
+    SETTLE_SHARE * tol * vector::norm2(b_scaled) / (b_scaled.len() as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -952,7 +1041,7 @@ mod tests {
             // A correlated second right-hand side, started warm from the
             // first answer.
             let b_next: Vec<f64> = b.iter().map(|v| 0.8 * v + rng.range(-0.2, 0.2)).collect();
-            assert!(bounded.warm_start().is_some());
+            assert!(bounded.warm_start.is_some());
             let warm = bounded.solve(&b_next).unwrap();
 
             for (b, report) in [(&b, report), (&b_next, warm)] {
@@ -964,7 +1053,10 @@ mod tests {
                 cfg.engine.max_tau = 40.0 / lambda;
                 let mut settled = AnalogSystemSolver::new(&a, &cfg).unwrap();
                 settled.set_solution_factor(report.solution_factor);
-                let (full, timed_out) = settled.solve_or_time_out(b).unwrap();
+                // Detection is off, so no tolerance can stop the run early.
+                let (full, timed_out) = settled
+                    .solve_or_time_out(b, 1e-2, WarmSlot::Request)
+                    .unwrap();
                 assert!(timed_out, "detection off runs to the cap");
                 assert_eq!(full.solution_factor, report.solution_factor);
 
@@ -976,6 +1068,78 @@ mod tests {
                 assert!(report.analog_time_s < full.analog_time_s);
             }
         }
+    }
+
+    /// 1D and 2D Poisson, and tridiagonals like the fleet's mixed workload,
+    /// among them its weakly dominant `n = 11` and `n = 12` ones.
+    fn stop_rule_matrices() -> Vec<CsrMatrix> {
+        let mut matrices: Vec<CsrMatrix> = [4, 9, 16].into_iter().map(poisson_1d).collect();
+        for l in [3, 4, 6] {
+            matrices.push(CsrMatrix::from_row_access(
+                &PoissonStencil::new_2d(l).unwrap(),
+            ));
+        }
+        for i in [0usize, 3, 4, 9, 12, 15] {
+            let diag = 2.0 + 0.1 * (i % 4) as f64;
+            matrices.push(CsrMatrix::tridiagonal(4 + (i * 5) % 13, -1.0, diag, -1.0).unwrap());
+        }
+        matrices
+    }
+
+    #[test]
+    fn supervised_answers_meet_a_quarter_of_the_tolerance() {
+        // 24-bit converters make quantization negligible: what is left of
+        // a first-try answer's residual is where its run stopped.
+        let cfg = SolverConfig::ideal().adc_bits(24);
+        let recovery = crate::RecoveryConfig::default();
+        let bound = SETTLE_SHARE * recovery.residual_tolerance * (1.0 + 1e-9);
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(23);
+        for a in stop_rule_matrices() {
+            let n = a.dim();
+            let mut solver = crate::SupervisedSolver::new(&a, &cfg, &recovery).unwrap();
+            // A cold first solve, then warm ones.
+            for _ in 0..3 {
+                let b: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
+                let report = solver.solve(&b).unwrap();
+                assert_eq!(report.recovery.final_path, crate::FinalPath::Analog);
+                let r = a.residual_norm(&report.solution, &b) / vector::norm2(&b);
+                assert!(r <= bound, "n = {n}: residual {r} > {bound}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_supervised_run_never_outlasts_the_unsupervised_one() {
+        let tol = crate::RecoveryConfig::default().residual_tolerance;
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(29);
+        let (mut supervised_s, mut unsupervised_s) = (0.0, 0.0);
+        for a in stop_rule_matrices() {
+            let n = a.dim();
+            let mut plain = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+            let b: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
+            // Settles γ and fills the basis.
+            plain.solve(&b).unwrap();
+            for _ in 0..3 {
+                let b: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
+                // The same γ and basis.
+                let mut supervised = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+                supervised.import_state(&plain.export_state()).unwrap();
+                let (sup, timed_out) = supervised
+                    .solve_or_time_out(&b, tol, WarmSlot::Request)
+                    .unwrap();
+                let full = plain.solve(&b).unwrap();
+                assert!(!timed_out);
+                assert!(
+                    sup.analog_time_s <= full.analog_time_s,
+                    "n = {n}: {} > {}",
+                    sup.analog_time_s,
+                    full.analog_time_s
+                );
+                supervised_s += sup.analog_time_s;
+                unsupervised_s += full.analog_time_s;
+            }
+        }
+        assert!(supervised_s < unsupervised_s);
     }
 
     /// `‖u* − u0‖_A` for `A·u* = b`.
@@ -995,11 +1159,11 @@ mod tests {
         ] {
             let n = a.dim();
             let mut solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
-            assert!(solver.warm_start().is_none(), "a fresh solver starts cold");
+            assert!(solver.warm_start.is_none(), "a fresh solver starts cold");
             let mut b: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
             solver.solve(&b).unwrap();
             for step in 0..12 {
-                let basis = solver.warm_start().unwrap().clone();
+                let basis = solver.warm_start.clone().unwrap();
                 b = match step % 4 {
                     // Sign-flipped.
                     0 => b.iter().map(|v| -v).collect(),
@@ -1027,7 +1191,7 @@ mod tests {
 
             // An all-zero right-hand side projects onto the zero guess.
             let zero = vec![0.0; n];
-            let (alpha, guess) = solver.warm_start().unwrap().guess(&zero);
+            let (alpha, guess) = solver.warm_start.as_ref().unwrap().guess(&zero);
             assert_eq!(alpha, 0.0);
             assert!(guess.iter().all(|g| *g == 0.0));
             assert_eq!(a_norm_error(&a, &zero, &guess), 0.0);
