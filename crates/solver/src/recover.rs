@@ -11,9 +11,11 @@
 //!    (one sparse mat-vec — far cheaper than a digital solve).
 //! 2. **Classify** failures: persistent overflow, a run that never settles,
 //!    or a settled-but-wrong answer.
-//! 3. **Recover** by policy: a near miss — a residual within the square
+//! 3. **Recover** by policy: a request whose predicted readout floor
+//!    leaves no room under the tolerance is planned as two rounds of the
+//!    paper's Algorithm 2, and a near miss — a residual within the square
 //!    root of the tolerance, or a run that hit its time cap — gets one
-//!    refinement round (the paper's Algorithm 2); otherwise bounded retries
+//!    refinement round; otherwise bounded retries
 //!    with escalating idle cool-down (lets transient fault windows expire),
 //!    one recalibration pass (trims out drift exactly like a static
 //!    imperfection), one remap onto a fresh accelerator instance, and
@@ -33,7 +35,7 @@ use aa_linalg::vector;
 
 use crate::refine;
 use crate::solve::{
-    AnalogSolveReport, AnalogSystemSolver, SolverCheckpoint, SolverConfig, WarmSlot,
+    AnalogSolveReport, AnalogSystemSolver, SolverCheckpoint, SolverConfig, WarmSlot, SETTLE_SHARE,
 };
 use crate::SolverError;
 
@@ -63,9 +65,11 @@ pub struct SupervisedCheckpoint {
 pub struct RecoveryConfig {
     /// Accept a solution when `‖b − A·x‖₂ / ‖b‖₂` is at or below this.
     /// It also sets where every supervised analog run stops: once the
-    /// run's own residual is within a quarter of it, or once its readout
-    /// can no longer change if that comes first. Settling further buys
-    /// precision this check discards.
+    /// run's own residual is within a quarter of the run's target, or once
+    /// its readout can no longer change if that comes first. The target is
+    /// this tolerance, except for the runs of a refinement: a planned first
+    /// round aims at its readout floor and a correction at what its round
+    /// must deliver. Settling further buys precision this check discards.
     pub residual_tolerance: f64,
     /// Total analog attempts (including the first) before falling back.
     pub max_attempts: usize,
@@ -136,8 +140,9 @@ impl FailureClass {
 pub enum RecoveryAction {
     /// The solution passed validation.
     Accept,
-    /// Add one Algorithm-2 correction to this near-miss answer: solve for
-    /// its normalized residual and validate the sum.
+    /// Add one Algorithm-2 correction to this near-miss (or planned
+    /// first-round) answer: solve for its normalized residual and validate
+    /// the sum.
     Refine,
     /// Idle for the recorded cool-down, then try again on the same chip.
     Retry {
@@ -176,7 +181,8 @@ pub struct AttemptRecord {
     pub attempt: usize,
     /// Validated relative residual, if the attempt produced a solution.
     pub residual: Option<f64>,
-    /// Failure classification (`None` for an accepted attempt).
+    /// Failure classification (`None` for an accepted attempt and for a
+    /// planned first round, which is not a failure).
     pub classification: Option<FailureClass>,
     /// The action the supervisor took after this attempt.
     pub action: RecoveryAction,
@@ -204,9 +210,10 @@ impl PartialEq for AttemptRecord {
 /// How the accepted solution was ultimately produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FinalPath {
-    /// First analog attempt passed validation.
+    /// Analog passed validation with no rejected attempt (a planned
+    /// refinement round included).
     Analog,
-    /// Analog succeeded after at least one recovery action.
+    /// Analog succeeded after at least one rejected attempt.
     AnalogAfterRecovery,
     /// Analog recovery was exhausted; the digital fallback produced the
     /// solution.
@@ -247,7 +254,8 @@ impl RecoveryReport {
         self.attempts.iter().map(|a| a.analog_time_s).sum()
     }
 
-    /// Attempts that were rejected (everything before the accepted one).
+    /// Attempts that were rejected: every one before the accepted one
+    /// except a planned first round.
     pub fn rejected_attempts(&self) -> usize {
         self.attempts
             .iter()
@@ -450,6 +458,16 @@ impl SupervisedSolver {
             .max(f64::MIN_POSITIVE);
         let tol = self.recovery.residual_tolerance;
         let budget = self.recovery.max_attempts.max(1);
+        // A request whose expected readout floor q̂ takes more than the
+        // `1 − θ` share of tol a run leaves for the readout is planned as
+        // two rounds of Algorithm 2: the first run stops at its own target
+        // `max(tol, q̂)`, since past the floor a longer run buys nothing the
+        // readout keeps, and the correction takes the residual to tol.
+        let plan = self
+            .inner
+            .readout_floor(b)
+            .filter(|floor| budget > 1 && *floor > (1.0 - SETTLE_SHARE) * tol)
+            .map(|floor| (floor, (tol.max(floor) / SETTLE_SHARE).min(tol.sqrt())));
         let _span = aa_obs::span("solver.recovery");
         aa_obs::counter("solver.supervised_solves", 1);
 
@@ -460,17 +478,23 @@ impl SupervisedSolver {
         let mut remaps = 0usize;
         let mut best_residual: Option<f64> = None;
         let mut wants_fallback = self.recovery.digital_fallback;
-        // The near-miss answer the next attempt refines instead of solving
-        // afresh.
-        let mut refining: Option<AnalogSolveReport> = None;
+        // The near-miss answer, with its relative residual, that the next
+        // attempt refines instead of solving afresh.
+        let mut refining: Option<(AnalogSolveReport, f64)> = None;
 
         for attempt in 1..=budget {
             let wall = Instant::now();
             let lifetime_before = self.total_lifetime_s();
             let refined = refining.take();
+            let planned = plan.filter(|_| attempt == 1);
             let outcome = match &refined {
-                None => self.inner.solve_or_time_out(b, tol, WarmSlot::Request),
-                Some(candidate) => self.refine(b, candidate).map(|report| (report, false)),
+                None => {
+                    let target = planned.map_or(tol, |(_, target)| target);
+                    self.inner.solve_or_time_out(b, target, WarmSlot::Request)
+                }
+                Some((candidate, r1)) => {
+                    self.refine(b, candidate, *r1).map(|report| (report, false))
+                }
             };
             let wall_s = wall.elapsed().as_secs_f64();
             let analog_time_s = self.total_lifetime_s() - lifetime_before;
@@ -487,7 +511,7 @@ impl SupervisedSolver {
                             // refined, is what the next request starts from.
                             self.inner.set_request_basis(&report.solution);
                         }
-                        let recovered = !attempts.is_empty();
+                        let recovered = attempts.iter().any(|a| a.classification.is_some());
                         attempts.push(AttemptRecord {
                             attempt,
                             residual: Some(r),
@@ -560,21 +584,32 @@ impl SupervisedSolver {
             } else {
                 self.pick_action(classification, attempt, recalibrations, remaps, cooldown)
             };
+            // A planned round that settled within √tol did what it was
+            // planned for: it is the first half of the plan, not a failure.
+            let on_plan =
+                planned.filter(|_| near_miss && classification == FailureClass::ResidualTooHigh);
             attempts.push(AttemptRecord {
                 attempt,
                 residual,
-                classification: Some(classification),
+                classification: on_plan.is_none().then_some(classification),
                 action,
                 error,
                 analog_time_s,
                 wall_time_s: wall_s,
             });
             if aa_obs::is_active() {
-                aa_obs::counter("solver.recovery.rejected_attempts", 1);
-                let mut ev = aa_obs::Event::new("solver.recovery.attempt")
-                    .with("attempt", attempt)
-                    .with("class", classification.label())
-                    .with("action", action.label());
+                let mut ev = aa_obs::Event::new("solver.recovery.attempt").with("attempt", attempt);
+                ev = match on_plan {
+                    Some((floor, target)) => ev
+                        .with("planned", true)
+                        .with("floor", floor)
+                        .with("target", target),
+                    None => {
+                        aa_obs::counter("solver.recovery.rejected_attempts", 1);
+                        ev.with("class", classification.label())
+                    }
+                };
+                ev = ev.with("action", action.label());
                 if let Some(r) = residual {
                     ev = ev.with("residual", r);
                 }
@@ -583,7 +618,7 @@ impl SupervisedSolver {
 
             match action {
                 RecoveryAction::Refine => {
-                    refining = candidate;
+                    refining = candidate.zip(residual);
                     aa_obs::counter("solver.recovery.refines", 1);
                 }
                 RecoveryAction::Retry { cooldown_s } => {
@@ -725,23 +760,27 @@ impl SupervisedSolver {
         out
     }
 
-    /// One Algorithm-2 round on a near-miss `candidate`: solves for its
-    /// normalized residual with γ started at the Rayleigh prediction (and
-    /// from the correction basis, so the request basis is left alone), adds
-    /// the correction, and restores the γ the candidate ran at, so later
-    /// solves start where they would have without the round. The returned
-    /// report is the candidate's with the refined solution.
+    /// One Algorithm-2 round on a near-miss `candidate` of relative
+    /// residual `r1`: solves for its normalized residual with γ started at
+    /// the Rayleigh prediction (and from the correction basis, so the
+    /// request basis is left alone), adds the correction, and restores the
+    /// γ the candidate ran at, so later solves start where they would have
+    /// without the round. The round's residual is `r1` times the
+    /// correction's own relative residual, so the correction run stops at
+    /// `min(1, tol/r1)`, not at tol. The returned report is the
+    /// candidate's with the refined solution.
     fn refine(
         &mut self,
         b: &[f64],
         candidate: &AnalogSolveReport,
+        r1: f64,
     ) -> Result<AnalogSolveReport, SolverError> {
         let residual = self.matrix.residual(&candidate.solution, b);
+        let target = (self.recovery.residual_tolerance / r1).min(1.0);
         let round = refine::correction(&residual, |r_unit| {
             self.aim_solution_scale(rayleigh_inverse_gain(&self.matrix, r_unit));
-            let tol = self.recovery.residual_tolerance;
             self.inner
-                .solve_or_time_out(r_unit, tol, WarmSlot::Correction)
+                .solve_or_time_out(r_unit, target, WarmSlot::Correction)
         });
         self.inner.set_solution_factor(candidate.solution_factor);
         let mut refined = candidate.clone();
@@ -1096,6 +1135,53 @@ mod tests {
         let (first, second) = (run(), run());
         assert_eq!(first.recovery, second.recovery);
         assert_eq!(first.solution, second.solution);
+    }
+
+    #[test]
+    fn planned_round_aims_its_correction_at_the_tolerance() {
+        // The fleet's weakly dominant n = 12 structure: once γ has settled,
+        // its 12-bit readout floor sits above ¾ of the tolerance, so each
+        // request is planned as two rounds.
+        let a = CsrMatrix::tridiagonal(12, -1.0, 2.0, -1.0).unwrap();
+        let (_, _, recovery) = slow_settling();
+        let tol = recovery.residual_tolerance;
+        let mut s = SupervisedSolver::new(&a, &test_config(), &recovery).unwrap();
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(41);
+        let mut rhs = || -> Vec<f64> { (0..12).map(|_| rng.range(0.1, 1.0)).collect() };
+        s.solve(&rhs()).unwrap();
+        let recorder = aa_obs::MemoryRecorder::shared();
+        let mut planned = 0;
+        for _ in 0..12 {
+            let b = rhs();
+            let floor = s.inner().readout_floor(&b).expect("γ has settled");
+            let report = aa_obs::with_recorder(recorder.clone(), || s.solve(&b).unwrap());
+            let r = a.residual_norm(&report.solution, &b) / vector::norm2(&b);
+            assert!(r <= tol, "residual {r}: {:#?}", report.recovery);
+            let first = &report.recovery.attempts[0];
+            if floor > (1.0 - SETTLE_SHARE) * tol && first.action == RecoveryAction::Refine {
+                planned += 1;
+                assert_eq!(first.classification, None);
+                assert_eq!(report.recovery.rejected_attempts(), 0);
+                assert_eq!(report.recovery.final_path, FinalPath::Analog);
+                // The correction stopped at its own target, tol/r₁, not at
+                // tol relative to its right-hand side.
+                assert!((tol / 20.0..=tol).contains(&r), "refined residual {r}");
+            }
+        }
+        assert!(planned >= 6, "{planned} of 12 requests planned");
+        if aa_obs::ENABLED {
+            let trace = recorder.snapshot();
+            let planned_events = trace
+                .events_of_kind("solver.recovery.attempt")
+                .filter(|e| e.field("planned").is_some())
+                .count();
+            assert_eq!(planned_events, planned);
+            assert!(trace
+                .events_of_kind("solver.recovery.attempt")
+                .filter(|e| e.field("planned").is_some())
+                .all(|e| e.field("floor").is_some() && e.field("target").is_some()));
+            assert_eq!(trace.counter("solver.recovery.rejected_attempts"), 0);
+        }
     }
 
     #[test]

@@ -436,6 +436,26 @@ impl AnalogSystemSolver {
         Some(guess)
     }
 
+    /// The relative residual a settled readout of `b` at the current `γ` is
+    /// expected to carry from the converters alone:
+    /// `q̂ = ‖Ã‖_F·(adc_lsb/2)/‖b̃‖₂`, the residual of a readout whose every
+    /// component is off by half a code. `None` until the `γ` walk has
+    /// settled (and for a zero `b`), since `b̃` moves with `γ`.
+    pub(crate) fn readout_floor(&self, b: &[f64]) -> Option<f64> {
+        let b_norm = vector::norm2(&self.scaled.scale_rhs(b));
+        if !self.calibrated || b_norm == 0.0 {
+            return None;
+        }
+        let a_frobenius = self
+            .scaled
+            .matrix
+            .iter()
+            .map(|(_, _, v)| v * v)
+            .sum::<f64>()
+            .sqrt();
+        Some(a_frobenius * 0.5 * self.mapped.chip().config().adc_lsb() / b_norm)
+    }
+
     /// The engine options of one run: the solver's own, with the settle
     /// tolerance loosened to `target` (a supervised run's
     /// [`residual_settle_tol`]) when that is given and looser.
@@ -460,8 +480,8 @@ impl AnalogSystemSolver {
             .map(|(report, _)| report)
     }
 
-    /// [`solve`](Self::solve) under a supervisor whose relative residual
-    /// tolerance is `tol`: every run stops once its residual meets
+    /// [`solve`](Self::solve) for a supervisor whose answer must meet the
+    /// relative residual `tol`: every run stops once its residual meets
     /// [`SETTLE_SHARE`] of `tol` ([`residual_settle_tol`]), starts from and
     /// refreshes the basis in `slot`, and a run which hits its time cap
     /// without an exception is read out instead of reported as
@@ -1106,6 +1126,50 @@ mod tests {
                 assert!(r <= bound, "n = {n}: residual {r} > {bound}");
             }
         }
+    }
+
+    #[test]
+    fn readout_floor_predicts_the_settled_readout_residual() {
+        // The fleet's mixed-workload tridiagonals, with its right-hand
+        // sides (entries in [0.1, 1)). A settled readout is within half a
+        // code of its state, so its residual is the converters'. The floor
+        // is an expectation over the rounding of n components, so each
+        // structure is judged on the RMS ratio over a few right-hand sides.
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(31);
+        let (mut low, mut high) = (f64::INFINITY, 0.0f64);
+        let (mut rms_low, mut rms_high) = (f64::INFINITY, 0.0f64);
+        for n in [4, 8, 11, 12, 16] {
+            for diag in [2.0, 2.1, 2.2, 2.3] {
+                let a = CsrMatrix::tridiagonal(n, -1.0, diag, -1.0).unwrap();
+                let mut rhs = || -> Vec<f64> { (0..n).map(|_| rng.range(0.1, 1.0)).collect() };
+                let mut solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+                let b = rhs();
+                assert_eq!(solver.readout_floor(&b), None, "uncalibrated");
+                solver.solve(&b).unwrap();
+                let mut squares = 0.0;
+                for _ in 0..4 {
+                    let b = rhs();
+                    let report = solver.solve(&b).unwrap();
+                    // At the γ the readout ran at.
+                    let floor = solver.readout_floor(&b).unwrap();
+                    let ratio = a.residual_norm(&report.solution, &b) / vector::norm2(&b) / floor;
+                    squares += ratio * ratio;
+                    low = low.min(ratio);
+                    high = high.max(ratio);
+                }
+                let rms = (squares / 4.0).sqrt();
+                assert!(
+                    (1.0 / 3.0..=3.0).contains(&rms),
+                    "n = {n}, diag = {diag}: residual/floor RMS {rms}"
+                );
+                rms_low = rms_low.min(rms);
+                rms_high = rms_high.max(rms);
+            }
+        }
+        eprintln!(
+            "readout residual / floor: per answer in [{low:.2}, {high:.2}], \
+             RMS per structure in [{rms_low:.2}, {rms_high:.2}]"
+        );
     }
 
     #[test]
