@@ -19,6 +19,17 @@
 //! (Notay's flexible variant), which only requires the *current*
 //! application to be roughly symmetric positive definite.
 //!
+//! The outer loop owns the accuracy, so an application only has to be as
+//! accurate as the contraction FCG still needs (paper §VI-B: the last
+//! digits are the expensive ones). Each one is a supervised solve
+//! validated at `τ·‖b‖/‖r_k‖`, clamped between the supervisor's own
+//! residual tolerance and ½ so that it still contracts: the first and
+//! middle applications run at the supervisor's tolerance, and the last
+//! one, with only a few-fold contraction left, stops sooner. Only the
+//! first application solves for the request's own right-hand side; the
+//! later ones solve for residuals and keep to the supervisor's correction
+//! warm-start basis, so the next request starts from an answer.
+//!
 //! When the recovery ladder exhausts (the chip cannot produce a validated
 //! analog answer), the preconditioner demotes itself permanently to a
 //! digital Jacobi application — or identity if the diagonal is unusable —
@@ -33,7 +44,14 @@ use aa_linalg::op::RowAccess;
 use aa_linalg::{vector, CsrMatrix, LinearOperator};
 
 use crate::recover::{rayleigh_inverse_gain, FinalPath, SupervisedSolver};
+use crate::solve::WarmSlot;
 use crate::SolverError;
+
+/// The loosest relative residual an analog application is aimed at. An
+/// application `z` with `‖r − A·z‖ ≤ ½‖r‖` still halves the residual it
+/// preconditions, so however little contraction FCG still needs, each
+/// application must contract.
+const LOOSEST_APPLICATION: f64 = 0.5;
 
 /// Options for the flexible-CG loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,7 +133,8 @@ impl PrecondStats {
 /// range (exactly like one round of [`refine`](crate::refine)), runs the
 /// supervised solve on the *committed* structure — reusing the chip's plan
 /// cache across applications — and rescales the validated answer back.
-/// See the module docs for the demotion contract.
+/// See [`apply`](Self::apply) for the tolerance each application is aimed
+/// at and the module docs for the demotion contract.
 ///
 /// Successive applications see very different residuals (a smooth
 /// right-hand side first, rough FCG residuals later), so the solution
@@ -202,8 +221,28 @@ impl<'a> AnalogPreconditioner<'a> {
         self.stats.fallback_applications += 1;
     }
 
+    /// The relative residual an analog application is aimed at when FCG
+    /// still needs its residual to shrink by `need`:
+    /// `need` clamped to `[residual_tolerance, ½]`.
+    fn target(&self, need: f64) -> f64 {
+        need.min(LOOSEST_APPLICATION)
+            .max(self.solver.residual_tolerance())
+    }
+
     /// Applies `z ≈ M⁻¹·r`, choosing the analog or demoted path.
-    pub fn apply(&mut self, r: &[f64], z: &mut [f64]) {
+    ///
+    /// `need` is the contraction the outer loop still needs,
+    /// `τ·‖b‖₂/‖r‖₂` for FCG's tolerance `τ`. An analog application is a
+    /// supervised solve validated at `need` clamped to
+    /// `[residual_tolerance, ½]` (the run stops at a quarter of that, as
+    /// every supervised run does): an answer more accurate than the
+    /// outer loop can use costs settle time and buys nothing, while the
+    /// ½ cap keeps every application a contraction. The first application
+    /// solves for the request's own right-hand side and starts from, and
+    /// refreshes, the supervisor's request warm-start basis; every later
+    /// one solves for an FCG residual, which is a correction, and uses the
+    /// correction basis a refinement round uses.
+    pub fn apply(&mut self, r: &[f64], z: &mut [f64], need: f64) {
         assert_eq!(r.len(), z.len(), "precondition: length mismatch");
         let index = self.stats.applications;
         self.stats.applications += 1;
@@ -220,7 +259,12 @@ impl<'a> AnalogPreconditioner<'a> {
         let r_unit: Vec<f64> = r.iter().map(|v| v / r_peak).collect();
         let rho = rayleigh_inverse_gain(self.matrix(), &r_unit);
         self.solver.predict_precond_scale(index, rho);
-        match self.solver.solve(&r_unit) {
+        let slot = if index == 0 {
+            WarmSlot::Request
+        } else {
+            WarmSlot::Correction
+        };
+        match self.solver.solve_to(&r_unit, self.target(need), slot) {
             Ok(report) => {
                 self.stats.analog_time_s += report.recovery.analog_time_s();
                 match report.recovery.final_path {
@@ -322,7 +366,7 @@ pub fn fcg_solve(
     let mut x = vec![0.0; n];
     let mut r = b.to_vec();
     let mut z = vec![0.0; n];
-    precond.apply(&r, &mut z);
+    precond.apply(&r, &mut z, config.tolerance);
     let mut p = z.clone();
     let mut ap = vec![0.0; n];
     let mut rz = dot(&r, &z);
@@ -350,20 +394,25 @@ pub fn fcg_solve(
         vector::axpy(-alpha, &ap, &mut r);
         let rel = norm(&r) / b_norm;
         history.push(rel);
+        converged = rel <= config.tolerance;
+        let need = config.tolerance / rel;
         aa_obs::counter("solver.krylov.iterations", 1);
         aa_obs::histogram("solver.krylov.rel_residual", rel);
-        aa_obs::event(
-            aa_obs::Event::new("solver.krylov.iter")
+        if aa_obs::is_active() {
+            let mut ev = aa_obs::Event::new("solver.krylov.iter")
                 .with("iter", k)
                 .with("rel_residual", rel)
-                .with("precond", precond.kind().label()),
-        );
-        if rel <= config.tolerance {
-            converged = true;
+                .with("precond", precond.kind().label());
+            if !converged {
+                ev = ev.with("target", precond.target(need));
+            }
+            aa_obs::event(ev);
+        }
+        if converged {
             break;
         }
 
-        precond.apply(&r, &mut z);
+        precond.apply(&r, &mut z, need);
         // Flexible (Polak–Ribière / Notay) β: project against the residual
         // *change* so conjugacy survives the iteration-varying M⁻¹.
         let dr: Vec<f64> = r.iter().zip(&r_old).map(|(a, b)| a - b).collect();
@@ -497,6 +546,109 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn each_application_is_aimed_at_the_remaining_contraction() {
+        // Application k runs at the contraction FCG still needs after
+        // iteration k, τ/rel_k, clamped to [residual_tolerance, ½], and the
+        // loop still converges to τ.
+        let a = poisson_2d(8);
+        let n = a.dim();
+        let tol = RecoveryConfig::default().residual_tolerance;
+        let fresh = || {
+            SupervisedSolver::new(&a, &SolverConfig::ideal(), &RecoveryConfig::default()).unwrap()
+        };
+        // One traced solve, each application's target checked against the
+        // residual history; returns the report and how many applications
+        // were aimed above the supervisor's tolerance and how many capped.
+        let traced = |sup: &mut SupervisedSolver, b: &[f64], config: &KrylovConfig| {
+            let recorder = aa_obs::MemoryRecorder::shared();
+            let report = aa_obs::with_recorder(recorder.clone(), || {
+                let mut precond = AnalogPreconditioner::new(sup);
+                fcg_solve(&mut precond, b, config).unwrap()
+            });
+            let history = &report.residual_history;
+            assert!(report.converged, "{history:?}");
+            assert_eq!(report.precond.final_path(), FinalPath::Analog);
+            let (mut aimed, mut capped) = (0, 0);
+            if aa_obs::ENABLED {
+                let targets: Vec<f64> = recorder
+                    .snapshot()
+                    .events_of_kind("solver.krylov.iter")
+                    .filter_map(|e| match e.field("target") {
+                        Some(aa_obs::Value::F64(t)) => Some(*t),
+                        _ => None,
+                    })
+                    .collect();
+                // Every iteration but the converged last is followed by an
+                // application.
+                assert_eq!(targets.len(), history.len() - 1, "{history:?}");
+                for (target, rel) in targets.iter().zip(history) {
+                    let expected = (config.tolerance / rel).clamp(tol, 0.5);
+                    assert_eq!(*target, expected, "rel {rel:.3e}: {history:?}");
+                    aimed += usize::from(expected > tol);
+                    capped += usize::from(expected == 0.5);
+                }
+            }
+            (report, aimed, capped)
+        };
+
+        let mut sup = fresh();
+        let mut aimed = 0;
+        for shift in 0..4 {
+            let b: Vec<f64> = (0..n)
+                .map(|i| 0.5 + (((i + shift) % 7) as f64) * 0.25)
+                .collect();
+            let (report, aimed_here, _) = traced(&mut sup, &b, &KrylovConfig::default());
+            let rel = a.residual_norm(&report.solution, &b) / vector::norm2(&b);
+            assert!(rel <= 1e-8, "solve {shift}: residual {rel:.3e}");
+            aimed += aimed_here;
+        }
+        assert!(!aa_obs::ENABLED || aimed > 0, "no application was aimed");
+
+        // A loop left needing a contraction of 0.6 after its first
+        // iteration runs the second application at the ½ cap: replay the
+        // first solve on a fresh supervisor with τ at 0.6 of its first
+        // residual (application 0 runs at the supervisor's tolerance
+        // either way, so the first residual repeats).
+        let b = rhs(n);
+        let (first, _, _) = traced(&mut fresh(), &b, &KrylovConfig::default());
+        let rel_1 = first.residual_history[0];
+        let loose = KrylovConfig {
+            tolerance: 0.6 * rel_1,
+            ..KrylovConfig::default()
+        };
+        let (report, _, capped) = traced(&mut fresh(), &b, &loose);
+        assert_eq!(report.residual_history[0], rel_1);
+        assert!(!aa_obs::ENABLED || capped == 1, "{capped} capped");
+    }
+
+    #[test]
+    fn residual_applications_leave_the_request_basis_alone() {
+        // Only application 0 solves for the request's own right-hand side;
+        // the later ones solve for FCG residuals and keep to the correction
+        // basis. So the request basis a solve leaves behind, scaled by its
+        // Galerkin α, solves b/‖b‖∞ to the supervisor's tolerance.
+        let a = poisson_2d(8);
+        let b = rhs(a.dim());
+        let recovery = RecoveryConfig::default();
+        let mut sup = SupervisedSolver::new(&a, &SolverConfig::ideal(), &recovery).unwrap();
+        let mut precond = AnalogPreconditioner::new(&mut sup);
+        let report = fcg_solve(&mut precond, &b, &KrylovConfig::default()).unwrap();
+        assert!(report.converged && report.precond.analog_applications > 1);
+        let state = sup.export_state().solver;
+        let request = state.warm_start.expect("application 0 settled");
+        let peak = vector::norm_inf(&b);
+        let b_unit: Vec<f64> = b.iter().map(|v| v / peak).collect();
+        let alpha = vector::dot(&request.basis, &b_unit) / request.energy;
+        let guess: Vec<f64> = request.basis.iter().map(|u| alpha * u).collect();
+        let rel = a.residual_norm(&guess, &b_unit) / vector::norm2(&b_unit);
+        assert!(
+            rel <= recovery.residual_tolerance,
+            "α = {alpha:.3e}, residual {rel:.3e}"
+        );
+        assert!(state.correction_warm_start.is_some());
     }
 
     #[test]

@@ -434,6 +434,11 @@ impl SupervisedSolver {
         }
     }
 
+    /// The relative residual every [`solve`](Self::solve) answer must meet.
+    pub(crate) fn residual_tolerance(&self) -> f64 {
+        self.recovery.residual_tolerance
+    }
+
     /// Solves `A·u = b` under supervision.
     ///
     /// # Errors
@@ -443,6 +448,23 @@ impl SupervisedSolver {
     /// * [`SolverError::RecoveryExhausted`] when the retry budget is spent
     ///   and the digital fallback is disabled (or CG itself fails).
     pub fn solve(&mut self, b: &[f64]) -> Result<SupervisedSolveReport, SolverError> {
+        self.solve_to(b, self.recovery.residual_tolerance, WarmSlot::Request)
+    }
+
+    /// [`solve`](Self::solve) for an answer that must meet the relative
+    /// residual `tol`, starting from and refreshing the warm-start basis in
+    /// `slot`. Everything the supervision loop aims or checks follows
+    /// `tol`: the planned first round, where each run stops, the √tol
+    /// near-miss rule, a refinement round's target and the validation. A
+    /// Krylov preconditioner application passes the contraction its outer
+    /// loop still needs, and every application after the first is a
+    /// residual correction ([`WarmSlot::Correction`]).
+    pub(crate) fn solve_to(
+        &mut self,
+        b: &[f64],
+        tol: f64,
+        slot: WarmSlot,
+    ) -> Result<SupervisedSolveReport, SolverError> {
         if b.len() != self.matrix.dim() {
             return Err(SolverError::invalid(format!(
                 "rhs has {} entries, system has {}",
@@ -456,7 +478,6 @@ impl SupervisedSolver {
             .sum::<f64>()
             .sqrt()
             .max(f64::MIN_POSITIVE);
-        let tol = self.recovery.residual_tolerance;
         let budget = self.recovery.max_attempts.max(1);
         // A request whose expected readout floor q̂ takes more than the
         // `1 − θ` share of tol a run leaves for the readout is planned as
@@ -490,11 +511,11 @@ impl SupervisedSolver {
             let outcome = match &refined {
                 None => {
                     let target = planned.map_or(tol, |(_, target)| target);
-                    self.inner.solve_or_time_out(b, target, WarmSlot::Request)
+                    self.inner.solve_or_time_out(b, target, slot)
                 }
-                Some((candidate, r1)) => {
-                    self.refine(b, candidate, *r1).map(|report| (report, false))
-                }
+                Some((candidate, r1)) => self
+                    .refine(b, candidate, *r1, tol)
+                    .map(|report| (report, false)),
             };
             let wall_s = wall.elapsed().as_secs_f64();
             let analog_time_s = self.total_lifetime_s() - lifetime_before;
@@ -508,8 +529,9 @@ impl SupervisedSolver {
                     if r <= tol && !timed_out {
                         if refined.is_some() {
                             // The refined answer, not the readout it
-                            // refined, is what the next request starts from.
-                            self.inner.set_request_basis(&report.solution);
+                            // refined, is what the next run from `slot`
+                            // starts from.
+                            self.inner.set_basis(slot, &report.solution);
                         }
                         let recovered = attempts.iter().any(|a| a.classification.is_some());
                         attempts.push(AttemptRecord {
@@ -774,9 +796,10 @@ impl SupervisedSolver {
         b: &[f64],
         candidate: &AnalogSolveReport,
         r1: f64,
+        tol: f64,
     ) -> Result<AnalogSolveReport, SolverError> {
         let residual = self.matrix.residual(&candidate.solution, b);
-        let target = (self.recovery.residual_tolerance / r1).min(1.0);
+        let target = (tol / r1).min(1.0);
         let round = refine::correction(&residual, |r_unit| {
             self.aim_solution_scale(rayleigh_inverse_gain(&self.matrix, r_unit));
             self.inner

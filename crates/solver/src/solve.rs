@@ -188,7 +188,8 @@ impl WarmStart {
 pub(crate) enum WarmSlot {
     /// A request's own right-hand side.
     Request,
-    /// A refinement round's normalized residual: its answer is a
+    /// A refinement round's normalized residual, or a Krylov
+    /// preconditioner application after the first: its answer is a
     /// correction, a poor guess for the next request's solution.
     Correction,
 }
@@ -418,10 +419,14 @@ impl AnalogSystemSolver {
     }
 
     /// Makes `u`, an answer the supervisor accepted for `A·u = b`, the
-    /// basis the next request starts from (a refined answer is better than
-    /// the readout it refined).
-    pub(crate) fn set_request_basis(&mut self, u: &[f64]) {
-        self.warm_start = WarmStart::new(&self.matrix, u);
+    /// basis the next run from `slot` starts from (a refined answer is
+    /// better than the readout it refined).
+    pub(crate) fn set_basis(&mut self, slot: WarmSlot, u: &[f64]) {
+        let basis = WarmStart::new(&self.matrix, u);
+        match slot {
+            WarmSlot::Request => self.warm_start = basis,
+            WarmSlot::Correction => self.correction_warm_start = basis,
+        }
     }
 
     /// The Galerkin guess `(α, α·u_p)` for `b` from the basis in `slot`,
@@ -647,11 +652,7 @@ impl AnalogSystemSolver {
             let kind = if timed_out {
                 "solver.timed_out_readout"
             } else {
-                let basis = WarmStart::new(&self.matrix, &solution);
-                match slot {
-                    WarmSlot::Request => self.warm_start = basis,
-                    WarmSlot::Correction => self.correction_warm_start = basis,
-                }
+                self.set_basis(slot, &solution);
                 "solver.accept"
             };
             if aa_obs::is_active() {
