@@ -5,8 +5,8 @@
 //! solution time of the analog accelerator is governed by the smallest
 //! eigenvalue of `A` and the circuit bandwidth. This module provides:
 //!
-//! * [`power_iteration`] — dominant eigenvalue `λ_max`.
-//! * [`smallest_eigenvalue`] — `λ_min` by shifted power iteration.
+//! * [`power_iteration`] — dominant eigenpair `(λ_max, v_max)`.
+//! * [`smallest_eigenvalue`] — `(λ_min, v_min)` by shifted power iteration.
 //! * [`gershgorin_bounds`] — cheap analytic enclosure of the spectrum.
 //! * [`poisson_lambda_min`] / [`poisson_lambda_max`] — closed forms for the
 //!   model Poisson operators.
@@ -19,13 +19,16 @@ use crate::{vector, LinalgError};
 pub struct EigenEstimate {
     /// The eigenvalue estimate.
     pub value: f64,
+    /// The iteration's last vector, unit 2-norm: the eigenvector estimate
+    /// belonging to `value`.
+    pub vector: Vec<f64>,
     /// Iterations used.
     pub iterations: usize,
     /// Whether the estimate met the requested tolerance.
     pub converged: bool,
 }
 
-/// Estimates the dominant eigenvalue of a symmetric operator by power
+/// Estimates the dominant eigenpair of a symmetric operator by power
 /// iteration with Rayleigh-quotient refinement.
 ///
 /// # Errors
@@ -68,6 +71,7 @@ pub fn power_iteration<M: LinearOperator>(
             // v is in the null space; the dominant eigenvalue along it is 0.
             return Ok(EigenEstimate {
                 value: 0.0,
+                vector: v,
                 iterations: k,
                 converged: true,
             });
@@ -78,6 +82,7 @@ pub fn power_iteration<M: LinearOperator>(
         if (new_lambda - lambda).abs() <= tolerance * new_lambda.abs().max(1.0) {
             return Ok(EigenEstimate {
                 value: new_lambda,
+                vector: v,
                 iterations: k,
                 converged: true,
             });
@@ -86,14 +91,16 @@ pub fn power_iteration<M: LinearOperator>(
     }
     Ok(EigenEstimate {
         value: lambda,
+        vector: v,
         iterations: max_iterations,
         converged: false,
     })
 }
 
-/// Estimates the smallest eigenvalue of a symmetric positive-definite
+/// Estimates the smallest eigenpair of a symmetric positive-definite
 /// operator by power iteration on the shifted operator `σI − A`, where
-/// `σ ≥ λ_max` comes from a Gershgorin bound.
+/// `σ ≥ λ_max` comes from a Gershgorin bound. `σI − A` has the eigenvectors
+/// of `A`, so the iteration's vector is the estimate of `v_min`.
 ///
 /// # Errors
 ///
@@ -120,8 +127,7 @@ pub fn smallest_eigenvalue<M: RowAccess>(
     let est = power_iteration(&shifted, max_iterations, tolerance)?;
     Ok(EigenEstimate {
         value: upper - est.value,
-        iterations: est.iterations,
-        converged: est.converged,
+        ..est
     })
 }
 
@@ -249,6 +255,31 @@ mod tests {
                 min_est.value,
                 min_true
             );
+        }
+    }
+
+    #[test]
+    fn smallest_eigenpair_matches_the_closed_form_mode() {
+        // tridiag(−1, 2, −1) has v_min,i = sin(π·i/(n+1)), i = 1..n. The
+        // iteration and tolerance are the analog solver's.
+        for n in [4, 8, 11, 12, 16] {
+            let a = CsrMatrix::tridiagonal(n, -1.0, 2.0, -1.0).unwrap();
+            let est = smallest_eigenvalue(&a, 200_000, 1e-10).unwrap();
+            assert!(est.converged);
+            let (lambda, v) = (est.value, &est.vector);
+            assert!((vector::norm2(v) - 1.0).abs() < 1e-12);
+            let av = a.apply_vec(v);
+            let residual: Vec<f64> = av.iter().zip(v).map(|(x, y)| x - lambda * y).collect();
+            let rel = vector::norm2(&residual) / lambda;
+            assert!(rel <= 1e-3, "n = {n}: ‖Av − λv‖/λ = {rel}");
+
+            let h = std::f64::consts::PI / (n as f64 + 1.0);
+            let mut exact: Vec<f64> = (1..=n).map(|i| (h * i as f64).sin()).collect();
+            let norm = vector::norm2(&exact);
+            vector::scale(vector::dot(v, &exact).signum() / norm, &mut exact);
+            for (x, y) in v.iter().zip(&exact) {
+                assert!((x - y).abs() <= 1e-3, "n = {n}: {x} vs {y}");
+            }
         }
     }
 

@@ -28,6 +28,17 @@ use crate::SolverError;
 /// analog runs too early), or if the estimate is non-positive (matrix not
 /// positive definite).
 pub fn scaled_lambda_min(a: &CsrMatrix) -> Result<f64, SolverError> {
+    slowest_mode(a).map(|(lambda, _)| lambda)
+}
+
+/// [`scaled_lambda_min`] together with the eigenvector `v₁` the same
+/// iteration converged to (unit 2-norm): the analog flow's slowest mode,
+/// which `AnalogSystemSolver` takes out of every warm start.
+///
+/// # Errors
+///
+/// As [`scaled_lambda_min`].
+pub(crate) fn slowest_mode(a: &CsrMatrix) -> Result<(f64, Vec<f64>), SolverError> {
     let scale = a.max_abs();
     if scale == 0.0 {
         return Err(SolverError::invalid("matrix has no non-zero coefficient"));
@@ -44,7 +55,7 @@ pub fn scaled_lambda_min(a: &CsrMatrix) -> Result<f64, SolverError> {
             "matrix must be positive definite for the gradient flow to settle",
         ));
     }
-    Ok(est.value / scale)
+    Ok((est.value / scale, est.vector))
 }
 
 /// Predicted analog settle time for solving `A·u = b` on `design`, seconds.

@@ -9,7 +9,7 @@
 use aa_analog::{calibrate, ChipConfig, EngineOptions, NonIdealityConfig};
 use aa_linalg::{vector, CsrMatrix, LinearOperator};
 
-use crate::estimate::scaled_lambda_min;
+use crate::estimate::slowest_mode;
 use crate::mapping::MappedSystem;
 use crate::scaling::ScaledSystem;
 use crate::SolverError;
@@ -149,14 +149,15 @@ pub enum BatchColumn {
     Fallback(&'static str),
 }
 
-/// The solver's one-vector warm-start basis: its last settled readout
-/// `u_p` and the energy `u_pᵀA·u_p`.
+/// The solver's warm-start basis: its last settled readout `u_p` and the
+/// energy `u_pᵀA·u_p`.
 ///
-/// A run for `b` starts at the A-norm-optimal multiple `α·u_p`, with the
-/// Galerkin coefficient `α = u_pᵀb / u_pᵀA·u_p` (the one-vector case of
+/// Alone, it gives a run for `b` the A-norm-optimal multiple `α·u_p`, with
+/// the Galerkin coefficient `α = u_pᵀb / u_pᵀA·u_p` (the one-vector case of
 /// Fischer's projection method for successive right-hand sides). It
 /// minimizes `‖u* − α·u_p‖_A` over `α`, and `α = 0` is the cold start, so
 /// the guess is never further from the answer in the A-norm than zero is.
+/// The solver widens it by the slowest eigenmode `v₁` of `A`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmStart {
     /// The last settled (unscaled) readout `u_p`.
@@ -181,6 +182,84 @@ impl WarmStart {
         let alpha = vector::dot(&self.basis, b) / self.energy;
         (alpha, self.basis.iter().map(|u| alpha * u).collect())
     }
+}
+
+/// The slowest eigenmode `v₁` of `A`, the one `λ_min` belongs to, with
+/// `A·v₁` and its energy `v₁ᵀA·v₁`.
+///
+/// The flow `u(t) = u* + e^{−At}·(u₀ − u*)` settles the `v₁` component of
+/// its initial error last, at the `λ_min` rate. A warm run therefore starts
+/// from the Galerkin guess on span{v₁, u_p}: the pair `(s, α)` that
+/// minimizes `‖u* − s·v₁ − α·u_p‖_A`, from the 2×2 system
+///
+/// ```text
+/// [ v₁ᵀAv₁   v₁ᵀAu_p ] [s]   [ v₁ᵀb  ]
+/// [ u_pᵀAv₁  u_pᵀAu_p] [α] = [ u_pᵀb ]
+/// ```
+///
+/// The guess's error is A-orthogonal to `v₁`, so the run settles the rest
+/// at the `λ₂` rate. The span contains `α·u_p` and zero, so the guess is
+/// never further from `u*` in the A-norm than either. `A·v₁` is stored, not
+/// taken as `λ_min·v₁`, so the projection is exact however closely the
+/// iteration converged.
+#[derive(Debug)]
+struct SlowMode {
+    /// `v₁`, unit 2-norm.
+    vector: Vec<f64>,
+    /// `A·v₁`.
+    applied: Vec<f64>,
+    /// `v₁ᵀA·v₁`, positive.
+    energy: f64,
+}
+
+/// Below this share of `v₁ᵀAv₁·u_pᵀAu_p`, the 2×2 determinant is taken as
+/// zero: `u_p` is (nearly) parallel to `v₁` and adds no second direction.
+const PARALLEL_SHARE: f64 = 1e-10;
+
+impl SlowMode {
+    /// The mode for the eigenvector `v` of `a`; `None` when `vᵀA·v` is not
+    /// positive.
+    fn new(a: &CsrMatrix, v: Vec<f64>) -> Option<Self> {
+        let applied = a.apply_vec(&v);
+        let energy = vector::dot(&v, &applied);
+        (energy.is_finite() && energy > 0.0).then_some(SlowMode {
+            vector: v,
+            applied,
+            energy,
+        })
+    }
+
+    /// The Galerkin guess for `b` on span{v₁, u_p}; `None` when `u_p`
+    /// (nearly) parallels `v₁` and the 2×2 system is singular.
+    fn guess(&self, basis: &WarmStart, b: &[f64]) -> Option<Guess> {
+        let coupling = vector::dot(&basis.basis, &self.applied);
+        let det = self.energy * basis.energy - coupling * coupling;
+        if det <= PARALLEL_SHARE * self.energy * basis.energy {
+            return None;
+        }
+        let (on_slow, on_basis) = (vector::dot(&self.vector, b), vector::dot(&basis.basis, b));
+        let slow = (basis.energy * on_slow - coupling * on_basis) / det;
+        let alpha = (self.energy * on_basis - coupling * on_slow) / det;
+        let start = self
+            .vector
+            .iter()
+            .zip(&basis.basis)
+            .map(|(v, u)| slow * v + alpha * u)
+            .collect();
+        Some(Guess { alpha, slow, start })
+    }
+}
+
+/// A warm run's initial state `slow·v₁ + α·u_p` and its two coefficients.
+#[derive(Debug)]
+struct Guess {
+    /// The coefficient on the basis `u_p`.
+    alpha: f64,
+    /// The coefficient on the slowest mode `v₁` (0 for the one-vector
+    /// fallback).
+    slow: f64,
+    /// The (unscaled) initial state.
+    start: Vec<f64>,
 }
 
 /// Which warm-start basis a run starts from and, once settled, refreshes.
@@ -261,6 +340,10 @@ pub struct AnalogSystemSolver {
     /// The last settled correction a refinement round's run starts from
     /// ([`WarmSlot::Correction`]).
     correction_warm_start: Option<WarmStart>,
+    /// The slowest mode every warm start is widened by; rebuilt from `A`
+    /// by [`new`](Self::new), so no checkpoint carries it. `None` when
+    /// `λ_min` could not be estimated.
+    slow_mode: Option<SlowMode>,
 }
 
 impl std::fmt::Debug for AnalogSystemSolver {
@@ -280,7 +363,9 @@ impl AnalogSystemSolver {
     /// ADC code of the settled state: the configured `steady_tol` is
     /// loosened to `λ̃_min · adc_lsb / (2√n)` whenever that is looser, with
     /// `λ̃_min` the smallest eigenvalue of the value-scaled matrix
-    /// ([`scaled_lambda_min`]).
+    /// ([`scaled_lambda_min`](crate::estimate::scaled_lambda_min)). The
+    /// same iteration's eigenvector is kept as the slowest mode every warm
+    /// start removes.
     ///
     /// # Errors
     ///
@@ -299,8 +384,12 @@ impl AnalogSystemSolver {
         if config.calibrate {
             calibrate(mapped.chip_mut())?;
         }
+        let (lambda, slow_mode) = match slowest_mode(a) {
+            Ok((lambda, v)) => (Some(lambda), SlowMode::new(a, v)),
+            Err(_) => (None, None),
+        };
         let engine = EngineOptions {
-            steady_tol: readout_settle_tol(a, &template, config.engine.steady_tol),
+            steady_tol: readout_settle_tol(lambda, a.dim(), &template, config.engine.steady_tol),
             ..config.engine.clone()
         };
         Ok(AnalogSystemSolver {
@@ -312,6 +401,7 @@ impl AnalogSystemSolver {
             calibrated: false,
             warm_start: None,
             correction_warm_start: None,
+            slow_mode,
         })
     }
 
@@ -429,16 +519,27 @@ impl AnalogSystemSolver {
         }
     }
 
-    /// The Galerkin guess `(α, α·u_p)` for `b` from the basis in `slot`,
-    /// and its count on `solver.warm_starts`.
-    fn warm_guess(&self, b: &[f64], slot: WarmSlot) -> Option<(f64, Vec<f64>)> {
+    /// The Galerkin guess for `b` on span{v₁, u_p} with the basis `u_p` in
+    /// `slot` ([`SlowMode`]), or `α·u_p` alone when there is no slowest
+    /// mode or the 2×2 system is singular; and its count on
+    /// `solver.warm_starts`. `None` without a basis: a run with nothing
+    /// settled to start from starts at rest.
+    fn warm_guess(&self, b: &[f64], slot: WarmSlot) -> Option<Guess> {
         let basis = match slot {
             WarmSlot::Request => &self.warm_start,
             WarmSlot::Correction => &self.correction_warm_start,
-        };
-        let guess = basis.as_ref()?.guess(b);
+        }
+        .as_ref()?;
         aa_obs::counter("solver.warm_starts", 1);
-        Some(guess)
+        let widened = self.slow_mode.as_ref().and_then(|m| m.guess(basis, b));
+        Some(widened.unwrap_or_else(|| {
+            let (alpha, start) = basis.guess(b);
+            Guess {
+                alpha,
+                slow: 0.0,
+                start,
+            }
+        }))
     }
 
     /// The relative residual a settled readout of `b` at the current `γ` is
@@ -574,7 +675,7 @@ impl AnalogSystemSolver {
                 );
                 continue;
             }
-            let initial = guess.as_ref().map(|(_, u0)| self.scaled.scale_solution(u0));
+            let initial = guess.as_ref().map(|g| self.scaled.scale_solution(&g.start));
             self.mapped.program_rhs(&b_scaled, initial.as_deref())?;
             let engine = self.run_options(tol.map(|tol| residual_settle_tol(tol, &b_scaled)));
             let report = self.mapped.chip_mut().exec(&engine)?;
@@ -661,8 +762,8 @@ impl AnalogSystemSolver {
                     .with("overflow_retries", retries)
                     .with("underuse_retries", underuse_retries)
                     .with("peak", peak);
-                if let Some((alpha, _)) = &guess {
-                    ev = ev.with("alpha", *alpha);
+                if let Some(g) = &guess {
+                    ev = ev.with("alpha", g.alpha).with("slow", g.slow);
                 }
                 aa_obs::event(ev);
             }
@@ -698,9 +799,10 @@ impl AnalogSystemSolver {
     /// readout replays the readout-noise stream from the batch entry state,
     /// so its conversions match what a first sequential solve would see.
     ///
-    /// Every lane starts from its own Galerkin multiple of the warm-start
-    /// basis as it stood at batch entry (after the pre-calibration solve, if
-    /// one ran); the last solved column becomes the basis afterwards.
+    /// Every lane starts from its own Galerkin guess on the slowest mode and
+    /// the warm-start basis as it stood at batch entry (after the
+    /// pre-calibration solve, if one ran); the last solved column becomes
+    /// the basis afterwards.
     ///
     /// # Errors
     ///
@@ -779,7 +881,7 @@ impl AnalogSystemSolver {
             }
             let initial = self
                 .warm_guess(b, WarmSlot::Request)
-                .map(|(_, u0)| self.scaled.scale_solution(&u0));
+                .map(|g| self.scaled.scale_solution(&g.start));
             lanes.push(self.mapped.lane_bindings(&b_scaled, initial.as_deref())?);
             if let Some(tol) = tol {
                 let target = residual_settle_tol(tol, &b_scaled);
@@ -862,15 +964,20 @@ impl AnalogSystemSolver {
 /// `max|du/dτ| ≤ λ̃_min · adc_lsb / (2√n)` every integrator is within half
 /// an ADC code of its settled state. That bound replaces `configured`
 /// whenever it is looser; a looser configured tolerance is kept, `None`
-/// (detection off) stays `None`, and a matrix whose `λ̃_min` cannot be
-/// estimated ([`scaled_lambda_min`] errs) keeps `configured`.
-fn readout_settle_tol(a: &CsrMatrix, chip: &ChipConfig, configured: Option<f64>) -> Option<f64> {
+/// (detection off) stays `None`, and an `n`-row matrix whose `λ̃_min` could
+/// not be estimated (`lambda` is `None`) keeps `configured`.
+fn readout_settle_tol(
+    lambda: Option<f64>,
+    n: usize,
+    chip: &ChipConfig,
+    configured: Option<f64>,
+) -> Option<f64> {
     let configured = configured?;
-    let Ok(lambda) = scaled_lambda_min(a) else {
+    let Some(lambda) = lambda else {
         return Some(configured);
     };
     // `Ã = A·max_gain/max|a_ij|`, so its λ_min is the estimate's times the gain.
-    let bound = lambda * chip.max_gain * chip.adc_lsb() / (2.0 * (a.dim() as f64).sqrt());
+    let bound = lambda * chip.max_gain * chip.adc_lsb() / (2.0 * (n as f64).sqrt());
     Some(configured.max(bound))
 }
 
@@ -884,6 +991,7 @@ fn residual_settle_tol(tol: f64, b_scaled: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::scaled_lambda_min;
     use aa_linalg::stencil::PoissonStencil;
     use aa_linalg::Triplet;
 
@@ -1248,6 +1356,10 @@ mod tests {
                 let cold = a_norm_error(&a, &b, &vec![0.0; n]);
                 let warm = a_norm_error(&a, &b, &guess);
                 assert!(warm <= cold * (1.0 + 1e-12), "step {step}: {warm} > {cold}");
+                // Widening the span by the slowest mode never loses ground.
+                let widened = solver.warm_guess(&b, WarmSlot::Request).unwrap();
+                let slow = a_norm_error(&a, &b, &widened.start);
+                assert!(slow <= warm * (1.0 + 1e-12), "step {step}: {slow} > {warm}");
                 if step % 4 == 1 {
                     assert!(alpha.abs() < 1e-12, "A-orthogonal rhs: α = {alpha}");
                 }
@@ -1261,6 +1373,52 @@ mod tests {
             assert!(guess.iter().all(|g| *g == 0.0));
             assert_eq!(a_norm_error(&a, &zero, &guess), 0.0);
         }
+    }
+
+    #[test]
+    fn warm_start_takes_the_slowest_mode_out_of_the_initial_error() {
+        // The fleet's slowest mixed-workload structure: λ̃_min ≈ 0.03.
+        let a = CsrMatrix::tridiagonal(12, -1.0, 2.0, -1.0).unwrap();
+        let n = a.dim();
+        let cfg = SolverConfig::ideal();
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(41);
+        let mut rhs = || -> Vec<f64> { (0..n).map(|_| rng.range(0.1, 1.0)).collect() };
+        let a_norm = |x: &[f64]| vector::dot(x, &a.apply_vec(x)).sqrt();
+        let mut solver = AnalogSystemSolver::new(&a, &cfg).unwrap();
+        solver.solve(&rhs()).unwrap();
+        // The same γ and basis, started from α·u_p alone.
+        let mut one_vector = AnalogSystemSolver::new(&a, &cfg).unwrap();
+        one_vector.import_state(&solver.export_state()).unwrap();
+        one_vector.slow_mode = None;
+
+        let b = rhs();
+        let exact = aa_linalg::direct::solve(&a.to_dense(), &b).unwrap();
+        let v1 = solver.slow_mode.as_ref().unwrap().vector.clone();
+        let slow_share = |guess: &[f64]| {
+            let e0: Vec<f64> = exact.iter().zip(guess).map(|(x, g)| x - g).collect();
+            vector::dot(&v1, &a.apply_vec(&e0)).abs() / (a_norm(&v1) * a_norm(&e0))
+        };
+        let widened = solver.warm_guess(&b, WarmSlot::Request).unwrap();
+        let single = one_vector.warm_guess(&b, WarmSlot::Request).unwrap();
+        assert!(slow_share(&widened.start) <= 1e-3);
+        assert!(
+            slow_share(&single.start) > 1e-2,
+            "the one-vector start keeps v₁"
+        );
+
+        // At a fixed RK4 step the run time counts its steps. Both solves
+        // walk γ alike (every run of a walk starts from the same guess).
+        let omega = solver.chip().config().omega();
+        let steps = |t: f64| (t * omega / cfg.engine.dt_tau).round();
+        let fast = solver.solve(&b).unwrap();
+        let slow = one_vector.solve(&b).unwrap();
+        assert_eq!(fast.runs, slow.runs);
+        assert!(
+            steps(fast.analog_time_s) < steps(slow.analog_time_s),
+            "{} steps vs {} from α·u_p",
+            steps(fast.analog_time_s),
+            steps(slow.analog_time_s)
+        );
     }
 
     #[test]
