@@ -234,10 +234,10 @@ impl<'a> AnalogPreconditioner<'a> {
     /// `need` is the contraction the outer loop still needs,
     /// `τ·‖b‖₂/‖r‖₂` for FCG's tolerance `τ`. An analog application is a
     /// supervised solve validated at `need` clamped to
-    /// `[residual_tolerance, ½]` (the run stops at a quarter of that, as
-    /// every supervised run does): an answer more accurate than the
-    /// outer loop can use costs settle time and buys nothing, while the
-    /// ½ cap keeps every application a contraction. The first application
+    /// `[residual_tolerance, ½]` (the run stops at that less its readout
+    /// floor, as every supervised run does): an answer more accurate than
+    /// the outer loop can use costs settle time and buys nothing, while
+    /// the ½ cap keeps every application a contraction. The first application
     /// solves for the request's own right-hand side and starts from, and
     /// refreshes, the supervisor's request warm-start basis; every later
     /// one solves for an FCG residual, which is a correction, and uses the

@@ -35,7 +35,8 @@ use aa_linalg::vector;
 
 use crate::refine;
 use crate::solve::{
-    AnalogSolveReport, AnalogSystemSolver, SolverCheckpoint, SolverConfig, WarmSlot, SETTLE_SHARE,
+    AnalogSolveReport, AnalogSystemSolver, SolverCheckpoint, SolverConfig, Stop, WarmSlot,
+    SETTLE_SHARE,
 };
 use crate::SolverError;
 
@@ -65,11 +66,12 @@ pub struct SupervisedCheckpoint {
 pub struct RecoveryConfig {
     /// Accept a solution when `‖b − A·x‖₂ / ‖b‖₂` is at or below this.
     /// It also sets where every supervised analog run stops: once the
-    /// run's own residual is within a quarter of the run's target, or once
-    /// its readout can no longer change if that comes first. The target is
-    /// this tolerance, except for the runs of a refinement: a planned first
-    /// round aims at its readout floor and a correction at what its round
-    /// must deliver. Settling further buys precision this check discards.
+    /// run's own residual meets its target less its readout floor q̂ (at
+    /// least a quarter of the target), or once its readout can no longer
+    /// change if that comes first. The target is this tolerance, except
+    /// for the runs of a refinement: a planned first round aims at its
+    /// readout floor and a correction at what its round must deliver.
+    /// Settling further buys precision this check discards.
     pub residual_tolerance: f64,
     /// Total analog attempts (including the first) before falling back.
     pub max_attempts: usize,
@@ -479,11 +481,12 @@ impl SupervisedSolver {
             .sqrt()
             .max(f64::MIN_POSITIVE);
         let budget = self.recovery.max_attempts.max(1);
-        // A request whose expected readout floor q̂ takes more than the
-        // `1 − θ` share of tol a run leaves for the readout is planned as
-        // two rounds of Algorithm 2: the first run stops at its own target
-        // `max(tol, q̂)`, since past the floor a longer run buys nothing the
-        // readout keeps, and the correction takes the residual to tol.
+        // A request whose expected readout floor q̂ leaves a run less than
+        // θ·tol to settle to (`tol − q̂ < θ·tol`, where `settle_budget` stops
+        // at its lower limit) is planned as two rounds of Algorithm 2: the
+        // first run stops at its own target `max(tol, q̂)`, since past the
+        // floor a longer run buys nothing the readout keeps, and the
+        // correction takes the residual to tol.
         let plan = self
             .inner
             .readout_floor(b)
@@ -510,8 +513,10 @@ impl SupervisedSolver {
             let planned = plan.filter(|_| attempt == 1);
             let outcome = match &refined {
                 None => {
-                    let target = planned.map_or(tol, |(_, target)| target);
-                    self.inner.solve_or_time_out(b, target, slot)
+                    let stop = planned.map_or(Stop::Meet(tol), |(_, target)| {
+                        Stop::At(SETTLE_SHARE * target)
+                    });
+                    self.inner.solve_or_time_out(b, stop, slot)
                 }
                 Some((candidate, r1)) => self
                     .refine(b, candidate, *r1, tol)
@@ -803,7 +808,7 @@ impl SupervisedSolver {
         let round = refine::correction(&residual, |r_unit| {
             self.aim_solution_scale(rayleigh_inverse_gain(&self.matrix, r_unit));
             self.inner
-                .solve_or_time_out(r_unit, target, WarmSlot::Correction)
+                .solve_or_time_out(r_unit, Stop::Meet(target), WarmSlot::Correction)
         });
         self.inner.set_solution_factor(candidate.solution_factor);
         let mut refined = candidate.clone();
@@ -1059,7 +1064,11 @@ mod tests {
         let mut healthy = AnalogSystemSolver::new(a, &SolverConfig::ideal()).unwrap();
         healthy.set_solution_factor(gamma);
         let (run, timed_out) = healthy
-            .solve_or_time_out(b, recovery.residual_tolerance, WarmSlot::Request)
+            .solve_or_time_out(
+                b,
+                Stop::Meet(recovery.residual_tolerance),
+                WarmSlot::Request,
+            )
             .unwrap();
         let tau = 1.0 / healthy.chip().config().omega();
         assert!(!timed_out && run.runs == 1, "{run:?}");

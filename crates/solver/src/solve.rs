@@ -273,18 +273,36 @@ pub(crate) enum WarmSlot {
     Correction,
 }
 
-/// The share `θ` of the supervisor's residual tolerance that a supervised
-/// run may leave unsettled when it stops.
+/// The least share `θ` of its tolerance that a supervised run may leave
+/// unsettled when it stops ([`settle_budget`]).
+pub(crate) const SETTLE_SHARE: f64 = 0.25;
+
+/// The relative residual a supervised run whose answer must meet `tol` may
+/// leave unsettled when its readout floor is `floor` (q̂):
+/// `max(θ·tol, tol − q̂)`, the tolerance less what the converters add to
+/// the settled state.
 ///
 /// In the value-scaled flow `dũ/dτ = b̃ − Ã·ũ` the derivative the engine
 /// checks for steady state is the run's residual, so a run stopped at
-/// `max|dũ/dτ| ≤ θ·tol·‖b̃‖₂/√n` has
-/// `‖b̃ − Ã·ũ‖₂ ≤ √n·max|dũ/dτ| ≤ θ·tol·‖b̃‖₂`. Every scaling is a scalar
+/// `max|dũ/dτ| ≤ s·‖b̃‖₂/√n` has `‖b̃ − Ã·ũ‖₂ ≤ √n·max|dũ/dτ| ≤ s·‖b̃‖₂`
+/// ([`residual_settle_tol`]). Every scaling is a scalar
 /// (`b − A·u = s·γ·(b̃ − Ã·ũ)`), so the unscaled system has the same
-/// relative residual. The remaining `1 − θ = ¾` of the tolerance is left
-/// for what the readout adds to the settled state: ADC quantization and
-/// readout noise.
-pub(crate) const SETTLE_SHARE: f64 = 0.25;
+/// relative residual. Where `tol − q̂ < θ·tol` the readout leaves no room,
+/// and the supervisor plans two rounds instead of one run at `θ·tol`.
+pub(crate) fn settle_budget(tol: f64, floor: f64) -> f64 {
+    (tol - floor).max(SETTLE_SHARE * tol)
+}
+
+/// Where a supervised run stops, as a relative residual.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stop {
+    /// The run's answer must meet this tolerance: it stops at the
+    /// [`settle_budget`] its own readout floor leaves.
+    Meet(f64),
+    /// At this residual: a planned first round's `max(tol, q̂)`, past which
+    /// a longer run buys nothing the readout keeps.
+    At(f64),
+}
 
 /// A snapshot of one [`AnalogSystemSolver`]'s cross-solve mutable state:
 /// the adaptive solution-scale factor `γ` (walked by overflow/underuse
@@ -329,6 +347,9 @@ pub struct AnalogSystemSolver {
     /// tolerance loosened to [`readout_settle_tol`] (and, for a supervised
     /// run, further to [`residual_settle_tol`]).
     engine: EngineOptions,
+    /// `‖Ã‖_F`, which the readout floor scales with; `Ã` does not move
+    /// with `γ`.
+    a_frobenius: f64,
     /// Whether any solve has been accepted under the current `γ` — i.e.
     /// the overflow/underuse walk has settled. A batch on an uncalibrated
     /// solver pre-pays one sequential solve to establish `γ` instead of
@@ -392,12 +413,19 @@ impl AnalogSystemSolver {
             steady_tol: readout_settle_tol(lambda, a.dim(), &template, config.engine.steady_tol),
             ..config.engine.clone()
         };
+        let a_frobenius = scaled
+            .matrix
+            .iter()
+            .map(|(_, _, v)| v * v)
+            .sum::<f64>()
+            .sqrt();
         Ok(AnalogSystemSolver {
             mapped,
             scaled,
             matrix: a.clone(),
             config: config.clone(),
             engine,
+            a_frobenius,
             calibrated: false,
             warm_start: None,
             correction_warm_start: None,
@@ -548,18 +576,25 @@ impl AnalogSystemSolver {
     /// component is off by half a code. `None` until the `γ` walk has
     /// settled (and for a zero `b`), since `b̃` moves with `γ`.
     pub(crate) fn readout_floor(&self, b: &[f64]) -> Option<f64> {
-        let b_norm = vector::norm2(&self.scaled.scale_rhs(b));
-        if !self.calibrated || b_norm == 0.0 {
-            return None;
-        }
-        let a_frobenius = self
-            .scaled
-            .matrix
-            .iter()
-            .map(|(_, _, v)| v * v)
-            .sum::<f64>()
-            .sqrt();
-        Some(a_frobenius * 0.5 * self.mapped.chip().config().adc_lsb() / b_norm)
+        let floor = self.floor_of(&self.scaled.scale_rhs(b));
+        (self.calibrated && floor.is_finite()).then_some(floor)
+    }
+
+    /// [`readout_floor`](Self::readout_floor) of a run programmed with
+    /// `b_scaled` (infinite for a zero one).
+    fn floor_of(&self, b_scaled: &[f64]) -> f64 {
+        self.a_frobenius * 0.5 * self.mapped.chip().config().adc_lsb() / vector::norm2(b_scaled)
+    }
+
+    /// The readout floor of a run programmed with `b_scaled` and the
+    /// relative residual it stops at under `stop`.
+    fn settle(&self, stop: Stop, b_scaled: &[f64]) -> (f64, f64) {
+        let floor = self.floor_of(b_scaled);
+        let settle = match stop {
+            Stop::Meet(tol) => settle_budget(tol, floor),
+            Stop::At(residual) => residual,
+        };
+        (floor, settle)
     }
 
     /// The engine options of one run: the solver's own, with the settle
@@ -586,27 +621,27 @@ impl AnalogSystemSolver {
             .map(|(report, _)| report)
     }
 
-    /// [`solve`](Self::solve) for a supervisor whose answer must meet the
-    /// relative residual `tol`: every run stops once its residual meets
-    /// [`SETTLE_SHARE`] of `tol` ([`residual_settle_tol`]), starts from and
-    /// refreshes the basis in `slot`, and a run which hits its time cap
-    /// without an exception is read out instead of reported as
+    /// [`solve`](Self::solve) for a supervisor: every run stops once its
+    /// residual meets `stop` (for [`Stop::Meet`], the [`settle_budget`] of
+    /// the floor at the `γ` that run uses), starts from and refreshes the
+    /// basis in `slot`, and a run which hits its time cap without an
+    /// exception is read out instead of reported as
     /// [`SolverError::NoSteadyState`]. The flag is `true` for such a
     /// timed-out readout. Only the supervisor, which validates every
     /// answer and refines near misses, may take an unsettled state.
     pub(crate) fn solve_or_time_out(
         &mut self,
         b: &[f64],
-        tol: f64,
+        stop: Stop,
         slot: WarmSlot,
     ) -> Result<(AnalogSolveReport, bool), SolverError> {
-        self.solve_run(b, Some(tol), slot, true)
+        self.solve_run(b, Some(stop), slot, true)
     }
 
     fn solve_run(
         &mut self,
         b: &[f64],
-        tol: Option<f64>,
+        stop: Option<Stop>,
         slot: WarmSlot,
         read_timed_out: bool,
     ) -> Result<(AnalogSolveReport, bool), SolverError> {
@@ -677,7 +712,9 @@ impl AnalogSystemSolver {
             }
             let initial = guess.as_ref().map(|g| self.scaled.scale_solution(&g.start));
             self.mapped.program_rhs(&b_scaled, initial.as_deref())?;
-            let engine = self.run_options(tol.map(|tol| residual_settle_tol(tol, &b_scaled)));
+            let settled = stop.map(|stop| self.settle(stop, &b_scaled));
+            let engine =
+                self.run_options(settled.map(|(_, settle)| residual_settle_tol(settle, &b_scaled)));
             let report = self.mapped.chip_mut().exec(&engine)?;
             total_time += report.duration_s;
             runs += 1;
@@ -765,6 +802,9 @@ impl AnalogSystemSolver {
                 if let Some(g) = &guess {
                     ev = ev.with("alpha", g.alpha).with("slow", g.slow);
                 }
+                if let Some((floor, settle)) = settled {
+                    ev = ev.with("floor", floor).with("settle", settle);
+                }
                 aa_obs::event(ev);
             }
             let report = AnalogSolveReport {
@@ -817,8 +857,9 @@ impl AnalogSystemSolver {
     /// [`solve_batch`](Self::solve_batch), under a supervisor whose relative
     /// residual tolerance is `tol` when that is given: the pre-calibration
     /// solve then stops as a supervised run does, and the shared sweep at
-    /// the smallest lane's [`residual_settle_tol`] (the engine has one
-    /// settle tolerance for all lanes).
+    /// the smallest lane's [`residual_settle_tol`] of its own
+    /// [`settle_budget`] (the engine has one settle tolerance for all
+    /// lanes).
     pub(crate) fn solve_batch_within(
         &mut self,
         bs: &[Vec<f64>],
@@ -845,11 +886,12 @@ impl AnalogSystemSolver {
         // sweep would fall out as `underuse` and re-solve sequentially
         // anyway, doubling the work. Pay the γ walk once, up front, on the
         // first column; the batch then serves the rest at the settled γ.
+        let stop = tol.map(Stop::Meet);
         let calibration = if self.calibrated {
             None
         } else {
             aa_obs::counter("solver.batch_calibrations", 1);
-            Some(self.solve_run(&bs[0], tol, WarmSlot::Request, false)?.0)
+            Some(self.solve_run(&bs[0], stop, WarmSlot::Request, false)?.0)
         };
 
         let fs = self.mapped.chip().config().full_scale;
@@ -883,8 +925,9 @@ impl AnalogSystemSolver {
                 .warm_guess(b, WarmSlot::Request)
                 .map(|g| self.scaled.scale_solution(&g.start));
             lanes.push(self.mapped.lane_bindings(&b_scaled, initial.as_deref())?);
-            if let Some(tol) = tol {
-                let target = residual_settle_tol(tol, &b_scaled);
+            if let Some(stop) = stop {
+                let (_, settle) = self.settle(stop, &b_scaled);
+                let target = residual_settle_tol(settle, &b_scaled);
                 lane_target = Some(lane_target.map_or(target, |t| t.min(target)));
             }
             lane_columns.push(j);
@@ -946,12 +989,14 @@ impl AnalogSystemSolver {
                 .filter(|c| matches!(c, BatchColumn::Solved(_)))
                 .count();
             aa_obs::counter("solver.batch_lanes", lanes.len() as u64);
-            aa_obs::event(
-                aa_obs::Event::new("solver.batch")
-                    .with("columns", bs.len())
-                    .with("lanes", lanes.len())
-                    .with("solved", solved),
-            );
+            let mut ev = aa_obs::Event::new("solver.batch")
+                .with("columns", bs.len())
+                .with("lanes", lanes.len())
+                .with("solved", solved);
+            if let Some(target) = lane_target {
+                ev = ev.with("target", target);
+            }
+            aa_obs::event(ev);
         }
         Ok(out)
     }
@@ -981,11 +1026,11 @@ fn readout_settle_tol(
     Some(configured.max(bound))
 }
 
-/// The settle tolerance at which a run programmed with `b_scaled` meets
-/// [`SETTLE_SHARE`] of the supervisor's relative residual tolerance `tol`:
-/// `θ·tol·‖b̃‖₂/√n`, since `‖b̃ − Ã·ũ‖₂ ≤ √n·max|dũ/dτ|`.
-fn residual_settle_tol(tol: f64, b_scaled: &[f64]) -> f64 {
-    SETTLE_SHARE * tol * vector::norm2(b_scaled) / (b_scaled.len() as f64).sqrt()
+/// The settle tolerance at which a run programmed with `b_scaled` has a
+/// relative residual of at most `settle`: `settle·‖b̃‖₂/√n`, since
+/// `‖b̃ − Ã·ũ‖₂ ≤ √n·max|dũ/dτ|`.
+fn residual_settle_tol(settle: f64, b_scaled: &[f64]) -> f64 {
+    settle * vector::norm2(b_scaled) / (b_scaled.len() as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -1184,7 +1229,7 @@ mod tests {
                 settled.set_solution_factor(report.solution_factor);
                 // Detection is off, so no tolerance can stop the run early.
                 let (full, timed_out) = settled
-                    .solve_or_time_out(b, 1e-2, WarmSlot::Request)
+                    .solve_or_time_out(b, Stop::Meet(1e-2), WarmSlot::Request)
                     .unwrap();
                 assert!(timed_out, "detection off runs to the cap");
                 assert_eq!(full.solution_factor, report.solution_factor);
@@ -1215,13 +1260,21 @@ mod tests {
         matrices
     }
 
+    /// The residual a supervised run that must meet `tol` with readout floor
+    /// `floor` stops at, written out here so that the tests check
+    /// [`settle_budget`] rather than reuse it.
+    fn budget(tol: f64, floor: f64) -> f64 {
+        (tol - floor).max(0.25 * tol)
+    }
+
     #[test]
-    fn supervised_answers_meet_a_quarter_of_the_tolerance() {
+    fn supervised_answers_meet_their_settle_budget() {
         // 24-bit converters make quantization negligible: what is left of
-        // a first-try answer's residual is where its run stopped.
+        // a first-try answer's residual is where its run stopped, the
+        // tolerance less the answer's own readout floor.
         let cfg = SolverConfig::ideal().adc_bits(24);
         let recovery = crate::RecoveryConfig::default();
-        let bound = SETTLE_SHARE * recovery.residual_tolerance * (1.0 + 1e-9);
+        let tol = recovery.residual_tolerance;
         let mut rng = aa_linalg::rng::Rng64::seed_from_u64(23);
         for a in stop_rule_matrices() {
             let n = a.dim();
@@ -1231,9 +1284,111 @@ mod tests {
                 let b: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
                 let report = solver.solve(&b).unwrap();
                 assert_eq!(report.recovery.final_path, crate::FinalPath::Analog);
+                // At the γ the answer was read out at.
+                let floor = solver.inner().readout_floor(&b).unwrap();
+                let bound = budget(tol, floor) * (1.0 + 1e-9);
                 let r = a.residual_norm(&report.solution, &b) / vector::norm2(&b);
                 assert!(r <= bound, "n = {n}: residual {r} > {bound}");
             }
+        }
+    }
+
+    #[test]
+    fn warm_first_tries_meet_the_tolerance_at_the_settle_budget() {
+        // 12-bit converters and the fleet's right-hand sides (entries in
+        // [0.1, 1)): the readout floor takes a real share of the tolerance,
+        // and each run leaves it exactly that share.
+        let recovery = crate::RecoveryConfig::default();
+        let tol = recovery.residual_tolerance;
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(43);
+        let (mut unplanned, mut loose) = (0, 0);
+        for a in stop_rule_matrices() {
+            let n = a.dim();
+            let mut rhs = || -> Vec<f64> { (0..n).map(|_| rng.range(0.1, 1.0)).collect() };
+            let mut solver =
+                crate::SupervisedSolver::new(&a, &SolverConfig::ideal(), &recovery).unwrap();
+            solver.solve(&rhs()).unwrap();
+            for _ in 0..4 {
+                let b = rhs();
+                let planned =
+                    solver.inner().readout_floor(&b).unwrap() > (1.0 - SETTLE_SHARE) * tol;
+                let recorder = aa_obs::MemoryRecorder::shared();
+                let report = aa_obs::with_recorder(recorder.clone(), || solver.solve(&b).unwrap());
+                if planned {
+                    continue;
+                }
+                unplanned += 1;
+                let attempts = &report.recovery.attempts;
+                assert_eq!(attempts.len(), 1, "n = {n}: {:#?}", report.recovery);
+                assert_eq!(attempts[0].action, crate::RecoveryAction::Accept);
+                let r = a.residual_norm(&report.solution, &b) / vector::norm2(&b);
+                assert!(r <= tol, "n = {n}: residual {r}");
+                if aa_obs::ENABLED {
+                    let trace = recorder.snapshot();
+                    let runs: Vec<_> = trace
+                        .events_of_kind("solver.accept")
+                        .map(|e| (e.field("floor"), e.field("settle")))
+                        .collect();
+                    let floor = solver.inner().readout_floor(&b).unwrap();
+                    let settle = budget(tol, floor);
+                    loose += usize::from(settle > SETTLE_SHARE * tol);
+                    let expected = (aa_obs::Value::F64(floor), aa_obs::Value::F64(settle));
+                    assert_eq!(runs, [(Some(&expected.0), Some(&expected.1))], "n = {n}");
+                }
+            }
+        }
+        assert!(unplanned >= 24, "{unplanned} unplanned requests");
+        if aa_obs::ENABLED {
+            assert!(
+                loose >= unplanned - 4,
+                "{loose} of {unplanned} runs above θ·tol"
+            );
+        }
+    }
+
+    #[test]
+    fn batch_lanes_stop_at_the_smallest_settle_budget() {
+        let a = CsrMatrix::tridiagonal(16, -1.0, 2.3, -1.0).unwrap();
+        let recovery = crate::RecoveryConfig::default();
+        let tol = recovery.residual_tolerance;
+        let mut solver =
+            crate::SupervisedSolver::new(&a, &SolverConfig::ideal(), &recovery).unwrap();
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(47);
+        let mut rhs =
+            |scale: f64| -> Vec<f64> { (0..16).map(|_| scale * rng.range(0.1, 1.0)).collect() };
+        solver.solve(&rhs(1.0)).unwrap();
+        // Four lanes of different norms, hence different floors.
+        let bs: Vec<Vec<f64>> = [1.0, 0.8, 0.9, 0.7].into_iter().map(&mut rhs).collect();
+        let lane_budgets: Vec<f64> = bs
+            .iter()
+            .map(|b| {
+                let floor = solver.inner().readout_floor(b).unwrap();
+                // The premise: the floor leaves the run more than θ·tol.
+                assert!(floor < (1.0 - SETTLE_SHARE) * tol, "floor {floor}");
+                let b_scaled = solver.inner().scaling().scale_rhs(b);
+                residual_settle_tol(budget(tol, floor), &b_scaled)
+            })
+            .collect();
+        let recorder = aa_obs::MemoryRecorder::shared();
+        let reports = aa_obs::with_recorder(recorder.clone(), || solver.solve_batch(&bs));
+        for (b, report) in bs.iter().zip(reports) {
+            let report = report.unwrap();
+            assert_eq!(report.recovery.final_path, crate::FinalPath::Analog);
+            let r = a.residual_norm(&report.solution, b) / vector::norm2(b);
+            assert!(r <= tol, "residual {r}");
+        }
+        if aa_obs::ENABLED {
+            let trace = recorder.snapshot();
+            let batch = trace.events_of_kind("solver.batch").next().unwrap();
+            assert_eq!(batch.field("solved"), Some(&aa_obs::Value::U64(4)));
+            let smallest = lane_budgets.iter().copied().fold(f64::INFINITY, f64::min);
+            assert_eq!(batch.field("target"), Some(&aa_obs::Value::F64(smallest)));
+            assert!(
+                lane_budgets.iter().any(|t| *t > smallest),
+                "{lane_budgets:?}"
+            );
+            assert_eq!(trace.counter("solver.recovery.batch_fallbacks"), 0);
+            assert_eq!(trace.counter("solver.supervised_solves"), 0);
         }
     }
 
@@ -1298,7 +1453,7 @@ mod tests {
                 let mut supervised = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
                 supervised.import_state(&plain.export_state()).unwrap();
                 let (sup, timed_out) = supervised
-                    .solve_or_time_out(&b, tol, WarmSlot::Request)
+                    .solve_or_time_out(&b, Stop::Meet(tol), WarmSlot::Request)
                     .unwrap();
                 let full = plain.solve(&b).unwrap();
                 assert!(!timed_out);

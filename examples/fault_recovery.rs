@@ -49,12 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SolverConfig::ideal()
     };
 
-    // A burst on two integrators in the first 2.5 ms of chip lifetime keeps
-    // the derivative alive, so the first run hits its time cap (one noisy
-    // integrator alone passes through zero often enough for a run to stop
-    // mid-burst). A weak burst leaves the state close to the answer (a near
-    // miss, refined once); a strong one does not, and the supervisor waits
-    // the burst out.
+    // A burst on every integrator in the first 2.5 ms of chip lifetime
+    // keeps the derivative alive, so the first run hits its time cap (at
+    // this amplitude, one or two noisy integrators pass through zero often
+    // enough for a run to stop mid-burst). A weak burst leaves the state
+    // close to the answer (a near miss, refined once); a strong one does
+    // not, and the supervisor waits the burst out.
     for (label, amplitude) in [("weak", 0.05), ("strong", 0.5)] {
         println!("== {label} transient noise burst (first 2.5 ms of chip lifetime) ==");
         let mut solver = SupervisedSolver::new(&a, &cfg, &RecoveryConfig::default())?;
@@ -68,7 +68,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 2.5e-3,
             )
         };
-        solver.inject_faults(FaultPlan::new(77).with_event(burst(1)).with_event(burst(2)));
+        solver.inject_faults(
+            FaultPlan::new(77)
+                .with_event(burst(0))
+                .with_event(burst(1))
+                .with_event(burst(2)),
+        );
         let report = solver.solve(&b)?;
         describe(&report);
         println!("  solution: {:?}\n", report.solution);

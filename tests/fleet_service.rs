@@ -211,27 +211,44 @@ fn probation_readmits_a_recovered_chip() {
     // the chip's lifetime clock (~5.8 ms burn per failed solve): the chip
     // fails early requests, gets quarantined, probes dirty while the
     // window is still open, then probes clean and rejoins the rotation.
+    // It hits two integrators: a supervised run stops once every
+    // derivative is within its residual target, and one noisy integrator
+    // passes through zero often enough to let a run stop mid-burst.
     let a = CsrMatrix::tridiagonal(4, -1.0, 2.0, -1.0).unwrap();
-    let transient = FaultPlan::new(5).with_event(FaultEvent::transient(
-        FaultKind::NoiseBurst {
-            unit: UnitId::Integrator(0),
-            amplitude: 0.2,
-        },
-        0.0,
-        0.03,
-    ));
+    let burst = |integrator| {
+        FaultEvent::transient(
+            FaultKind::NoiseBurst {
+                unit: UnitId::Integrator(integrator),
+                amplitude: 0.2,
+            },
+            0.0,
+            0.03,
+        )
+    };
+    let transient = FaultPlan::new(5).with_event(burst(0)).with_event(burst(1));
+    let serve = |config: FleetConfig| {
+        let mut fleet = FleetService::new(config, vec![a.clone()]).unwrap();
+        for _ in 0..40 {
+            fleet.submit(SolveRequest::new(0, vec![1.0; 4])).unwrap();
+        }
+        fleet.run_until_idle();
+        fleet
+    };
+    let quarantines = |fleet: &FleetService| {
+        fleet
+            .log()
+            .events
+            .iter()
+            .filter(|e| matches!(e, ScheduleEvent::Quarantined { chip: 0, .. }))
+            .count()
+    };
+    // The premise: quarantine is the burst's doing. The same fleet without
+    // it keeps chip 0 in rotation.
+    assert_eq!(quarantines(&serve(faultable_fleet(2))), 0);
     let mut config = faultable_fleet(2).with_fault_plan(0, transient);
     config.health.readmit_after_rounds = 1;
-    let mut fleet = FleetService::new(config, vec![a]).unwrap();
-    for _ in 0..40 {
-        fleet.submit(SolveRequest::new(0, vec![1.0; 4])).unwrap();
-    }
-    fleet.run_until_idle();
-    let quarantined = fleet
-        .log()
-        .events
-        .iter()
-        .any(|e| matches!(e, ScheduleEvent::Quarantined { chip: 0, .. }));
+    let fleet = serve(config);
+    let quarantined = quarantines(&fleet) > 0;
     let readmitted = fleet
         .log()
         .events
