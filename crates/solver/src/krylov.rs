@@ -22,13 +22,17 @@
 //! The outer loop owns the accuracy, so an application only has to be as
 //! accurate as the contraction FCG still needs (paper §VI-B: the last
 //! digits are the expensive ones). Each one is a supervised solve
-//! validated at `τ·‖b‖/‖r_k‖`, clamped between the supervisor's own
-//! residual tolerance and ½ so that it still contracts: the first and
-//! middle applications run at the supervisor's tolerance, and the last
-//! one, with only a few-fold contraction left, stops sooner. Only the
-//! first application solves for the request's own right-hand side; the
-//! later ones solve for residuals and keep to the supervisor's correction
-//! warm-start basis, so the next request starts from an answer.
+//! validated at `τ·‖b‖/‖r_k‖`, clamped to `[√tol, ½]` with `tol` the
+//! supervisor's residual tolerance. √tol is the supervisor's own
+//! near-miss bound: a run to it settles in about half the time of a run
+//! to `tol`, two such applications contract as much as one at `tol`, and
+//! the aim sits far above any readout floor. The ½ cap keeps every
+//! application a contraction. Only the first
+//! application solves for the request's own right-hand side; the later
+//! ones solve for residuals and keep to the supervisor's correction
+//! warm-start basis. A solve that converges on the analog path leaves its
+//! answer as the request basis, so the next request starts from it rather
+//! than from the first application's √tol answer.
 //!
 //! When the recovery ladder exhausts (the chip cannot produce a validated
 //! analog answer), the preconditioner demotes itself permanently to a
@@ -188,7 +192,7 @@ impl<'a> AnalogPreconditioner<'a> {
         self.kind
     }
 
-    /// Accounting so far.
+    /// Accounting of the current (or last) [`fcg_solve`].
     pub fn stats(&self) -> PrecondStats {
         self.stats
     }
@@ -222,11 +226,11 @@ impl<'a> AnalogPreconditioner<'a> {
     }
 
     /// The relative residual an analog application is aimed at when FCG
-    /// still needs its residual to shrink by `need`:
-    /// `need` clamped to `[residual_tolerance, ½]`.
+    /// still needs its residual to shrink by `need`: `need` clamped to
+    /// `[√residual_tolerance, ½]`.
     fn target(&self, need: f64) -> f64 {
         need.min(LOOSEST_APPLICATION)
-            .max(self.solver.residual_tolerance())
+            .max(self.solver.residual_tolerance().sqrt())
     }
 
     /// Applies `z ≈ M⁻¹·r`, choosing the analog or demoted path.
@@ -234,14 +238,16 @@ impl<'a> AnalogPreconditioner<'a> {
     /// `need` is the contraction the outer loop still needs,
     /// `τ·‖b‖₂/‖r‖₂` for FCG's tolerance `τ`. An analog application is a
     /// supervised solve validated at `need` clamped to
-    /// `[residual_tolerance, ½]` (the run stops at that less its readout
-    /// floor, as every supervised run does): an answer more accurate than
-    /// the outer loop can use costs settle time and buys nothing, while
-    /// the ½ cap keeps every application a contraction. The first application
-    /// solves for the request's own right-hand side and starts from, and
-    /// refreshes, the supervisor's request warm-start basis; every later
-    /// one solves for an FCG residual, which is a correction, and uses the
-    /// correction basis a refinement round uses.
+    /// `[√residual_tolerance, ½]` (the run stops at that less its readout
+    /// floor, as every supervised run does): the outer loop owns the
+    /// accuracy, so an application only has to contract, and the
+    /// supervisor's near-miss bound √tol is as far as one needs to go; the
+    /// ½ cap keeps every application a contraction. The first application of a
+    /// solve (its statistics count from the solve's start) solves for the
+    /// request's own right-hand side and starts from, and refreshes, the
+    /// supervisor's request warm-start basis; every later one solves for an
+    /// FCG residual, which is a correction, and uses the correction basis a
+    /// refinement round uses.
     pub fn apply(&mut self, r: &[f64], z: &mut [f64], need: f64) {
         assert_eq!(r.len(), z.len(), "precondition: length mismatch");
         let index = self.stats.applications;
@@ -318,6 +324,12 @@ pub struct KrylovReport {
 /// the (noisy) inverse of the operator being solved, which is the
 /// approximate-inverse setting of Shah et al.
 ///
+/// A preconditioner may serve several solves: each one counts its
+/// applications (and so its κ indices and warm-start slots) from zero and
+/// reports only its own [`PrecondStats`], while a demotion stays in force.
+/// A solve that converges with the analog preconditioner still in use
+/// makes its answer the supervisor's request warm-start basis.
+///
 /// # Errors
 ///
 /// * [`SolverError::InvalidProblem`] on a wrong-length `b`.
@@ -336,6 +348,7 @@ pub fn fcg_solve(
             b.len()
         )));
     }
+    precond.stats = PrecondStats::default();
     let _span = aa_obs::span("solver.krylov.fcg");
     let dot = |x: &[f64], y: &[f64]| -> f64 {
         if config.compensated {
@@ -425,6 +438,10 @@ pub fn fcg_solve(
         vector::xpby(&z, beta, &mut p);
     }
 
+    if converged && precond.kind == PrecondKind::Analog {
+        // Application 0 left only a √tol answer in the request slot.
+        precond.solver.keep_request_answer(&x);
+    }
     aa_obs::event(
         aa_obs::Event::new("solver.krylov.done")
             .with("iterations", iterations)
@@ -551,17 +568,17 @@ mod tests {
     #[test]
     fn each_application_is_aimed_at_the_remaining_contraction() {
         // Application k runs at the contraction FCG still needs after
-        // iteration k, τ/rel_k, clamped to [residual_tolerance, ½], and the
-        // loop still converges to τ.
+        // iteration k, τ/rel_k, clamped to [√residual_tolerance, ½], and
+        // the loop still converges to τ.
         let a = poisson_2d(8);
         let n = a.dim();
-        let tol = RecoveryConfig::default().residual_tolerance;
+        let floor = RecoveryConfig::default().residual_tolerance.sqrt();
         let fresh = || {
             SupervisedSolver::new(&a, &SolverConfig::ideal(), &RecoveryConfig::default()).unwrap()
         };
         // One traced solve, each application's target checked against the
         // residual history; returns the report and how many applications
-        // were aimed above the supervisor's tolerance and how many capped.
+        // were aimed above √tol and how many capped.
         let traced = |sup: &mut SupervisedSolver, b: &[f64], config: &KrylovConfig| {
             let recorder = aa_obs::MemoryRecorder::shared();
             let report = aa_obs::with_recorder(recorder.clone(), || {
@@ -585,9 +602,9 @@ mod tests {
                 // application.
                 assert_eq!(targets.len(), history.len() - 1, "{history:?}");
                 for (target, rel) in targets.iter().zip(history) {
-                    let expected = (config.tolerance / rel).clamp(tol, 0.5);
+                    let expected = (config.tolerance / rel).clamp(floor, 0.5);
                     assert_eq!(*target, expected, "rel {rel:.3e}: {history:?}");
-                    aimed += usize::from(expected > tol);
+                    aimed += usize::from(expected > floor);
                     capped += usize::from(expected == 0.5);
                 }
             }
@@ -610,8 +627,8 @@ mod tests {
         // A loop left needing a contraction of 0.6 after its first
         // iteration runs the second application at the ½ cap: replay the
         // first solve on a fresh supervisor with τ at 0.6 of its first
-        // residual (application 0 runs at the supervisor's tolerance
-        // either way, so the first residual repeats).
+        // residual (application 0 runs at √tol either way, so the first
+        // residual repeats).
         let b = rhs(n);
         let (first, _, _) = traced(&mut fresh(), &b, &KrylovConfig::default());
         let rel_1 = first.residual_history[0];
@@ -649,6 +666,71 @@ mod tests {
             "α = {alpha:.3e}, residual {rel:.3e}"
         );
         assert!(state.correction_warm_start.is_some());
+    }
+
+    #[test]
+    fn a_reused_preconditioner_replays_fresh_ones() {
+        // Each solve counts its applications (κ index, warm-start slot,
+        // statistics) from its own start, so two solves through one
+        // preconditioner replay two through fresh preconditioners over the
+        // same supervisor sequence bit for bit.
+        let a = poisson_2d(6);
+        let n = a.dim();
+        let bs = [rhs(n), (0..n).map(|i| 1.0 - 0.1 * (i % 3) as f64).collect()];
+        let config = KrylovConfig::default();
+        let fresh = || {
+            SupervisedSolver::new(&a, &SolverConfig::ideal(), &RecoveryConfig::default()).unwrap()
+        };
+        let mut reused_sup = fresh();
+        let mut precond = AnalogPreconditioner::new(&mut reused_sup);
+        let reused: Vec<KrylovReport> = bs
+            .iter()
+            .map(|b| fcg_solve(&mut precond, b, &config).unwrap())
+            .collect();
+        let mut sup = fresh();
+        let separate: Vec<KrylovReport> = bs
+            .iter()
+            .map(|b| fcg_solve(&mut AnalogPreconditioner::new(&mut sup), b, &config).unwrap())
+            .collect();
+        assert_eq!(reused, separate);
+        for report in &reused {
+            assert!(report.converged, "{:?}", report.residual_history);
+            assert_eq!(report.precond.applications, report.iterations);
+        }
+        // A converged analog solve leaves its answer as the request basis.
+        let basis = sup.export_state().solver.warm_start.expect("converged");
+        assert_eq!(basis.basis, separate[1].solution);
+    }
+
+    #[test]
+    fn the_ideal_chip_preconditions_n121_without_recovery() {
+        // Aimed at √tol, no application of a 121-row 2D Poisson solve meets
+        // its readout floor, so none needs the recovery ladder, and the
+        // loop still needs at most 0.7x the iterations of plain CG.
+        let a = poisson_2d(11);
+        let b = rhs(a.dim());
+        let plain = cg(
+            &a,
+            &b,
+            &IterativeConfig::with_stopping(StoppingCriterion::RelativeResidual(1e-8)),
+        )
+        .unwrap();
+        let mut sup =
+            SupervisedSolver::new(&a, &SolverConfig::ideal(), &RecoveryConfig::default()).unwrap();
+        let fcg = fcg_solve(
+            &mut AnalogPreconditioner::new(&mut sup),
+            &b,
+            &KrylovConfig::default(),
+        )
+        .unwrap();
+        assert!(fcg.converged && plain.converged);
+        assert_eq!(fcg.precond.final_path(), FinalPath::Analog);
+        assert!(
+            (fcg.iterations as f64) <= 0.7 * plain.iterations as f64,
+            "fcg {} !<= 0.7 x cg {}",
+            fcg.iterations,
+            plain.iterations
+        );
     }
 
     #[test]

@@ -436,6 +436,13 @@ impl SupervisedSolver {
         }
     }
 
+    /// Makes `u`, a digitally converged answer to the request just
+    /// served, the request warm-start basis: a Krylov solve's first
+    /// application leaves only a √tol answer there.
+    pub(crate) fn keep_request_answer(&mut self, u: &[f64]) {
+        self.inner.set_basis(WarmSlot::Request, u);
+    }
+
     /// The relative residual every [`solve`](Self::solve) answer must meet.
     pub(crate) fn residual_tolerance(&self) -> f64 {
         self.recovery.residual_tolerance

@@ -1,8 +1,10 @@
 //! The accelerator as a *preconditioner* instead of a primary solver:
 //! flexible CG where every z ≈ M⁻¹·r application is one supervised analog
-//! solve. Compares iteration counts against plain digital CG, then injects
-//! a hard fault to show the loop demoting gracefully to a digital Jacobi
-//! application instead of diverging.
+//! solve. Compares iteration counts against plain digital CG, with the
+//! digital work of each loop priced on the paper's Xeon model (`CpuModel`)
+//! beside the simulated analog time, then injects a hard fault to show the
+//! loop demoting gracefully to a digital Jacobi application instead of
+//! diverging.
 //!
 //! ```bash
 //! cargo run --release --example krylov_precond
@@ -23,7 +25,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &b,
         &IterativeConfig::with_stopping(StoppingCriterion::RelativeResidual(config.tolerance)),
     )?;
-    println!("plain CG:               {:>3} iterations", plain.iterations);
+    let cpu = CpuModel::xeon_x5550();
+    println!(
+        "plain CG:               {:>3} iterations  ({:.2} modelled cpu µs)",
+        plain.iterations,
+        cpu.solve_time_s(plain.iterations, n) * 1e6
+    );
 
     // Analog-preconditioned flexible CG: each application reuses the chip's
     // committed structure, plan cache, and calibration.
@@ -31,10 +38,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut precond = AnalogPreconditioner::new(&mut sup);
     let fcg = fcg_solve(&mut precond, &b, &config)?;
     println!(
-        "analog-preconditioned:  {:>3} iterations  ({} analog applications, {:.1} simulated µs)",
+        "analog-preconditioned:  {:>3} iterations  ({} analog applications, {:.1} simulated \
+         analog µs + {:.2} modelled cpu µs)",
         fcg.iterations,
         fcg.precond.analog_applications,
-        fcg.precond.analog_time_s * 1e6
+        fcg.precond.analog_time_s * 1e6,
+        cpu.solve_time_s(fcg.iterations, n) * 1e6
     );
     assert!(fcg.converged && fcg.iterations < plain.iterations);
 
