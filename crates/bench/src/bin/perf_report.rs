@@ -1,46 +1,20 @@
 //! Performance report for the simulator's critical paths, written to
 //! `BENCH_engine.json` so successive changes can track the trajectory.
 //!
-//! Five groups of measurements:
+//! Every row is `{bench, config, wall_ms, clock, metrics}` ([`BenchRow`]):
+//! `wall_ms` is the host wall time of the run, and every metric of a row is
+//! read on its clock — `host` (throughputs, wall-time ratios, core counts)
+//! or `simulated` (simulated chip time, the paper's `CpuModel` time,
+//! counts). A run measured on both clocks writes one row per clock.
 //!
-//! 1. **Engine microbench** — RK4 steps/sec of the analog engine on a
-//!    coupled integrator-chain circuit, compiled-plan path vs. the
-//!    tree-walking reference evaluator (the tentpole's ≥3× target), plus a
-//!    plan-cache proof: ≥100 solves against one matrix must lower exactly
-//!    one plan. Rides along with the **batched multi-RHS** group: one
-//!    K-lane sweep vs. K sequential runs at K = 1/4/16 (the K=16 ratio is
-//!    gated at ≥2.0× on multi-core machines), and fleet serving throughput
-//!    with RHS coalescing on vs. off.
-//! 2. **Figure sweeps** — wall time of a fig7-style analog system solve and
-//!    the fig8 digital-CG baseline measurement. Rides along with the
-//!    **krylov_precond** group: plain digital CG vs analog-preconditioned
-//!    flexible CG on 2D Poisson systems, each row tagged with
-//!    `krylov_speedup` (the CG/FCG iteration ratio — gated at ≥1/0.7x for
-//!    n ≥ 64 on every host: iteration counts are exact, not host time; the
-//!    FCG row's config also names the preconditioner's simulated analog
-//!    time, gated at n = 64 on every host as well), and the
-//!    **refine_compensated** pair: iterative refinement with f64 vs
-//!    two-float compensated residual accumulation on an ill-conditioned
-//!    system, the floor ratio recorded as `refine_ulp_gain`.
-//! 3. **Decomposed-solver scaling** — block-Jacobi decomposition of a 2D
-//!    Poisson problem at 1/2/4 threads (identical results, best-of-N
-//!    speedup, with `cores`/`undersubscribed` recorded per row). A
-//!    two-thread speedup below 1.0× aborts the report on multi-core
-//!    machines and prints a loud warning on single-core ones.
-//! 4. **Fleet serving throughput** — completed solve requests per
-//!    wall-clock second through [`aa_sched::FleetService`] with one
-//!    dispatcher shard per chip: one chip on one worker vs. four chips on
-//!    four workers, plus a 1/4/16-chip `fleet_scaling` curve over a
-//!    16-structure stream (each point tagged with `fleet_chips`, the curve
-//!    also exported as `FLEET_SCALING.json`). Same gating policy as the
-//!    scaling group: the 4-chip configurations must not serve slower than
-//!    the 1-chip ones, enforced only when the machine has ≥2 cores; on
-//!    single-core runners the ratios are still recorded and a loud
-//!    NOT-GATED banner replaces the silent skip.
-//! 5. **Resilience** — wall time of one fleet checkpoint + restore cycle
-//!    (`checkpoint_restore_ms`), and a seeded chaos soak whose completed
-//!    request count rides along as `soak_requests_completed`; the soak's
-//!    invariants must hold for the report to be written.
+//! Every bound goes through one [`Gate`]: a simulated gate fires on every
+//! host, a host gate only on ≥ 2 cores (on one core it prints a NOT-GATED
+//! line with its would-pass / WOULD FAIL verdict), and the report ends with
+//! a table of every gate. Each group in `GROUPS` is one function: engine
+//! microbench, plan-cache reuse, batched multi-RHS, plan-IR passes, the
+//! fig7/fig8 paths, analog-preconditioned Krylov, compensated refinement,
+//! decomposed scaling, fleet throughput / coalescing / scaling, and
+//! resilience (checkpoint + restore, chaos soak).
 //!
 //! `--quick` shrinks every problem for the CI smoke run. `--trace-out
 //! <path>` installs an [`aa_obs`] recorder around the measurements and
@@ -53,13 +27,16 @@ use std::time::Instant;
 
 use aa_analog::netlist::{InputPort, OutputPort};
 use aa_analog::units::UnitId;
-use aa_analog::{AnalogChip, ChipConfig, EngineOptions, EvalStrategy, LaneBindings};
-use aa_bench::{banner, measure_cg_2d, records_to_json, validate_bench_json, BenchRecord};
+use aa_analog::{AnalogChip, ChipConfig, EngineOptions, EvalStrategy, LaneBindings, PassConfig};
+use aa_bench::{
+    banner, gate_table, measure_cg_2d, rows_to_json, validate_bench_json, BenchRow, Bound, Clock,
+    Gate, GateResult,
+};
 use aa_hwmodel::CpuModel;
 use aa_linalg::compensated::{self, TwoFloat};
 use aa_linalg::iterative::{cg, IterativeConfig, StoppingCriterion};
 use aa_linalg::stencil::PoissonStencil;
-use aa_linalg::{CsrMatrix, ParallelConfig, Triplet};
+use aa_linalg::{CsrMatrix, LinearOperator, ParallelConfig, Triplet};
 use aa_sched::chaos::{run_soak, ChaosConfig};
 use aa_sched::{FleetConfig, FleetService, SolveRequest};
 use aa_solver::refine::solve_refined;
@@ -110,18 +87,22 @@ fn microbench_chip(macroblocks: usize) -> AnalogChip {
     chip
 }
 
-/// Best-of-`reps` wall time of one `exec` under `strategy`; returns
-/// `(best_seconds, steps)`.
-fn time_engine(chip: &mut AnalogChip, options: &EngineOptions, reps: usize) -> (f64, usize) {
+/// Best-of-`reps` wall seconds of `run`, and the last run's result.
+fn best_of<T>(reps: usize, mut run: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
-    let mut steps = 0;
+    let mut last = None;
     for _ in 0..reps {
         let start = Instant::now();
-        let report = chip.exec(options).expect("microbench run");
+        let out = run();
         best = best.min(start.elapsed().as_secs_f64());
-        steps = report.steps;
+        last = Some(out);
     }
-    (best, steps)
+    (best, last.expect("at least one repetition"))
+}
+
+/// A 2D Poisson matrix on an `l × l` grid.
+fn poisson(l: usize) -> CsrMatrix {
+    CsrMatrix::from_row_access(&PoissonStencil::new_2d(l).expect("grid"))
 }
 
 /// An ill-conditioned SPD tridiagonal (variable-coefficient Dirichlet
@@ -167,15 +148,16 @@ fn main() {
     // Only install a recorder when a trace was requested, so plain perf
     // runs measure the recorder-disabled fast path.
     let recorder = trace_out.as_ref().map(|_| aa_obs::MemoryRecorder::shared());
-    let records = match &recorder {
+    let report = match &recorder {
         Some(rec) => aa_obs::with_recorder(rec.clone(), || run_benchmarks(quick)),
         None => run_benchmarks(quick),
     };
+    println!("\ngates:\n{}", gate_table(&report.gates));
 
-    let json = records_to_json(&records);
+    let json = rows_to_json(&report.rows);
     validate_bench_json(&json).expect("BENCH_engine.json failed schema validation");
     std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
-    println!("\nwrote BENCH_engine.json ({} records)", records.len());
+    println!("\nwrote BENCH_engine.json ({} rows)", report.rows.len());
 
     if let (Some(path), Some(rec)) = (&trace_out, &recorder) {
         let snapshot = rec.snapshot();
@@ -189,85 +171,146 @@ fn main() {
     }
 }
 
-fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
-    let mut records: Vec<BenchRecord> = Vec::new();
+/// The rows and gate results of one run, and what sizes it.
+struct Report {
+    quick: bool,
+    cores: usize,
+    rows: Vec<BenchRow>,
+    gates: Vec<GateResult>,
+}
 
+impl Report {
+    /// The quick-mode or the full-mode value.
+    fn pick<T>(&self, quick: T, full: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            full
+        }
+    }
+
+    /// Records a host-clock row of a run that took `wall_s` seconds.
+    fn host(&mut self, bench: &str, config: String, wall_s: f64, m: &[(&str, f64)]) {
+        let row = BenchRow::new(bench, config, wall_s * 1e3, Clock::Host, m);
+        self.rows.push(row);
+    }
+
+    /// Records a simulated-clock row of a run that took `wall_s` seconds.
+    fn sim(&mut self, bench: &str, config: String, wall_s: f64, m: &[(&str, f64)]) {
+        let row = BenchRow::new(bench, config, wall_s * 1e3, Clock::Simulated, m);
+        self.rows.push(row);
+    }
+
+    /// Records a host row of a thread- or chip-scaling run, with `cores`
+    /// and whether it ran more workers than cores: only workers that run
+    /// side by side measure parallel speedup.
+    fn scaling(
+        &mut self,
+        bench: &str,
+        config: String,
+        wall_s: f64,
+        workers: usize,
+        m: &[(&str, f64)],
+    ) {
+        let under = f64::from(u8::from(workers > self.cores));
+        let host = [("cores", self.cores as f64), ("undersubscribed", under)];
+        let metrics: Vec<(&str, f64)> = host.iter().chain(m).copied().collect();
+        self.host(bench, config, wall_s, &metrics);
+    }
+
+    /// Checks one bound through [`Gate::check`] and keeps the result for
+    /// the closing table.
+    fn gate(&mut self, clock: Clock, metric: impl Into<String>, bound: Bound, value: f64) {
+        let gate = Gate {
+            metric: metric.into(),
+            bound,
+            clock,
+        };
+        self.gates.push(gate.check(value, self.cores));
+    }
+}
+
+/// `", undersubscribed"` when a run has more workers than cores.
+fn undersubscribed(workers: usize, cores: usize) -> &'static str {
+    if workers > cores {
+        ", undersubscribed"
+    } else {
+        ""
+    }
+}
+
+const GROUPS: [fn(&mut Report); 12] = [
+    engine_microbench,
+    plan_cache_reuse,
+    batched_rhs,
+    engine_ir,
+    figure_paths,
+    krylov_precond,
+    refine_compensated,
+    decomposed_scaling,
+    fleet_throughput,
+    fleet_coalescing,
+    fleet_scaling,
+    resilience,
+];
+
+fn run_benchmarks(quick: bool) -> Report {
+    let caption = if quick { " (quick smoke)" } else { "" };
     banner(
         "perf_report",
-        if quick {
-            "engine + solver performance (quick smoke)"
-        } else {
-            "engine + solver performance"
-        },
+        &format!("engine + solver performance{caption}"),
     );
+    let mut report = Report {
+        quick,
+        cores: std::thread::available_parallelism().map_or(1, |c| c.get()),
+        rows: Vec::new(),
+        gates: Vec::new(),
+    };
+    for group in GROUPS {
+        group(&mut report);
+    }
+    report
+}
 
-    // 1. Engine microbench: compiled plan vs. reference evaluator.
-    let macroblocks = if quick { 16 } else { 32 };
-    let max_tau = if quick { 30.0 } else { 150.0 };
-    let reps = if quick { 3 } else { 5 };
-    let mut chip = microbench_chip(macroblocks);
-    let options = |strategy: EvalStrategy| EngineOptions {
+/// RK4 steps/sec of the compiled plan vs. the reference evaluator.
+fn engine_microbench(r: &mut Report) {
+    let blocks = r.pick(16, 32);
+    let reps = r.pick(3, 5);
+    let mut chip = microbench_chip(blocks);
+    let options = |eval_strategy| EngineOptions {
         steady_tol: None,
-        max_tau,
-        eval_strategy: strategy,
+        max_tau: r.pick(30.0, 150.0),
+        eval_strategy,
         ..EngineOptions::default()
     };
-    let (ref_s, ref_steps) = time_engine(&mut chip, &options(EvalStrategy::Reference), reps);
-    let (com_s, com_steps) = time_engine(&mut chip, &options(EvalStrategy::Compiled), reps);
+    let reference = options(EvalStrategy::Reference);
+    let compiled = options(EvalStrategy::Compiled);
+    let (ref_s, ref_steps) = best_of(reps, || chip.exec(&reference).expect("run").steps);
+    let (com_s, com_steps) = best_of(reps, || chip.exec(&compiled).expect("run").steps);
     assert_eq!(ref_steps, com_steps, "strategies must take identical steps");
     let ref_sps = ref_steps as f64 / ref_s;
     let com_sps = com_steps as f64 / com_s;
-    println!("\nengine microbench ({macroblocks} macroblocks, {ref_steps} RK4 steps)");
+    let ratio = com_sps / ref_sps;
+    println!("\nengine microbench ({blocks} macroblocks, {ref_steps} RK4 steps)");
     println!("  reference evaluator: {ref_s:9.4} s  ({ref_sps:11.0} steps/s)");
-    println!(
-        "  compiled plan:       {com_s:9.4} s  ({com_sps:11.0} steps/s)  — {:.2}x",
-        com_sps / ref_sps
-    );
-    records.push(BenchRecord {
-        bench: "engine_microbench".to_string(),
-        config: format!("{macroblocks} macroblocks, reference evaluator"),
-        wall_ms: ref_s * 1e3,
-        steps_per_sec: Some(ref_sps),
-        requests_per_sec: None,
-        speedup_vs_serial: None,
-        cores: None,
-        undersubscribed: None,
-        soak_requests_completed: None,
-        checkpoint_restore_ms: None,
-        batched_speedup: None,
-        ir_speedup: None,
-        fleet_chips: None,
-        krylov_speedup: None,
-        refine_ulp_gain: None,
-    });
-    records.push(BenchRecord {
-        bench: "engine_microbench".to_string(),
-        config: format!("{macroblocks} macroblocks, compiled plan"),
-        wall_ms: com_s * 1e3,
-        steps_per_sec: Some(com_sps),
-        requests_per_sec: None,
-        speedup_vs_serial: Some(com_sps / ref_sps),
-        cores: None,
-        undersubscribed: None,
-        soak_requests_completed: None,
-        checkpoint_restore_ms: None,
-        batched_speedup: None,
-        ir_speedup: None,
-        fleet_chips: None,
-        krylov_speedup: None,
-        refine_ulp_gain: None,
-    });
+    println!("  compiled plan:       {com_s:9.4} s  ({com_sps:11.0} steps/s)  — {ratio:.2}x");
+    let config = |path| format!("{blocks} macroblocks, {path}");
+    let m = [("steps_per_sec", ref_sps)];
+    let bench = "engine_microbench";
+    r.host(bench, config("reference evaluator"), ref_s, &m);
+    let m = [("steps_per_sec", com_sps), ("speedup_vs_reference", ratio)];
+    r.host(bench, config("compiled plan"), com_s, &m);
+}
 
-    // 1b. Plan-cache reuse: a long sequence of solves against one matrix
-    // reprograms DACs/initial conditions (and recommits) every run, yet the
-    // netlist structure never changes — so the evaluation plan must be
-    // lowered exactly once. This is the microbench proof behind the
-    // decomposed solver's sweep loop, which replays exactly this pattern.
-    let cache_l = if quick { 3 } else { 4 };
-    let a = CsrMatrix::from_row_access(&PoissonStencil::new_2d(cache_l).expect("grid"));
-    let n = cache_l * cache_l;
+/// A long sequence of solves against one matrix reprograms DACs and
+/// initial conditions (and recommits) every run, yet the netlist structure
+/// never changes — so the evaluation plan must be lowered exactly once, as
+/// the decomposed solver's sweep loop relies on.
+fn plan_cache_reuse(r: &mut Report) {
+    let l = r.pick(3, 4);
+    let n = l * l;
     let runs = 120;
-    let mut solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).expect("maps");
+    let mut solver = AnalogSystemSolver::new(&poisson(l), &SolverConfig::ideal()).expect("maps");
     let start = Instant::now();
     for run in 0..runs {
         let rhs: Vec<f64> = (0..n)
@@ -277,943 +320,493 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
     }
     let cache_s = start.elapsed().as_secs_f64();
     let stats = solver.plan_stats();
-    assert_eq!(
-        stats.plans_lowered, 1,
-        "plan must be lowered once across {runs} solves, got {stats:?}"
+    let (lowered, hits) = (stats.plans_lowered as f64, stats.cache_hits as f64);
+    println!(
+        "plan cache ({runs} solves, n = {n}): {cache_s:9.4} s — {lowered} lowered, {hits} hits"
     );
+    let name = "plan_cache_reuse plans_lowered";
+    r.gate(Clock::Simulated, name, Bound::Exactly(1.0), lowered);
     assert_eq!(stats.structures_built, 1, "structure rebuilt: {stats:?}");
     assert!(
-        stats.cache_hits >= runs as u64 - 1,
-        "expected ≥{} cache hits, got {stats:?}",
-        runs - 1
+        stats.cache_hits + 1 >= runs as u64,
+        "expected ≥{runs} - 1 cache hits: {stats:?}"
     );
-    println!(
-        "plan cache ({runs} solves, n = {n}): {cache_s:9.4} s — {} lowered, {} hits",
-        stats.plans_lowered, stats.cache_hits
-    );
-    records.push(BenchRecord {
-        bench: "plan_cache_reuse".to_string(),
-        config: format!(
-            "poisson 2d n={n}, {runs} solves, plans_lowered={}, cache_hits={}",
-            stats.plans_lowered, stats.cache_hits
-        ),
-        wall_ms: cache_s * 1e3,
-        steps_per_sec: None,
-        requests_per_sec: None,
-        speedup_vs_serial: None,
-        cores: None,
-        undersubscribed: None,
-        soak_requests_completed: None,
-        checkpoint_restore_ms: None,
-        batched_speedup: None,
-        ir_speedup: None,
-        fleet_chips: None,
-        krylov_speedup: None,
-        refine_ulp_gain: None,
-    });
+    let m = [("plans_lowered", lowered), ("cache_hits", hits)];
+    let config = format!("poisson 2d n={n}, {runs} solves");
+    r.sim("plan_cache_reuse", config, cache_s, &m);
+}
 
-    // 1c. Batched multi-RHS execution: one K-lane RK4 sweep against K
-    // sequential runs of the same committed circuit. The lanes differ only
-    // in their DAC constants and integrator initial conditions — exactly
-    // the per-run state `LaneBindings` snapshots — so the batched path
-    // amortizes plan dispatch and cache traffic across the lanes while the
-    // sequential path pays a full recommit + sweep per lane.
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let batch_blocks = if quick { 8 } else { 16 };
-    let batch_tau = if quick { 20.0 } else { 60.0 };
-    let batch_reps = if quick { 3 } else { 5 };
-    let batch_options = EngineOptions {
+/// One K-lane RK4 sweep against K sequential runs of the same committed
+/// circuit. The lanes differ only in the per-run state `LaneBindings`
+/// snapshots (DAC constants, integrator initial conditions), so the batched
+/// path amortizes plan dispatch and cache traffic across the lanes while
+/// the sequential path pays a recommit + sweep per lane. The measurement is
+/// single-threaded, but a 1-core runner is noisy enough (time-sliced
+/// against its own host) that the K = 16 gate is a host gate.
+fn batched_rhs(r: &mut Report) {
+    let blocks = r.pick(8, 16);
+    let reps = r.pick(3, 5);
+    let options = EngineOptions {
         steady_tol: None,
-        max_tau: batch_tau,
+        max_tau: r.pick(20.0, 60.0),
         eval_strategy: EvalStrategy::Compiled,
         ..EngineOptions::default()
     };
-    println!("\nbatched multi-RHS execution ({batch_blocks} macroblocks, best of {batch_reps})");
-    let mut batched_speedup_16 = 0.0;
+    println!("\nbatched multi-RHS execution ({blocks} macroblocks, best of {reps})");
     for k in [1usize, 4, 16] {
-        let mut chip = microbench_chip(batch_blocks);
+        let mut chip = microbench_chip(blocks);
+        let ic = |i: usize, lane: usize| 0.02 * ((i + lane) % 7) as f64;
+        let dac = |lane: usize| 0.2 + 0.01 * lane as f64;
         let lanes: Vec<LaneBindings> = (0..k)
-            .map(|lane| {
-                let ints: BTreeMap<usize, f64> = (0..batch_blocks)
-                    .map(|i| (i, 0.02 * ((i + lane) % 7) as f64))
-                    .collect();
-                let dacs: BTreeMap<usize, f64> =
-                    BTreeMap::from([(0, chip.quantize_dac(0.2 + 0.01 * lane as f64))]);
-                LaneBindings {
-                    dac_values: Some(dacs),
-                    int_initial: Some(ints),
-                }
+            .map(|lane| LaneBindings {
+                dac_values: Some(BTreeMap::from([(0, chip.quantize_dac(dac(lane)))])),
+                int_initial: Some((0..blocks).map(|i| (i, ic(i, lane))).collect()),
             })
             .collect();
         // Warm the plan cache so neither path's best-of window pays the
         // one-time structure build + plan lowering.
-        chip.exec_batch(&lanes, &batch_options).expect("warmup");
-        let mut batched_s = f64::INFINITY;
-        let mut batched_steps = 0usize;
-        for _ in 0..batch_reps {
-            let start = Instant::now();
-            let batch = chip
-                .exec_batch(&lanes, &batch_options)
-                .expect("batched run");
-            batched_s = batched_s.min(start.elapsed().as_secs_f64());
-            batched_steps = batch.reports.iter().map(|r| r.steps).sum();
-        }
-        let mut seq_s = f64::INFINITY;
-        let mut seq_steps = 0usize;
-        for _ in 0..batch_reps {
-            let start = Instant::now();
+        chip.exec_batch(&lanes, &options).expect("warmup");
+        let (batched_s, batch) = best_of(reps, || chip.exec_batch(&lanes, &options).expect("run"));
+        let batched_steps: usize = batch.reports.iter().map(|r| r.steps).sum();
+        let (seq_s, seq_steps) = best_of(reps, || {
             let mut total = 0usize;
             for lane in 0..k {
-                for i in 0..batch_blocks {
-                    chip.set_int_initial(i, 0.02 * ((i + lane) % 7) as f64)
-                        .expect("ic");
+                for i in 0..blocks {
+                    chip.set_int_initial(i, ic(i, lane)).expect("ic");
                 }
-                chip.set_dac_constant(0, 0.2 + 0.01 * lane as f64)
-                    .expect("dac");
+                chip.set_dac_constant(0, dac(lane)).expect("dac");
                 chip.cfg_commit().expect("recommit");
-                total += chip.exec(&batch_options).expect("sequential run").steps;
+                total += chip.exec(&options).expect("sequential run").steps;
             }
-            seq_s = seq_s.min(start.elapsed().as_secs_f64());
-            seq_steps = total;
-        }
+            total
+        });
         assert_eq!(batched_steps, seq_steps, "paths must take identical steps");
-        let batched_sps = batched_steps as f64 / batched_s;
-        let seq_sps = seq_steps as f64 / seq_s;
-        let ratio = batched_sps / seq_sps;
-        if k == 16 {
-            batched_speedup_16 = ratio;
-        }
+        let sps = batched_steps as f64 / batched_s;
+        let ratio = sps / (seq_steps as f64 / seq_s);
         println!(
-            "  K = {k:2}: batched {batched_s:9.4} s  ({batched_sps:11.0} steps/s)  \
+            "  K = {k:2}: batched {batched_s:9.4} s  ({sps:11.0} steps/s)  \
              sequential {seq_s:9.4} s  — {ratio:.2}x"
         );
-        records.push(BenchRecord {
-            bench: "batched_rhs".to_string(),
-            config: format!("{batch_blocks} macroblocks, K={k}"),
-            wall_ms: batched_s * 1e3,
-            steps_per_sec: Some(batched_sps),
-            requests_per_sec: None,
-            speedup_vs_serial: None,
-            cores: None,
-            undersubscribed: None,
-            soak_requests_completed: None,
-            checkpoint_restore_ms: None,
-            batched_speedup: Some(ratio),
-            ir_speedup: None,
-            fleet_chips: None,
-            krylov_speedup: None,
-            refine_ulp_gain: None,
-        });
+        let m = [("steps_per_sec", sps), ("batched_speedup", ratio)];
+        let config = format!("{blocks} macroblocks, K={k}");
+        r.host("batched_rhs", config, batched_s, &m);
+        if k == 16 {
+            let name = "batched_rhs K=16 batched_speedup";
+            r.gate(Clock::Host, name, Bound::AtLeast(2.0), ratio);
+        }
     }
-    // The batched-execution gate: a 16-lane sweep must run at least twice
-    // the sequential throughput. The measurement is single-threaded, but a
-    // 1-core CI runner is noisy enough (time-sliced against its own host)
-    // that the check degrades to a loud warning there, mirroring the
-    // scaling gates below.
-    if cores >= 2 {
-        assert!(
-            batched_speedup_16 >= 2.0,
-            "batched_rhs regression: K=16 batched speedup {batched_speedup_16:.3}x < 2.0x"
-        );
-    } else if batched_speedup_16 < 2.0 {
-        println!(
-            "WARNING: K=16 batched speedup {batched_speedup_16:.2}x < 2.0x, but only \
-             {cores} core is available (noisy runner — not gating)"
-        );
-    }
+}
 
-    // 1d. Plan-IR optimization passes: sequential RK4 throughput of the op
-    // tape lowered with every pass against the same tape lowered without
-    // passes, on the solver-mapped 2D Poisson circuit (n = 16) — the
-    // pipeline's headline number. Both run the same fixed τ span (steady
-    // detection off), so the ratio isolates per-step evaluation cost. The
-    // per-pass op counts are written to PASS_STATS.json as a non-gating
-    // artifact.
-    let ir_l = 4usize;
-    let ir_n = ir_l * ir_l;
-    let ir_tau = if quick { 30.0 } else { 120.0 };
-    let ir_reps = if quick { 3 } else { 5 };
-    let a = CsrMatrix::from_row_access(&PoissonStencil::new_2d(ir_l).expect("grid"));
-    let mut ir_solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).expect("maps");
+/// Sequential RK4 throughput of the op tape lowered with every pass against
+/// the same tape lowered without passes, on the solver-mapped 2D Poisson
+/// circuit (n = 16), over the same fixed τ span (steady detection off), so
+/// the ratio isolates per-step evaluation cost. A simulated row carries
+/// each pass's op counts.
+fn engine_ir(r: &mut Report) {
+    let reps = r.pick(3, 5);
+    let mut solver = AnalogSystemSolver::new(&poisson(4), &SolverConfig::ideal()).expect("maps");
     // One real solve programs the RHS DACs and commits the configuration;
     // after that the chip can be stepped directly.
-    ir_solver.solve(&vec![1.0; ir_n]).expect("prime solve");
-    let ir_chip = ir_solver.chip_mut();
-    let ir_options = |passes: aa_analog::PassConfig| EngineOptions {
+    solver.solve(&[1.0; 16]).expect("prime solve");
+    let chip = solver.chip_mut();
+    let options = |passes| EngineOptions {
         steady_tol: None,
-        max_tau: ir_tau,
+        max_tau: r.pick(30.0, 120.0),
         eval_strategy: EvalStrategy::Compiled,
         passes,
         ..EngineOptions::default()
     };
+    let (plain, full) = (options(PassConfig::none()), options(PassConfig::full()));
     // The chip caches one tape, so switching configs re-lowers: the warm-up
     // runs pay the first lowerings, and each best-of window below pays one
     // more in its first repetition, which the minimum discards.
-    ir_chip
-        .exec(&ir_options(aa_analog::PassConfig::none()))
-        .expect("warmup");
-    ir_chip
-        .exec(&ir_options(aa_analog::PassConfig::full()))
-        .expect("warmup");
-    let (plain_s, plain_steps) =
-        time_engine(ir_chip, &ir_options(aa_analog::PassConfig::none()), ir_reps);
-    let (opt_s, opt_steps) =
-        time_engine(ir_chip, &ir_options(aa_analog::PassConfig::full()), ir_reps);
+    chip.exec(&plain).expect("warmup");
+    chip.exec(&full).expect("warmup");
+    let (plain_s, plain_steps) = best_of(reps, || chip.exec(&plain).expect("run").steps);
+    let (opt_s, opt_steps) = best_of(reps, || chip.exec(&full).expect("run").steps);
     assert_eq!(plain_steps, opt_steps, "paths must take identical steps");
     let plain_sps = plain_steps as f64 / plain_s;
     let opt_sps = opt_steps as f64 / opt_s;
-    let ir_speedup = opt_sps / plain_sps;
-    let pass_log = ir_chip.pass_stats();
-    println!("\nplan-IR passes (poisson 2d n = {ir_n}, {plain_steps} RK4 steps)");
+    let speedup = opt_sps / plain_sps;
+    println!("\nplan-IR passes (poisson 2d n = 16, {plain_steps} RK4 steps)");
     println!("  unoptimized tape: {plain_s:9.4} s  ({plain_sps:11.0} steps/s)");
-    println!("  optimized tape:   {opt_s:9.4} s  ({opt_sps:11.0} steps/s)  — {ir_speedup:.2}x");
-    for stat in &pass_log {
-        println!(
-            "    pass {}: {} -> {} ops",
-            stat.pass, stat.ops_before, stat.ops_after
-        );
+    println!("  optimized tape:   {opt_s:9.4} s  ({opt_sps:11.0} steps/s)  — {speedup:.2}x");
+    let mut ops = Vec::new();
+    for stat in chip.pass_stats() {
+        let (pass, before, after) = (stat.pass, stat.ops_before, stat.ops_after);
+        println!("    pass {pass}: {before} -> {after} ops");
+        ops.push((format!("{pass}.ops_before"), before as f64));
+        ops.push((format!("{pass}.ops_after"), after as f64));
     }
-    records.push(BenchRecord {
-        bench: "engine_ir".to_string(),
-        config: format!("poisson 2d n={ir_n}, unoptimized tape"),
-        wall_ms: plain_s * 1e3,
-        steps_per_sec: Some(plain_sps),
-        requests_per_sec: None,
-        speedup_vs_serial: None,
-        cores: None,
-        undersubscribed: None,
-        soak_requests_completed: None,
-        checkpoint_restore_ms: None,
-        batched_speedup: None,
-        ir_speedup: None,
-        fleet_chips: None,
-        krylov_speedup: None,
-        refine_ulp_gain: None,
-    });
-    records.push(BenchRecord {
-        bench: "engine_ir".to_string(),
-        config: format!("poisson 2d n={ir_n}, passes=full"),
-        wall_ms: opt_s * 1e3,
-        steps_per_sec: Some(opt_sps),
-        requests_per_sec: None,
-        speedup_vs_serial: None,
-        cores: None,
-        undersubscribed: None,
-        soak_requests_completed: None,
-        checkpoint_restore_ms: None,
-        batched_speedup: None,
-        ir_speedup: Some(ir_speedup),
-        fleet_chips: None,
-        krylov_speedup: None,
-        refine_ulp_gain: None,
-    });
-    // Non-gating pass-statistics artifact for the CI upload.
-    let pass_rows: Vec<String> = pass_log
-        .iter()
-        .map(|s| {
-            format!(
-                "  {{\"pass\": \"{}\", \"ops_before\": {}, \"ops_after\": {}}}",
-                s.pass, s.ops_before, s.ops_after
-            )
-        })
-        .collect();
-    std::fs::write(
-        "PASS_STATS.json",
-        format!("[\n{}\n]\n", pass_rows.join(",\n")),
-    )
-    .expect("write PASS_STATS.json");
-    println!("  wrote PASS_STATS.json ({} passes)", pass_log.len());
-    // The pass-pipeline gate: the pass-lowered tape must hold a ≥1.15x
-    // sequential advantage. Same single-core escape hatch as above.
-    if cores >= 2 {
-        assert!(
-            ir_speedup >= 1.15,
-            "engine_ir regression: optimized/unoptimized {ir_speedup:.3}x < 1.15x"
-        );
-    } else if ir_speedup < 1.15 {
-        println!(
-            "WARNING: optimized/unoptimized {ir_speedup:.2}x < 1.15x, but only {cores} core \
-             is available (noisy runner — not gating)"
-        );
-    }
+    let config = |tape| format!("poisson 2d n=16, {tape}");
+    let bench = "engine_ir";
+    let m = [("steps_per_sec", plain_sps)];
+    r.host(bench, config("unoptimized tape"), plain_s, &m);
+    let m = [("steps_per_sec", opt_sps), ("ir_speedup", speedup)];
+    r.host(bench, config("passes=full"), opt_s, &m);
+    let m: Vec<(&str, f64)> = ops.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    r.sim(bench, config("passes=full, op counts"), opt_s, &m);
+    let name = "engine_ir ir_speedup";
+    r.gate(Clock::Host, name, Bound::AtLeast(1.15), speedup);
+}
 
-    // 2a. Fig7-style analog system solve.
-    let l = if quick { 4 } else { 6 };
-    let a = CsrMatrix::from_row_access(&PoissonStencil::new_2d(l).expect("grid"));
-    let b = vec![0.5; l * l];
+/// Wall time of a fig7-style analog system solve and of the fig8
+/// digital-CG baseline measurement.
+fn figure_paths(r: &mut Report) {
+    let l = r.pick(4, 6);
+    let a = poisson(l);
     let start = Instant::now();
     let mut solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).expect("maps");
-    solver.solve(&b).expect("solves");
+    solver.solve(&vec![0.5; l * l]).expect("solves");
     let fig7_s = start.elapsed().as_secs_f64();
     println!("\nfig7-style analog solve (n = {}): {fig7_s:9.4} s", l * l);
-    records.push(BenchRecord {
-        bench: "fig7_analog_solve".to_string(),
-        config: format!("poisson 2d, n={}", l * l),
-        wall_ms: fig7_s * 1e3,
-        steps_per_sec: None,
-        requests_per_sec: None,
-        speedup_vs_serial: None,
-        cores: None,
-        undersubscribed: None,
-        soak_requests_completed: None,
-        checkpoint_restore_ms: None,
-        batched_speedup: None,
-        ir_speedup: None,
-        fleet_chips: None,
-        krylov_speedup: None,
-        refine_ulp_gain: None,
-    });
+    let config = format!("poisson 2d, n={}", l * l);
+    r.host("fig7_analog_solve", config, fig7_s, &[]);
 
-    // 2b. Fig8 digital-CG baseline.
-    let cg_l = if quick { 15 } else { 31 };
-    let (cg_report, cg_s) = measure_cg_2d(cg_l, 8);
-    println!(
-        "fig8 digital CG (l = {cg_l}, 8-bit stop, {} iters): {cg_s:9.4} s",
-        cg_report.iterations
-    );
-    records.push(BenchRecord {
-        bench: "fig8_digital_cg".to_string(),
-        config: format!("l={cg_l}, 8-bit equal-accuracy stop"),
-        wall_ms: cg_s * 1e3,
-        steps_per_sec: None,
-        requests_per_sec: None,
-        speedup_vs_serial: None,
-        cores: None,
-        undersubscribed: None,
-        soak_requests_completed: None,
-        checkpoint_restore_ms: None,
-        batched_speedup: None,
-        ir_speedup: None,
-        fleet_chips: None,
-        krylov_speedup: None,
-        refine_ulp_gain: None,
-    });
+    let cg_l = r.pick(15, 31);
+    let (report, cg_s) = measure_cg_2d(cg_l, 8);
+    let iters = report.iterations;
+    println!("fig8 digital CG (l = {cg_l}, 8-bit stop, {iters} iters): {cg_s:9.4} s");
+    let config = format!("l={cg_l}, 8-bit equal-accuracy stop");
+    r.host("fig8_digital_cg", config, cg_s, &[]);
+}
 
-    // 2c. Analog-preconditioned flexible CG vs plain digital CG. The
-    // analog solve drops from primary solver to a preconditioner
-    // application z ≈ M⁻¹·r inside digital Krylov iteration, so the
-    // iteration count — not the per-iteration cost — carries the win.
-    let krylov_sides: &[usize] = if quick {
-        &[8, 11, 16]
-    } else {
-        &[8, 10, 11, 16]
-    };
-    // The paper's digital baseline prices each CG or FCG iteration's host
-    // work; it is printed beside the simulated analog time.
+/// Analog-preconditioned flexible CG vs plain digital CG on 2D Poisson. The
+/// analog solve becomes a preconditioner application z ≈ M⁻¹·r inside
+/// digital Krylov iteration, so the iteration count carries the win.
+/// Iteration counts, the final path, simulated chip time and the paper's
+/// `CpuModel` time are exact and host-independent: every row is simulated
+/// and every gate fires on every host.
+fn krylov_precond(r: &mut Report) {
+    let sides: &[usize] = r.pick(&[8, 11, 16], &[8, 10, 11, 16]);
     let cpu = CpuModel::xeon_x5550();
     let ktol = KrylovConfig::default().tolerance;
     println!("\nanalog-preconditioned FCG vs plain CG (relative tolerance {ktol:.0e})");
-    for &side in krylov_sides {
+    for &side in sides {
         let n = side * side;
-        let a = CsrMatrix::from_row_access(&PoissonStencil::new_2d(side).expect("grid"));
+        let a = poisson(side);
         let b: Vec<f64> = (0..n).map(|i| 0.5 + ((i % 7) as f64) * 0.25).collect();
-        let start = Instant::now();
-        let plain = cg(
-            &a,
-            &b,
-            &IterativeConfig::with_stopping(StoppingCriterion::RelativeResidual(ktol)),
-        )
-        .expect("plain CG");
-        let cg_s = start.elapsed().as_secs_f64();
+        let stop = IterativeConfig::with_stopping(StoppingCriterion::RelativeResidual(ktol));
+        let (cg_s, plain) = best_of(1, || cg(&a, &b, &stop).expect("plain CG"));
         assert!(plain.converged, "plain CG must converge at n={n}");
-        let start = Instant::now();
-        let mut sup = SupervisedSolver::new(&a, &SolverConfig::ideal(), &RecoveryConfig::default())
-            .expect("maps");
-        let mut precond = AnalogPreconditioner::new(&mut sup);
-        let fcg = fcg_solve(&mut precond, &b, &KrylovConfig::default()).expect("fcg solve");
-        let fcg_s = start.elapsed().as_secs_f64();
+        let (fcg_s, fcg) = best_of(1, || {
+            let recovery = RecoveryConfig::default();
+            let mut sup =
+                SupervisedSolver::new(&a, &SolverConfig::ideal(), &recovery).expect("maps");
+            let mut precond = AnalogPreconditioner::new(&mut sup);
+            fcg_solve(&mut precond, &b, &KrylovConfig::default()).expect("fcg solve")
+        });
         assert!(fcg.converged, "FCG must converge at n={n}");
-        let iter_ratio = plain.iterations as f64 / fcg.iterations as f64;
+        let (cg_iters, fcg_iters) = (plain.iterations, fcg.iterations);
+        let iter_ratio = cg_iters as f64 / fcg_iters as f64;
         // Simulated chip time of every preconditioner application: the
         // time to tolerance the iteration count alone does not show.
         let precond_ms = fcg.precond.analog_time_s * 1e3;
-        let cg_cpu_us = cpu.solve_time_s(plain.iterations, n) * 1e6;
-        let fcg_cpu_us = cpu.solve_time_s(fcg.iterations, n) * 1e6;
+        let cg_cpu_us = cpu.solve_time_s(cg_iters, n) * 1e6;
+        let fcg_cpu_us = cpu.solve_time_s(fcg_iters, n) * 1e6;
         let path = fcg.precond.final_path();
         println!(
-            "  n = {n:>4}: cg {:>3} iters ({cg_s:9.4} s, {cg_cpu_us:.2} µs modelled cpu)   \
-             fcg {:>3} iters ({fcg_s:9.4} s, {precond_ms:.3} ms simulated analog + \
+            "  n = {n:>4}: cg {cg_iters:>3} iters ({cg_s:9.4} s, {cg_cpu_us:.2} µs modelled cpu)   \
+             fcg {fcg_iters:>3} iters ({fcg_s:9.4} s, {precond_ms:.3} ms simulated analog + \
              {fcg_cpu_us:.2} µs modelled cpu)   {iter_ratio:5.2}x fewer iterations, \
              precond path {}",
-            plain.iterations,
-            fcg.iterations,
             path.label()
         );
-        records.push(BenchRecord {
-            bench: "krylov_precond".to_string(),
-            config: format!(
-                "poisson 2d n={n}, plain cg, {} iters, {cg_cpu_us:.3} us modelled cpu",
-                plain.iterations
-            ),
-            wall_ms: cg_s * 1e3,
-            steps_per_sec: None,
-            requests_per_sec: None,
-            speedup_vs_serial: None,
-            cores: None,
-            undersubscribed: None,
-            soak_requests_completed: None,
-            checkpoint_restore_ms: None,
-            batched_speedup: None,
-            ir_speedup: None,
-            fleet_chips: None,
-            krylov_speedup: None,
-            refine_ulp_gain: None,
-        });
-        records.push(BenchRecord {
-            bench: "krylov_precond".to_string(),
-            config: format!(
-                "poisson 2d n={n}, fcg analog precond, {} iters, \
-                 {precond_ms:.3} ms simulated analog, {fcg_cpu_us:.3} us modelled cpu",
-                fcg.iterations
-            ),
-            wall_ms: fcg_s * 1e3,
-            steps_per_sec: None,
-            requests_per_sec: None,
-            speedup_vs_serial: None,
-            cores: None,
-            undersubscribed: None,
-            soak_requests_completed: None,
-            checkpoint_restore_ms: None,
-            batched_speedup: None,
-            ir_speedup: None,
-            fleet_chips: None,
-            krylov_speedup: Some(iter_ratio),
-            refine_ulp_gain: None,
-        });
-        // Every application of the ideal chip must validate on its first
-        // run, at every size: the path is exact and host-independent, so
-        // the gate fires on every host.
-        assert_eq!(
-            path,
-            FinalPath::Analog,
-            "krylov_precond regression: precond path {} at n={n}",
-            path.label()
-        );
-        // At n ≥ 64 the analog preconditioner must cut the iteration
-        // count to ≤0.7x plain CG. Iteration counts are exact and
-        // host-independent, so the gate fires on every host.
+        let config = |method| format!("poisson 2d n={n}, {method}");
+        let m = [("iterations", cg_iters as f64), ("cpu_model_us", cg_cpu_us)];
+        r.sim("krylov_precond", config("plain cg"), cg_s, &m);
+        // Modelled CG time over simulated chip + modelled FCG time.
+        let time_ratio = cg_cpu_us / (precond_ms * 1e3 + fcg_cpu_us);
+        let m = [
+            ("iterations", fcg_iters as f64),
+            ("precond_analog_ms", precond_ms),
+            ("cpu_model_us", fcg_cpu_us),
+            ("krylov_iter_ratio", iter_ratio),
+            ("krylov_model_time_ratio", time_ratio),
+        ];
+        r.sim("krylov_precond", config("fcg analog precond"), fcg_s, &m);
+        let sim = Clock::Simulated;
+        let name = |what| format!("krylov_precond n={n} {what}");
+        // Every application of the ideal chip validates on its first run.
+        let analog = f64::from(u8::from(path == FinalPath::Analog));
+        let yes = Bound::Exactly(1.0);
+        r.gate(sim, name("precond path is Analog"), yes, analog);
         if n >= 64 {
-            assert!(
-                (fcg.iterations as f64) <= 0.7 * plain.iterations as f64,
-                "krylov_precond regression: fcg {} iters > 0.7x cg {} iters at n={n}",
-                fcg.iterations,
-                plain.iterations
-            );
+            let share = fcg_iters as f64 / cg_iters as f64;
+            r.gate(sim, name("fcg/cg iterations"), Bound::AtMost(0.7), share);
         }
-        // The preconditioner's simulated chip time is exact and
-        // host-independent as well, so it is gated on every host too: at
-        // n = 64 at most 1.15x (the fleet benchmark's bound) the 0.991 ms
-        // it took once each application was aimed at √tol rather than at
-        // the supervisor's direct-answer tolerance.
+        // At most 1.15x (the fleet benchmark's bound) the 0.991 ms n = 64
+        // took once each application was aimed at √tol rather than at the
+        // supervisor's direct-answer tolerance.
         if n == 64 {
-            let bound = 1.15 * 0.991;
-            assert!(
-                precond_ms <= bound,
-                "krylov_precond regression: {precond_ms:.3} ms simulated preconditioner \
-                 time > {bound:.3} ms at n={n}"
-            );
+            let bound = Bound::AtMost(1.15 * 0.991);
+            r.gate(sim, name("precond_analog_ms"), bound, precond_ms);
         }
     }
+}
 
-    // 2d. Extended-precision refinement floor on an ill-conditioned SPD
-    // system: the compensated residual path keeps contracting after the
-    // f64 path stalls at its n·ε·cond(A) recompute noise floor.
-    let rn = 12;
-    let ra = ill_conditioned(rn);
-    let rb: Vec<f64> = (0..rn).map(|i| 0.25 + 0.5 * ((i % 5) as f64)).collect();
-    let run_refined = |comp: bool| {
+/// Extended-precision refinement floor on an ill-conditioned SPD system:
+/// the compensated residual path keeps contracting after the f64 path
+/// stalls at its n·ε·cond(A) recompute noise floor.
+fn refine_compensated(r: &mut Report) {
+    let n = 12;
+    let a = ill_conditioned(n);
+    let b: Vec<f64> = (0..n).map(|i| 0.25 + 0.5 * ((i % 5) as f64)).collect();
+    let run_refined = |compensated: bool| {
         // ‖A⁻¹‖∞ ≈ 10² here, so seed the solution-scale walk with an
         // honest magnitude estimate instead of burning rescale retries.
         let cfg = SolverConfig {
             solution_bound: 150.0,
             ..SolverConfig::ideal()
         };
-        let mut solver = AnalogSystemSolver::new(&ra, &cfg).expect("maps");
-        let start = Instant::now();
-        let refined = solve_refined(
-            &mut solver,
-            &rb,
-            &RefineConfig {
-                tolerance: 1e-17,
-                max_rounds: 80,
-                min_progress: 0.97,
-                compensated: comp,
-            },
-        )
-        .expect("refines");
-        (refined, start.elapsed().as_secs_f64())
+        let mut solver = AnalogSystemSolver::new(&a, &cfg).expect("maps");
+        let refine = RefineConfig {
+            tolerance: 1e-17,
+            max_rounds: 80,
+            min_progress: 0.97,
+            compensated,
+        };
+        best_of(1, || {
+            solve_refined(&mut solver, &b, &refine).expect("refines")
+        })
     };
-    let (plain_ref, plain_ref_s) = run_refined(false);
-    let (comp_ref, comp_ref_s) = run_refined(true);
+    let (plain_s, plain) = run_refined(false);
+    let (comp_s, comp) = run_refined(true);
     // One common two-float oracle measures both final iterates so the
     // floor comparison is not limited by f64 measurement precision.
-    let rb_norm = compensated::norm2_comp(&rb);
-    let plain_u = compensated::promote(&plain_ref.solution);
-    let plain_res =
-        compensated::norm2_comp(&compensated::residual_comp(&ra, &plain_u, &rb)) / rb_norm;
-    let lo = comp_ref.solution_lo.as_ref().expect("compensated lo");
-    let comp_u: Vec<TwoFloat> = comp_ref
+    let b_norm = compensated::norm2_comp(&b);
+    let floor =
+        |u: &[TwoFloat]| compensated::norm2_comp(&compensated::residual_comp(&a, u, &b)) / b_norm;
+    let plain_res = floor(&compensated::promote(&plain.solution));
+    let lo = comp.solution_lo.as_ref().expect("compensated lo");
+    let comp_u: Vec<TwoFloat> = comp
         .solution
         .iter()
         .zip(lo)
         .map(|(hi, lo)| TwoFloat { hi: *hi, lo: *lo })
         .collect();
-    let comp_res =
-        compensated::norm2_comp(&compensated::residual_comp(&ra, &comp_u, &rb)) / rb_norm;
-    let ulp_gain = plain_res / comp_res;
+    let comp_res = floor(&comp_u);
+    let gain = plain_res / comp_res;
     println!(
-        "\nextended-precision refinement (ill-conditioned n={rn}): f64 floor {plain_res:.3e} \
-         ({} rounds), compensated floor {comp_res:.3e} ({} rounds) — {ulp_gain:.1}x tighter",
-        plain_ref.rounds, comp_ref.rounds
+        "\nextended-precision refinement (ill-conditioned n={n}): f64 floor {plain_res:.3e} \
+         ({} rounds), compensated floor {comp_res:.3e} ({} rounds) — {gain:.1}x tighter",
+        plain.rounds, comp.rounds
     );
-    records.push(BenchRecord {
-        bench: "refine_compensated".to_string(),
-        config: format!(
-            "ill-conditioned n={rn}, f64 residual path, {} rounds",
-            plain_ref.rounds
-        ),
-        wall_ms: plain_ref_s * 1e3,
-        steps_per_sec: None,
-        requests_per_sec: None,
-        speedup_vs_serial: None,
-        cores: None,
-        undersubscribed: None,
-        soak_requests_completed: None,
-        checkpoint_restore_ms: None,
-        batched_speedup: None,
-        ir_speedup: None,
-        fleet_chips: None,
-        krylov_speedup: None,
-        refine_ulp_gain: None,
-    });
-    records.push(BenchRecord {
-        bench: "refine_compensated".to_string(),
-        config: format!(
-            "ill-conditioned n={rn}, compensated residual path, {} rounds",
-            comp_ref.rounds
-        ),
-        wall_ms: comp_ref_s * 1e3,
-        steps_per_sec: None,
-        requests_per_sec: None,
-        speedup_vs_serial: None,
-        cores: None,
-        undersubscribed: None,
-        soak_requests_completed: None,
-        checkpoint_restore_ms: None,
-        batched_speedup: None,
-        ir_speedup: None,
-        fleet_chips: None,
-        krylov_speedup: None,
-        refine_ulp_gain: Some(ulp_gain),
-    });
+    let config = |path| format!("ill-conditioned n={n}, {path} residual path");
+    let m = [("rounds", plain.rounds as f64)];
+    r.sim("refine_compensated", config("f64"), plain_s, &m);
+    let m = [("rounds", comp.rounds as f64), ("refine_ulp_gain", gain)];
+    r.sim("refine_compensated", config("compensated"), comp_s, &m);
+}
 
-    // 3. Decomposed-solver scaling across threads. Best-of-N wall time per
-    // thread count so a single scheduling hiccup can't fake a regression
-    // (or hide one); `cores` rides along as a structured field because the
-    // speedups only measure parallelism when the machine can actually run
-    // the threads side by side.
-    let dec_l = if quick { 6 } else { 8 };
-    let dec_reps = if quick { 3 } else { 5 };
-    let a = CsrMatrix::from_row_access(&PoissonStencil::new_2d(dec_l).expect("grid"));
-    let b = vec![1.0; dec_l * dec_l];
+/// Block-Jacobi decomposition of a 2D Poisson problem across threads,
+/// best-of-N per thread count so a single scheduling hiccup can't fake a
+/// regression (or hide one). With the persistent worker pool, two threads
+/// must never again be slower than serial.
+fn decomposed_scaling(r: &mut Report) {
+    let l = r.pick(6, 8);
+    let reps = r.pick(3, 5);
+    let (n, cores) = (l * l, r.cores);
+    let (a, b) = (poisson(l), vec![1.0; n]);
     println!(
-        "\ndecomposed block-Jacobi scaling (n = {}, {cores} core(s) available, best of {dec_reps})",
-        dec_l * dec_l
+        "\ndecomposed block-Jacobi scaling (n = {n}, {cores} core(s) available, best of {reps})"
     );
     let mut serial_s = 0.0;
-    let mut two_thread_speedup = None;
     for threads in [1usize, 2, 4] {
         let cfg = DecomposeConfig {
-            block_size: dec_l,
+            block_size: l,
             outer: OuterMethod::BlockJacobi,
             tolerance: 1e-6,
             max_sweeps: 600,
             parallel: ParallelConfig::threads(threads),
             ..DecomposeConfig::default()
         };
-        let mut wall = f64::INFINITY;
-        let mut sweeps = 0;
-        for _ in 0..dec_reps {
-            let start = Instant::now();
-            let report = solve_decomposed(&a, &b, &cfg).expect("decomposed solve");
-            wall = wall.min(start.elapsed().as_secs_f64());
-            sweeps = report.sweeps;
-        }
+        let (wall, report) = best_of(reps, || solve_decomposed(&a, &b, &cfg).expect("solves"));
         if threads == 1 {
             serial_s = wall;
         }
         let speedup = serial_s / wall;
+        let (sweeps, note) = (report.sweeps, undersubscribed(threads, cores));
+        println!(
+            "  threads = {threads}: {wall:9.4} s  (speedup {speedup:5.2}x, {sweeps} sweeps{note})"
+        );
+        let config = format!("poisson 2d n={n}, blocks={l}, threads={threads}");
+        let m = [("speedup_vs_serial", speedup)];
+        r.scaling("decomposed_scaling", config, wall, threads, &m);
         if threads == 2 {
-            two_thread_speedup = Some(speedup);
+            let name = "decomposed_scaling threads=2 speedup_vs_serial";
+            r.gate(Clock::Host, name, Bound::AtLeast(1.0), speedup);
         }
-        let undersubscribed = threads > cores;
-        println!(
-            "  threads = {threads}: {wall:9.4} s  (speedup {speedup:5.2}x, {sweeps} sweeps{})",
-            if undersubscribed {
-                ", undersubscribed"
-            } else {
-                ""
-            }
-        );
-        records.push(BenchRecord {
-            bench: "decomposed_scaling".to_string(),
-            config: format!(
-                "poisson 2d n={}, blocks={dec_l}, threads={threads}",
-                dec_l * dec_l
-            ),
-            wall_ms: wall * 1e3,
-            steps_per_sec: None,
-            requests_per_sec: None,
-            speedup_vs_serial: Some(speedup),
-            cores: Some(cores as u64),
-            undersubscribed: Some(undersubscribed),
-            soak_requests_completed: None,
-            checkpoint_restore_ms: None,
-            batched_speedup: None,
-            ir_speedup: None,
-            fleet_chips: None,
-            krylov_speedup: None,
-            refine_ulp_gain: None,
-        });
     }
+}
 
-    // The PR-4 regression gate: with the persistent worker pool, two-thread
-    // block-Jacobi must never again be slower than serial. On a single-core
-    // runner the threads time-slice, so the check degrades to a loud
-    // warning instead of a hard failure.
-    let speedup2 = two_thread_speedup.expect("threads=2 row measured");
-    if cores >= 2 {
-        assert!(
-            speedup2 >= 1.0,
-            "decomposed_scaling regression: 2-thread speedup {speedup2:.3}x < 1.0x \
-             on a {cores}-core machine"
-        );
-    } else if speedup2 < 1.0 {
-        println!(
-            "WARNING: 2-thread speedup {speedup2:.2}x < 1.0x, but only {cores} core is \
-             available (undersubscribed — not gating)"
-        );
-    }
+/// RHS coalescing width of the fleet groups.
+const FLEET_BATCH: usize = 4;
 
-    // 4. Fleet serving throughput: the same request stream through a
-    // one-chip fleet on one worker and a four-chip fleet on four workers,
-    // on a problem big enough for per-request work to dominate dispatch
-    // overhead (2D Poisson, n = 16). Requests share a single matrix
-    // structure, so every chip's compiled evaluation plan is lowered once
-    // and then replayed from cache, and the RHS coalescer can chunk each
-    // chip's round into multi-lane batched sweeps (`batch` lanes wide).
-    // The fleet runs one dispatcher shard per chip: structure-affinity
-    // routing then keeps the single-structure stream on its home shard
-    // instead of round-robining it across all chips — the round-robin
-    // duplicated each chip's one-time per-structure calibration and was
-    // the root cause of the 0.60x scaling inversion this group once
-    // recorded.
-    let fleet_l = 4usize;
-    let fleet_n = fleet_l * fleet_l;
-    let fleet_requests = if quick { 8 } else { 24 };
-    let fleet_reps = if quick { 2 } else { 3 };
-    let fleet_batch = 4usize;
-    let a = CsrMatrix::from_row_access(&PoissonStencil::new_2d(fleet_l).expect("grid"));
-    println!(
-        "\nfleet serving throughput (poisson 2d n = {fleet_n}, {fleet_requests} requests, \
-         best of {fleet_reps})"
-    );
-    let serve = |chips: usize, workers: usize, batch: usize, requests: usize| -> (f64, f64) {
-        let mut wall = f64::INFINITY;
-        for _ in 0..fleet_reps {
-            let config = FleetConfig::new(chips)
-                .with_seed(0xBE7C)
-                .with_shards(chips)
-                .with_workers(workers)
-                .with_queue_capacity(requests)
-                .with_max_batch_rhs(batch);
-            let mut fleet = FleetService::new(config, vec![a.clone()]).expect("fleet builds");
-            let start = Instant::now();
-            for i in 0..requests {
-                let rhs: Vec<f64> = (0..fleet_n)
-                    .map(|j| 0.5 + 0.01 * ((i + j) % 5) as f64)
-                    .collect();
-                fleet.submit(SolveRequest::new(0, rhs)).expect("admitted");
-            }
-            let served = fleet.run_until_idle();
-            assert_eq!(served, requests, "every request must be answered");
-            wall = wall.min(start.elapsed().as_secs_f64());
-        }
-        (wall, requests as f64 / wall)
-    };
-    let mut fleet_serial_rps = 0.0;
-    let mut fleet_speedup = 0.0;
-    for (chips, workers) in [(1usize, 1usize), (4, 4)] {
-        let (wall, rps) = serve(chips, workers, fleet_batch, fleet_requests);
-        if chips == 1 {
-            fleet_serial_rps = rps;
-        }
-        let speedup = rps / fleet_serial_rps;
-        fleet_speedup = speedup;
-        let undersubscribed = workers > cores;
-        println!(
-            "  chips = {chips}, workers = {workers}: {wall:9.4} s  ({rps:8.1} req/s, speedup {speedup:5.2}x{})",
-            if undersubscribed {
-                ", undersubscribed"
-            } else {
-                ""
-            }
-        );
-        records.push(BenchRecord {
-            bench: "fleet_throughput".to_string(),
-            config: format!(
-                "poisson 2d n={fleet_n}, chips={chips}, shards={chips}, workers={workers}, \
-                 batch={fleet_batch}"
-            ),
-            wall_ms: wall * 1e3,
-            steps_per_sec: None,
-            requests_per_sec: Some(rps),
-            speedup_vs_serial: Some(speedup),
-            cores: Some(cores as u64),
-            undersubscribed: Some(undersubscribed),
-            soak_requests_completed: None,
-            checkpoint_restore_ms: None,
-            batched_speedup: None,
-            ir_speedup: None,
-            fleet_chips: Some(chips as u64),
-            krylov_speedup: None,
-            refine_ulp_gain: None,
-        });
-    }
-    // Same policy as the scaling gate: more chips on more workers must not
-    // serve slower, but only a genuinely parallel machine can enforce it.
-    // The ratio is recorded in the report either way — a 0.60x inversion
-    // once shipped green because a quiet single-line skip on a 1-core
-    // runner was the only trace of it — so the single-core path now prints
-    // an unmissable banner instead of staying silent when the ratio is
-    // healthy.
-    if cores >= 2 {
-        assert!(
-            fleet_speedup >= 1.0,
-            "fleet_throughput regression: 4-chip speedup {fleet_speedup:.3}x < 1.0x \
-             on a {cores}-core machine"
-        );
-    } else {
-        let verdict = if fleet_speedup >= 1.0 {
-            "would pass"
-        } else {
-            "WOULD FAIL"
-        };
-        println!("  ==================== NOT GATED ====================");
-        println!(
-            "  fleet_throughput gate (4-chip speedup >= 1.0x) {verdict}: measured \
-             {fleet_speedup:.3}x"
-        );
-        println!(
-            "  only {cores} core available — workers time-slice, so the ratio is \
-             recorded in BENCH_engine.json but NOT enforced here"
-        );
-        println!("  ===================================================");
-    }
-
-    // 4b. RHS coalescing on vs. off: the same four chips driven by ONE
-    // worker, so the comparison isolates the batched sweep from thread
-    // scheduling (with as many workers as chips, wall clock on a busy or
-    // small machine is dominated by oversubscription noise, not by the
-    // dispatch policy under test). A longer stream than the scaling rows
-    // amortizes each chip's one-off γ-calibration solve the way a
-    // long-lived service would.
-    let co_requests = if quick { 32 } else { 48 };
-    let (on_wall, on_rps) = serve(4, 1, fleet_batch, co_requests);
-    let (off_wall, off_rps) = serve(4, 1, 1, co_requests);
-    let coalesce_speedup = on_rps / off_rps;
-    println!(
-        "  coalescing on  (batch={fleet_batch}, 1 worker, {co_requests} requests): \
-         {on_wall:9.4} s  ({on_rps:8.1} req/s)"
-    );
-    println!(
-        "  coalescing off (batch=1, 1 worker, {co_requests} requests): \
-         {off_wall:9.4} s  ({off_rps:8.1} req/s) — on/off {coalesce_speedup:.2}x"
-    );
-    for (batch, rps, wall, speedup) in [
-        (1usize, off_rps, off_wall, None),
-        (fleet_batch, on_rps, on_wall, Some(coalesce_speedup)),
-    ] {
-        records.push(BenchRecord {
-            bench: "batched_rhs".to_string(),
-            config: format!(
-                "poisson 2d n={fleet_n}, chips=4, workers=1, requests={co_requests}, \
-                 batch={batch}"
-            ),
-            wall_ms: wall * 1e3,
-            steps_per_sec: None,
-            requests_per_sec: Some(rps),
-            speedup_vs_serial: None,
-            cores: Some(cores as u64),
-            undersubscribed: Some(false),
-            soak_requests_completed: None,
-            checkpoint_restore_ms: None,
-            batched_speedup: speedup,
-            ir_speedup: None,
-            fleet_chips: None,
-            krylov_speedup: None,
-            refine_ulp_gain: None,
-        });
-    }
-    // Coalescing must pay for itself: a chip's round served as multi-lane
-    // sweeps may never be slower than serving the same round one sweep per
-    // request. One worker makes this measurable even on one core, but a
-    // loaded machine still jitters — gate only where timing is trustworthy.
-    if cores >= 2 {
-        assert!(
-            coalesce_speedup >= 1.0,
-            "batched_rhs regression: fleet coalescing on/off {coalesce_speedup:.3}x < 1.0x"
-        );
-    } else if coalesce_speedup < 1.0 {
-        println!(
-            "WARNING: coalescing on/off {coalesce_speedup:.2}x < 1.0x, but only {cores} core \
-             is available (noisy runner — not gating)"
-        );
-    }
-
-    // 4c. Fleet scaling curve: 1 / 4 / 16 chips, one dispatcher shard and
-    // one worker per chip, serving a 16-structure stream round-robined
-    // across the requests. The structures are small well-conditioned
-    // tridiagonal systems (dims 4..=7 crossed with four diagonal weights)
-    // so every request is served on the analog path — larger systems tip
-    // into the supervised-recovery ladder and the curve would measure
-    // failure handling, not dispatch. Every structure homes to exactly
-    // one shard at every fleet size, so the fleet-wide one-time
-    // calibration cost is constant along the curve and the points compare
-    // dispatch + solve scaling, not setup duplication. The curve is also
-    // written to FLEET_SCALING.json for the CI artifact upload; the
-    // 4-chip point is gated ≥1.0x on multi-core runners.
-    let scale_requests = if quick { 16 } else { 48 };
-    let scale_structures: Vec<CsrMatrix> = (0..16usize)
-        .map(|s| {
-            let dim = 4 + s % 4;
-            let diag = 2.0 + 0.25 * (s / 4) as f64;
-            CsrMatrix::tridiagonal(dim, -1.0, diag, -1.0).expect("structure")
-        })
-        .collect();
-    println!(
-        "\nfleet scaling curve ({} structures, {scale_requests} requests, best of {fleet_reps})",
-        scale_structures.len()
-    );
-    let mut scale_serial_rps = 0.0;
-    let mut scale_speedup_4 = 0.0;
-    let mut scale_rows: Vec<String> = Vec::new();
-    for chips in [1usize, 4, 16] {
-        let mut wall = f64::INFINITY;
-        for _ in 0..fleet_reps {
-            let config = FleetConfig::new(chips)
-                .with_seed(0x5CA1E)
-                .with_shards(chips)
-                .with_workers(chips)
-                .with_queue_capacity(scale_requests)
-                .with_max_batch_rhs(fleet_batch);
-            let mut fleet =
-                FleetService::new(config, scale_structures.clone()).expect("fleet builds");
-            let start = Instant::now();
-            for i in 0..scale_requests {
-                let s = i % scale_structures.len();
-                let rhs: Vec<f64> = (0..4 + s % 4)
-                    .map(|j| 0.5 + 0.01 * ((i + j) % 5) as f64)
-                    .collect();
-                fleet.submit(SolveRequest::new(s, rhs)).expect("admitted");
-            }
-            let served = fleet.run_until_idle();
-            assert_eq!(served, scale_requests, "every request must be answered");
-            wall = wall.min(start.elapsed().as_secs_f64());
-        }
-        let rps = scale_requests as f64 / wall;
-        if chips == 1 {
-            scale_serial_rps = rps;
-        }
-        let speedup = rps / scale_serial_rps;
-        if chips == 4 {
-            scale_speedup_4 = speedup;
-        }
-        let undersubscribed = chips > cores;
-        println!(
-            "  chips = {chips:2} (shards = workers = chips): {wall:9.4} s  \
-             ({rps:8.1} req/s, speedup {speedup:5.2}x{})",
-            if undersubscribed {
-                ", undersubscribed"
-            } else {
-                ""
-            }
-        );
-        scale_rows.push(format!(
-            "  {{\"chips\": {chips}, \"requests_per_sec\": {rps:.3}, \
-             \"speedup_vs_serial\": {speedup:.4}}}"
-        ));
-        records.push(BenchRecord {
-            bench: "fleet_scaling".to_string(),
-            config: format!(
-                "16 tridiagonal structures dims 4..=7, chips={chips}, shards={chips}, \
-                 workers={chips}, batch={fleet_batch}, requests={scale_requests}"
-            ),
-            wall_ms: wall * 1e3,
-            steps_per_sec: None,
-            requests_per_sec: Some(rps),
-            speedup_vs_serial: Some(speedup),
-            cores: Some(cores as u64),
-            undersubscribed: Some(undersubscribed),
-            soak_requests_completed: None,
-            checkpoint_restore_ms: None,
-            batched_speedup: None,
-            ir_speedup: None,
-            fleet_chips: Some(chips as u64),
-            krylov_speedup: None,
-            refine_ulp_gain: None,
-        });
-    }
-    std::fs::write(
-        "FLEET_SCALING.json",
-        format!("[\n{}\n]\n", scale_rows.join(",\n")),
-    )
-    .expect("write FLEET_SCALING.json");
-    println!("  wrote FLEET_SCALING.json (3 curve points)");
-    // The scaling-inversion gate: four chips on four shards and four
-    // workers must serve the mixed-structure stream at least as fast as
-    // one chip. Same policy as the throughput gate above — recorded
-    // always, enforced only where the machine can actually run the shards
-    // side by side.
-    if cores >= 2 {
-        assert!(
-            scale_speedup_4 >= 1.0,
-            "fleet_scaling regression: 4-chip speedup {scale_speedup_4:.3}x < 1.0x \
-             on a {cores}-core machine"
-        );
-    } else {
-        let verdict = if scale_speedup_4 >= 1.0 {
-            "would pass"
-        } else {
-            "WOULD FAIL"
-        };
-        println!("  ==================== NOT GATED ====================");
-        println!(
-            "  fleet_scaling gate (4-chip speedup >= 1.0x) {verdict}: measured \
-             {scale_speedup_4:.3}x"
-        );
-        println!(
-            "  only {cores} core available — the curve is recorded in \
-             BENCH_engine.json / FLEET_SCALING.json but NOT enforced here"
-        );
-        println!("  ===================================================");
-    }
-
-    // 5a. Checkpoint + restore latency: load a fleet mid-serve, freeze it,
-    // rebuild it from the snapshot + WAL, best of N. This is the recovery
-    // path's fixed cost, tracked so checkpoint bloat shows up as a number.
-    let ckpt_reps = if quick { 2 } else { 5 };
-    let ckpt_requests = if quick { 4 } else { 12 };
-    let mut ckpt_ms = f64::INFINITY;
-    for _ in 0..ckpt_reps {
-        let config = FleetConfig::new(3)
-            .with_seed(0xC4A5)
-            .with_queue_capacity(ckpt_requests.max(4));
-        let mut fleet = FleetService::new(config.clone(), vec![a.clone()]).expect("fleet builds");
-        for i in 0..ckpt_requests {
-            let rhs: Vec<f64> = (0..fleet_n)
+/// Best-of-`reps` wall seconds and requests per second of serving
+/// `requests` right-hand sides, round-robined over `mats`, through a
+/// fresh fleet from `config` (one dispatcher shard per chip).
+fn serve(mats: &[CsrMatrix], config: FleetConfig, requests: usize, reps: usize) -> (f64, f64) {
+    let shards = config.chips;
+    let config = config.with_shards(shards).with_queue_capacity(requests);
+    let mut wall = f64::INFINITY;
+    for _ in 0..reps {
+        let mut fleet = FleetService::new(config.clone(), mats.to_vec()).expect("fleet builds");
+        let start = Instant::now();
+        for i in 0..requests {
+            let s = i % mats.len();
+            let rhs: Vec<f64> = (0..mats[s].dim())
                 .map(|j| 0.5 + 0.01 * ((i + j) % 5) as f64)
                 .collect();
+            fleet.submit(SolveRequest::new(s, rhs)).expect("admitted");
+        }
+        let served = fleet.run_until_idle();
+        assert_eq!(served, requests, "every request must be answered");
+        wall = wall.min(start.elapsed().as_secs_f64());
+    }
+    (wall, requests as f64 / wall)
+}
+
+/// Serves `requests` over `structures` through fleets of each size in
+/// `sizes` (shards = workers = chips), one row per size with its speedup
+/// over one chip, and gates the 4-chip point at ≥ 1.0×: more chips on more
+/// workers must not serve slower.
+fn fleet_curve(
+    r: &mut Report,
+    bench: &str,
+    what: &str,
+    structures: &[CsrMatrix],
+    seed: u64,
+    sizes: &[usize],
+    requests: usize,
+) {
+    let reps = r.pick(2, 3);
+    println!("\n{bench} ({what}, {requests} requests, best of {reps})");
+    let mut serial_rps = 0.0;
+    for &chips in sizes {
+        let config = FleetConfig::new(chips)
+            .with_seed(seed)
+            .with_workers(chips)
+            .with_max_batch_rhs(FLEET_BATCH);
+        let (wall, rps) = serve(structures, config, requests, reps);
+        if chips == 1 {
+            serial_rps = rps;
+        }
+        let speedup = rps / serial_rps;
+        let note = undersubscribed(chips, r.cores);
+        println!(
+            "  chips = {chips:2}: {wall:9.4} s  ({rps:8.1} req/s, speedup {speedup:5.2}x{note})"
+        );
+        let config = format!(
+            "{what}, chips={chips}, shards={chips}, workers={chips}, batch={FLEET_BATCH}, \
+             requests={requests}"
+        );
+        let m = [
+            ("chips", chips as f64),
+            ("requests_per_sec", rps),
+            ("speedup_vs_serial", speedup),
+        ];
+        r.scaling(bench, config, wall, chips, &m);
+        if chips == 4 {
+            let name = format!("{bench} chips=4 speedup_vs_serial");
+            r.gate(Clock::Host, name, Bound::AtLeast(1.0), speedup);
+        }
+    }
+}
+
+/// One chip vs. four on a single-structure stream (2D Poisson, n = 16,
+/// big enough for per-request work to dominate dispatch). Every chip
+/// lowers its plan once and coalesces its round into multi-lane sweeps.
+/// Structure-affinity routing keeps the stream on its home shard; the
+/// round-robin it replaced duplicated each chip's one-time calibration and
+/// once made this ratio 0.60x.
+fn fleet_throughput(r: &mut Report) {
+    let requests = r.pick(8, 24);
+    let what = "poisson 2d n=16";
+    fleet_curve(
+        r,
+        "fleet_throughput",
+        what,
+        &[poisson(4)],
+        0xBE7C,
+        &[1, 4],
+        requests,
+    );
+}
+
+/// RHS coalescing on vs. off: four chips driven by ONE worker, so the
+/// comparison isolates the batched sweep from thread scheduling, over a
+/// stream long enough to amortize each chip's one-off γ-calibration. A
+/// round served as multi-lane sweeps may never be slower than one sweep
+/// per request.
+fn fleet_coalescing(r: &mut Report) {
+    let requests = r.pick(32, 48);
+    let reps = r.pick(2, 3);
+    let serve_batch = |batch| {
+        let config = FleetConfig::new(4).with_seed(0xBE7C).with_workers(1);
+        let config = config.with_max_batch_rhs(batch);
+        serve(&[poisson(4)], config, requests, reps)
+    };
+    let (on_wall, on_rps) = serve_batch(FLEET_BATCH);
+    let (off_wall, off_rps) = serve_batch(1);
+    let speedup = on_rps / off_rps;
+    println!("\nfleet_coalescing (poisson 2d n=16, 4 chips, 1 worker, {requests} requests)");
+    println!("  coalescing on  (batch={FLEET_BATCH}): {on_wall:9.4} s  ({on_rps:8.1} req/s)");
+    println!("  coalescing off (batch=1): {off_wall:9.4} s  ({off_rps:8.1} req/s) — {speedup:.2}x");
+    let config = |b| format!("poisson 2d n=16, chips=4, workers=1, requests={requests}, batch={b}");
+    let m = [("requests_per_sec", off_rps)];
+    r.scaling("fleet_coalescing", config(1), off_wall, 1, &m);
+    let m = [
+        ("requests_per_sec", on_rps),
+        ("coalescing_speedup", speedup),
+    ];
+    r.scaling("fleet_coalescing", config(FLEET_BATCH), on_wall, 1, &m);
+    let name = "fleet_coalescing coalescing_speedup";
+    r.gate(Clock::Host, name, Bound::AtLeast(1.0), speedup);
+}
+
+/// A 1 / 4 / 16-chip curve over 16 small well-conditioned tridiagonal
+/// structures (dims 4..=7 × four diagonal weights), so every request stays
+/// on the analog path — larger systems tip into the recovery ladder and the
+/// curve would measure failure handling, not dispatch. Each structure homes
+/// to one shard at every fleet size, so the one-time calibration cost is
+/// constant along the curve.
+fn fleet_scaling(r: &mut Report) {
+    let structures: Vec<CsrMatrix> = (0..16usize)
+        .map(|s| {
+            let diag = 2.0 + 0.25 * (s / 4) as f64;
+            CsrMatrix::tridiagonal(4 + s % 4, -1.0, diag, -1.0).expect("structure")
+        })
+        .collect();
+    let requests = r.pick(16, 48);
+    let what = "16 tridiagonal structures dims 4..=7";
+    fleet_curve(
+        r,
+        "fleet_scaling",
+        what,
+        &structures,
+        0x5CA1E,
+        &[1, 4, 16],
+        requests,
+    );
+}
+
+/// The recovery path's fixed cost — freeze a fleet mid-serve and rebuild it
+/// from snapshot + WAL, best of N — and the deterministic failure gauntlet
+/// (chip deaths, hangs, stalls, bursts, deadline storms, crash/restore),
+/// whose invariants are gated.
+fn resilience(r: &mut Report) {
+    let a = vec![poisson(4)];
+    let reps = r.pick(2, 5);
+    let requests = r.pick(4, 12);
+    let mut ckpt_s = f64::INFINITY;
+    for _ in 0..reps {
+        let config = FleetConfig::new(3)
+            .with_seed(0xC4A5)
+            .with_queue_capacity(requests.max(4));
+        let mut fleet = FleetService::new(config.clone(), a.clone()).expect("fleet builds");
+        for i in 0..requests {
+            let rhs: Vec<f64> = (0..16).map(|j| 0.5 + 0.01 * ((i + j) % 5) as f64).collect();
             fleet.submit(SolveRequest::new(0, rhs)).expect("admitted");
         }
         fleet.run_round();
@@ -1221,70 +814,36 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
         let checkpoint = fleet.checkpoint();
         let wal = fleet.wal().clone();
         drop(fleet);
-        let restored = FleetService::restore(config, vec![a.clone()], &checkpoint, &wal)
-            .expect("restore succeeds");
-        ckpt_ms = ckpt_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        let restored =
+            FleetService::restore(config, a.clone(), &checkpoint, &wal).expect("restores");
+        ckpt_s = ckpt_s.min(start.elapsed().as_secs_f64());
         drop(restored);
     }
-    println!("\ncheckpoint + restore (3 chips, mid-serve, best of {ckpt_reps}): {ckpt_ms:9.3} ms");
-    records.push(BenchRecord {
-        bench: "checkpoint_restore".to_string(),
-        config: format!("poisson 2d n={fleet_n}, chips=3, {ckpt_requests} queued"),
-        wall_ms: ckpt_ms,
-        steps_per_sec: None,
-        requests_per_sec: None,
-        speedup_vs_serial: None,
-        cores: None,
-        undersubscribed: None,
-        soak_requests_completed: None,
-        checkpoint_restore_ms: Some(ckpt_ms),
-        batched_speedup: None,
-        ir_speedup: None,
-        fleet_chips: None,
-        krylov_speedup: None,
-        refine_ulp_gain: None,
-    });
+    let ckpt_ms = ckpt_s * 1e3;
+    println!("\ncheckpoint + restore (3 chips, mid-serve, best of {reps}): {ckpt_ms:9.3} ms");
+    let config = format!("poisson 2d n=16, chips=3, {requests} queued");
+    r.host("checkpoint_restore", config, ckpt_s, &[]);
 
-    // 5b. Chaos soak: the full deterministic failure gauntlet (chip deaths,
-    // hangs, stalls, bursts, deadline storms, crash/restore). The report is
-    // only written if every invariant held.
-    let soak_requests = if quick { 40 } else { 120 };
-    let soak_config = ChaosConfig {
-        requests: soak_requests,
+    let chaos = ChaosConfig {
+        requests: r.pick(40, 120),
         ..ChaosConfig::standard(0x5EED)
     };
-    let start = Instant::now();
-    let soak = run_soak(&soak_config).expect("soak harness runs");
-    let soak_s = start.elapsed().as_secs_f64();
-    assert!(
-        soak.passed(),
-        "chaos soak violated invariants: {:?}",
-        soak.violations
-    );
+    let (soak_s, soak) = best_of(1, || run_soak(&chaos).expect("soak harness runs"));
+    let (completed, crashes) = (soak.completed as f64, soak.crashes as f64);
     println!(
-        "chaos soak ({} accepted, {} completed, {} crashes): {soak_s:9.3} s",
-        soak.accepted, soak.completed, soak.crashes
+        "chaos soak ({} accepted, {completed} completed, {crashes} crashes): {soak_s:9.3} s",
+        soak.accepted
     );
-    records.push(BenchRecord {
-        bench: "chaos_soak".to_string(),
-        config: format!(
-            "chips={}, requests={soak_requests}, crashes={}, seed={:#x}",
-            soak_config.chips, soak.crashes, soak_config.seed
-        ),
-        wall_ms: soak_s * 1e3,
-        steps_per_sec: None,
-        requests_per_sec: Some(soak.completed as f64 / soak_s),
-        speedup_vs_serial: None,
-        cores: None,
-        undersubscribed: None,
-        soak_requests_completed: Some(soak.completed as u64),
-        checkpoint_restore_ms: None,
-        batched_speedup: None,
-        ir_speedup: None,
-        fleet_chips: None,
-        krylov_speedup: None,
-        refine_ulp_gain: None,
-    });
-
-    records
+    for violation in &soak.violations {
+        println!("  chaos soak violation: {violation}");
+    }
+    let violations = soak.violations.len() as f64;
+    let name = "chaos_soak invariant violations";
+    r.gate(Clock::Simulated, name, Bound::Exactly(0.0), violations);
+    let (chips, requests, seed) = (chaos.chips, chaos.requests, chaos.seed);
+    let config = format!("chips={chips}, requests={requests}, seed={seed:#x}");
+    let m = [("requests_per_sec", completed / soak_s)];
+    r.host("chaos_soak", config.clone(), soak_s, &m);
+    let m = [("requests_completed", completed), ("crashes", crashes)];
+    r.sim("chaos_soak", config, soak_s, &m);
 }

@@ -9,6 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use aa_linalg::iterative::{cg, IterativeConfig, SolveReport, StoppingCriterion};
@@ -106,52 +107,62 @@ pub fn deterministic_rhs(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// One `perf_report` measurement row, serialized into `BENCH_engine.json`
-/// so successive PRs can track the performance trajectory.
+/// The clock a [`BenchRow`]'s metrics were read on. The repo has two, and
+/// no metric mixes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clock {
+    /// Host wall time and the machine it ran on: throughputs, wall-time
+    /// ratios, core counts. Machine-dependent.
+    Host,
+    /// Deterministic quantities: simulated chip time, the paper's
+    /// `CpuModel` time, and counts. The same on every host.
+    Simulated,
+}
+
+impl Clock {
+    /// The JSON spelling, `host` or `simulated`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Clock::Host => "host",
+            Clock::Simulated => "simulated",
+        }
+    }
+}
+
+/// One `perf_report` row of `BENCH_engine.json`: `wall_ms` is the host
+/// wall time of the run the row describes, and every entry of `metrics` is
+/// read on `clock`. A run measured on both clocks writes one row per clock.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Benchmark identifier, e.g. `engine_microbench`.
+pub struct BenchRow {
+    /// Benchmark group, e.g. `engine_microbench`.
     pub bench: String,
     /// Human-readable configuration of this row.
     pub config: String,
-    /// Measured wall-clock time, milliseconds.
+    /// Host wall time of the run, milliseconds.
     pub wall_ms: f64,
-    /// Engine integration throughput, where applicable.
-    pub steps_per_sec: Option<f64>,
-    /// Fleet serving throughput (completed solve requests per wall-clock
-    /// second), where applicable.
-    pub requests_per_sec: Option<f64>,
-    /// Wall-time ratio against the serial run of the same bench, where
-    /// applicable.
-    pub speedup_vs_serial: Option<f64>,
-    /// Physical cores available on the measuring machine, for rows whose
-    /// interpretation depends on it (thread-scaling benches).
-    pub cores: Option<u64>,
-    /// `true` when the row ran more threads than available cores, so its
-    /// speedup measures overhead rather than parallelism.
-    pub undersubscribed: Option<bool>,
-    /// Requests completed by the chaos-soak resilience bench, where
-    /// applicable.
-    pub soak_requests_completed: Option<u64>,
-    /// Wall time of one fleet checkpoint + restore cycle, milliseconds,
-    /// where applicable.
-    pub checkpoint_restore_ms: Option<f64>,
-    /// Throughput ratio of the K-lane batched path against serving the same
-    /// K right-hand sides sequentially, where applicable.
-    pub batched_speedup: Option<f64>,
-    /// Sequential steps/sec ratio of the pass-optimized plan against the
-    /// unoptimized tape on the same problem, where applicable.
-    pub ir_speedup: Option<f64>,
-    /// Fleet size of a `fleet_scaling` curve point (chips = shards =
-    /// workers at that point), where applicable.
-    pub fleet_chips: Option<u64>,
-    /// Iteration ratio of plain CG against analog-preconditioned flexible
-    /// CG on the same problem (`cg_iters / fcg_iters`), where applicable.
-    pub krylov_speedup: Option<f64>,
-    /// Final-residual ratio of the f64 refinement path against the
-    /// compensated extended-precision path on the same ill-conditioned
-    /// problem (`f64_residual / compensated_residual`), where applicable.
-    pub refine_ulp_gain: Option<f64>,
+    /// The clock every metric was read on.
+    pub clock: Clock,
+    /// Named measurements, each finite and non-negative.
+    pub metrics: BTreeMap<String, f64>,
+}
+
+impl BenchRow {
+    /// A row whose `metrics` were all read on `clock`.
+    pub fn new(
+        bench: &str,
+        config: impl Into<String>,
+        wall_ms: f64,
+        clock: Clock,
+        metrics: &[(&str, f64)],
+    ) -> Self {
+        BenchRow {
+            bench: bench.to_string(),
+            config: config.into(),
+            wall_ms,
+            clock,
+            metrics: metrics.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+        }
+    }
 }
 
 /// Escapes a string for embedding in a JSON document.
@@ -170,8 +181,8 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// A finite float as a JSON number, anything else as `null` (JSON has no
-/// NaN/infinity literals).
+/// A finite float as a JSON number (shortest text that parses back to the
+/// same bits), anything else as `null`, which the validator rejects.
 fn json_number(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -180,73 +191,41 @@ fn json_number(v: f64) -> String {
     }
 }
 
-/// Serializes measurement rows as a JSON array (hand-rolled — the workspace
-/// takes no external dependencies).
-pub fn records_to_json(records: &[BenchRecord]) -> String {
-    let rows: Vec<String> = records
+/// Serializes rows as a JSON array (hand-rolled — the workspace takes no
+/// external dependencies).
+pub fn rows_to_json(rows: &[BenchRow]) -> String {
+    let rows: Vec<String> = rows
         .iter()
         .map(|r| {
+            let metrics: Vec<String> = r
+                .metrics
+                .iter()
+                .map(|(name, v)| format!("\"{}\": {}", json_escape(name), json_number(*v)))
+                .collect();
             format!(
-                "  {{\"bench\": \"{}\", \"config\": \"{}\", \"wall_ms\": {}, \
-                 \"steps_per_sec\": {}, \"requests_per_sec\": {}, \"speedup_vs_serial\": {}, \
-                 \"cores\": {}, \"undersubscribed\": {}, \"soak_requests_completed\": {}, \
-                 \"checkpoint_restore_ms\": {}, \"batched_speedup\": {}, \
-                 \"ir_speedup\": {}, \"fleet_chips\": {}, \
-                 \"krylov_speedup\": {}, \"refine_ulp_gain\": {}}}",
+                "  {{\"bench\": \"{}\", \"config\": \"{}\", \"wall_ms\": {}, \"clock\": \"{}\", \
+                 \"metrics\": {{{}}}}}",
                 json_escape(&r.bench),
                 json_escape(&r.config),
                 json_number(r.wall_ms),
-                r.steps_per_sec.map_or("null".to_string(), json_number),
-                r.requests_per_sec.map_or("null".to_string(), json_number),
-                r.speedup_vs_serial.map_or("null".to_string(), json_number),
-                r.cores.map_or("null".to_string(), |c| c.to_string()),
-                r.undersubscribed
-                    .map_or("null".to_string(), |u| u.to_string()),
-                r.soak_requests_completed
-                    .map_or("null".to_string(), |n| n.to_string()),
-                r.checkpoint_restore_ms
-                    .map_or("null".to_string(), json_number),
-                r.batched_speedup.map_or("null".to_string(), json_number),
-                r.ir_speedup.map_or("null".to_string(), json_number),
-                r.fleet_chips.map_or("null".to_string(), |c| c.to_string()),
-                r.krylov_speedup.map_or("null".to_string(), json_number),
-                r.refine_ulp_gain.map_or("null".to_string(), json_number),
+                r.clock.label(),
+                metrics.join(", ")
             )
         })
         .collect();
     format!("[\n{}\n]\n", rows.join(",\n"))
 }
 
-/// The exact key set of a `BENCH_engine.json` record.
-const BENCH_KEYS: [&str; 15] = [
-    "bench",
-    "config",
-    "wall_ms",
-    "steps_per_sec",
-    "requests_per_sec",
-    "speedup_vs_serial",
-    "cores",
-    "undersubscribed",
-    "soak_requests_completed",
-    "checkpoint_restore_ms",
-    "batched_speedup",
-    "ir_speedup",
-    "fleet_chips",
-    "krylov_speedup",
-    "refine_ulp_gain",
-];
+/// The exact key set of a `BENCH_engine.json` row.
+const ROW_KEYS: [&str; 5] = ["bench", "clock", "config", "metrics", "wall_ms"];
 
 /// Schema check for a `BENCH_engine.json` document, run before the file is
 /// (over)written so a serialization bug can never clobber the previous
 /// report with garbage: the document must parse, be a non-empty array of
-/// records carrying exactly `BENCH_KEYS`, with non-empty string `bench`,
-/// string `config`, finite non-negative `wall_ms`, `steps_per_sec` /
-/// `requests_per_sec` / `speedup_vs_serial` / `checkpoint_restore_ms` /
-/// `batched_speedup` / `ir_speedup` / `krylov_speedup` /
-/// `refine_ulp_gain` each `null` or a non-negative number,
-/// `cores` and `fleet_chips` each `null` or a positive integer,
-/// `soak_requests_completed` `null` or a non-negative integer, and
-/// `undersubscribed` `null` or a boolean.
+/// rows carrying exactly `ROW_KEYS`, with non-empty string `bench`, string
+/// `config`, finite non-negative `wall_ms`, `clock` `host` or `simulated`,
+/// and `metrics` an object of non-empty names to finite non-negative
+/// numbers.
 pub fn validate_bench_json(text: &str) -> Result<(), String> {
     let doc = aa_obs::json::Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let rows = doc
@@ -259,15 +238,11 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
         let obj = row
             .as_object()
             .ok_or_else(|| format!("record {i} is not an object"))?;
-        for key in BENCH_KEYS {
-            if !obj.contains_key(key) {
-                return Err(format!("record {i} is missing key {key:?}"));
-            }
+        if let Some(key) = ROW_KEYS.iter().find(|k| !obj.contains_key(**k)) {
+            return Err(format!("record {i} is missing key {key:?}"));
         }
-        for key in obj.keys() {
-            if !BENCH_KEYS.contains(&key.as_str()) {
-                return Err(format!("record {i} has unexpected key {key:?}"));
-            }
+        if let Some(key) = obj.keys().find(|k| !ROW_KEYS.contains(&k.as_str())) {
+            return Err(format!("record {i} has unexpected key {key:?}"));
         }
         row.get("bench")
             .and_then(|v| v.as_str())
@@ -276,74 +251,142 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
         row.get("config")
             .and_then(|v| v.as_str())
             .ok_or_else(|| format!("record {i}: \"config\" must be a string"))?;
-        let wall = row
-            .get("wall_ms")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("record {i}: \"wall_ms\" must be a number"))?;
-        if !(wall >= 0.0 && wall.is_finite()) {
+        let wall = row.get("wall_ms").and_then(|v| v.as_f64());
+        if !wall.is_some_and(|w| w >= 0.0 && w.is_finite()) {
             return Err(format!(
-                "record {i}: \"wall_ms\" must be finite and non-negative, got {wall}"
+                "record {i}: \"wall_ms\" must be a finite non-negative number"
             ));
         }
-        for key in [
-            "steps_per_sec",
-            "requests_per_sec",
-            "speedup_vs_serial",
-            "checkpoint_restore_ms",
-            "batched_speedup",
-            "ir_speedup",
-            "krylov_speedup",
-            "refine_ulp_gain",
-        ] {
-            let value = row.get(key).expect("presence checked above");
-            if value.is_null() {
-                continue;
-            }
-            let num = value
-                .as_f64()
-                .ok_or_else(|| format!("record {i}: {key:?} must be null or a number"))?;
-            if num < 0.0 {
-                return Err(format!(
-                    "record {i}: {key:?} must be non-negative, got {num}"
-                ));
-            }
-        }
-        for key in ["cores", "fleet_chips"] {
-            let value = row.get(key).expect("presence checked above");
-            if value.is_null() {
-                continue;
-            }
-            let num = value
-                .as_f64()
-                .ok_or_else(|| format!("record {i}: {key:?} must be null or a number"))?;
-            if !(num.fract() == 0.0 && num >= 1.0) {
-                return Err(format!(
-                    "record {i}: {key:?} must be a positive integer, got {num}"
-                ));
-            }
-        }
-        let soak = row
-            .get("soak_requests_completed")
-            .expect("presence checked above");
-        if !soak.is_null() {
-            let num = soak.as_f64().ok_or_else(|| {
-                format!("record {i}: \"soak_requests_completed\" must be null or a number")
-            })?;
-            if !(num.fract() == 0.0 && num >= 0.0) {
-                return Err(format!(
-                    "record {i}: \"soak_requests_completed\" must be a non-negative integer, \
-                     got {num}"
-                ));
-            }
-        }
-        let under = row.get("undersubscribed").expect("presence checked above");
-        if !under.is_null() && under.as_bool().is_none() {
+        let clock = row.get("clock").and_then(|v| v.as_str());
+        if !matches!(clock, Some("host" | "simulated")) {
             return Err(format!(
-                "record {i}: \"undersubscribed\" must be null or a boolean"
+                "record {i}: \"clock\" must be \"host\" or \"simulated\""
             ));
+        }
+        let metrics = row
+            .get("metrics")
+            .and_then(|v| v.as_object())
+            .ok_or_else(|| format!("record {i}: \"metrics\" must be an object"))?;
+        for (name, value) in metrics {
+            if name.is_empty() {
+                return Err(format!("record {i}: empty metric name"));
+            }
+            if !value.as_f64().is_some_and(|v| v >= 0.0 && v.is_finite()) {
+                return Err(format!(
+                    "record {i}: metric {name:?} must be a finite non-negative number"
+                ));
+            }
         }
     }
     Ok(())
+}
+
+/// The comparison a [`Gate`] holds its metric to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// `value >= bound`.
+    AtLeast(f64),
+    /// `value <= bound`.
+    AtMost(f64),
+    /// `value == bound` (exact counts).
+    Exactly(f64),
+}
+
+impl std::fmt::Display for Bound {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (op, b) = match *self {
+            Bound::AtLeast(b) => (">=", b),
+            Bound::AtMost(b) => ("<=", b),
+            Bound::Exactly(b) => ("==", b),
+        };
+        // Four decimals, as measured values print, without trailing zeros.
+        write!(f, "{op} {}", (b * 1e4).round() / 1e4)
+    }
+}
+
+/// One performance bound of `perf_report`. A [`Clock::Simulated`] gate
+/// fires on every host; a [`Clock::Host`] gate fires only where the host
+/// has at least two cores, since one core time-slices the threads, and the
+/// host itself, that a wall-clock ratio compares.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gate {
+    /// What is gated, e.g. `batched_rhs K=16 batched_speedup`.
+    pub metric: String,
+    /// The bound the value must meet.
+    pub bound: Bound,
+    /// The clock the value was read on.
+    pub clock: Clock,
+}
+
+/// What [`Gate::check`] found.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GateResult {
+    /// The gate checked.
+    pub gate: Gate,
+    /// The measured value.
+    pub value: f64,
+    /// `false` when the gate could not fire on this host (NOT-GATED).
+    pub enforced: bool,
+}
+
+impl Gate {
+    /// Checks `value` on a host with `cores` cores. An enforced gate that
+    /// misses its bound panics; a host gate on one core prints a NOT-GATED
+    /// line with its verdict instead.
+    pub fn check(self, value: f64, cores: usize) -> GateResult {
+        let enforced = self.clock == Clock::Simulated || cores >= 2;
+        let result = GateResult {
+            gate: self,
+            value,
+            enforced,
+        };
+        assert!(
+            !enforced || result.passed(),
+            "gate failed: {}",
+            result.line()
+        );
+        if !enforced {
+            println!("  NOT-GATED on {cores} core: {}", result.line());
+        }
+        result
+    }
+}
+
+impl GateResult {
+    /// Whether the value meets the bound.
+    pub fn passed(&self) -> bool {
+        match self.gate.bound {
+            Bound::AtLeast(b) => self.value >= b,
+            Bound::AtMost(b) => self.value <= b,
+            Bound::Exactly(b) => self.value == b,
+        }
+    }
+
+    /// One line naming the gate, its measured value and its verdict.
+    pub fn line(&self) -> String {
+        let verdict = match (self.passed(), self.enforced) {
+            (true, true) => "pass",
+            (false, true) => "FAIL",
+            (true, false) => "would pass",
+            (false, false) => "WOULD FAIL",
+        };
+        let Gate {
+            metric,
+            bound,
+            clock,
+        } = &self.gate;
+        let (clock, value) = (clock.label(), self.value);
+        format!("{metric} {bound} ({clock} clock): measured {value:.4} — {verdict}")
+    }
+}
+
+/// The closing gate table: one line per gate, enforced or NOT-GATED.
+pub fn gate_table(results: &[GateResult]) -> String {
+    let line = |r: &GateResult| {
+        let state = if r.enforced { "gated    " } else { "NOT-GATED" };
+        format!("  {state} {}", r.line())
+    };
+    results.iter().map(line).collect::<Vec<_>>().join("\n")
 }
 
 #[cfg(test)]
@@ -376,184 +419,128 @@ mod tests {
     }
 
     #[test]
-    fn bench_records_serialize_to_valid_json() {
-        let records = vec![
-            BenchRecord {
-                bench: "engine_microbench".to_string(),
-                config: "32 macroblocks, \"compiled\"".to_string(),
-                wall_ms: 12.5,
-                steps_per_sec: Some(48000.0),
-                requests_per_sec: None,
-                speedup_vs_serial: None,
-                cores: None,
-                undersubscribed: None,
-                soak_requests_completed: None,
-                checkpoint_restore_ms: None,
-                batched_speedup: None,
-                ir_speedup: None,
-                fleet_chips: None,
-                krylov_speedup: None,
-                refine_ulp_gain: None,
-            },
-            BenchRecord {
-                bench: "decomposed_scaling".to_string(),
-                config: "threads=4".to_string(),
-                wall_ms: 3.25,
-                steps_per_sec: None,
-                requests_per_sec: Some(120.0),
-                speedup_vs_serial: Some(f64::NAN),
-                cores: Some(2),
-                undersubscribed: Some(true),
-                soak_requests_completed: Some(512),
-                checkpoint_restore_ms: Some(1.75),
-                batched_speedup: Some(3.5),
-                ir_speedup: Some(1.3),
-                fleet_chips: Some(4),
-                krylov_speedup: Some(2.5),
-                refine_ulp_gain: Some(12.0),
-            },
+    fn rows_round_trip_through_json_exactly() {
+        let m = [("a", 865869.4712577438), ("b", 0.1 + 0.2), ("c", 1e-300)];
+        let rows = vec![
+            BenchRow::new("engine_ir", "16 \"full\"\tplan", 12.5, Clock::Host, &m),
+            BenchRow::new("chaos_soak", "", 0.0, Clock::Simulated, &m[..1]),
+            BenchRow::new("fig7_analog_solve", "n=16", 3.875, Clock::Host, &[]),
         ];
-        let json = records_to_json(&records);
-        assert!(json.starts_with("[\n"));
-        assert!(json.ends_with("]\n"));
-        assert!(json.contains("\"bench\": \"engine_microbench\""));
-        assert!(json.contains("\\\"compiled\\\""), "quotes escaped: {json}");
-        assert!(json.contains("\"steps_per_sec\": 48000"));
-        // Non-finite numbers become null, never bare NaN.
-        assert!(json.contains("\"speedup_vs_serial\": null"));
-        assert!(!json.contains("NaN"));
-        // Machine context serializes as structured fields, not strings.
-        assert!(json.contains("\"cores\": 2"));
-        assert!(json.contains("\"cores\": null"));
-        assert!(json.contains("\"undersubscribed\": true"));
-        // Resilience fields serialize as numbers or null.
-        assert!(json.contains("\"soak_requests_completed\": 512"));
-        assert!(json.contains("\"soak_requests_completed\": null"));
-        assert!(json.contains("\"checkpoint_restore_ms\": 1.75"));
-        assert!(json.contains("\"checkpoint_restore_ms\": null"));
-        assert!(json.contains("\"batched_speedup\": 3.5"));
-        assert!(json.contains("\"batched_speedup\": null"));
-        assert!(json.contains("\"ir_speedup\": 1.3"));
-        assert!(json.contains("\"ir_speedup\": null"));
-        assert!(json.contains("\"fleet_chips\": 4"));
-        assert!(json.contains("\"fleet_chips\": null"));
-        // Exactly one comma-separated row pair.
-        assert_eq!(json.matches("{\"bench\"").count(), 2);
+        let json = rows_to_json(&rows);
+        validate_bench_json(&json).expect("valid document");
+        let doc = aa_obs::json::Json::parse(&json).expect("parses");
+        let parsed = doc.as_array().expect("array");
+        assert_eq!(parsed.len(), rows.len());
+        let bits = |v: &aa_obs::json::Json| v.as_f64().expect("number").to_bits();
+        for (row, back) in rows.iter().zip(parsed) {
+            let text = |key| back.get(key).and_then(|v| v.as_str()).expect(key);
+            assert_eq!(text("bench"), row.bench);
+            assert_eq!(text("config"), row.config);
+            assert_eq!(text("clock"), row.clock.label());
+            let field = |key| back.get(key).expect(key);
+            assert_eq!(bits(field("wall_ms")), row.wall_ms.to_bits());
+            let got = field("metrics").as_object().expect("metrics");
+            let got: Vec<_> = got.iter().map(|(k, v)| (k.clone(), bits(v))).collect();
+            let want: Vec<_> = row
+                .metrics
+                .iter()
+                .map(|(k, v)| (k.clone(), v.to_bits()))
+                .collect();
+            assert_eq!(got, want);
+        }
+        // A non-finite metric serializes as null, which the validator refuses.
+        let nan = rows_to_json(&[BenchRow::new("x", "", 1.0, Clock::Host, &[("r", f64::NAN)])]);
+        assert!(nan.contains("\"r\": null"));
+        assert!(validate_bench_json(&nan).is_err());
     }
 
     #[test]
-    fn valid_bench_json_passes_validation() {
-        let records = vec![BenchRecord {
-            bench: "engine_microbench".to_string(),
-            config: "32 macroblocks".to_string(),
-            wall_ms: 12.5,
-            steps_per_sec: Some(48000.0),
-            requests_per_sec: None,
-            speedup_vs_serial: None,
-            cores: Some(1),
-            undersubscribed: Some(false),
-            soak_requests_completed: Some(0),
-            checkpoint_restore_ms: Some(0.5),
-            batched_speedup: Some(1.0),
-            ir_speedup: Some(1.2),
-            fleet_chips: Some(1),
-            krylov_speedup: Some(1.4),
-            refine_ulp_gain: None,
-        }];
-        validate_bench_json(&records_to_json(&records)).expect("valid document");
-    }
-
-    /// A full valid single-record document with one `"key": value` pair
-    /// swapped in — `replace` must hit exactly once so each case tests what
-    /// it says it tests.
-    fn doc_with(key: &str, value: &str) -> String {
-        let base = r#"[{"bench": "x", "config": "c", "wall_ms": 1.0, "steps_per_sec": null,
-            "requests_per_sec": null, "speedup_vs_serial": null, "cores": null,
-            "undersubscribed": null, "soak_requests_completed": null,
-            "checkpoint_restore_ms": null, "batched_speedup": null,
-            "ir_speedup": null, "fleet_chips": null,
-            "krylov_speedup": null, "refine_ulp_gain": null}]"#;
-        let needle = match key {
-            "bench" => r#""bench": "x""#.to_string(),
-            "config" => r#""config": "c""#.to_string(),
-            "wall_ms" => r#""wall_ms": 1.0"#.to_string(),
-            other => format!("\"{other}\": null"),
-        };
-        assert_eq!(base.matches(&needle).count(), 1, "{key}");
-        base.replace(&needle, &format!("\"{key}\": {value}"))
+    fn committed_bench_json_passes_validation() {
+        validate_bench_json(include_str!("../../../BENCH_engine.json"))
+            .expect("committed BENCH_engine.json matches the row schema");
     }
 
     #[test]
     fn validation_rejects_malformed_documents() {
-        // The base document itself is valid.
-        validate_bench_json(&doc_with("cores", "null")).expect("base document");
-        // Not JSON at all.
-        assert!(validate_bench_json("not json").is_err());
-        // Wrong shape.
-        assert!(validate_bench_json("{}").is_err());
-        assert!(validate_bench_json("[]").is_err());
-        assert!(validate_bench_json("[1]").is_err());
-        // Missing key.
-        assert!(validate_bench_json(
-            r#"[{"bench": "x", "config": "c", "wall_ms": 1.0, "steps_per_sec": null}]"#
-        )
-        .is_err());
-        // Unexpected key.
+        let base = r#"[{"bench": "x", "config": "c", "wall_ms": 1.0, "clock": "host",
+            "metrics": {"steps_per_sec": 2.5}}]"#;
+        // `needle` must occur exactly once so each case tests what it says.
+        let with = |needle: &str, swap: &str| {
+            assert_eq!(base.matches(needle).count(), 1, "{needle}");
+            validate_bench_json(&base.replace(needle, swap))
+        };
+        let metric = r#""steps_per_sec": 2.5"#;
+        with(metric, metric).expect("base document");
+        // Not JSON, not an array, empty, a non-object row.
+        for doc in ["not json", "{}", "[]", "[1]"] {
+            assert!(validate_bench_json(doc).is_err(), "{doc}");
+        }
+        let bad = [
+            // Missing and unexpected keys.
+            (r#""clock": "host","#, ""),
+            (r#""wall_ms": 1.0"#, r#""wall_ms": 1.0, "cores": 2"#),
+            // Negative or null wall_ms, empty bench, unknown clock.
+            (r#""wall_ms": 1.0"#, r#""wall_ms": -1.0"#),
+            (r#""wall_ms": 1.0"#, r#""wall_ms": null"#),
+            (r#""bench": "x""#, r#""bench": """#),
+            (r#""clock": "host""#, r#""clock": "wall""#),
+            // Metrics not an object; empty name; non-numeric, null or
+            // negative value.
+            (r#"{"steps_per_sec": 2.5}"#, "[2.5]"),
+            (metric, r#""": 2.5"#),
+            (metric, r#""steps_per_sec": "fast""#),
+            (metric, r#""steps_per_sec": null"#),
+            (metric, r#""steps_per_sec": -2.5"#),
+        ];
+        for (needle, swap) in bad {
+            assert!(with(needle, swap).is_err(), "{swap}");
+        }
+        with(r#""clock": "host""#, r#""clock": "simulated""#).expect("simulated");
+        with(r#"{"steps_per_sec": 2.5}"#, "{}").expect("no metrics");
+        with(metric, r#""plans_lowered": 0"#).expect("zero");
+    }
+
+    /// Checks `value` against a gate, `None` when the check panicked.
+    fn check(bound: Bound, clock: Clock, value: f64, cores: usize) -> Option<GateResult> {
+        let metric = "m".to_string();
+        let gate = Gate {
+            metric,
+            bound,
+            clock,
+        };
+        std::panic::catch_unwind(move || gate.check(value, cores)).ok()
+    }
+
+    #[test]
+    fn host_gates_fire_on_two_cores_and_report_not_gated_on_one() {
+        let result = check(Bound::AtLeast(2.0), Clock::Host, 1.5, 1).expect("not gated");
+        assert!(!result.enforced && !result.passed());
+        let table = gate_table(&[result]);
         assert!(
-            validate_bench_json(&doc_with("cores", r#"null, "extra": 1"#)).is_err(),
-            "unexpected key"
+            table.contains("NOT-GATED") && table.contains("WOULD FAIL"),
+            "{table}"
         );
-        // Negative timing.
-        assert!(validate_bench_json(&doc_with("wall_ms", "-1.0")).is_err());
-        // Null wall_ms (a non-finite measurement serialized away).
-        assert!(validate_bench_json(&doc_with("wall_ms", "null")).is_err());
-        // Empty bench name.
-        assert!(validate_bench_json(&doc_with("bench", "\"\"")).is_err());
-        // Negative speedup.
-        assert!(validate_bench_json(&doc_with("speedup_vs_serial", "-2.0")).is_err());
-        // Negative or non-numeric serving throughput.
-        assert!(validate_bench_json(&doc_with("requests_per_sec", "-5.0")).is_err());
-        assert!(validate_bench_json(&doc_with("requests_per_sec", "\"fast\"")).is_err());
-        assert!(validate_bench_json(&doc_with("requests_per_sec", "120.5")).is_ok());
-        // Cores must be a positive integer when present.
-        assert!(validate_bench_json(&doc_with("cores", "0")).is_err());
-        assert!(validate_bench_json(&doc_with("cores", "1.5")).is_err());
-        assert!(validate_bench_json(&doc_with("cores", "\"two\"")).is_err());
-        assert!(validate_bench_json(&doc_with("cores", "4")).is_ok());
-        // Undersubscribed must be a boolean when present.
-        assert!(validate_bench_json(&doc_with("undersubscribed", "1")).is_err());
-        assert!(validate_bench_json(&doc_with("undersubscribed", "true")).is_ok());
-        // Soak completions must be a non-negative integer when present.
-        assert!(validate_bench_json(&doc_with("soak_requests_completed", "-3")).is_err());
-        assert!(validate_bench_json(&doc_with("soak_requests_completed", "1.5")).is_err());
-        assert!(validate_bench_json(&doc_with("soak_requests_completed", "\"many\"")).is_err());
-        assert!(validate_bench_json(&doc_with("soak_requests_completed", "0")).is_ok());
-        assert!(validate_bench_json(&doc_with("soak_requests_completed", "512")).is_ok());
-        // Checkpoint+restore timing must be a non-negative number.
-        assert!(validate_bench_json(&doc_with("checkpoint_restore_ms", "-1.0")).is_err());
-        assert!(validate_bench_json(&doc_with("checkpoint_restore_ms", "\"fast\"")).is_err());
-        assert!(validate_bench_json(&doc_with("checkpoint_restore_ms", "2.5")).is_ok());
-        // Batched speedup must be a non-negative number when present.
-        assert!(validate_bench_json(&doc_with("batched_speedup", "-1.0")).is_err());
-        assert!(validate_bench_json(&doc_with("batched_speedup", "\"2x\"")).is_err());
-        assert!(validate_bench_json(&doc_with("batched_speedup", "3.1")).is_ok());
-        // IR speedup must be a non-negative number when present.
-        assert!(validate_bench_json(&doc_with("ir_speedup", "-0.5")).is_err());
-        assert!(validate_bench_json(&doc_with("ir_speedup", "\"fast\"")).is_err());
-        assert!(validate_bench_json(&doc_with("ir_speedup", "1.15")).is_ok());
-        // Fleet size must be a positive integer when present.
-        assert!(validate_bench_json(&doc_with("fleet_chips", "0")).is_err());
-        assert!(validate_bench_json(&doc_with("fleet_chips", "1.5")).is_err());
-        assert!(validate_bench_json(&doc_with("fleet_chips", "\"four\"")).is_err());
-        assert!(validate_bench_json(&doc_with("fleet_chips", "16")).is_ok());
-        // Krylov speedup must be a non-negative number when present.
-        assert!(validate_bench_json(&doc_with("krylov_speedup", "-1.0")).is_err());
-        assert!(validate_bench_json(&doc_with("krylov_speedup", "\"3x\"")).is_err());
-        assert!(validate_bench_json(&doc_with("krylov_speedup", "2.4")).is_ok());
-        // Refinement precision gain must be a non-negative number when present.
-        assert!(validate_bench_json(&doc_with("refine_ulp_gain", "-2.0")).is_err());
-        assert!(validate_bench_json(&doc_with("refine_ulp_gain", "\"big\"")).is_err());
-        assert!(validate_bench_json(&doc_with("refine_ulp_gain", "64.0")).is_ok());
+        assert!(table.contains("measured 1.5"), "{table}");
+        assert!(check(Bound::AtLeast(2.0), Clock::Host, 1.5, 2).is_none());
+    }
+
+    #[test]
+    fn simulated_gates_fire_on_every_host() {
+        for cores in [1, 2] {
+            assert!(check(Bound::AtMost(1.0), Clock::Simulated, 1.5, cores).is_none());
+            assert!(check(Bound::Exactly(1.0), Clock::Simulated, 2.0, cores).is_none());
+            assert!(check(Bound::Exactly(1.0), Clock::Simulated, 0.0, cores).is_none());
+        }
+    }
+
+    #[test]
+    fn values_at_the_bound_pass() {
+        for bound in [Bound::AtLeast(2.0), Bound::AtMost(2.0), Bound::Exactly(2.0)] {
+            for (clock, cores) in [(Clock::Host, 1), (Clock::Host, 2), (Clock::Simulated, 1)] {
+                let result = check(bound, clock, 2.0, cores).expect("at the bound");
+                assert!(result.passed(), "{}", result.line());
+            }
+        }
     }
 
     #[test]

@@ -120,13 +120,6 @@ pub struct FleetConfig {
     /// [`Rejected::QuotaExceeded`](crate::Rejected::QuotaExceeded)
     /// verdict. Empty (the default) disables fair-share admission.
     pub tenant_weights: Vec<(u32, u32)>,
-    /// Expected preconditioner applications per Krylov-mode request
-    /// ([`SolveMode::KrylovPrecond`](crate::SolveMode::KrylovPrecond)):
-    /// the multiplier admission control prices such a request's deadline
-    /// against ([`aa_solver::estimate::krylov_solve_time_s`] — one
-    /// supervised analog solve per FCG preconditioner application, never
-    /// coalesced into a shared sweep).
-    pub krylov_applications: usize,
 }
 
 impl FleetConfig {
@@ -149,7 +142,6 @@ impl FleetConfig {
             shards: 1,
             spill_watermark: None,
             tenant_weights: Vec::new(),
-            krylov_applications: 8,
         }
     }
 
@@ -211,13 +203,6 @@ impl FleetConfig {
     /// [`tenant_weights`](Self::tenant_weights)).
     pub fn with_tenant_weight(mut self, tenant: u32, weight: u32) -> Self {
         self.tenant_weights.push((tenant, weight));
-        self
-    }
-
-    /// Sets the expected preconditioner applications a Krylov-mode
-    /// request is priced for (floored at 1).
-    pub fn with_krylov_applications(mut self, applications: usize) -> Self {
-        self.krylov_applications = applications.max(1);
         self
     }
 

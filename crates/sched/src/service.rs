@@ -42,6 +42,14 @@ use crate::request::{
     Completion, CompletionPath, Priority, Rejected, SolveMode, SolveRequest, SolveTicket,
 };
 
+/// Preconditioner applications admission prices a Krylov-mode request
+/// ([`SolveMode::KrylovPrecond`]) for: one supervised analog solve per FCG
+/// preconditioner application, never coalesced into a shared sweep, so its
+/// deadline is judged against this many sequential estimates
+/// ([`krylov_solve_time_s`]). Served requests average about six
+/// applications; the planner's own price is meant to replace this figure.
+const KRYLOV_APPLICATIONS: usize = 8;
+
 /// A fleet construction or recovery error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedError {
@@ -464,14 +472,12 @@ impl FleetService {
     ///   to the batch width).
     /// * `KrylovPrecond` — one supervised analog solve per FCG
     ///   preconditioner application, never coalesced, so the sequential
-    ///   estimate is *scaled* by the configured application count
+    ///   estimate is *scaled* by [`KRYLOV_APPLICATIONS`]
     ///   ([`krylov_solve_time_s`]).
     fn priced_estimate_s(&self, estimate_s: f64, mode: SolveMode) -> f64 {
         match mode {
             SolveMode::Direct => amortized_solve_time_s(estimate_s, self.coalesce_width()),
-            SolveMode::KrylovPrecond => {
-                krylov_solve_time_s(estimate_s, self.config.krylov_applications)
-            }
+            SolveMode::KrylovPrecond => krylov_solve_time_s(estimate_s, KRYLOV_APPLICATIONS),
         }
     }
 
@@ -1508,11 +1514,8 @@ mod tests {
     fn krylov_deadlines_price_the_full_application_loop() {
         // 4-wide coalescing: a direct request is billed a quarter of the
         // sequential estimate, a Krylov request the full estimate times
-        // the configured application count — same sequential estimate,
-        // two profiles.
-        let cfg = FleetConfig::new(1)
-            .with_max_batch_rhs(4)
-            .with_krylov_applications(8);
+        // KRYLOV_APPLICATIONS — same sequential estimate, two profiles.
+        let cfg = FleetConfig::new(1).with_max_batch_rhs(4);
         let mut fleet = FleetService::new(cfg, vec![tri(4)]).unwrap();
         let estimate = fleet.estimate_s(0).unwrap();
         let verdict = fleet.submit(
@@ -1524,7 +1527,7 @@ mod tests {
             verdict,
             Err(Rejected::DeadlineInfeasible {
                 deadline_s: estimate,
-                estimate_s: estimate * 8.0
+                estimate_s: estimate * KRYLOV_APPLICATIONS as f64
             })
         );
         // The same deadline admits in direct mode (amortized to a quarter).
@@ -1548,9 +1551,7 @@ mod tests {
     fn krylov_queue_pressure_prices_drain_hints_by_mode() {
         // Two queued Krylov requests cost 2·k·estimate of drain, not
         // 2·estimate: the hint and admission share one pricing rule.
-        let cfg = FleetConfig::new(1)
-            .with_queue_capacity(2)
-            .with_krylov_applications(6);
+        let cfg = FleetConfig::new(1).with_queue_capacity(2);
         let mut fleet = FleetService::new(cfg, vec![tri(4)]).unwrap();
         let estimate = fleet.estimate_s(0).unwrap();
         for _ in 0..2 {
@@ -1561,7 +1562,7 @@ mod tests {
         match fleet.submit(SolveRequest::new(0, vec![1.0; 4])) {
             Err(Rejected::QueueFull { retry_after_s, .. }) => {
                 assert!(
-                    (retry_after_s - 2.0 * 6.0 * estimate).abs() < 1e-12,
+                    (retry_after_s - 2.0 * KRYLOV_APPLICATIONS as f64 * estimate).abs() < 1e-12,
                     "retry_after_s={retry_after_s}, estimate={estimate}"
                 );
             }
