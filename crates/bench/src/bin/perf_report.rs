@@ -535,11 +535,11 @@ fn krylov_precond(r: &mut Report) {
             let share = fcg_iters as f64 / cg_iters as f64;
             r.gate(sim, name("fcg/cg iterations"), Bound::AtMost(0.7), share);
         }
-        // At most 1.15x (the fleet benchmark's bound) the 0.991 ms n = 64
-        // took once each application was aimed at √tol rather than at the
-        // supervisor's direct-answer tolerance.
+        // At most 1.15x (the fleet benchmark's bound) the 0.950 ms n = 64
+        // took once every warm application started from the Galerkin guess
+        // on span{v₁, u_p, b}.
         if n == 64 {
-            let bound = Bound::AtMost(1.15 * 0.991);
+            let bound = Bound::AtMost(1.15 * 0.950);
             r.gate(sim, name("precond_analog_ms"), bound, precond_ms);
         }
     }

@@ -496,7 +496,7 @@ impl SupervisedSolver {
         // correction takes the residual to tol.
         let plan = self
             .inner
-            .readout_floor(b)
+            .run_floor(b, slot)
             .filter(|floor| budget > 1 && *floor > (1.0 - SETTLE_SHARE) * tol)
             .map(|floor| (floor, (tol.max(floor) / SETTLE_SHARE).min(tol.sqrt())));
         let _span = aa_obs::span("solver.recovery");

@@ -144,20 +144,20 @@ pub enum BatchColumn {
     /// carries the walk's run and retry counts).
     Solved(AnalogSolveReport),
     /// The column left the batched fast path; the label records why (stable
-    /// telemetry vocabulary: `rhs_overflow`, `rhs_underuse`, `overflow`,
-    /// `no_steady_state`, `underuse`).
+    /// telemetry vocabulary: `rhs_overflow`, `guess_overflow`,
+    /// `rhs_underuse`, `overflow`, `no_steady_state`, `underuse`).
     Fallback(&'static str),
 }
 
-/// The solver's warm-start basis: its last settled readout `u_p` and the
-/// energy `u_pᵀA·u_p`.
+/// A solver's warm-start basis as a checkpoint carries it: its last
+/// settled readout `u_p` and the energy `u_pᵀA·u_p`.
 ///
-/// Alone, it gives a run for `b` the A-norm-optimal multiple `α·u_p`, with
-/// the Galerkin coefficient `α = u_pᵀb / u_pᵀA·u_p` (the one-vector case of
-/// Fischer's projection method for successive right-hand sides). It
-/// minimizes `‖u* − α·u_p‖_A` over `α`, and `α = 0` is the cold start, so
-/// the guess is never further from the answer in the A-norm than zero is.
-/// The solver widens it by the slowest eigenmode `v₁` of `A`.
+/// A warm run for `b` starts from the A-norm Galerkin guess on
+/// span{v₁, u_p, b}, with `v₁` the slowest eigenmode of `A`: the `u₀` in
+/// that span which minimizes `‖u* − u₀‖_A` (Fischer's projection method
+/// for successive right-hand sides, widened by `v₁` and by `b` itself).
+/// The span contains zero, the cold start, so the guess is never further
+/// from the answer in the A-norm than zero is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmStart {
     /// The last settled (unscaled) readout `u_p`.
@@ -166,98 +166,108 @@ pub struct WarmStart {
     pub energy: f64,
 }
 
-impl WarmStart {
-    /// The basis for a settled readout `u` of `A·u = b`; `None` when
-    /// `u_pᵀA·u_p` is not positive (a zero readout spans nothing).
-    fn new(a: &CsrMatrix, u: &[f64]) -> Option<Self> {
-        let energy = vector::dot(u, &a.apply_vec(u));
-        (energy.is_finite() && energy > 0.0).then(|| WarmStart {
-            basis: u.to_vec(),
-            energy,
-        })
-    }
-
-    /// The Galerkin coefficient `α` for `b` and the guess `α·u_p`.
-    fn guess(&self, b: &[f64]) -> (f64, Vec<f64>) {
-        let alpha = vector::dot(&self.basis, b) / self.energy;
-        (alpha, self.basis.iter().map(|u| alpha * u).collect())
-    }
-}
-
-/// The slowest eigenmode `v₁` of `A`, the one `λ_min` belongs to, with
-/// `A·v₁` and its energy `v₁ᵀA·v₁`.
+/// One direction `d` of the warm-start span — the slowest mode `v₁`, a
+/// basis `u_p`, the right-hand side `b`, or one of them A-orthogonalized —
+/// with `A·d` and its energy `dᵀA·d`.
 ///
-/// The flow `u(t) = u* + e^{−At}·(u₀ − u*)` settles the `v₁` component of
-/// its initial error last, at the `λ_min` rate. A warm run therefore starts
-/// from the Galerkin guess on span{v₁, u_p}: the pair `(s, α)` that
-/// minimizes `‖u* − s·v₁ − α·u_p‖_A`, from the 2×2 system
-///
-/// ```text
-/// [ v₁ᵀAv₁   v₁ᵀAu_p ] [s]   [ v₁ᵀb  ]
-/// [ u_pᵀAv₁  u_pᵀAu_p] [α] = [ u_pᵀb ]
-/// ```
-///
-/// The guess's error is A-orthogonal to `v₁`, so the run settles the rest
-/// at the `λ₂` rate. The span contains `α·u_p` and zero, so the guess is
-/// never further from `u*` in the A-norm than either. `A·v₁` is stored, not
-/// taken as `λ_min·v₁`, so the projection is exact however closely the
-/// iteration converged.
-#[derive(Debug)]
-struct SlowMode {
-    /// `v₁`, unit 2-norm.
+/// `A·d` is stored, not taken as `λ_min·v₁` for the slowest mode, so the
+/// projection is exact however closely the eigen iteration converged.
+#[derive(Debug, Clone)]
+struct Direction {
+    /// `d` (unscaled; `v₁` has unit 2-norm).
     vector: Vec<f64>,
-    /// `A·v₁`.
+    /// `A·d`.
     applied: Vec<f64>,
-    /// `v₁ᵀA·v₁`, positive.
+    /// `dᵀA·d`, positive.
     energy: f64,
 }
 
-/// Below this share of `v₁ᵀAv₁·u_pᵀAu_p`, the 2×2 determinant is taken as
-/// zero: `u_p` is (nearly) parallel to `v₁` and adds no second direction.
-const PARALLEL_SHARE: f64 = 1e-10;
-
-impl SlowMode {
-    /// The mode for the eigenvector `v` of `a`; `None` when `vᵀA·v` is not
-    /// positive.
-    fn new(a: &CsrMatrix, v: Vec<f64>) -> Option<Self> {
-        let applied = a.apply_vec(&v);
-        let energy = vector::dot(&v, &applied);
-        (energy.is_finite() && energy > 0.0).then_some(SlowMode {
-            vector: v,
+impl Direction {
+    /// The direction `d` of `a`; `None` when `dᵀA·d` is not positive (a
+    /// zero vector spans nothing).
+    fn new(a: &CsrMatrix, vector: Vec<f64>) -> Option<Self> {
+        let applied = a.apply_vec(&vector);
+        let energy = vector::dot(&vector, &applied);
+        (energy.is_finite() && energy > 0.0).then_some(Direction {
+            vector,
             applied,
             energy,
         })
     }
 
-    /// The Galerkin guess for `b` on span{v₁, u_p}; `None` when `u_p`
-    /// (nearly) parallels `v₁` and the 2×2 system is singular.
-    fn guess(&self, basis: &WarmStart, b: &[f64]) -> Option<Guess> {
-        let coupling = vector::dot(&basis.basis, &self.applied);
-        let det = self.energy * basis.energy - coupling * coupling;
-        if det <= PARALLEL_SHARE * self.energy * basis.energy {
-            return None;
+    /// The checkpointed form of a basis.
+    fn warm_start(&self) -> WarmStart {
+        WarmStart {
+            basis: self.vector.clone(),
+            energy: self.energy,
         }
-        let (on_slow, on_basis) = (vector::dot(&self.vector, b), vector::dot(&basis.basis, b));
-        let slow = (basis.energy * on_slow - coupling * on_basis) / det;
-        let alpha = (self.energy * on_basis - coupling * on_slow) / det;
-        let start = self
-            .vector
-            .iter()
-            .zip(&basis.basis)
-            .map(|(v, u)| slow * v + alpha * u)
-            .collect();
-        Some(Guess { alpha, slow, start })
     }
 }
 
-/// A warm run's initial state `slow·v₁ + α·u_p` and its two coefficients.
+/// Below this share of its own energy `dᵀA·d`, what A-orthogonalization
+/// leaves of a direction is taken as zero: the direction (nearly) lies in
+/// the span of those before it and adds nothing.
+const DEPENDENT_SHARE: f64 = 1e-10;
+
+/// The A-norm Galerkin guess for `A·u* = b` on the span of `directions`
+/// and its coefficients on them (0 for an absent or dropped one).
+///
+/// The directions are A-orthogonalized in order (modified Gram–Schmidt in
+/// the A-inner product, carried on `d` and `A·d` alike), and one whose
+/// remaining energy is at most [`DEPENDENT_SHARE`] of its own is dropped.
+/// On the A-orthogonal `w_j` the Galerkin coefficients need no solve:
+/// `w_jᵀA·u* = w_jᵀb`, so the guess is `Σ (w_jᵀb / w_jᵀA·w_j)·w_j`. Its
+/// error is A-orthogonal to every direction kept, so the flow settles the
+/// rest of it only.
+fn galerkin_guess(directions: [Option<&Direction>; 3], b: &[f64]) -> ([f64; 3], Vec<f64>) {
+    // Each kept w_j, as a direction, with its coefficients on the
+    // original directions.
+    let mut kept: Vec<(Direction, [f64; 3])> = Vec::with_capacity(3);
+    for (i, d) in directions.iter().enumerate() {
+        let Some(d) = d else { continue };
+        let (mut w, mut applied) = (d.vector.clone(), d.applied.clone());
+        let mut coefs = [0.0; 3];
+        coefs[i] = 1.0;
+        for (wj, coefs_j) in &kept {
+            let c = vector::dot(&wj.vector, &applied) / wj.energy;
+            vector::axpy(-c, &wj.vector, &mut w);
+            vector::axpy(-c, &wj.applied, &mut applied);
+            for (x, y) in coefs.iter_mut().zip(coefs_j) {
+                *x -= c * y;
+            }
+        }
+        let energy = vector::dot(&w, &applied);
+        if energy > DEPENDENT_SHARE * d.energy {
+            let w = Direction {
+                vector: w,
+                applied,
+                energy,
+            };
+            kept.push((w, coefs));
+        }
+    }
+    let mut on = [0.0; 3];
+    let mut start = vec![0.0; b.len()];
+    for (w, coefs) in &kept {
+        let y = vector::dot(&w.vector, b) / w.energy;
+        vector::axpy(y, &w.vector, &mut start);
+        for (x, c) in on.iter_mut().zip(coefs) {
+            *x += y * c;
+        }
+    }
+    (on, start)
+}
+
+/// A warm run's initial state and its coefficients on the original
+/// directions of span{v₁, u_p, b}.
 #[derive(Debug)]
 struct Guess {
+    /// The coefficient on the slowest mode `v₁`.
+    slow: f64,
     /// The coefficient on the basis `u_p`.
     alpha: f64,
-    /// The coefficient on the slowest mode `v₁` (0 for the one-vector
-    /// fallback).
-    slow: f64,
+    /// The coefficient on the right-hand side `b`.
+    rhs: f64,
     /// The (unscaled) initial state.
     start: Vec<f64>,
 }
@@ -357,14 +367,16 @@ pub struct AnalogSystemSolver {
     calibrated: bool,
     /// The last settled answer every request's runs start from; `None`
     /// until a run settles, so a fresh solver's first solve starts at zero.
-    warm_start: Option<WarmStart>,
+    /// Checkpoints carry it as a [`WarmStart`]; `A·u_p` is recomputed on
+    /// import.
+    warm_start: Option<Direction>,
     /// The last settled correction a refinement round's run starts from
     /// ([`WarmSlot::Correction`]).
-    correction_warm_start: Option<WarmStart>,
-    /// The slowest mode every warm start is widened by; rebuilt from `A`
-    /// by [`new`](Self::new), so no checkpoint carries it. `None` when
+    correction_warm_start: Option<Direction>,
+    /// The slowest mode `v₁` every warm start is widened by; rebuilt from
+    /// `A` by [`new`](Self::new), so no checkpoint carries it. `None` when
     /// `λ_min` could not be estimated.
-    slow_mode: Option<SlowMode>,
+    slow_mode: Option<Direction>,
 }
 
 impl std::fmt::Debug for AnalogSystemSolver {
@@ -406,7 +418,7 @@ impl AnalogSystemSolver {
             calibrate(mapped.chip_mut())?;
         }
         let (lambda, slow_mode) = match slowest_mode(a) {
-            Ok((lambda, v)) => (Some(lambda), SlowMode::new(a, v)),
+            Ok((lambda, v)) => (Some(lambda), Direction::new(a, v)),
             Err(_) => (None, None),
         };
         let engine = EngineOptions {
@@ -490,8 +502,11 @@ impl AnalogSystemSolver {
             solution_factor: self.scaled.solution_factor,
             calibrated: self.calibrated,
             passes: self.config.engine.passes,
-            warm_start: self.warm_start.clone(),
-            correction_warm_start: self.correction_warm_start.clone(),
+            warm_start: self.warm_start.as_ref().map(Direction::warm_start),
+            correction_warm_start: self
+                .correction_warm_start
+                .as_ref()
+                .map(Direction::warm_start),
             chip: self.mapped.chip().export_state(),
         }
     }
@@ -517,8 +532,12 @@ impl AnalogSystemSolver {
         }
         self.scaled.solution_factor = state.solution_factor;
         self.calibrated = state.calibrated;
-        self.warm_start = state.warm_start.clone();
-        self.correction_warm_start = state.correction_warm_start.clone();
+        let basis = |w: &Option<WarmStart>| {
+            w.as_ref()
+                .and_then(|w| Direction::new(&self.matrix, w.basis.clone()))
+        };
+        self.warm_start = basis(&state.warm_start);
+        self.correction_warm_start = basis(&state.correction_warm_start);
         self.mapped.chip_mut().import_state(&state.chip)?;
         Ok(())
     }
@@ -540,48 +559,95 @@ impl AnalogSystemSolver {
     /// basis the next run from `slot` starts from (a refined answer is
     /// better than the readout it refined).
     pub(crate) fn set_basis(&mut self, slot: WarmSlot, u: &[f64]) {
-        let basis = WarmStart::new(&self.matrix, u);
+        let basis = Direction::new(&self.matrix, u.to_vec());
         match slot {
             WarmSlot::Request => self.warm_start = basis,
             WarmSlot::Correction => self.correction_warm_start = basis,
         }
     }
 
-    /// The Galerkin guess for `b` on span{v₁, u_p} with the basis `u_p` in
-    /// `slot` ([`SlowMode`]), or `α·u_p` alone when there is no slowest
-    /// mode or the 2×2 system is singular; and its count on
-    /// `solver.warm_starts`. `None` without a basis: a run with nothing
-    /// settled to start from starts at rest.
+    /// The Galerkin guess for `b` on span{v₁, u_p, b} with the basis `u_p`
+    /// in `slot` ([`galerkin_guess`]); without a slowest mode, on
+    /// span{u_p, b}. `None` without a basis: a run with nothing settled to
+    /// start from starts at rest. Besides the projection's handful of
+    /// n-length dots, it costs one product `A·b`.
     fn warm_guess(&self, b: &[f64], slot: WarmSlot) -> Option<Guess> {
         let basis = match slot {
             WarmSlot::Request => &self.warm_start,
             WarmSlot::Correction => &self.correction_warm_start,
         }
         .as_ref()?;
-        aa_obs::counter("solver.warm_starts", 1);
-        let widened = self.slow_mode.as_ref().and_then(|m| m.guess(basis, b));
-        Some(widened.unwrap_or_else(|| {
-            let (alpha, start) = basis.guess(b);
-            Guess {
-                alpha,
-                slow: 0.0,
-                start,
-            }
-        }))
+        let rhs = Direction::new(&self.matrix, b.to_vec());
+        let ([slow, alpha, on_rhs], start) =
+            galerkin_guess([self.slow_mode.as_ref(), Some(basis), rhs.as_ref()], b);
+        Some(Guess {
+            slow,
+            alpha,
+            rhs: on_rhs,
+            start,
+        })
     }
 
-    /// The relative residual a settled readout of `b` at the current `γ` is
-    /// expected to carry from the converters alone:
-    /// `q̂ = ‖Ã‖_F·(adc_lsb/2)/‖b̃‖₂`, the residual of a readout whose every
-    /// component is off by half a code. `None` until the `γ` walk has
-    /// settled (and for a zero `b`), since `b̃` moves with `γ`.
+    /// The overflow pre-check of a run programmed with `b_scaled` from the
+    /// scaled warm guess `initial`: its `(cause, counter)` when either
+    /// peaks beyond full scale. The guess predicts the readout's peak, so
+    /// such a run would only end in an overflow exception.
+    fn overflow_precheck(
+        &self,
+        b_scaled: &[f64],
+        initial: Option<&[f64]>,
+    ) -> Option<(&'static str, &'static str)> {
+        let fs = self.mapped.chip().config().full_scale;
+        if vector::norm_inf(b_scaled) > fs {
+            Some(("rhs_overflow", "solver.rescales.rhs_overflow"))
+        } else if initial.is_some_and(|u| vector::norm_inf(u) > fs) {
+            Some(("guess_overflow", "solver.rescales.guess_overflow"))
+        } else {
+            None
+        }
+    }
+
+    /// The relative residual a settled request readout of `b` is expected
+    /// to carry from the converters alone ([`run_floor`](Self::run_floor)
+    /// for [`WarmSlot::Request`]).
+    #[cfg(test)]
     pub(crate) fn readout_floor(&self, b: &[f64]) -> Option<f64> {
-        let floor = self.floor_of(&self.scaled.scale_rhs(b));
-        (self.calibrated && floor.is_finite()).then_some(floor)
+        self.run_floor(b, WarmSlot::Request)
     }
 
-    /// [`readout_floor`](Self::readout_floor) of a run programmed with
-    /// `b_scaled` (infinite for a zero one).
+    /// The relative residual a settled readout of `b`, from a run started
+    /// from `slot`, is expected to carry from the converters alone:
+    /// `q̂ = ‖Ã‖_F·(adc_lsb/2)/‖b̃‖₂`, the residual of a readout whose every
+    /// component is off by half a code, at the `γ` that run will use — the
+    /// current one, doubled as often as the overflow pre-check of
+    /// [`solve`](Self::solve) doubles it. `None` until the `γ` walk has
+    /// settled (and for a zero `b`), since `b̃` moves with `γ`.
+    pub(crate) fn run_floor(&self, b: &[f64], slot: WarmSlot) -> Option<f64> {
+        if !self.calibrated {
+            return None;
+        }
+        let mut b_scaled = self.scaled.scale_rhs(b);
+        let mut initial = self
+            .warm_guess(b, slot)
+            .map(|g| self.scaled.scale_solution(&g.start));
+        for _ in 0..self.config.max_rescale_attempts {
+            if self
+                .overflow_precheck(&b_scaled, initial.as_deref())
+                .is_none()
+            {
+                break;
+            }
+            // Doubling γ halves both, exactly.
+            for v in b_scaled.iter_mut().chain(initial.iter_mut().flatten()) {
+                *v *= 0.5;
+            }
+        }
+        let floor = self.floor_of(&b_scaled);
+        floor.is_finite().then_some(floor)
+    }
+
+    /// [`run_floor`](Self::run_floor) of a run programmed with `b_scaled`
+    /// (infinite for a zero one).
     fn floor_of(&self, b_scaled: &[f64]) -> f64 {
         self.a_frobenius * 0.5 * self.mapped.chip().config().adc_lsb() / vector::norm2(b_scaled)
     }
@@ -664,14 +730,17 @@ impl AnalogSystemSolver {
         // Every run of the γ walk starts from the same guess, rescaled to
         // the walk's current γ.
         let guess = self.warm_guess(b, slot);
+        if guess.is_some() {
+            aa_obs::counter("solver.warm_starts", 1);
+        }
 
         loop {
             let b_scaled = self.scaled.scale_rhs(b);
-            // A too-small γ makes even the programmed rhs overflow; grow
-            // headroom without wasting an analog run.
-            let fs = self.mapped.chip().config().full_scale;
-            let b_peak = b_scaled.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            if b_peak > fs {
+            let initial = guess.as_ref().map(|g| self.scaled.scale_solution(&g.start));
+            // A too-small γ makes the programmed rhs, or the guess and so
+            // the readout, overflow; grow headroom without wasting an
+            // analog run.
+            if let Some((cause, counter)) = self.overflow_precheck(&b_scaled, initial.as_deref()) {
                 if retries >= self.config.max_rescale_attempts {
                     return Err(SolverError::RescaleExhausted { attempts: retries });
                 }
@@ -679,14 +748,16 @@ impl AnalogSystemSolver {
                 allow_shrink = false;
                 retries += 1;
                 aa_obs::counter("solver.rescales", 1);
-                aa_obs::counter("solver.rescales.rhs_overflow", 1);
+                aa_obs::counter(counter, 1);
                 aa_obs::event(
                     aa_obs::Event::new("solver.rescale")
-                        .with("cause", "rhs_overflow")
+                        .with("cause", cause)
                         .with("retry", retries),
                 );
                 continue;
             }
+            let fs = self.mapped.chip().config().full_scale;
+            let b_peak = vector::norm_inf(&b_scaled);
             // DAC-underuse pre-check: a programmed rhs below a few DAC
             // codes quantizes away (to exactly zero in the worst case) —
             // the most extreme form of the §III-B underuse hazard. Shrink
@@ -710,7 +781,6 @@ impl AnalogSystemSolver {
                 );
                 continue;
             }
-            let initial = guess.as_ref().map(|g| self.scaled.scale_solution(&g.start));
             self.mapped.program_rhs(&b_scaled, initial.as_deref())?;
             let settled = stop.map(|stop| self.settle(stop, &b_scaled));
             let engine =
@@ -800,7 +870,10 @@ impl AnalogSystemSolver {
                     .with("underuse_retries", underuse_retries)
                     .with("peak", peak);
                 if let Some(g) = &guess {
-                    ev = ev.with("alpha", g.alpha).with("slow", g.slow);
+                    ev = ev
+                        .with("alpha", g.alpha)
+                        .with("slow", g.slow)
+                        .with("rhs", g.rhs);
                 }
                 if let Some((floor, settle)) = settled {
                     ev = ev.with("floor", floor).with("settle", settle);
@@ -832,17 +905,18 @@ impl AnalogSystemSolver {
     /// columns use the solution scale `γ` in effect after that (or at
     /// entry, once calibrated), and the batch never changes it: a column
     /// that would need a rescale walk
-    /// (programmed-RHS overflow/underuse up front, or an overflow exception,
-    /// no-settle, or range underuse in its run) is returned as
+    /// (programmed-RHS overflow/underuse or a warm guess beyond full scale
+    /// up front, or an overflow exception, no-settle, or range underuse in
+    /// its run) is returned as
     /// [`BatchColumn::Fallback`] for the caller to solve sequentially, and
     /// the remaining columns keep their batched result. Each solved column's
     /// readout replays the readout-noise stream from the batch entry state,
     /// so its conversions match what a first sequential solve would see.
     ///
-    /// Every lane starts from its own Galerkin guess on the slowest mode and
+    /// Every lane starts from its own Galerkin guess on the slowest mode,
     /// the warm-start basis as it stood at batch entry (after the
-    /// pre-calibration solve, if one ran); the last solved column becomes
-    /// the basis afterwards.
+    /// pre-calibration solve, if one ran) and its own right-hand side; the
+    /// last solved column becomes the basis afterwards.
     ///
     /// # Errors
     ///
@@ -894,7 +968,6 @@ impl AnalogSystemSolver {
             Some(self.solve_run(&bs[0], stop, WarmSlot::Request, false)?.0)
         };
 
-        let fs = self.mapped.chip().config().full_scale;
         let dac_floor = 4.0 * self.mapped.chip().config().dac_lsb();
 
         let mut out: Vec<BatchColumn> = Vec::with_capacity(bs.len());
@@ -910,20 +983,23 @@ impl AnalogSystemSolver {
                 }
             }
             let b_scaled = self.scaled.scale_rhs(b);
-            let b_peak = b_scaled.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let b_peak = vector::norm_inf(&b_scaled);
+            let initial = self
+                .warm_guess(b, WarmSlot::Request)
+                .map(|g| self.scaled.scale_solution(&g.start));
             // The same pre-checks the sequential loop answers with a γ walk;
             // here they route the column out of the batch instead.
-            if b_peak > fs {
-                out.push(BatchColumn::Fallback("rhs_overflow"));
+            if let Some((cause, _)) = self.overflow_precheck(&b_scaled, initial.as_deref()) {
+                out.push(BatchColumn::Fallback(cause));
                 continue;
             }
             if b_peak > 0.0 && b_peak < dac_floor {
                 out.push(BatchColumn::Fallback("rhs_underuse"));
                 continue;
             }
-            let initial = self
-                .warm_guess(b, WarmSlot::Request)
-                .map(|g| self.scaled.scale_solution(&g.start));
+            if initial.is_some() {
+                aa_obs::counter("solver.warm_starts", 1);
+            }
             lanes.push(self.mapped.lane_bindings(&b_scaled, initial.as_deref())?);
             if let Some(stop) = stop {
                 let (_, settle) = self.settle(stop, &b_scaled);
@@ -981,7 +1057,7 @@ impl AnalogSystemSolver {
             BatchColumn::Fallback(_) => None,
         });
         if let Some(solution) = last_solved {
-            self.warm_start = WarmStart::new(&self.matrix, solution);
+            self.warm_start = Direction::new(&self.matrix, solution.clone());
         }
         if aa_obs::is_active() {
             let solved = out
@@ -1477,6 +1553,28 @@ mod tests {
         vector::dot(&e, &a.apply_vec(&e)).sqrt()
     }
 
+    /// The A-norm Galerkin guess for `b` on span{`directions`} and its
+    /// coefficients, from the normal equations `G·c = Dᵀb` with
+    /// `G_ij = d_iᵀA·d_j`, solved densely: written out here so that the
+    /// tests check [`galerkin_guess`] rather than reuse it.
+    fn projected(a: &CsrMatrix, directions: &[&[f64]], b: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let gram: Vec<f64> = directions
+            .iter()
+            .flat_map(|d| {
+                let applied = a.apply_vec(d);
+                directions.iter().map(move |e| vector::dot(e, &applied))
+            })
+            .collect();
+        let gram = aa_linalg::DenseMatrix::from_row_major(directions.len(), &gram).unwrap();
+        let on: Vec<f64> = directions.iter().map(|d| vector::dot(d, b)).collect();
+        let coefs = aa_linalg::direct::solve(&gram, &on).unwrap();
+        let mut guess = vec![0.0; b.len()];
+        for (c, d) in coefs.iter().zip(directions) {
+            vector::axpy(*c, d, &mut guess);
+        }
+        (coefs, guess)
+    }
+
     #[test]
     fn warm_guess_is_never_further_than_zero_in_the_a_norm() {
         let mut rng = aa_linalg::rng::Rng64::seed_from_u64(5);
@@ -1488,45 +1586,71 @@ mod tests {
             let n = a.dim();
             let mut solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
             assert!(solver.warm_start.is_none(), "a fresh solver starts cold");
+            let v1 = solver.slow_mode.as_ref().unwrap().vector.clone();
             let mut b: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
             solver.solve(&b).unwrap();
+            let mut gained = 0;
             for step in 0..12 {
-                let basis = solver.warm_start.clone().unwrap();
+                let basis = solver.warm_start.clone().unwrap().vector;
                 b = match step % 4 {
                     // Sign-flipped.
                     0 => b.iter().map(|v| -v).collect(),
                     // A-orthogonal to u_p: u_pᵀA·u* = u_pᵀb = 0.
                     1 => {
                         let r: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
-                        let c =
-                            vector::dot(&basis.basis, &r) / vector::dot(&basis.basis, &basis.basis);
-                        r.iter().zip(&basis.basis).map(|(r, u)| r - c * u).collect()
+                        let c = vector::dot(&basis, &r) / vector::dot(&basis, &basis);
+                        r.iter().zip(&basis).map(|(r, u)| r - c * u).collect()
                     }
                     // Correlated with the last right-hand side.
                     2 => b.iter().map(|v| 0.7 * v + rng.range(-0.3, 0.3)).collect(),
                     // Fresh.
                     _ => (0..n).map(|_| rng.range(-1.0, 1.0)).collect(),
                 };
-                let (alpha, guess) = basis.guess(&b);
+                let (alpha, guess) = projected(&a, &[&basis], &b);
                 let cold = a_norm_error(&a, &b, &vec![0.0; n]);
                 let warm = a_norm_error(&a, &b, &guess);
                 assert!(warm <= cold * (1.0 + 1e-12), "step {step}: {warm} > {cold}");
                 // Widening the span by the slowest mode never loses ground.
-                let widened = solver.warm_guess(&b, WarmSlot::Request).unwrap();
-                let slow = a_norm_error(&a, &b, &widened.start);
+                let (_, pair) = projected(&a, &[&v1, &basis], &b);
+                let slow = a_norm_error(&a, &b, &pair);
                 assert!(slow <= warm * (1.0 + 1e-12), "step {step}: {slow} > {warm}");
+                // Nor does widening it by b, and the solver's guess is that
+                // projection.
+                let (coefs, three) = projected(&a, &[&v1, &basis, &b], &b);
+                let widened = solver.warm_guess(&b, WarmSlot::Request).unwrap();
+                let full = a_norm_error(&a, &b, &widened.start);
+                assert!(full <= slow * (1.0 + 1e-12), "step {step}: {full} > {slow}");
+                let apart: Vec<f64> = three
+                    .iter()
+                    .zip(&widened.start)
+                    .map(|(x, y)| x - y)
+                    .collect();
+                let apart = vector::dot(&apart, &a.apply_vec(&apart)).sqrt();
+                assert!(
+                    apart <= 1e-9 * cold,
+                    "step {step}: {apart} from the Galerkin guess"
+                );
+                let found = [widened.slow, widened.alpha, widened.rhs];
+                for (x, y) in found.iter().zip(&coefs) {
+                    assert!(
+                        (x - y).abs() <= 1e-6 * y.abs().max(1.0),
+                        "{found:?} vs {coefs:?}"
+                    );
+                }
+                gained += usize::from(full < 0.9 * slow);
                 if step % 4 == 1 {
-                    assert!(alpha.abs() < 1e-12, "A-orthogonal rhs: α = {alpha}");
+                    assert!(alpha[0].abs() < 1e-12, "A-orthogonal rhs: α = {}", alpha[0]);
                 }
                 solver.solve(&b).unwrap();
             }
+            assert!(gained >= 6, "b shortened {gained} of 12 starts");
 
             // An all-zero right-hand side projects onto the zero guess.
             let zero = vec![0.0; n];
-            let (alpha, guess) = solver.warm_start.as_ref().unwrap().guess(&zero);
-            assert_eq!(alpha, 0.0);
-            assert!(guess.iter().all(|g| *g == 0.0));
-            assert_eq!(a_norm_error(&a, &zero, &guess), 0.0);
+            let guess = solver.warm_guess(&zero, WarmSlot::Request).unwrap();
+            assert_eq!((guess.slow, guess.alpha, guess.rhs), (0.0, 0.0, 0.0));
+            assert!(guess.start.iter().all(|g| *g == 0.0));
+            assert_eq!(a_norm_error(&a, &zero, &guess.start), 0.0);
         }
     }
 
@@ -1574,6 +1698,92 @@ mod tests {
             steps(fast.analog_time_s),
             steps(slow.analog_time_s)
         );
+    }
+
+    #[test]
+    fn a_guess_beyond_full_scale_issues_no_run() {
+        let a = CsrMatrix::tridiagonal(12, -1.0, 2.0, -1.0).unwrap();
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(53);
+        let mut rhs = || -> Vec<f64> { (0..12).map(|_| rng.range(0.1, 1.0)).collect() };
+        let mut solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+        solver.solve(&rhs()).unwrap();
+        let b = rhs();
+        // A γ at which the guess peaks at 1.5× full scale while b̃ fits:
+        // one doubling brings the guess to ¾ of it.
+        let fs = solver.chip().config().full_scale;
+        let guess = solver.warm_guess(&b, WarmSlot::Request).unwrap();
+        let gamma = vector::norm_inf(&guess.start) / (1.5 * fs);
+        let at = |gamma: f64| {
+            let mut s = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+            s.import_state(&solver.export_state()).unwrap();
+            s.set_solution_factor(gamma);
+            s
+        };
+        let (mut skipped, mut direct) = (at(gamma), at(2.0 * gamma));
+        assert!(vector::norm_inf(&skipped.scaling().scale_rhs(&b)) <= fs);
+        let recorder = aa_obs::MemoryRecorder::shared();
+        let report = aa_obs::with_recorder(recorder.clone(), || skipped.solve(&b).unwrap());
+        let plain = direct.solve(&b).unwrap();
+        // The pre-check only doubled γ: the one run it issued is the run a
+        // solver already at 2γ issues, and the chip aged by that run alone.
+        assert_eq!((report.runs, report.overflow_retries), (1, 1));
+        assert_eq!((plain.runs, plain.overflow_retries), (1, 0));
+        assert_eq!(report.solution, plain.solution);
+        assert_eq!(report.analog_time_s, plain.analog_time_s);
+        assert_eq!(skipped.chip().lifetime_s(), direct.chip().lifetime_s());
+        assert!((0.7..0.8).contains(&report.peak_range_usage), "{report:?}");
+        if aa_obs::ENABLED {
+            let trace = recorder.snapshot();
+            assert_eq!(trace.counter("solver.rescales.guess_overflow"), 1);
+            assert_eq!(trace.counter("solver.rescales"), 1);
+            let causes: Vec<_> = trace
+                .events_of_kind("solver.rescale")
+                .map(|e| e.field("cause").cloned())
+                .collect();
+            assert_eq!(causes, [Some(aa_obs::Value::from("guess_overflow"))]);
+        }
+    }
+
+    #[test]
+    fn a_settled_gamma_walk_does_not_overflow_the_next_request() {
+        // A fresh γ walk that overflowed settles at the edge of the range:
+        // from rest, the first readout of tridiagonal(12, 2, −1) often
+        // peaks above 0.8 of full scale, and a later right-hand side's
+        // answer beyond it. Its warm guess predicts that peak, so the
+        // headroom grows before the request's run instead of after an
+        // overflow.
+        let a = CsrMatrix::tridiagonal(12, -1.0, 2.0, -1.0).unwrap();
+        let recovery = crate::RecoveryConfig::default();
+        let overflow = aa_obs::Value::from("overflow");
+        let (mut edge, mut overflows) = (0, 0);
+        for seed in 0..200 {
+            let mut rng = aa_linalg::rng::Rng64::seed_from_u64(seed);
+            let mut rhs = || -> Vec<f64> { (0..12).map(|_| rng.range(0.1, 1.0)).collect() };
+            let mut solver =
+                crate::SupervisedSolver::new(&a, &SolverConfig::ideal(), &recovery).unwrap();
+            let first = solver.solve(&rhs()).unwrap();
+            if first.analog.unwrap().peak_range_usage < 0.8 {
+                continue;
+            }
+            edge += 1;
+            for _ in 0..7 {
+                let b = rhs();
+                let recorder = aa_obs::MemoryRecorder::shared();
+                let report = aa_obs::with_recorder(recorder.clone(), || solver.solve(&b).unwrap());
+                assert_eq!(report.recovery.rejected_attempts(), 0, "seed {seed}");
+                // The request's own runs, before any correction round.
+                overflows += recorder
+                    .snapshot()
+                    .events()
+                    .take_while(|e| e.kind != "solver.recovery.attempt")
+                    .filter(|e| e.kind == "solver.rescale" && e.field("cause") == Some(&overflow))
+                    .count();
+            }
+        }
+        assert!(edge >= 60, "{edge} of 200 first solves at the edge");
+        if aa_obs::ENABLED {
+            assert!(overflows <= 1, "{overflows} overflow runs aborted");
+        }
     }
 
     #[test]
