@@ -504,12 +504,17 @@ fn krylov_precond(r: &mut Report) {
         let precond_ms = fcg.precond.analog_time_s * 1e3;
         let cg_cpu_us = cpu.solve_time_s(cg_iters, n) * 1e6;
         let fcg_cpu_us = cpu.solve_time_s(fcg_iters, n) * 1e6;
+        // The warm guesses' flops at the model's per-row CG cost: a CG
+        // iteration is one product, two dots and three axpys.
+        let cg_iteration_flops = (2 * a.nnz() + 10 * n) as f64;
+        let guess_cpu_us =
+            fcg.precond.guess_flops as f64 / cg_iteration_flops * cpu.solve_time_s(1, n) * 1e6;
         let path = fcg.precond.final_path();
         println!(
             "  n = {n:>4}: cg {cg_iters:>3} iters ({cg_s:9.4} s, {cg_cpu_us:.2} µs modelled cpu)   \
              fcg {fcg_iters:>3} iters ({fcg_s:9.4} s, {precond_ms:.3} ms simulated analog + \
-             {fcg_cpu_us:.2} µs modelled cpu)   {iter_ratio:5.2}x fewer iterations, \
-             precond path {}",
+             {fcg_cpu_us:.2} + {guess_cpu_us:.2} µs modelled cpu, the second for warm guesses)   \
+             {iter_ratio:5.2}x fewer iterations, precond path {}",
             path.label()
         );
         let config = |method| format!("poisson 2d n={n}, {method}");
@@ -521,6 +526,7 @@ fn krylov_precond(r: &mut Report) {
             ("iterations", fcg_iters as f64),
             ("precond_analog_ms", precond_ms),
             ("cpu_model_us", fcg_cpu_us),
+            ("guess_cpu_model_us", guess_cpu_us),
             ("krylov_iter_ratio", iter_ratio),
             ("krylov_model_time_ratio", time_ratio),
         ];
@@ -535,11 +541,11 @@ fn krylov_precond(r: &mut Report) {
             let share = fcg_iters as f64 / cg_iters as f64;
             r.gate(sim, name("fcg/cg iterations"), Bound::AtMost(0.7), share);
         }
-        // At most 1.15x (the fleet benchmark's bound) the 0.950 ms n = 64
+        // At most 1.15x (the fleet benchmark's bound) the 0.765 ms n = 64
         // took once every warm application started from the Galerkin guess
-        // on span{v₁, u_p, b}.
+        // on span{v₁…v₄, u_p, b}.
         if n == 64 {
-            let bound = Bound::AtMost(1.15 * 0.950);
+            let bound = Bound::AtMost(1.15 * 0.765);
             r.gate(sim, name("precond_analog_ms"), bound, precond_ms);
         }
     }

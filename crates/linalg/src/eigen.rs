@@ -7,11 +7,14 @@
 //!
 //! * [`power_iteration`] — dominant eigenpair `(λ_max, v_max)`.
 //! * [`smallest_eigenvalue`] — `(λ_min, v_min)` by shifted power iteration.
+//! * [`smallest_eigenpairs`] — the `k` slowest eigenpairs by the block form
+//!   of the same iteration.
 //! * [`gershgorin_bounds`] — cheap analytic enclosure of the spectrum.
 //! * [`poisson_lambda_min`] / [`poisson_lambda_max`] — closed forms for the
 //!   model Poisson operators.
 
 use crate::op::{LinearOperator, RowAccess};
+use crate::rng::Rng64;
 use crate::{vector, LinalgError};
 
 /// Result of an eigenvalue iteration.
@@ -53,11 +56,8 @@ pub fn power_iteration<M: LinearOperator>(
     if max_iterations == 0 {
         return Err(LinalgError::invalid("max_iterations must be positive"));
     }
-    let n = a.dim();
-    // Deterministic non-degenerate start vector (no RNG dependency here).
-    let mut v: Vec<f64> = (0..n)
-        .map(|i| 1.0 + ((i * 2654435761) % 1000) as f64 / 1000.0)
-        .collect();
+    let mut v = start_vector(a.dim());
+    let n = v.len();
     let norm = vector::norm2(&v);
     vector::scale(1.0 / norm, &mut v);
 
@@ -131,7 +131,126 @@ pub fn smallest_eigenvalue<M: RowAccess>(
     })
 }
 
-/// The shifted operator `σI − A` used by [`smallest_eigenvalue`].
+/// Estimates the `k` smallest eigenpairs of a symmetric positive-definite
+/// operator, in the order the block converges to (smallest first), by the
+/// block form of [`smallest_eigenvalue`]'s iteration (orthogonal
+/// iteration): each step
+/// applies `σI − A` to `k` vectors and re-orthonormalizes them by modified
+/// Gram–Schmidt, `O(k·nnz + k²·n)` work, and no dense factorization of `A`
+/// is formed. The first vector starts where [`power_iteration`]'s does, the
+/// others from a fixed seed. The span converges at the rate
+/// `(σ − λ_{k+1})/(σ − λ_k)`; vector `j` alone at the slower of its two
+/// neighbours' rates, so a pair of (nearly) equal eigenvalues shares its
+/// plane. Every estimate stops together, once each value moved by at most
+/// `tolerance` (relative to the shifted value) in one step.
+///
+/// # Errors
+///
+/// Returns [`LinalgError::InvalidArgument`] if `max_iterations == 0` or
+/// `k` is not in `1..=n`, and [`LinalgError::SingularMatrix`] (at the
+/// vector's index) if `σI − A` maps the block onto fewer than `k`
+/// independent vectors.
+///
+/// ```
+/// use aa_linalg::{CsrMatrix, eigen::smallest_eigenpairs};
+///
+/// # fn main() -> Result<(), aa_linalg::LinalgError> {
+/// let a = CsrMatrix::tridiagonal(8, -1.0, 2.0, -1.0)?;
+/// let pairs = smallest_eigenpairs(&a, 3, 20_000, 1e-12)?;
+/// // λ_j = 4·sin²(j·π/18)
+/// for (j, pair) in pairs.iter().enumerate() {
+///     let exact = 4.0 * (((j + 1) as f64) * std::f64::consts::PI / 18.0).sin().powi(2);
+///     assert!((pair.value - exact).abs() < 1e-6);
+/// }
+/// # Ok(())
+/// # }
+/// ```
+pub fn smallest_eigenpairs<M: RowAccess>(
+    a: &M,
+    k: usize,
+    max_iterations: usize,
+    tolerance: f64,
+) -> Result<Vec<EigenEstimate>, LinalgError> {
+    let n = a.dim();
+    if max_iterations == 0 {
+        return Err(LinalgError::invalid("max_iterations must be positive"));
+    }
+    if k == 0 || k > n {
+        return Err(LinalgError::invalid(format!(
+            "block of {k} vectors for a {n}-row operator"
+        )));
+    }
+    let (_, upper) = gershgorin_bounds(a);
+    let shifted = Shifted { a, sigma: upper };
+    let mut rng = Rng64::seed_from_u64(BLOCK_SEED);
+    let mut block: Vec<Vec<f64>> = (0..k)
+        .map(|j| match j {
+            0 => start_vector(n),
+            _ => (0..n).map(|_| rng.range(-1.0, 1.0)).collect(),
+        })
+        .collect();
+    orthonormalize(&mut block)?;
+    let mut applied = vec![vec![0.0; n]; k];
+    let mut values = vec![0.0; k];
+    let mut iterations = max_iterations;
+    let mut converged = false;
+    for step in 1..=max_iterations {
+        converged = true;
+        for ((v, av), value) in block.iter().zip(&mut applied).zip(&mut values) {
+            shifted.apply(v, av);
+            let new = vector::dot(v, av);
+            converged &= (new - *value).abs() <= tolerance * new.abs().max(1.0);
+            *value = new;
+        }
+        std::mem::swap(&mut block, &mut applied);
+        orthonormalize(&mut block)?;
+        if converged {
+            iterations = step;
+            break;
+        }
+    }
+    Ok(block
+        .into_iter()
+        .zip(values)
+        .map(|(vector, value)| EigenEstimate {
+            value: upper - value,
+            vector,
+            iterations,
+            converged,
+        })
+        .collect())
+}
+
+/// The seed of [`smallest_eigenpairs`]' start vectors after the first.
+const BLOCK_SEED: u64 = 0x5EED_B10C;
+
+/// The power iterations' deterministic, non-degenerate start vector (no
+/// RNG dependency), before normalization.
+fn start_vector(n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| 1.0 + ((i * 2654435761) % 1000) as f64 / 1000.0)
+        .collect()
+}
+
+/// Modified Gram–Schmidt: makes `block` orthonormal in order.
+fn orthonormalize(block: &mut [Vec<f64>]) -> Result<(), LinalgError> {
+    for j in 0..block.len() {
+        let (done, rest) = block.split_at_mut(j);
+        let v = &mut rest[0];
+        for q in done.iter() {
+            vector::axpy(-vector::dot(q, v), q, v);
+        }
+        let norm = vector::norm2(v);
+        if !(norm > 0.0 && norm.is_finite()) {
+            return Err(LinalgError::SingularMatrix { pivot: j });
+        }
+        vector::scale(1.0 / norm, v);
+    }
+    Ok(())
+}
+
+/// The shifted operator `σI − A` of [`smallest_eigenvalue`] and
+/// [`smallest_eigenpairs`].
 struct Shifted<'a, M> {
     a: &'a M,
     sigma: f64,
@@ -281,6 +400,64 @@ mod tests {
                 assert!((x - y).abs() <= 1e-3, "n = {n}: {x} vs {y}");
             }
         }
+    }
+
+    #[test]
+    fn block_iteration_finds_the_slowest_eigenpairs() {
+        // tridiag(−1, 2, −1): λ_j = 4·sin²(j·π/(2(n+1))), distinct. The 2D
+        // Poisson stencil on a square has λ₂ = λ₃: that pair shares its
+        // plane, and every vector of the plane is an eigenvector.
+        let tri = CsrMatrix::tridiagonal(16, -1.0, 2.0, -1.0).unwrap();
+        let grid = CsrMatrix::from_row_access(&PoissonStencil::new_2d(6).unwrap());
+        for (a, k) in [(&tri, 4), (&grid, 4)] {
+            let pairs = smallest_eigenpairs(a, k, 20_000, 1e-12).unwrap();
+            assert_eq!(pairs.len(), k);
+            for (j, p) in pairs.iter().enumerate() {
+                assert!(p.converged);
+                let av = a.apply_vec(&p.vector);
+                let residual: Vec<f64> = av
+                    .iter()
+                    .zip(&p.vector)
+                    .map(|(x, y)| x - p.value * y)
+                    .collect();
+                let rel = vector::norm2(&residual) / p.value;
+                assert!(rel <= 1e-4, "pair {j}: ‖Av − λv‖/λ = {rel}");
+                for (i, q) in pairs[..j].iter().enumerate() {
+                    assert!(q.value <= p.value * (1.0 + 1e-9), "{i} after {j}");
+                    assert!(vector::dot(&q.vector, &p.vector).abs() < 1e-12);
+                }
+                assert!((vector::norm2(&p.vector) - 1.0).abs() < 1e-12);
+            }
+        }
+        let n = 16.0f64;
+        for (j, p) in smallest_eigenpairs(&tri, 4, 20_000, 1e-12)
+            .unwrap()
+            .iter()
+            .enumerate()
+        {
+            let h = ((j + 1) as f64) * std::f64::consts::PI / (2.0 * (n + 1.0));
+            let exact = 4.0 * h.sin().powi(2);
+            assert!(
+                (p.value - exact).abs() <= 1e-8 * exact,
+                "{} vs {exact}",
+                p.value
+            );
+        }
+        let pairs = smallest_eigenpairs(&grid, 4, 20_000, 1e-12).unwrap();
+        assert!((pairs[0].value - poisson_lambda_min(6, 2)).abs() <= 1e-8 * pairs[0].value);
+        assert!((pairs[1].value - pairs[2].value).abs() <= 1e-8 * pairs[1].value);
+    }
+
+    #[test]
+    fn block_iteration_rejects_an_empty_or_oversized_block() {
+        let a = CsrMatrix::tridiagonal(4, -1.0, 2.0, -1.0).unwrap();
+        assert!(smallest_eigenpairs(&a, 0, 100, 1e-10).is_err());
+        assert!(smallest_eigenpairs(&a, 5, 100, 1e-10).is_err());
+        assert!(smallest_eigenpairs(&a, 2, 0, 1e-10).is_err());
+        // The first vector starts where the single-vector iteration does.
+        let block = smallest_eigenpairs(&a, 1, 200_000, 1e-10).unwrap();
+        let single = smallest_eigenvalue(&a, 200_000, 1e-10).unwrap();
+        assert!((block[0].value - single.value).abs() <= 1e-9);
     }
 
     #[test]

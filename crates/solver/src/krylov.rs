@@ -116,6 +116,9 @@ pub struct PrecondStats {
     /// Simulated analog seconds across every application (including
     /// rejected attempts inside the recovery ladder).
     pub analog_time_s: f64,
+    /// Floating-point operations the host spent on the warm guesses those
+    /// applications' runs started from.
+    pub guess_flops: u64,
 }
 
 impl PrecondStats {
@@ -270,7 +273,10 @@ impl<'a> AnalogPreconditioner<'a> {
         } else {
             WarmSlot::Correction
         };
-        match self.solver.solve_to(&r_unit, self.target(need), slot) {
+        let flops = self.solver.inner().guess_flops();
+        let solved = self.solver.solve_to(&r_unit, self.target(need), slot);
+        self.stats.guess_flops += self.solver.inner().guess_flops() - flops;
+        match solved {
             Ok(report) => {
                 self.stats.analog_time_s += report.recovery.analog_time_s();
                 match report.recovery.final_path {

@@ -7,7 +7,7 @@
 //! averaged ADC conversions.
 
 use aa_analog::{calibrate, ChipConfig, EngineOptions, NonIdealityConfig};
-use aa_linalg::{vector, CsrMatrix, LinearOperator};
+use aa_linalg::{eigen, vector, CsrMatrix, LinearOperator};
 
 use crate::estimate::slowest_mode;
 use crate::mapping::MappedSystem;
@@ -153,11 +153,11 @@ pub enum BatchColumn {
 /// settled readout `u_p` and the energy `u_pᵀA·u_p`.
 ///
 /// A warm run for `b` starts from the A-norm Galerkin guess on
-/// span{v₁, u_p, b}, with `v₁` the slowest eigenmode of `A`: the `u₀` in
-/// that span which minimizes `‖u* − u₀‖_A` (Fischer's projection method
-/// for successive right-hand sides, widened by `v₁` and by `b` itself).
-/// The span contains zero, the cold start, so the guess is never further
-/// from the answer in the A-norm than zero is.
+/// span{v₁, …, v_m, u_p, b}, with `v₁ … v_m` the slowest eigenmodes of `A`:
+/// the `u₀` in that span which minimizes `‖u* − u₀‖_A` (Fischer's
+/// projection method for successive right-hand sides, widened by the slow
+/// modes and by `b` itself). The span contains zero, the cold start, so the
+/// guess is never further from the answer in the A-norm than zero is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmStart {
     /// The last settled (unscaled) readout `u_p`.
@@ -166,12 +166,11 @@ pub struct WarmStart {
     pub energy: f64,
 }
 
-/// One direction `d` of the warm-start span — the slowest mode `v₁`, a
-/// basis `u_p`, the right-hand side `b`, or one of them A-orthogonalized —
-/// with `A·d` and its energy `dᵀA·d`.
+/// One direction `d` of the warm-start span — a slow mode, a basis `u_p`
+/// or the right-hand side `b` — with `A·d` and its energy `dᵀA·d`.
 ///
-/// `A·d` is stored, not taken as `λ_min·v₁` for the slowest mode, so the
-/// projection is exact however closely the eigen iteration converged.
+/// `A·d` is stored, not taken as `λ·v` for a mode, so the projection is
+/// exact however closely the eigen iteration converged.
 #[derive(Debug, Clone)]
 struct Direction {
     /// `d` (unscaled; `v₁` has unit 2-norm).
@@ -195,6 +194,20 @@ impl Direction {
         })
     }
 
+    /// What is left of `self` once A-orthogonalized against the
+    /// A-orthogonal `kept` (modified Gram–Schmidt, carried on `d` and `A·d`
+    /// alike); `None` when that keeps at most [`DEPENDENT_SHARE`] of its
+    /// energy.
+    fn a_orthogonal_to(mut self, kept: &[Direction]) -> Option<Self> {
+        for w in kept {
+            let c = vector::dot(&w.vector, &self.applied) / w.energy;
+            vector::axpy(-c, &w.vector, &mut self.vector);
+            vector::axpy(-c, &w.applied, &mut self.applied);
+        }
+        let energy = vector::dot(&self.vector, &self.applied);
+        (energy > DEPENDENT_SHARE * self.energy).then_some(Direction { energy, ..self })
+    }
+
     /// The checkpointed form of a basis.
     fn warm_start(&self) -> WarmStart {
         WarmStart {
@@ -209,67 +222,165 @@ impl Direction {
 /// the span of those before it and adds nothing.
 const DEPENDENT_SHARE: f64 = 1e-10;
 
-/// The A-norm Galerkin guess for `A·u* = b` on the span of `directions`
-/// and its coefficients on them (0 for an absent or dropped one).
+/// At most this many slow modes widen a warm start: past `v₄` the modes
+/// settle fast enough that the flow takes them out at little cost.
+const MAX_MODES: usize = 4;
+
+/// At least this many rows per slow mode, `m ≤ ⌊n/4⌋`: at least ¾ of every
+/// structure's modes stay on the analog flow, so the projection never
+/// turns into a digital direct solve.
+const ROWS_PER_MODE: usize = 4;
+
+/// Block iterations the modes after `v₁` take. They have to span the slow
+/// subspace well, not to converge to rounding: the projection is exact
+/// for any directions, since `A·d` is stored.
+const MODE_ITERATIONS: usize = 300;
+
+/// How many slow modes widen the warm starts of an `n`-row system:
+/// `min(4, ⌊n/4⌋)`, and at least `v₁`.
+fn mode_count(n: usize) -> usize {
+    (n / ROWS_PER_MODE).clamp(1, MAX_MODES)
+}
+
+/// The slow modes of `a`, A-orthogonal, `v₁` first, and the estimated
+/// eigenvalue `λ_{m+1}` of the slowest mode they leave out.
 ///
-/// The directions are A-orthogonalized in order (modified Gram–Schmidt in
-/// the A-inner product, carried on `d` and `A·d` alike), and one whose
-/// remaining energy is at most [`DEPENDENT_SHARE`] of its own is dropped.
-/// On the A-orthogonal `w_j` the Galerkin coefficients need no solve:
-/// `w_jᵀA·u* = w_jᵀb`, so the guess is `Σ (w_jᵀb / w_jᵀA·w_j)·w_j`. Its
-/// error is A-orthogonal to every direction kept, so the flow settles the
-/// rest of it only.
-fn galerkin_guess(directions: [Option<&Direction>; 3], b: &[f64]) -> ([f64; 3], Vec<f64>) {
-    // Each kept w_j, as a direction, with its coefficients on the
-    // original directions.
-    let mut kept: Vec<(Direction, [f64; 3])> = Vec::with_capacity(3);
-    for (i, d) in directions.iter().enumerate() {
-        let Some(d) = d else { continue };
-        let (mut w, mut applied) = (d.vector.clone(), d.applied.clone());
-        let mut coefs = [0.0; 3];
-        coefs[i] = 1.0;
-        for (wj, coefs_j) in &kept {
-            let c = vector::dot(&wj.vector, &applied) / wj.energy;
-            vector::axpy(-c, &wj.vector, &mut w);
-            vector::axpy(-c, &wj.applied, &mut applied);
-            for (x, y) in coefs.iter_mut().zip(coefs_j) {
-                *x -= c * y;
-            }
-        }
-        let energy = vector::dot(&w, &applied);
-        if energy > DEPENDENT_SHARE * d.energy {
-            let w = Direction {
-                vector: w,
-                applied,
-                energy,
-            };
-            kept.push((w, coefs));
-        }
+/// `v₁` is the `λ̃_min` iteration's own vector, so `λ̃_min` and `v₁` are one
+/// estimate. A block iteration ([`eigen::smallest_eigenpairs`]) of
+/// [`mode_count`]` + 1` vectors gives the rest: its first vector estimates
+/// `v₁` again and is passed over, the next `m − 1` are A-orthogonalized in
+/// order against those kept before them, and the last one's value is
+/// `λ_{m+1}`. No modes when `v₁` spans nothing; just `v₁`, with its own
+/// Rayleigh quotient as the rate, when the block iteration fails.
+fn slow_modes(a: &CsrMatrix, v1: Vec<f64>) -> (Vec<Direction>, Option<f64>) {
+    let Some(v1) = Direction::new(a, v1) else {
+        return (Vec::new(), None);
+    };
+    let mut modes = vec![v1];
+    let m = mode_count(a.dim());
+    let block = (m + 1).min(a.dim());
+    let pairs = eigen::smallest_eigenpairs(a, block, MODE_ITERATIONS, 1e-10).unwrap_or_default();
+    let mut pairs = pairs.into_iter().skip(1);
+    for pair in pairs.by_ref().take(m - 1) {
+        let mode = Direction::new(a, pair.vector).and_then(|d| d.a_orthogonal_to(&modes));
+        modes.extend(mode);
     }
-    let mut on = [0.0; 3];
-    let mut start = vec![0.0; b.len()];
-    for (w, coefs) in &kept {
-        let y = vector::dot(&w.vector, b) / w.energy;
-        vector::axpy(y, &w.vector, &mut start);
-        for (x, c) in on.iter_mut().zip(coefs) {
-            *x += y * c;
-        }
-    }
-    (on, start)
+    let rest = pairs.next().map(|pair| pair.value).or_else(|| {
+        modes
+            .last()
+            .map(|w| w.energy / vector::dot(&w.vector, &w.vector))
+    });
+    (modes, rest)
 }
 
 /// A warm run's initial state and its coefficients on the original
-/// directions of span{v₁, u_p, b}.
+/// directions of span{v₁, …, v_m, u_p, b}.
 #[derive(Debug)]
 struct Guess {
-    /// The coefficient on the slowest mode `v₁`.
-    slow: f64,
+    /// The coefficients on the slow modes, `v₁`'s first.
+    on_modes: Vec<f64>,
     /// The coefficient on the basis `u_p`.
     alpha: f64,
     /// The coefficient on the right-hand side `b`.
     rhs: f64,
     /// The (unscaled) initial state.
     start: Vec<f64>,
+    /// The run's predicted peak `max_i |u_i(t)|` (unscaled): `‖u₀‖∞`, which
+    /// [`AnalogSystemSolver::warm_guess`] widens by `‖b − A·u₀‖₂ / λ_{m+1}`.
+    /// The flow keeps `‖u(t) − u₀‖₂ ≤ ‖u* − u₀‖₂`, and the guess's error is
+    /// A-orthogonal to the kept modes, so it lies (up to the modes'
+    /// accuracy) where `A` stretches by at least `λ_{m+1}`.
+    reach: f64,
+}
+
+impl Guess {
+    /// The coefficient on the slowest mode `v₁` (0 without one).
+    fn slow(&self) -> f64 {
+        self.on_modes.first().copied().unwrap_or(0.0)
+    }
+}
+
+/// The A-norm Galerkin guess for `A·u* = b` on span{`modes`, `basis`,
+/// `rhs`}, `rhs` the direction of `b` (`None` for a zero `b`).
+///
+/// The modes are A-orthogonal, so their Galerkin coefficients need no
+/// solve: `w_iᵀA·u* = w_iᵀb`. What the basis and `b` add beyond them is
+/// their A-orthogonal remainder `d̂ = d − Σ s_i·w_i`, `s_i = w_iᵀA·d / e_i`
+/// (`e_i = w_iᵀA·w_i`), which is carried as Gram entries and never formed:
+/// `d̂ᵀA·d̂ = dᵀA·d − Σ s_i²·e_i`, `d̂ᵀb = dᵀb − Σ s_i·w_iᵀb`, and
+/// `ûᵀA·b̂ = (A·u)ᵀb − Σ s_i·t_i·e_i`. The remainders are A-orthogonalized
+/// in order (basis, then `b`); one which keeps at most [`DEPENDENT_SHARE`]
+/// of its own energy is dropped. The guess's error is A-orthogonal to every
+/// direction kept, so the flow settles the rest of it only. Work: `3m + 4`
+/// dots and `m + 2` axpys of length `n` on top of `rhs`'s one `A·b`.
+fn galerkin_guess(
+    modes: &[Direction],
+    basis: &Direction,
+    rhs: Option<&Direction>,
+    b: &[f64],
+) -> Guess {
+    let mode_b: Vec<f64> = modes.iter().map(|w| vector::dot(&w.vector, b)).collect();
+    // A remainder's energy, its product with b, and its coefficients s_i.
+    let remainder = |d: &Direction| {
+        let s: Vec<f64> = modes
+            .iter()
+            .map(|w| vector::dot(&w.vector, &d.applied) / w.energy)
+            .collect();
+        let mut energy = d.energy;
+        let mut on_b = vector::dot(&d.vector, b);
+        for ((si, w), wb) in s.iter().zip(modes).zip(&mode_b) {
+            energy -= si * si * w.energy;
+            on_b -= si * wb;
+        }
+        (energy, on_b, s)
+    };
+    let (basis_energy, basis_b, s) = remainder(basis);
+    let basis_kept = basis_energy > DEPENDENT_SHARE * basis.energy;
+    let mut alpha = if basis_kept {
+        basis_b / basis_energy
+    } else {
+        0.0
+    };
+    let mut on_rhs = 0.0;
+    let mut t = vec![0.0; modes.len()];
+    if let Some(rhs) = rhs {
+        let (mut energy, mut on_b, rhs_s) = remainder(rhs);
+        // b's remainder less its A-projection on the basis's remainder.
+        let mut along = 0.0;
+        if basis_kept {
+            let mut cross = vector::dot(&basis.applied, b);
+            for ((si, ti), w) in s.iter().zip(&rhs_s).zip(modes) {
+                cross -= si * ti * w.energy;
+            }
+            along = cross / basis_energy;
+            energy -= along * cross;
+            on_b -= along * basis_b;
+        }
+        if energy > DEPENDENT_SHARE * rhs.energy {
+            on_rhs = on_b / energy;
+            alpha -= along * on_rhs;
+            t = rhs_s;
+        }
+    }
+    let on_modes: Vec<f64> = modes
+        .iter()
+        .zip(&mode_b)
+        .zip(s.iter().zip(&t))
+        .map(|((w, wb), (si, ti))| wb / w.energy - alpha * si - on_rhs * ti)
+        .collect();
+    let mut start = vec![0.0; b.len()];
+    for (c, w) in on_modes.iter().zip(modes) {
+        vector::axpy(*c, &w.vector, &mut start);
+    }
+    vector::axpy(alpha, &basis.vector, &mut start);
+    vector::axpy(on_rhs, b, &mut start);
+    Guess {
+        on_modes,
+        alpha,
+        rhs: on_rhs,
+        reach: vector::norm_inf(&start),
+        start,
+    }
 }
 
 /// Which warm-start basis a run starts from and, once settled, refreshes.
@@ -373,10 +484,17 @@ pub struct AnalogSystemSolver {
     /// The last settled correction a refinement round's run starts from
     /// ([`WarmSlot::Correction`]).
     correction_warm_start: Option<Direction>,
-    /// The slowest mode `v₁` every warm start is widened by; rebuilt from
-    /// `A` by [`new`](Self::new), so no checkpoint carries it. `None` when
-    /// `λ_min` could not be estimated.
-    slow_mode: Option<Direction>,
+    /// The slow modes every warm start is widened by, A-orthogonal, `v₁`
+    /// first ([`slow_modes`]); rebuilt from `A` by [`new`](Self::new), so
+    /// no checkpoint carries them. Empty when `λ_min` could not be
+    /// estimated.
+    modes: Vec<Direction>,
+    /// The estimated eigenvalue `λ_{m+1}` of the slowest mode `modes`
+    /// leave out, which bounds the error of a warm guess ([`Guess::reach`]).
+    rest_rate: Option<f64>,
+    /// Floating-point operations spent on warm guesses of runs since
+    /// construction (host-side digital work, carried over a remap).
+    guess_flops: u64,
 }
 
 impl std::fmt::Debug for AnalogSystemSolver {
@@ -397,8 +515,9 @@ impl AnalogSystemSolver {
     /// loosened to `λ̃_min · adc_lsb / (2√n)` whenever that is looser, with
     /// `λ̃_min` the smallest eigenvalue of the value-scaled matrix
     /// ([`scaled_lambda_min`](crate::estimate::scaled_lambda_min)). The
-    /// same iteration's eigenvector is kept as the slowest mode every warm
-    /// start removes.
+    /// same iteration's eigenvector is kept as the slowest mode `v₁` every
+    /// warm start removes, with up to three more from a block iteration
+    /// (`min(4, ⌊n/4⌋)` modes in all).
     ///
     /// # Errors
     ///
@@ -417,9 +536,9 @@ impl AnalogSystemSolver {
         if config.calibrate {
             calibrate(mapped.chip_mut())?;
         }
-        let (lambda, slow_mode) = match slowest_mode(a) {
-            Ok((lambda, v)) => (Some(lambda), Direction::new(a, v)),
-            Err(_) => (None, None),
+        let (lambda, (modes, rest_rate)) = match slowest_mode(a) {
+            Ok((lambda, v)) => (Some(lambda), slow_modes(a, v)),
+            Err(_) => (None, (Vec::new(), None)),
         };
         let engine = EngineOptions {
             steady_tol: readout_settle_tol(lambda, a.dim(), &template, config.engine.steady_tol),
@@ -441,7 +560,9 @@ impl AnalogSystemSolver {
             calibrated: false,
             warm_start: None,
             correction_warm_start: None,
-            slow_mode,
+            rest_rate,
+            modes,
+            guess_flops: 0,
         })
     }
 
@@ -549,10 +670,37 @@ impl AnalogSystemSolver {
     }
 
     /// Carries both warm-start bases over from another solver of the same
-    /// matrix (a remap onto a fresh chip keeps the host's last answers).
+    /// matrix (a remap onto a fresh chip keeps the host's last answers),
+    /// and its [`guess_flops`](Self::guess_flops) tally.
     pub(crate) fn keep_warm_starts_of(&mut self, other: &AnalogSystemSolver) {
         self.warm_start = other.warm_start.clone();
         self.correction_warm_start = other.correction_warm_start.clone();
+        self.guess_flops = other.guess_flops;
+    }
+
+    /// Floating-point operations the host has spent on the warm guesses of
+    /// runs since this solver was built (a run's guess is computed once for
+    /// its whole `γ` walk; [`guess_flops_per_run`](Self::guess_flops_per_run)
+    /// each).
+    pub(crate) fn guess_flops(&self) -> u64 {
+        self.guess_flops
+    }
+
+    /// Floating-point operations of one warm guess for `m` slow modes: the
+    /// product `A·b`, `3m + 4` dots and `m + 2` axpys of length `n`
+    /// ([`galerkin_guess`]), and its reach's residual `b − A·u₀` and norm.
+    fn guess_flops_per_run(&self) -> u64 {
+        let (n, m) = (self.dim() as u64, self.modes.len() as u64);
+        let product = 2 * self.matrix.nnz() as u64;
+        product + 2 * n * ((3 * m + 4) + (m + 2)) + product + 3 * n
+    }
+
+    /// Tallies one warm guess a run starts from.
+    fn count_guess(&mut self) {
+        let flops = self.guess_flops_per_run();
+        self.guess_flops += flops;
+        aa_obs::counter("solver.warm_starts", 1);
+        aa_obs::counter("solver.guess_flops", flops);
     }
 
     /// Makes `u`, an answer the supervisor accepted for `A·u = b`, the
@@ -566,11 +714,11 @@ impl AnalogSystemSolver {
         }
     }
 
-    /// The Galerkin guess for `b` on span{v₁, u_p, b} with the basis `u_p`
-    /// in `slot` ([`galerkin_guess`]); without a slowest mode, on
+    /// The Galerkin guess for `b` on span{v₁, …, v_m, u_p, b} with the
+    /// basis `u_p` in `slot` ([`galerkin_guess`]); without slow modes, on
     /// span{u_p, b}. `None` without a basis: a run with nothing settled to
-    /// start from starts at rest. Besides the projection's handful of
-    /// n-length dots, it costs one product `A·b`.
+    /// start from starts at rest. Its [`reach`](Guess::reach) costs one
+    /// more product, `A·u₀`.
     fn warm_guess(&self, b: &[f64], slot: WarmSlot) -> Option<Guess> {
         let basis = match slot {
             WarmSlot::Request => &self.warm_start,
@@ -578,29 +726,26 @@ impl AnalogSystemSolver {
         }
         .as_ref()?;
         let rhs = Direction::new(&self.matrix, b.to_vec());
-        let ([slow, alpha, on_rhs], start) =
-            galerkin_guess([self.slow_mode.as_ref(), Some(basis), rhs.as_ref()], b);
-        Some(Guess {
-            slow,
-            alpha,
-            rhs: on_rhs,
-            start,
-        })
+        let mut guess = galerkin_guess(&self.modes, basis, rhs.as_ref(), b);
+        if let Some(rate) = self.rest_rate {
+            guess.reach += self.matrix.residual_norm(&guess.start, b) / rate;
+        }
+        Some(guess)
     }
 
-    /// The overflow pre-check of a run programmed with `b_scaled` from the
-    /// scaled warm guess `initial`: its `(cause, counter)` when either
-    /// peaks beyond full scale. The guess predicts the readout's peak, so
-    /// such a run would only end in an overflow exception.
+    /// The overflow pre-check of a run programmed with `b_scaled` from a
+    /// warm guess whose scaled [`reach`](Guess::reach) is `reach`: its
+    /// `(cause, counter)` when either peaks beyond full scale, since such
+    /// a run would only end in an overflow exception.
     fn overflow_precheck(
         &self,
         b_scaled: &[f64],
-        initial: Option<&[f64]>,
+        reach: Option<f64>,
     ) -> Option<(&'static str, &'static str)> {
         let fs = self.mapped.chip().config().full_scale;
         if vector::norm_inf(b_scaled) > fs {
             Some(("rhs_overflow", "solver.rescales.rhs_overflow"))
-        } else if initial.is_some_and(|u| vector::norm_inf(u) > fs) {
+        } else if reach.is_some_and(|r| r > fs) {
             Some(("guess_overflow", "solver.rescales.guess_overflow"))
         } else {
             None
@@ -627,18 +772,15 @@ impl AnalogSystemSolver {
             return None;
         }
         let mut b_scaled = self.scaled.scale_rhs(b);
-        let mut initial = self
+        let mut reach = self
             .warm_guess(b, slot)
-            .map(|g| self.scaled.scale_solution(&g.start));
+            .map(|g| g.reach / self.scaled.solution_factor);
         for _ in 0..self.config.max_rescale_attempts {
-            if self
-                .overflow_precheck(&b_scaled, initial.as_deref())
-                .is_none()
-            {
+            if self.overflow_precheck(&b_scaled, reach).is_none() {
                 break;
             }
             // Doubling γ halves both, exactly.
-            for v in b_scaled.iter_mut().chain(initial.iter_mut().flatten()) {
+            for v in b_scaled.iter_mut().chain(reach.iter_mut()) {
                 *v *= 0.5;
             }
         }
@@ -731,16 +873,18 @@ impl AnalogSystemSolver {
         // the walk's current γ.
         let guess = self.warm_guess(b, slot);
         if guess.is_some() {
-            aa_obs::counter("solver.warm_starts", 1);
+            self.count_guess();
         }
 
         loop {
             let b_scaled = self.scaled.scale_rhs(b);
             let initial = guess.as_ref().map(|g| self.scaled.scale_solution(&g.start));
-            // A too-small γ makes the programmed rhs, or the guess and so
-            // the readout, overflow; grow headroom without wasting an
-            // analog run.
-            if let Some((cause, counter)) = self.overflow_precheck(&b_scaled, initial.as_deref()) {
+            let reach = guess
+                .as_ref()
+                .map(|g| g.reach / self.scaled.solution_factor);
+            // A too-small γ makes the programmed rhs, or the run from the
+            // guess, overflow; grow headroom without wasting an analog run.
+            if let Some((cause, counter)) = self.overflow_precheck(&b_scaled, reach) {
                 if retries >= self.config.max_rescale_attempts {
                     return Err(SolverError::RescaleExhausted { attempts: retries });
                 }
@@ -872,8 +1016,9 @@ impl AnalogSystemSolver {
                 if let Some(g) = &guess {
                     ev = ev
                         .with("alpha", g.alpha)
-                        .with("slow", g.slow)
-                        .with("rhs", g.rhs);
+                        .with("slow", g.slow())
+                        .with("rhs", g.rhs)
+                        .with("modes", g.on_modes.len());
                 }
                 if let Some((floor, settle)) = settled {
                     ev = ev.with("floor", floor).with("settle", settle);
@@ -913,7 +1058,7 @@ impl AnalogSystemSolver {
     /// readout replays the readout-noise stream from the batch entry state,
     /// so its conversions match what a first sequential solve would see.
     ///
-    /// Every lane starts from its own Galerkin guess on the slowest mode,
+    /// Every lane starts from its own Galerkin guess on the slow modes,
     /// the warm-start basis as it stood at batch entry (after the
     /// pre-calibration solve, if one ran) and its own right-hand side; the
     /// last solved column becomes the basis afterwards.
@@ -984,12 +1129,14 @@ impl AnalogSystemSolver {
             }
             let b_scaled = self.scaled.scale_rhs(b);
             let b_peak = vector::norm_inf(&b_scaled);
-            let initial = self
-                .warm_guess(b, WarmSlot::Request)
-                .map(|g| self.scaled.scale_solution(&g.start));
+            let guess = self.warm_guess(b, WarmSlot::Request);
+            let initial = guess.as_ref().map(|g| self.scaled.scale_solution(&g.start));
+            let reach = guess
+                .as_ref()
+                .map(|g| g.reach / self.scaled.solution_factor);
             // The same pre-checks the sequential loop answers with a γ walk;
             // here they route the column out of the batch instead.
-            if let Some((cause, _)) = self.overflow_precheck(&b_scaled, initial.as_deref()) {
+            if let Some((cause, _)) = self.overflow_precheck(&b_scaled, reach) {
                 out.push(BatchColumn::Fallback(cause));
                 continue;
             }
@@ -998,7 +1145,7 @@ impl AnalogSystemSolver {
                 continue;
             }
             if initial.is_some() {
-                aa_obs::counter("solver.warm_starts", 1);
+                self.count_guess();
             }
             lanes.push(self.mapped.lane_bindings(&b_scaled, initial.as_deref())?);
             if let Some(stop) = stop {
@@ -1578,6 +1725,7 @@ mod tests {
     #[test]
     fn warm_guess_is_never_further_than_zero_in_the_a_norm() {
         let mut rng = aa_linalg::rng::Rng64::seed_from_u64(5);
+        // One, four and two slow modes.
         for a in [
             poisson_1d(7),
             CsrMatrix::from_row_access(&PoissonStencil::new_2d(4).unwrap()),
@@ -1586,7 +1734,9 @@ mod tests {
             let n = a.dim();
             let mut solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
             assert!(solver.warm_start.is_none(), "a fresh solver starts cold");
-            let v1 = solver.slow_mode.as_ref().unwrap().vector.clone();
+            assert_eq!(solver.modes.len(), mode_count(n));
+            let modes: Vec<Vec<f64>> = solver.modes.iter().map(|w| w.vector.clone()).collect();
+            let v1 = modes[0].clone();
             let mut b: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
             solver.solve(&b).unwrap();
             let mut gained = 0;
@@ -1614,30 +1764,40 @@ mod tests {
                 let (_, pair) = projected(&a, &[&v1, &basis], &b);
                 let slow = a_norm_error(&a, &b, &pair);
                 assert!(slow <= warm * (1.0 + 1e-12), "step {step}: {slow} > {warm}");
-                // Nor does widening it by b, and the solver's guess is that
-                // projection.
-                let (coefs, three) = projected(&a, &[&v1, &basis, &b], &b);
+                // Nor does widening it by b.
+                let (_, three) = projected(&a, &[&v1, &basis, &b], &b);
+                let three = a_norm_error(&a, &b, &three);
+                assert!(
+                    three <= slow * (1.0 + 1e-12),
+                    "step {step}: {three} > {slow}"
+                );
+                // Nor by the other slow modes, and the solver's guess is
+                // that projection.
+                let mut directions: Vec<&[f64]> = modes.iter().map(Vec::as_slice).collect();
+                directions.extend([basis.as_slice(), b.as_slice()]);
+                let (coefs, all) = projected(&a, &directions, &b);
                 let widened = solver.warm_guess(&b, WarmSlot::Request).unwrap();
                 let full = a_norm_error(&a, &b, &widened.start);
-                assert!(full <= slow * (1.0 + 1e-12), "step {step}: {full} > {slow}");
-                let apart: Vec<f64> = three
-                    .iter()
-                    .zip(&widened.start)
-                    .map(|(x, y)| x - y)
-                    .collect();
+                assert!(
+                    full <= three * (1.0 + 1e-12),
+                    "step {step}: {full} > {three}"
+                );
+                let apart: Vec<f64> = all.iter().zip(&widened.start).map(|(x, y)| x - y).collect();
                 let apart = vector::dot(&apart, &a.apply_vec(&apart)).sqrt();
                 assert!(
                     apart <= 1e-9 * cold,
                     "step {step}: {apart} from the Galerkin guess"
                 );
-                let found = [widened.slow, widened.alpha, widened.rhs];
+                let mut found = widened.on_modes.clone();
+                found.extend([widened.alpha, widened.rhs]);
+                assert_eq!(widened.slow(), found[0]);
                 for (x, y) in found.iter().zip(&coefs) {
                     assert!(
                         (x - y).abs() <= 1e-6 * y.abs().max(1.0),
                         "{found:?} vs {coefs:?}"
                     );
                 }
-                gained += usize::from(full < 0.9 * slow);
+                gained += usize::from(three < 0.9 * slow);
                 if step % 4 == 1 {
                     assert!(alpha[0].abs() < 1e-12, "A-orthogonal rhs: α = {}", alpha[0]);
                 }
@@ -1648,9 +1808,40 @@ mod tests {
             // An all-zero right-hand side projects onto the zero guess.
             let zero = vec![0.0; n];
             let guess = solver.warm_guess(&zero, WarmSlot::Request).unwrap();
-            assert_eq!((guess.slow, guess.alpha, guess.rhs), (0.0, 0.0, 0.0));
+            assert!(guess.on_modes.iter().all(|c| *c == 0.0));
+            assert_eq!((guess.alpha, guess.rhs), (0.0, 0.0));
             assert!(guess.start.iter().all(|g| *g == 0.0));
             assert_eq!(a_norm_error(&a, &zero, &guess.start), 0.0);
+        }
+    }
+
+    #[test]
+    fn slow_modes_follow_the_count_rule() {
+        let grid = CsrMatrix::from_row_access(&PoissonStencil::new_2d(8).unwrap());
+        let tri = |n| CsrMatrix::tridiagonal(n, -1.0, 2.0, -1.0).unwrap();
+        for (a, m) in [(tri(4), 1), (tri(12), 3), (grid, 4)] {
+            let n = a.dim();
+            let solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+            let modes = &solver.modes;
+            assert_eq!(modes.len(), m, "n = {n}");
+            // v₁ is the λ̃_min iteration's own vector, bit for bit.
+            assert_eq!(modes[0].vector, slowest_mode(&a).unwrap().1);
+            for (i, w) in modes.iter().enumerate() {
+                // An approximate eigenvector.
+                let lambda = w.energy / vector::dot(&w.vector, &w.vector);
+                let residual: Vec<f64> = w
+                    .applied
+                    .iter()
+                    .zip(&w.vector)
+                    .map(|(x, y)| x - lambda * y)
+                    .collect();
+                let rel = vector::norm2(&residual) / (lambda * vector::norm2(&w.vector));
+                assert!(rel <= 1e-3, "n = {n}, mode {i}: ‖Av − λv‖/‖λv‖ = {rel}");
+                for (j, v) in modes[..i].iter().enumerate() {
+                    let cross = vector::dot(&v.vector, &w.applied) / (v.energy * w.energy).sqrt();
+                    assert!(cross.abs() <= 1e-12, "n = {n}: modes {j} and {i}: {cross}");
+                }
+            }
         }
     }
 
@@ -1668,11 +1859,11 @@ mod tests {
         // The same γ and basis, started from α·u_p alone.
         let mut one_vector = AnalogSystemSolver::new(&a, &cfg).unwrap();
         one_vector.import_state(&solver.export_state()).unwrap();
-        one_vector.slow_mode = None;
+        one_vector.modes.clear();
 
         let b = rhs();
         let exact = aa_linalg::direct::solve(&a.to_dense(), &b).unwrap();
-        let v1 = solver.slow_mode.as_ref().unwrap().vector.clone();
+        let v1 = solver.modes[0].vector.clone();
         let slow_share = |guess: &[f64]| {
             let e0: Vec<f64> = exact.iter().zip(guess).map(|(x, g)| x - g).collect();
             vector::dot(&v1, &a.apply_vec(&e0)).abs() / (a_norm(&v1) * a_norm(&e0))
@@ -1698,6 +1889,42 @@ mod tests {
             steps(fast.analog_time_s),
             steps(slow.analog_time_s)
         );
+    }
+
+    #[test]
+    fn more_slow_modes_settle_a_warm_run_in_fewer_steps() {
+        // 2D Poisson at n = 64, the Krylov workload's largest structure:
+        // λ₂ = λ₃ ≈ 2.4·λ₁ and λ₄ ≈ 3.9·λ₁ set the rate once v₁ is gone.
+        let a = CsrMatrix::from_row_access(&PoissonStencil::new_2d(8).unwrap());
+        let n = a.dim();
+        let cfg = SolverConfig::ideal();
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(59);
+        let mut rhs = || -> Vec<f64> { (0..n).map(|_| rng.range(0.1, 1.0)).collect() };
+        let mut solver = AnalogSystemSolver::new(&a, &cfg).unwrap();
+        assert_eq!(solver.modes.len(), 4);
+        solver.solve(&rhs()).unwrap();
+        let omega = solver.chip().config().omega();
+        let steps = |t: f64| (t * omega / cfg.engine.dt_tau).round();
+        let (mut fast_steps, mut slow_steps) = (0.0, 0.0);
+        for _ in 0..4 {
+            // The same γ and basis, started from span{v₁, u_p, b}.
+            let mut one_mode = AnalogSystemSolver::new(&a, &cfg).unwrap();
+            one_mode.import_state(&solver.export_state()).unwrap();
+            one_mode.modes.truncate(1);
+            let b = rhs();
+            let fast = solver.solve(&b).unwrap();
+            let slow = one_mode.solve(&b).unwrap();
+            assert_eq!(fast.runs, slow.runs);
+            assert!(
+                steps(fast.analog_time_s) < steps(slow.analog_time_s),
+                "{} steps vs {} from span{{v₁, u_p, b}}",
+                steps(fast.analog_time_s),
+                steps(slow.analog_time_s)
+            );
+            fast_steps += steps(fast.analog_time_s);
+            slow_steps += steps(slow.analog_time_s);
+        }
+        eprintln!("RK4 steps over 4 warm runs: {fast_steps} vs {slow_steps} with v₁ alone");
     }
 
     #[test]
