@@ -12,7 +12,8 @@
 //! line with its would-pass / WOULD FAIL verdict), and the report ends with
 //! a table of every gate. Each group in `GROUPS` is one function: engine
 //! microbench, plan-cache reuse, batched multi-RHS, plan-IR passes, the
-//! fig7/fig8 paths, analog-preconditioned Krylov, compensated refinement,
+//! fig7/fig8 paths, a fresh solver's first run from the guess against one
+//! from rest, analog-preconditioned Krylov, compensated refinement,
 //! decomposed scaling, fleet throughput / coalescing / scaling, and
 //! resilience (checkpoint + restore, chaos soak).
 //!
@@ -39,6 +40,7 @@ use aa_linalg::stencil::PoissonStencil;
 use aa_linalg::{CsrMatrix, LinearOperator, ParallelConfig, Triplet};
 use aa_sched::chaos::{run_soak, ChaosConfig};
 use aa_sched::{FleetConfig, FleetService, SolveRequest};
+use aa_solver::estimate::scaled_lambda_min;
 use aa_solver::refine::solve_refined;
 use aa_solver::{
     fcg_solve, solve_decomposed, AnalogPreconditioner, AnalogSystemSolver, DecomposeConfig,
@@ -239,12 +241,13 @@ fn undersubscribed(workers: usize, cores: usize) -> &'static str {
     }
 }
 
-const GROUPS: [fn(&mut Report); 12] = [
+const GROUPS: [fn(&mut Report); 13] = [
     engine_microbench,
     plan_cache_reuse,
     batched_rhs,
     engine_ir,
     figure_paths,
+    first_solve,
     krylov_precond,
     refine_compensated,
     decomposed_scaling,
@@ -471,6 +474,77 @@ fn figure_paths(r: &mut Report) {
     r.host("fig8_digital_cg", config, cg_s, &[]);
 }
 
+/// A fresh solver's first solve starts from the Galerkin guess on
+/// span{v₁…v_m, b}, not from rest. The solve, its `γ` walk included, is one
+/// measurement; its accepted run is then executed again on the chip as the
+/// solve left it (the same DACs, `γ` and readout stop), once from the
+/// programmed guess and once with every integrator at zero. Simulated chip
+/// time and RK4 steps are exact, so the gate fires on every host.
+fn first_solve(r: &mut Report) {
+    println!(
+        "
+fresh solver, first solve: run from the guess vs from rest"
+    );
+    let tridiagonal = CsrMatrix::tridiagonal(16, -1.0, 2.0, -1.0).expect("tridiagonal");
+    for (label, a) in [
+        ("poisson 2d n=64", poisson(8)),
+        ("tridiagonal n=16", tridiagonal),
+    ] {
+        let n = a.dim();
+        let b: Vec<f64> = (0..n).map(|i| 0.5 + ((i % 7) as f64) * 0.25).collect();
+        let start = Instant::now();
+        let mut solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).expect("maps");
+        let first = solver.solve(&b).expect("solves");
+        // The solver's stop: within half an ADC code of the settled state.
+        let chip = solver.chip().config();
+        let lambda = scaled_lambda_min(&a).expect("SPD");
+        let bound = lambda * chip.max_gain * chip.adc_lsb() / (2.0 * (n as f64).sqrt());
+        let mut options = solver.config().engine.clone();
+        options.steady_tol = options.steady_tol.map(|tol| tol.max(bound));
+        let chip = solver.chip_mut();
+        let guess = chip.exec(&options).expect("run from the guess");
+        for i in 0..n {
+            chip.set_int_initial(i, 0.0).expect("integrator");
+        }
+        chip.cfg_commit().expect("commit");
+        let rest = chip.exec(&options).expect("run from rest");
+        let wall_s = start.elapsed().as_secs_f64();
+        assert!(guess.reached_steady_state && rest.reached_steady_state);
+        if first.runs == 1 {
+            assert_eq!(
+                guess.duration_s, first.analog_time_s,
+                "the accepted run again"
+            );
+        }
+        let ratio = guess.duration_s / rest.duration_s;
+        let us = |s: f64| s * 1e6;
+        println!(
+            "  {label}: first solve {:.2} µs in {} run(s); its run from the guess {:.2} µs \
+             ({} steps), from rest {:.2} µs ({} steps) — {ratio:.3}x",
+            us(first.analog_time_s),
+            first.runs,
+            us(guess.duration_s),
+            guess.steps,
+            us(rest.duration_s),
+            rest.steps
+        );
+        let m = [
+            ("first_solve_us", us(first.analog_time_s)),
+            ("first_solve_runs", first.runs as f64),
+            ("guess_run_us", us(guess.duration_s)),
+            ("guess_run_steps", guess.steps as f64),
+            ("rest_run_us", us(rest.duration_s)),
+            ("rest_run_steps", rest.steps as f64),
+            ("guess_over_rest", ratio),
+        ];
+        r.sim("first_solve", label.to_string(), wall_s, &m);
+        // The guess at least halves a first run (measured: 0.21x at
+        // n = 64, 0.09x on the tridiagonal).
+        let name = format!("first_solve {label} guess_over_rest");
+        r.gate(Clock::Simulated, name, Bound::AtMost(0.5), ratio);
+    }
+}
+
 /// Analog-preconditioned flexible CG vs plain digital CG on 2D Poisson. The
 /// analog solve becomes a preconditioner application z ≈ M⁻¹·r inside
 /// digital Krylov iteration, so the iteration count carries the win.
@@ -541,11 +615,11 @@ fn krylov_precond(r: &mut Report) {
             let share = fcg_iters as f64 / cg_iters as f64;
             r.gate(sim, name("fcg/cg iterations"), Bound::AtMost(0.7), share);
         }
-        // At most 1.15x (the fleet benchmark's bound) the 0.765 ms n = 64
-        // took once every warm application started from the Galerkin guess
-        // on span{v₁…v₄, u_p, b}.
+        // At most 1.15x (the fleet benchmark's bound) the 0.228 ms n = 64
+        // took once no application started at rest: a slot's first run
+        // starts from the Galerkin guess on span{v₁…v₄, b}.
         if n == 64 {
-            let bound = Bound::AtMost(1.15 * 0.765);
+            let bound = Bound::AtMost(1.15 * 0.228);
             r.gate(sim, name("precond_analog_ms"), bound, precond_ms);
         }
     }

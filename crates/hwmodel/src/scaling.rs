@@ -15,7 +15,7 @@
 use crate::components::{spec, ComponentSpec, PER_VARIABLE_COUNTS};
 
 /// The prototype's bandwidth, the `α = 1` anchor.
-pub const BASE_BANDWIDTH_HZ: f64 = 20e3;
+pub(crate) const BASE_BANDWIDTH_HZ: f64 = 20e3;
 
 /// The bandwidth factor `α` of a design relative to the 20 kHz prototype.
 ///
@@ -57,24 +57,27 @@ pub fn per_variable_area_mm2(alpha: f64) -> f64 {
         .sum()
 }
 
-/// Fraction of a design's total power spent in the core analog signal path.
-///
-/// As bandwidth grows this tends to 1 — the paper's explanation for why
-/// "efficiency gains cease after bandwidth reaches 80 KHz": once nearly all
-/// power is in the analog path, bandwidth raises power and lowers time by
-/// the same factor, leaving energy unchanged.
-pub fn core_power_share(alpha: f64) -> f64 {
-    let core: f64 = PER_VARIABLE_COUNTS
-        .iter()
-        .map(|(kind, count)| count * spec(*kind).power_w * spec(*kind).core_power_fraction * alpha)
-        .sum();
-    core / per_variable_power_w(alpha)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::components::ComponentKind;
+
+    /// Fraction of a design's total power spent in the core analog signal
+    /// path.
+    ///
+    /// As bandwidth grows this tends to 1 — the paper's explanation for why
+    /// "efficiency gains cease after bandwidth reaches 80 KHz": once nearly
+    /// all power is in the analog path, bandwidth raises power and lowers
+    /// time by the same factor, leaving energy unchanged.
+    fn core_power_share(alpha: f64) -> f64 {
+        let core: f64 = PER_VARIABLE_COUNTS
+            .iter()
+            .map(|(kind, count)| {
+                count * spec(*kind).power_w * spec(*kind).core_power_fraction * alpha
+            })
+            .sum();
+        core / per_variable_power_w(alpha)
+    }
 
     #[test]
     fn alpha_of_paper_designs() {

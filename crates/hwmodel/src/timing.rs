@@ -62,20 +62,6 @@ impl PoissonProblem {
     pub fn grid_points(&self) -> usize {
         self.points_per_side.pow(self.dimensionality as u32)
     }
-
-    /// The side length needed for ≈`n` total points in `d` dimensions.
-    pub fn with_grid_points(n: usize, dimensionality: usize) -> Self {
-        let l = match dimensionality {
-            1 => n,
-            2 => (n as f64).sqrt().round() as usize,
-            3 => (n as f64).cbrt().round() as usize,
-            _ => panic!("dimensionality must be 1, 2, or 3"),
-        };
-        PoissonProblem {
-            points_per_side: l.max(1),
-            dimensionality,
-        }
-    }
 }
 
 /// The smallest eigenvalue of the *value-scaled* Poisson matrix `A/s`
@@ -99,16 +85,6 @@ pub fn analog_solve_time_s(design: &AcceleratorDesign, problem: &PoissonProblem)
     precision.ln() / (design.omega() * scaled_poisson_lambda_min(problem))
 }
 
-/// Analog time for `solves` successive runs (used by precision refinement:
-/// each residual re-solve costs one settle).
-pub fn analog_refined_time_s(
-    design: &AcceleratorDesign,
-    problem: &PoissonProblem,
-    solves: usize,
-) -> f64 {
-    solves as f64 * analog_solve_time_s(design, problem)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,8 +94,6 @@ mod tests {
         assert_eq!(PoissonProblem::new_1d(7).grid_points(), 7);
         assert_eq!(PoissonProblem::new_2d(7).grid_points(), 49);
         assert_eq!(PoissonProblem::new_3d(7).grid_points(), 343);
-        let p = PoissonProblem::with_grid_points(1024, 2);
-        assert_eq!(p.points_per_side, 32);
     }
 
     #[test]
@@ -157,14 +131,5 @@ mod tests {
         let expect = std::f64::consts::PI.powi(2) * h * h / 2.0;
         let got = scaled_poisson_lambda_min(&p);
         assert!((got - expect).abs() / expect < 1e-3);
-    }
-
-    #[test]
-    fn refinement_time_is_proportional_to_solves() {
-        let d = AcceleratorDesign::projected_80khz();
-        let p = PoissonProblem::new_2d(10);
-        let one = analog_refined_time_s(&d, &p, 1);
-        let four = analog_refined_time_s(&d, &p, 4);
-        assert!((four - 4.0 * one).abs() < 1e-15);
     }
 }

@@ -1511,6 +1511,47 @@ mod tests {
     }
 
     #[test]
+    fn served_requests_issue_no_run_from_rest() {
+        // Every slot's first run starts from the guess on its slow modes
+        // and b, so the trace of a served fleet counts no run from rest:
+        // grid and tridiagonal requests, direct and Krylov.
+        let grid =
+            CsrMatrix::from_row_access(&aa_linalg::stencil::PoissonStencil::new_2d(4).unwrap());
+        let recorder = aa_obs::MemoryRecorder::shared();
+        let completions = aa_obs::with_recorder(recorder.clone(), || {
+            let mut fleet = FleetService::new(FleetConfig::new(2), vec![grid, tri(8)]).unwrap();
+            let mut tickets = Vec::new();
+            for k in 0..3 {
+                let rhs = |n: usize| -> Vec<f64> {
+                    (0..n)
+                        .map(|i| 0.2 + 0.1 * ((i * 5 + k) % 7) as f64)
+                        .collect()
+                };
+                tickets.push(fleet.submit(SolveRequest::new(0, rhs(16))).unwrap());
+                tickets.push(fleet.submit(SolveRequest::new(1, rhs(8))).unwrap());
+                tickets.push(
+                    fleet
+                        .submit(SolveRequest::new(0, rhs(16)).with_krylov())
+                        .unwrap(),
+                );
+            }
+            fleet.run_until_idle();
+            tickets
+                .iter()
+                .map(|t| fleet.completion(*t).expect("served").clone())
+                .collect::<Vec<_>>()
+        });
+        for done in &completions {
+            assert!(done.path.is_analog(), "path={:?}", done.path);
+        }
+        if aa_obs::ENABLED {
+            let trace = recorder.snapshot();
+            assert!(trace.counter("solver.warm_starts") > 0);
+            assert_eq!(trace.counter("solver.rest_starts"), 0);
+        }
+    }
+
+    #[test]
     fn krylov_deadlines_price_the_full_application_loop() {
         // 4-wide coalescing: a direct request is billed a quarter of the
         // sequential estimate, a Krylov request the full estimate times
@@ -1712,8 +1753,28 @@ mod tests {
 
     #[test]
     fn energy_accounting_uses_the_power_model() {
-        let mut fleet = FleetService::new(FleetConfig::new(1), vec![tri(4)]).unwrap();
-        let ticket = fleet.submit(SolveRequest::new(0, vec![1.0; 4])).unwrap();
+        // The run needs something to settle: tri(4)'s first run starts from
+        // the Galerkin guess on span{v₁, b}, v₁ = sin((i + 1)π/5), which
+        // holds the answer for a symmetric b (b = 𝟙 settles at t = 0).
+        let b = vec![1.0, 0.0, 0.0, 0.0];
+        let a = tri(4);
+        let v1: Vec<f64> = (1..=4)
+            .map(|i| (i as f64 * std::f64::consts::PI / 5.0).sin())
+            .collect();
+        let (av, ab) = (a.apply_vec(&v1), a.apply_vec(&b));
+        let dot = |x: &[f64], y: &[f64]| x.iter().zip(y).map(|(x, y)| x * y).sum::<f64>();
+        let (g11, g12, g22) = (dot(&v1, &av), dot(&v1, &ab), dot(&b, &ab));
+        let (r1, r2) = (dot(&v1, &b), dot(&b, &b));
+        let det = g11 * g22 - g12 * g12;
+        let (c1, c2) = ((g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det);
+        let guess: Vec<f64> = v1.iter().zip(&b).map(|(v, b)| c1 * v + c2 * b).collect();
+        assert!(
+            a.residual_norm(&guess, &b) > 0.1,
+            "the guess holds the answer"
+        );
+
+        let mut fleet = FleetService::new(FleetConfig::new(1), vec![a]).unwrap();
+        let ticket = fleet.submit(SolveRequest::new(0, b)).unwrap();
         fleet.run_until_idle();
         let done = fleet.completion(ticket).unwrap().clone();
         assert!(done.analog_time_s > 0.0);

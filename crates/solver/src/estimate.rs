@@ -64,6 +64,13 @@ pub(crate) fn slowest_mode(a: &CsrMatrix) -> Result<(f64, Vec<f64>), SolverError
 /// eigenvalue of the value-scaled matrix `A / max|a_ij|`
 /// ([`scaled_lambda_min`]).
 ///
+/// This prices a run from rest to full converter precision, which no
+/// served run makes any more: every run starts from the Galerkin guess on
+/// the slow modes and `b` (and the slot's last answer once it has one), and
+/// a supervised run stops at its tolerance less its readout floor. So the
+/// price over-states what a served request takes; the admission price that
+/// reads each run's own start and stop is an open ROADMAP item.
+///
 /// # Errors
 ///
 /// As [`scaled_lambda_min`].
@@ -106,7 +113,7 @@ pub fn krylov_solve_time_s(estimate_s: f64, applications: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::{AnalogSystemSolver, SolverConfig};
+    use crate::solve::{AnalogSystemSolver, SolverConfig, WarmSlot};
     use aa_hwmodel::timing::{analog_solve_time_s, PoissonProblem};
     use aa_linalg::stencil::PoissonStencil;
     use aa_linalg::LinearOperator;
@@ -135,6 +142,10 @@ mod tests {
         let cfg = SolverConfig::ideal().adc_bits(12);
         let mut solver = AnalogSystemSolver::new(&a, &cfg).unwrap();
         let b = vec![0.02; l];
+        // The model prices a run from rest; this b's answer lies in the
+        // span of the first run's guess, which would settle at once.
+        solver.start_at_rest();
+        assert!(solver.starts_at_rest(&b, WarmSlot::Request));
         let measured = solver.solve(&b).unwrap().analog_time_s;
 
         let design = AcceleratorDesign::new("test", cfg.bandwidth_hz, cfg.adc_bits);
@@ -180,6 +191,8 @@ mod tests {
             let warm = solver.solve(&rhs(1)).unwrap();
             let mut fresh = AnalogSystemSolver::new(&a, &cfg).unwrap();
             fresh.set_solution_factor(warm.solution_factor);
+            fresh.start_at_rest();
+            assert!(fresh.starts_at_rest(&rhs(1), WarmSlot::Request));
             let report = fresh.solve(&rhs(1)).unwrap();
             assert_eq!(report.runs, 1);
             let predicted = predicted_solve_time_s(&a, &design).unwrap();

@@ -30,9 +30,12 @@
 //! application a contraction. Only the first
 //! application solves for the request's own right-hand side; the later
 //! ones solve for residuals and keep to the supervisor's correction
-//! warm-start basis. A solve that converges on the analog path leaves its
-//! answer as the request basis, so the next request starts from it rather
-//! than from the first application's √tol answer.
+//! warm-start basis. No application starts at rest: before a slot has a
+//! basis (a fresh supervisor's first application, or its first
+//! correction), the run starts from the Galerkin guess on the slow modes
+//! and its own right-hand side. A solve that converges on the analog path
+//! leaves its answer as the request basis, so the next request starts from
+//! it rather than from the first application's √tol answer.
 //!
 //! When the recovery ladder exhausts (the chip cannot produce a validated
 //! analog answer), the preconditioner demotes itself permanently to a
@@ -672,6 +675,50 @@ mod tests {
             "α = {alpha:.3e}, residual {rel:.3e}"
         );
         assert!(state.correction_warm_start.is_some());
+    }
+
+    #[test]
+    fn a_fresh_preconditioners_first_correction_starts_from_the_guess() {
+        // Application 1 is the first on the correction slot, which has no
+        // basis yet: it starts from the guess on the slow modes and r.
+        let a = poisson_2d(8);
+        let n = a.dim();
+        let b = rhs(n);
+        let mut sup =
+            SupervisedSolver::new(&a, &SolverConfig::ideal(), &RecoveryConfig::default()).unwrap();
+        let mut precond = AnalogPreconditioner::new(&mut sup);
+        let mut z = vec![0.0; n];
+        precond.apply(&b, &mut z, 1e-3);
+        let r: Vec<f64> = b
+            .iter()
+            .zip(a.apply_vec(&z))
+            .map(|(b, az)| b - az)
+            .collect();
+        let state = precond.solver.export_state().solver;
+        assert!(state.warm_start.is_some() && state.correction_warm_start.is_none());
+        assert!(!precond
+            .solver
+            .inner()
+            .starts_at_rest(&r, WarmSlot::Correction));
+        let before = precond.stats();
+        let recorder = aa_obs::MemoryRecorder::shared();
+        aa_obs::with_recorder(recorder.clone(), || precond.apply(&r, &mut z, 1e-3));
+        let after = precond.stats();
+        assert_eq!(after.analog_applications, 2);
+        assert!(after.guess_flops > before.guess_flops);
+        assert!(precond
+            .solver
+            .export_state()
+            .solver
+            .correction_warm_start
+            .is_some());
+        if aa_obs::ENABLED {
+            let trace = recorder.snapshot();
+            let runs = trace.counter("engine.runs");
+            assert!(runs >= 1);
+            assert_eq!(trace.counter("solver.warm_starts"), runs);
+            assert_eq!(trace.counter("solver.rest_starts"), 0);
+        }
     }
 
     #[test]

@@ -1064,12 +1064,13 @@ mod tests {
         (a, b, recovery)
     }
 
-    /// The premise of [`slow_settling`]: one supervised run of `b` at solution
-    /// scale `gamma`, on a healthy chip without the cap, settles only after
-    /// more than the cap's 300 τ.
+    /// The premise of [`slow_settling`]: one supervised run of `b` from rest
+    /// at solution scale `gamma`, on a healthy chip without the cap, settles
+    /// only after more than the cap's 300 τ.
     fn assert_outlasts_the_cap(a: &CsrMatrix, b: &[f64], gamma: f64, recovery: &RecoveryConfig) {
         let mut healthy = AnalogSystemSolver::new(a, &SolverConfig::ideal()).unwrap();
         healthy.set_solution_factor(gamma);
+        healthy.start_at_rest();
         let (run, timed_out) = healthy
             .solve_or_time_out(
                 b,
@@ -1120,6 +1121,10 @@ mod tests {
     fn timed_out_near_miss_is_refined_not_retried() {
         let (a, b, recovery) = slow_settling();
         let mut s = SupervisedSolver::new(&a, &test_config(), &recovery).unwrap();
+        // From rest: the guess on the slow modes and b settles this system
+        // well inside the cap.
+        s.inner.start_at_rest();
+        assert!(s.inner.starts_at_rest(&b, WarmSlot::Request));
         let recorder = aa_obs::MemoryRecorder::shared();
         let report = aa_obs::with_recorder(recorder.clone(), || s.solve(&b).unwrap());
         let steps: Vec<_> = report
@@ -1161,6 +1166,62 @@ mod tests {
             );
             assert!(attempts[1].contains("action=accept"), "{attempts:?}");
             assert_eq!(trace.counter("solver.recovery.refines"), 1);
+        }
+    }
+
+    #[test]
+    fn a_fresh_supervisors_first_solve_starts_from_the_guess() {
+        // A fresh solver has no basis yet, but its slow modes and b span a
+        // guess already: every run of its first solve starts from it, and
+        // settles in fewer RK4 steps than the same solve from rest.
+        let recovery = RecoveryConfig::default();
+        let tol = recovery.residual_tolerance;
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(61);
+        for a in [
+            CsrMatrix::tridiagonal(12, -1.0, 2.0, -1.0).unwrap(),
+            CsrMatrix::from_row_access(&PoissonStencil::new_2d(8).unwrap()),
+        ] {
+            let n = a.dim();
+            let b: Vec<f64> = (0..n).map(|_| rng.range(0.1, 1.0)).collect();
+            let first_solve = |at_rest: bool| {
+                let mut s = SupervisedSolver::new(&a, &SolverConfig::ideal(), &recovery).unwrap();
+                if at_rest {
+                    s.inner.start_at_rest();
+                }
+                assert_eq!(s.inner.starts_at_rest(&b, WarmSlot::Request), at_rest);
+                let recorder = aa_obs::MemoryRecorder::shared();
+                let report = aa_obs::with_recorder(recorder.clone(), || s.solve(&b).unwrap());
+                let omega = s.inner.chip().config().omega();
+                let steps = (report.recovery.analog_time_s() * omega
+                    / SolverConfig::ideal().engine.dt_tau)
+                    .round();
+                (report, steps, recorder.snapshot())
+            };
+            let (warm, warm_steps, trace) = first_solve(false);
+            let (rest, rest_steps, rest_trace) = first_solve(true);
+            for report in [&warm, &rest] {
+                assert_ne!(
+                    report.recovery.final_path,
+                    FinalPath::DigitalFallback,
+                    "n = {n}"
+                );
+                let r = a.residual_norm(&report.solution, &b) / vector::norm2(&b);
+                assert!(r <= tol, "n = {n}: residual {r}");
+            }
+            assert!(
+                warm_steps < rest_steps,
+                "n = {n}: {warm_steps} RK4 steps from the guess, {rest_steps} from rest"
+            );
+            if aa_obs::ENABLED {
+                let runs = trace.counter("engine.runs");
+                assert!(runs >= 1);
+                assert_eq!(trace.counter("solver.warm_starts"), runs, "n = {n}");
+                assert_eq!(trace.counter("solver.rest_starts"), 0, "n = {n}");
+                assert_eq!(trace.counter("engine.steps") as f64, warm_steps);
+                let rest_runs = rest_trace.counter("engine.runs");
+                assert_eq!(rest_trace.counter("solver.rest_starts"), rest_runs);
+                assert_eq!(rest_trace.counter("solver.warm_starts"), 0);
+            }
         }
     }
 

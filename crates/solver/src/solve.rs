@@ -301,7 +301,8 @@ impl Guess {
 }
 
 /// The A-norm Galerkin guess for `A·u* = b` on span{`modes`, `basis`,
-/// `rhs`}, `rhs` the direction of `b` (`None` for a zero `b`).
+/// `rhs`}, `basis` the settled answer a slot keeps (`None` before its first)
+/// and `rhs` the direction of `b` (`None` for a zero `b`).
 ///
 /// The modes are A-orthogonal, so their Galerkin coefficients need no
 /// solve: `w_iᵀA·u* = w_iᵀb`. What the basis and `b` add beyond them is
@@ -312,10 +313,11 @@ impl Guess {
 /// in order (basis, then `b`); one which keeps at most [`DEPENDENT_SHARE`]
 /// of its own energy is dropped. The guess's error is A-orthogonal to every
 /// direction kept, so the flow settles the rest of it only. Work: `3m + 4`
-/// dots and `m + 2` axpys of length `n` on top of `rhs`'s one `A·b`.
+/// dots and `m + 2` axpys of length `n` on top of `rhs`'s one `A·b`;
+/// without a basis, `2m + 2` dots and `m + 1` axpys.
 fn galerkin_guess(
     modes: &[Direction],
-    basis: &Direction,
+    basis: Option<&Direction>,
     rhs: Option<&Direction>,
     b: &[f64],
 ) -> Guess {
@@ -334,9 +336,12 @@ fn galerkin_guess(
         }
         (energy, on_b, s)
     };
-    let (basis_energy, basis_b, s) = remainder(basis);
-    let basis_kept = basis_energy > DEPENDENT_SHARE * basis.energy;
-    let mut alpha = if basis_kept {
+    let (basis_energy, basis_b, s) = match basis {
+        Some(basis) => remainder(basis),
+        None => (0.0, 0.0, vec![0.0; modes.len()]),
+    };
+    let basis = basis.filter(|basis| basis_energy > DEPENDENT_SHARE * basis.energy);
+    let mut alpha = if basis.is_some() {
         basis_b / basis_energy
     } else {
         0.0
@@ -347,7 +352,7 @@ fn galerkin_guess(
         let (mut energy, mut on_b, rhs_s) = remainder(rhs);
         // b's remainder less its A-projection on the basis's remainder.
         let mut along = 0.0;
-        if basis_kept {
+        if let Some(basis) = basis {
             let mut cross = vector::dot(&basis.applied, b);
             for ((si, ti), w) in s.iter().zip(&rhs_s).zip(modes) {
                 cross -= si * ti * w.energy;
@@ -372,7 +377,9 @@ fn galerkin_guess(
     for (c, w) in on_modes.iter().zip(modes) {
         vector::axpy(*c, &w.vector, &mut start);
     }
-    vector::axpy(alpha, &basis.vector, &mut start);
+    if let Some(basis) = basis {
+        vector::axpy(alpha, &basis.vector, &mut start);
+    }
     vector::axpy(on_rhs, b, &mut start);
     Guess {
         on_modes,
@@ -445,10 +452,10 @@ pub struct SolverCheckpoint {
     /// cached plans and obs journals would not line up.
     pub passes: aa_analog::PassConfig,
     /// The warm-start basis the next request's runs start from (`None`
-    /// starts cold).
+    /// starts from the guess on the slow modes and `b` alone).
     pub warm_start: Option<WarmStart>,
     /// The warm-start basis the next refinement round's correction run
-    /// starts from (`None` starts cold).
+    /// starts from (`None` as for `warm_start`).
     pub correction_warm_start: Option<WarmStart>,
     /// The chip's mutable runtime state.
     pub chip: aa_analog::ChipCheckpoint,
@@ -477,9 +484,9 @@ pub struct AnalogSystemSolver {
     /// running a sweep that every column would fall out of.
     calibrated: bool,
     /// The last settled answer every request's runs start from; `None`
-    /// until a run settles, so a fresh solver's first solve starts at zero.
-    /// Checkpoints carry it as a [`WarmStart`]; `A·u_p` is recomputed on
-    /// import.
+    /// until a run settles, so a fresh solver's first solve starts from the
+    /// guess on the slow modes and `b` alone. Checkpoints carry it as a
+    /// [`WarmStart`]; `A·u_p` is recomputed on import.
     warm_start: Option<Direction>,
     /// The last settled correction a refinement round's run starts from
     /// ([`WarmSlot::Correction`]).
@@ -495,6 +502,9 @@ pub struct AnalogSystemSolver {
     /// Floating-point operations spent on warm guesses of runs since
     /// construction (host-side digital work, carried over a remap).
     guess_flops: u64,
+    /// Every run starts at rest ([`start_at_rest`](Self::start_at_rest)).
+    #[cfg(test)]
+    at_rest: bool,
 }
 
 impl std::fmt::Debug for AnalogSystemSolver {
@@ -516,8 +526,9 @@ impl AnalogSystemSolver {
     /// `λ̃_min` the smallest eigenvalue of the value-scaled matrix
     /// ([`scaled_lambda_min`](crate::estimate::scaled_lambda_min)). The
     /// same iteration's eigenvector is kept as the slowest mode `v₁` every
-    /// warm start removes, with up to three more from a block iteration
-    /// (`min(4, ⌊n/4⌋)` modes in all).
+    /// run's start removes, with up to three more from a block iteration
+    /// (`min(4, ⌊n/4⌋)` modes in all), so even a fresh solver's first run
+    /// starts from the Galerkin guess on span{v₁, …, v_m, b}.
     ///
     /// # Errors
     ///
@@ -563,6 +574,8 @@ impl AnalogSystemSolver {
             rest_rate,
             modes,
             guess_flops: 0,
+            #[cfg(test)]
+            at_rest: false,
         })
     }
 
@@ -586,6 +599,21 @@ impl AnalogSystemSolver {
     #[cfg(test)]
     pub(crate) fn steady_tol(&self) -> Option<f64> {
         self.engine.steady_tol
+    }
+
+    /// Makes every later run of the solver start at rest, as a slot's
+    /// first run did before it had a basis: the premise of tests that time
+    /// a run against the from-rest settle model, or need a first run to
+    /// outlast a cap.
+    #[cfg(test)]
+    pub(crate) fn start_at_rest(&mut self) {
+        self.at_rest = true;
+    }
+
+    /// Whether a run for `b` from `slot` starts at rest.
+    #[cfg(test)]
+    pub(crate) fn starts_at_rest(&self, b: &[f64], slot: WarmSlot) -> bool {
+        self.warm_guess(b, slot).is_none()
     }
 
     /// The scaling currently applied.
@@ -687,20 +715,45 @@ impl AnalogSystemSolver {
     }
 
     /// Floating-point operations of one warm guess for `m` slow modes: the
-    /// product `A·b`, `3m + 4` dots and `m + 2` axpys of length `n`
-    /// ([`galerkin_guess`]), and its reach's residual `b − A·u₀` and norm.
-    fn guess_flops_per_run(&self) -> u64 {
+    /// product `A·b`, `3m + 4` dots and `m + 2` axpys of length `n` with a
+    /// basis, `2m + 2` and `m + 1` without ([`galerkin_guess`]), and its
+    /// reach's residual `b − A·u₀` and norm.
+    fn guess_flops_per_run(&self, basis: bool) -> u64 {
         let (n, m) = (self.dim() as u64, self.modes.len() as u64);
         let product = 2 * self.matrix.nnz() as u64;
-        product + 2 * n * ((3 * m + 4) + (m + 2)) + product + 3 * n
+        let vector_ops = if basis {
+            (3 * m + 4) + (m + 2)
+        } else {
+            (2 * m + 2) + (m + 1)
+        };
+        product + 2 * n * vector_ops + product + 3 * n
     }
 
-    /// Tallies one warm guess a run starts from.
-    fn count_guess(&mut self) {
-        let flops = self.guess_flops_per_run();
+    /// Tallies the host work of one warm guess from `slot`, computed once
+    /// for a run's whole `γ` walk.
+    fn count_guess(&mut self, slot: WarmSlot) {
+        let flops = self.guess_flops_per_run(self.basis(slot).is_some());
         self.guess_flops += flops;
-        aa_obs::counter("solver.warm_starts", 1);
         aa_obs::counter("solver.guess_flops", flops);
+    }
+
+    /// Tallies one run issued: `solver.warm_starts` when it starts from a
+    /// guess, `solver.rest_starts` when it starts at rest.
+    fn count_start(warm: bool) {
+        let counter = if warm {
+            "solver.warm_starts"
+        } else {
+            "solver.rest_starts"
+        };
+        aa_obs::counter(counter, 1);
+    }
+
+    /// The settled answer the runs from `slot` start from, if any.
+    fn basis(&self, slot: WarmSlot) -> Option<&Direction> {
+        match slot {
+            WarmSlot::Request => self.warm_start.as_ref(),
+            WarmSlot::Correction => self.correction_warm_start.as_ref(),
+        }
     }
 
     /// Makes `u`, an answer the supervisor accepted for `A·u = b`, the
@@ -715,17 +768,22 @@ impl AnalogSystemSolver {
     }
 
     /// The Galerkin guess for `b` on span{v₁, …, v_m, u_p, b} with the
-    /// basis `u_p` in `slot` ([`galerkin_guess`]); without slow modes, on
-    /// span{u_p, b}. `None` without a basis: a run with nothing settled to
-    /// start from starts at rest. Its [`reach`](Guess::reach) costs one
-    /// more product, `A·u₀`.
+    /// basis `u_p` in `slot` ([`galerkin_guess`]), on whichever of those
+    /// directions exist: a slot's first run, before it has a basis, starts
+    /// from the guess on span{v₁, …, v_m, b}. `None` only when none of them
+    /// has positive energy (no slow modes, no basis, and `b = 0` or
+    /// `bᵀA·b ≤ 0`): such a run starts at rest. Its
+    /// [`reach`](Guess::reach) costs one more product, `A·u₀`.
     fn warm_guess(&self, b: &[f64], slot: WarmSlot) -> Option<Guess> {
-        let basis = match slot {
-            WarmSlot::Request => &self.warm_start,
-            WarmSlot::Correction => &self.correction_warm_start,
+        #[cfg(test)]
+        if self.at_rest {
+            return None;
         }
-        .as_ref()?;
+        let basis = self.basis(slot);
         let rhs = Direction::new(&self.matrix, b.to_vec());
+        if self.modes.is_empty() && basis.is_none() && rhs.is_none() {
+            return None;
+        }
         let mut guess = galerkin_guess(&self.modes, basis, rhs.as_ref(), b);
         if let Some(rate) = self.rest_rate {
             guess.reach += self.matrix.residual_norm(&guess.start, b) / rate;
@@ -873,7 +931,7 @@ impl AnalogSystemSolver {
         // the walk's current γ.
         let guess = self.warm_guess(b, slot);
         if guess.is_some() {
-            self.count_guess();
+            self.count_guess(slot);
         }
 
         loop {
@@ -929,6 +987,7 @@ impl AnalogSystemSolver {
             let settled = stop.map(|stop| self.settle(stop, &b_scaled));
             let engine =
                 self.run_options(settled.map(|(_, settle)| residual_settle_tol(settle, &b_scaled)));
+            Self::count_start(guess.is_some());
             let report = self.mapped.chip_mut().exec(&engine)?;
             total_time += report.duration_s;
             runs += 1;
@@ -1145,8 +1204,9 @@ impl AnalogSystemSolver {
                 continue;
             }
             if initial.is_some() {
-                self.count_guess();
+                self.count_guess(WarmSlot::Request);
             }
+            Self::count_start(initial.is_some());
             lanes.push(self.mapped.lane_bindings(&b_scaled, initial.as_deref())?);
             if let Some(stop) = stop {
                 let (_, settle) = self.settle(stop, &b_scaled);
@@ -1450,6 +1510,10 @@ mod tests {
                 cfg.engine.max_tau = 40.0 / lambda;
                 let mut settled = AnalogSystemSolver::new(&a, &cfg).unwrap();
                 settled.set_solution_factor(report.solution_factor);
+                // From rest: a guess could sit beyond full scale at this γ
+                // and walk it.
+                settled.start_at_rest();
+                assert!(settled.starts_at_rest(b, WarmSlot::Request));
                 // Detection is off, so no tolerance can stop the run early.
                 let (full, timed_out) = settled
                     .solve_or_time_out(b, Stop::Meet(1e-2), WarmSlot::Request)
@@ -1502,7 +1566,7 @@ mod tests {
         for a in stop_rule_matrices() {
             let n = a.dim();
             let mut solver = crate::SupervisedSolver::new(&a, &cfg, &recovery).unwrap();
-            // A cold first solve, then warm ones.
+            // A first solve without a basis, then ones with it.
             for _ in 0..3 {
                 let b: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
                 let report = solver.solve(&b).unwrap();
@@ -1733,7 +1797,7 @@ mod tests {
         ] {
             let n = a.dim();
             let mut solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
-            assert!(solver.warm_start.is_none(), "a fresh solver starts cold");
+            assert!(solver.warm_start.is_none(), "a fresh solver has no basis");
             assert_eq!(solver.modes.len(), mode_count(n));
             let modes: Vec<Vec<f64>> = solver.modes.iter().map(|w| w.vector.clone()).collect();
             let v1 = modes[0].clone();
@@ -2026,6 +2090,8 @@ mod tests {
             let warm = solver.solve(&b).unwrap();
             let mut fresh = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
             fresh.set_solution_factor(warm.solution_factor);
+            fresh.start_at_rest();
+            assert!(fresh.starts_at_rest(&b, WarmSlot::Request));
             let cold = fresh.solve(&b).unwrap();
             assert_eq!((warm.runs, cold.runs), (1, 1));
             assert!(
@@ -2120,6 +2186,43 @@ mod tests {
             assert_eq!(from_restored, from_original);
         }
         assert_eq!(restored.export_state(), original.export_state());
+    }
+
+    #[test]
+    fn a_solve_right_after_import_replays_bit_for_bit() {
+        // Modes are rebuilt by `new` and never checkpointed, so a restored
+        // solver's next run starts from the guess the original's does: on
+        // span{v₁, …, v_m, b} before a slot has a basis, with it after.
+        let tol = crate::RecoveryConfig::default().residual_tolerance;
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(67);
+        for a in [
+            CsrMatrix::tridiagonal(12, -1.0, 2.0, -1.0).unwrap(),
+            CsrMatrix::from_row_access(&PoissonStencil::new_2d(4).unwrap()),
+        ] {
+            let n = a.dim();
+            let mut original = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+            for step in 0..4 {
+                let b: Vec<f64> = (0..n).map(|_| rng.range(0.1, 1.0)).collect();
+                let snap = original.export_state();
+                assert_eq!(snap.warm_start.is_none(), step == 0);
+                assert_eq!(snap.correction_warm_start.is_none(), step < 2);
+                let mut restored = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+                restored.import_state(&snap).unwrap();
+                let slot = if step % 2 == 0 {
+                    WarmSlot::Request
+                } else {
+                    WarmSlot::Correction
+                };
+                assert!(!restored.starts_at_rest(&b, slot), "n = {n}, step {step}");
+                // The tally counts from construction, and is not restored.
+                let flops = original.guess_flops();
+                let from_restored = restored.solve_or_time_out(&b, Stop::Meet(tol), slot);
+                let from_original = original.solve_or_time_out(&b, Stop::Meet(tol), slot);
+                assert_eq!(from_restored.unwrap(), from_original.unwrap());
+                assert_eq!(restored.export_state(), original.export_state());
+                assert_eq!(restored.guess_flops(), original.guess_flops() - flops);
+            }
+        }
     }
 
     #[test]
