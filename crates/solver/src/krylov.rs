@@ -27,13 +27,14 @@
 //! near-miss bound: a run to it settles in about half the time of a run
 //! to `tol`, two such applications contract as much as one at `tol`, and
 //! the aim sits far above any readout floor. The ½ cap keeps every
-//! application a contraction. Only the first
-//! application solves for the request's own right-hand side; the later
-//! ones solve for residuals and keep to the supervisor's correction
-//! warm-start basis. No application starts at rest: before a slot has a
-//! basis (a fresh supervisor's first application, or its first
-//! correction), the run starts from the Galerkin guess on the slow modes
-//! and its own right-hand side. A solve that converges on the analog path
+//! application a contraction. Each application starts its solution scale
+//! γ at the Rayleigh estimate of its answer's peak, as a refinement
+//! round's correction does. Only the first application solves for the
+//! request's own right-hand side; the later ones solve for residuals and
+//! keep to the supervisor's correction warm-start basis. No application
+//! starts at rest: before a slot has a basis (a fresh supervisor's first
+//! application, or its first correction), the run starts from the
+//! Galerkin guess on the slow modes and its own right-hand side. A solve that converges on the analog path
 //! leaves its answer as the request basis, so the next request starts from
 //! it rather than from the first application's √tol answer.
 //!
@@ -50,7 +51,7 @@ use aa_linalg::compensated;
 use aa_linalg::op::RowAccess;
 use aa_linalg::{vector, CsrMatrix, LinearOperator};
 
-use crate::recover::{rayleigh_inverse_gain, FinalPath, SupervisedSolver};
+use crate::recover::{FinalPath, SupervisedSolver};
 use crate::solve::WarmSlot;
 use crate::SolverError;
 
@@ -149,12 +150,11 @@ impl PrecondStats {
 /// Successive applications see very different residuals (a smooth
 /// right-hand side first, rough FCG residuals later), so the solution
 /// scale γ the previous solve settled at is typically several times off
-/// and costs an overflow abort or an underuse re-run. Application `k`
-/// therefore starts the solver's γ walk at
-/// `γ = κ_k·ρ(r̂)/(margin·full_scale)`, where `ρ(r̂) = r̂ᵀr̂ / r̂ᵀA·r̂` is a
-/// Rayleigh-quotient estimate of `‖A⁻¹r̂‖` and `κ_k` is a correction the
-/// [`SupervisedSolver`] learns per application index from accepted solves.
-/// The overflow/underuse walk still runs from that start.
+/// and costs an overflow abort or an underuse re-run. Every application
+/// therefore starts the solver's γ walk at `γ = ρ(r̂)/(margin·full_scale)`,
+/// where `ρ(r̂) = r̂ᵀr̂ / r̂ᵀA·r̂` is a Rayleigh-quotient estimate of
+/// `‖A⁻¹r̂‖`: the rule a refinement round's correction uses. The
+/// overflow/underuse walk still runs from that start.
 #[derive(Debug)]
 pub struct AnalogPreconditioner<'a> {
     solver: &'a mut SupervisedSolver,
@@ -269,8 +269,7 @@ impl<'a> AnalogPreconditioner<'a> {
             return;
         }
         let r_unit: Vec<f64> = r.iter().map(|v| v / r_peak).collect();
-        let rho = rayleigh_inverse_gain(self.matrix(), &r_unit);
-        self.solver.predict_precond_scale(index, rho);
+        self.solver.aim_at_correction(&r_unit);
         let slot = if index == 0 {
             WarmSlot::Request
         } else {
@@ -284,9 +283,6 @@ impl<'a> AnalogPreconditioner<'a> {
                 self.stats.analog_time_s += report.recovery.analog_time_s();
                 match report.recovery.final_path {
                     FinalPath::Analog | FinalPath::AnalogAfterRecovery => {
-                        if let Some(analog) = &report.analog {
-                            self.solver.learn_precond_scale(index, rho, analog);
-                        }
                         for (zi, si) in z.iter_mut().zip(&report.solution) {
                             *zi = r_peak * si;
                         }
@@ -334,7 +330,7 @@ pub struct KrylovReport {
 /// approximate-inverse setting of Shah et al.
 ///
 /// A preconditioner may serve several solves: each one counts its
-/// applications (and so its κ indices and warm-start slots) from zero and
+/// applications (and so its warm-start slots) from zero and
 /// reports only its own [`PrecondStats`], while a demotion stays in force.
 /// A solve that converges with the analog preconditioner still in use
 /// makes its answer the supervisor's request warm-start basis.
@@ -527,9 +523,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_scales_remove_underuse_reruns_from_later_solves() {
-        // The κ table lives in the supervisor, so every FCG solve after the
-        // first starts each application at a learned solution scale.
+    fn later_solves_take_no_underuse_reruns() {
+        // Every application starts its γ walk at the Rayleigh prediction
+        // for its own residual: no application of an FCG solve after the
+        // first takes an underuse re-run, and every solve converges in
+        // about as many iterations as the first.
         let a = poisson_2d(6);
         let n = a.dim();
         let mut sup =
@@ -667,8 +665,9 @@ mod tests {
         let request = state.warm_start.expect("application 0 settled");
         let peak = vector::norm_inf(&b);
         let b_unit: Vec<f64> = b.iter().map(|v| v / peak).collect();
-        let alpha = vector::dot(&request.basis, &b_unit) / request.energy;
-        let guess: Vec<f64> = request.basis.iter().map(|u| alpha * u).collect();
+        let energy = vector::dot(&request, &a.apply_vec(&request));
+        let alpha = vector::dot(&request, &b_unit) / energy;
+        let guess: Vec<f64> = request.iter().map(|u| alpha * u).collect();
         let rel = a.residual_norm(&guess, &b_unit) / vector::norm2(&b_unit);
         assert!(
             rel <= recovery.residual_tolerance,
@@ -723,10 +722,10 @@ mod tests {
 
     #[test]
     fn a_reused_preconditioner_replays_fresh_ones() {
-        // Each solve counts its applications (κ index, warm-start slot,
-        // statistics) from its own start, so two solves through one
-        // preconditioner replay two through fresh preconditioners over the
-        // same supervisor sequence bit for bit.
+        // Each solve counts its applications (warm-start slot, statistics)
+        // from its own start, so two solves through one preconditioner
+        // replay two through fresh preconditioners over the same supervisor
+        // sequence bit for bit.
         let a = poisson_2d(6);
         let n = a.dim();
         let bs = [rhs(n), (0..n).map(|i| 1.0 - 0.1 * (i % 3) as f64).collect()];
@@ -752,7 +751,7 @@ mod tests {
         }
         // A converged analog solve leaves its answer as the request basis.
         let basis = sup.export_state().solver.warm_start.expect("converged");
-        assert_eq!(basis.basis, separate[1].solution);
+        assert_eq!(basis, separate[1].solution);
     }
 
     #[test]

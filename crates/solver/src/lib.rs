@@ -100,5 +100,5 @@ pub use recover::{
 pub use refine::{RefineConfig, RefinedReport};
 pub use scaling::ScaledSystem;
 pub use solve::{
-    AnalogSolveReport, AnalogSystemSolver, BatchColumn, SolverCheckpoint, SolverConfig, WarmStart,
+    AnalogSolveReport, AnalogSystemSolver, BatchColumn, SolverCheckpoint, SolverConfig,
 };

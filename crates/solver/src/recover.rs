@@ -42,11 +42,10 @@ use crate::SolverError;
 
 /// A snapshot of one [`SupervisedSolver`]'s mutable state: the inner
 /// solver/chip state, the lifetime seconds consumed by remapped-away chip
-/// instances, the *original* (unshifted) fault plan kept for future
-/// remaps, and the Krylov preconditioner's solution-scale table. The
-/// matrix and both configs are excluded — the restore path rebuilds the
-/// supervisor deterministically with [`SupervisedSolver::new`] before
-/// importing.
+/// instances, and the *original* (unshifted) fault plan kept for future
+/// remaps. The matrix and both configs are excluded — the restore path
+/// rebuilds the supervisor deterministically with [`SupervisedSolver::new`]
+/// before importing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisedCheckpoint {
     /// The inner solver's cross-solve state (γ plus chip runtime state;
@@ -56,9 +55,6 @@ pub struct SupervisedCheckpoint {
     pub consumed_lifetime_s: f64,
     /// The originally injected fault plan, un-shifted.
     pub fault_plan: Option<FaultPlan>,
-    /// The preconditioner's per-application scale corrections `κ_k`
-    /// (see [`AnalogPreconditioner`](crate::AnalogPreconditioner)).
-    pub precond_scales: Vec<f64>,
 }
 
 /// Policy knobs of the supervision loop.
@@ -304,10 +300,6 @@ pub struct SupervisedSolver {
     fault_plan: Option<FaultPlan>,
     /// Lifetime seconds consumed by previous chip instances (before remaps).
     consumed_lifetime_s: f64,
-    /// Krylov preconditioning's correction `κ_k` for application index `k`
-    /// of an FCG solve on this structure. Kept here, not on the inner
-    /// solver, so it outlives a single request and survives remaps.
-    precond_scales: Vec<f64>,
 }
 
 impl std::fmt::Debug for SupervisedSolver {
@@ -339,7 +331,6 @@ impl SupervisedSolver {
             inner,
             fault_plan: None,
             consumed_lifetime_s: 0.0,
-            precond_scales: Vec::new(),
         })
     }
 
@@ -376,7 +367,6 @@ impl SupervisedSolver {
             solver: self.inner.export_state(),
             consumed_lifetime_s: self.consumed_lifetime_s,
             fault_plan: self.fault_plan.clone(),
-            precond_scales: self.precond_scales.clone(),
         }
     }
 
@@ -392,48 +382,17 @@ impl SupervisedSolver {
         self.inner.import_state(&state.solver)?;
         self.consumed_lifetime_s = state.consumed_lifetime_s;
         self.fault_plan = state.fault_plan.clone();
-        self.precond_scales = state.precond_scales.clone();
         Ok(())
     }
 
-    /// Starts the next solve's γ walk at the prediction for Krylov
-    /// application `k`: `γ = κ_k·ρ/(margin·full_scale)`, where `rho`
-    /// estimates `‖A⁻¹r̂‖` for the normalized residual and `κ_k` is 1 for
-    /// an index not seen yet.
-    pub(crate) fn predict_precond_scale(&mut self, k: usize, rho: f64) {
-        let kappa = self.precond_scales.get(k).copied().unwrap_or(1.0);
-        self.aim_solution_scale(kappa * rho);
-    }
-
-    /// Starts the next solve's γ walk where a solution peaking at `peak`
-    /// fills `margin` of full scale: `γ = peak/(margin·full_scale)`.
-    fn aim_solution_scale(&mut self, peak: f64) {
-        let fs = self.inner.chip().config().full_scale;
-        let gamma = peak / (self.solver_config.margin * fs);
-        if gamma.is_finite() && gamma > 0.0 {
-            self.inner.set_solution_factor(gamma);
-        }
-    }
-
-    /// Refreshes `κ_k` from an accepted analog application, whose
-    /// observed correction is the solution peak the chip read,
-    /// `γ·peak_range_usage·full_scale`, over `rho`. The first observation
-    /// of an index is taken as is; later ones are averaged in log space
-    /// (geometric mean with the cached value), so one outlier residual
-    /// cannot throw the next prediction out of the accepted range.
-    pub(crate) fn learn_precond_scale(&mut self, k: usize, rho: f64, report: &AnalogSolveReport) {
-        let fs = self.inner.chip().config().full_scale;
-        let kappa = report.solution_factor * report.peak_range_usage * fs / rho;
-        if !(kappa.is_finite() && kappa > 0.0) {
-            return;
-        }
-        match self.precond_scales.get_mut(k) {
-            Some(cached) => *cached = (*cached * kappa).sqrt(),
-            None => {
-                self.precond_scales.resize(k, 1.0);
-                self.precond_scales.push(kappa);
-            }
-        }
+    /// Starts the next solve's γ walk where the answer for the normalized
+    /// residual `r_unit` is predicted to peak: at the Rayleigh estimate
+    /// `ρ(r̂) = r̂ᵀr̂ / r̂ᵀA·r̂` of `‖A⁻¹r̂‖` ([`rayleigh_inverse_gain`]).
+    /// The γ a solve for the request left is the wrong start for a
+    /// correction, which solves for a rough residual.
+    pub(crate) fn aim_at_correction(&mut self, r_unit: &[f64]) {
+        self.inner
+            .aim_solution_scale(rayleigh_inverse_gain(&self.matrix, r_unit));
     }
 
     /// Makes `u`, a digitally converged answer to the request just
@@ -813,7 +772,7 @@ impl SupervisedSolver {
         let residual = self.matrix.residual(&candidate.solution, b);
         let target = (tol / r1).min(1.0);
         let round = refine::correction(&residual, |r_unit| {
-            self.aim_solution_scale(rayleigh_inverse_gain(&self.matrix, r_unit));
+            self.aim_at_correction(r_unit);
             self.inner
                 .solve_or_time_out(r_unit, Stop::Meet(target), WarmSlot::Correction)
         });
@@ -956,7 +915,7 @@ impl SupervisedSolver {
 
 /// Rayleigh-quotient estimate of `‖A⁻¹v‖` for a unit-peak `v`:
 /// `vᵀv / vᵀA·v`. Costs one host mat-vec and two dot products.
-pub(crate) fn rayleigh_inverse_gain(a: &CsrMatrix, v: &[f64]) -> f64 {
+fn rayleigh_inverse_gain(a: &CsrMatrix, v: &[f64]) -> f64 {
     let mut a_v = vec![0.0; v.len()];
     a.apply(v, &mut a_v);
     vector::dot(v, v) / vector::dot(v, &a_v)
@@ -1325,11 +1284,11 @@ mod tests {
         // The next request starts from the accepted answer, not from the
         // correction the refinement round read out.
         let state = s.export_state().solver;
-        assert_eq!(state.warm_start.unwrap().basis, report.solution);
+        assert_eq!(state.warm_start.unwrap(), report.solution);
         let correction = state
             .correction_warm_start
             .expect("the round's run settled");
-        assert_ne!(correction.basis, report.solution);
+        assert_ne!(correction, report.solution);
     }
 
     #[test]

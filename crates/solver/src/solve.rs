@@ -138,32 +138,13 @@ pub struct AnalogSolveReport {
 /// while the passing columns keep their shared-sweep result.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchColumn {
-    /// The column solved inside the batch (exactly one run, no retries) —
-    /// or, for the first column of a batch on an uncalibrated solver,
-    /// through the sequential γ-calibration solve (whose report then
-    /// carries the walk's run and retry counts).
+    /// The column solved inside the batch: exactly one run, no retries, at
+    /// the batch's shared `γ`.
     Solved(AnalogSolveReport),
     /// The column left the batched fast path; the label records why (stable
     /// telemetry vocabulary: `rhs_overflow`, `guess_overflow`,
     /// `rhs_underuse`, `overflow`, `no_steady_state`, `underuse`).
     Fallback(&'static str),
-}
-
-/// A solver's warm-start basis as a checkpoint carries it: its last
-/// settled readout `u_p` and the energy `u_pᵀA·u_p`.
-///
-/// A warm run for `b` starts from the A-norm Galerkin guess on
-/// span{v₁, …, v_m, u_p, b}, with `v₁ … v_m` the slowest eigenmodes of `A`:
-/// the `u₀` in that span which minimizes `‖u* − u₀‖_A` (Fischer's
-/// projection method for successive right-hand sides, widened by the slow
-/// modes and by `b` itself). The span contains zero, the cold start, so the
-/// guess is never further from the answer in the A-norm than zero is.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmStart {
-    /// The last settled (unscaled) readout `u_p`.
-    pub basis: Vec<f64>,
-    /// `u_pᵀA·u_p`, positive.
-    pub energy: f64,
 }
 
 /// One direction `d` of the warm-start span — a slow mode, a basis `u_p`
@@ -206,14 +187,6 @@ impl Direction {
         }
         let energy = vector::dot(&self.vector, &self.applied);
         (energy > DEPENDENT_SHARE * self.energy).then_some(Direction { energy, ..self })
-    }
-
-    /// The checkpointed form of a basis.
-    fn warm_start(&self) -> WarmStart {
-        WarmStart {
-            basis: self.vector.clone(),
-            energy: self.energy,
-        }
     }
 }
 
@@ -302,7 +275,11 @@ impl Guess {
 
 /// The A-norm Galerkin guess for `A·u* = b` on span{`modes`, `basis`,
 /// `rhs`}, `basis` the settled answer a slot keeps (`None` before its first)
-/// and `rhs` the direction of `b` (`None` for a zero `b`).
+/// and `rhs` the direction of `b` (`None` for a zero `b`): the `u₀` in that
+/// span which minimizes `‖u* − u₀‖_A` (Fischer's projection method for
+/// successive right-hand sides, widened by the slow modes and by `b`
+/// itself). The span contains zero, the cold start, so the guess is never
+/// further from the answer in the A-norm than zero is.
 ///
 /// The modes are A-orthogonal, so their Galerkin coefficients need no
 /// solve: `w_iᵀA·u* = w_iᵀb`. What the basis and `b` add beyond them is
@@ -443,7 +420,7 @@ pub struct SolverCheckpoint {
     /// The solution-scale factor `γ` in effect at capture time.
     pub solution_factor: f64,
     /// Whether the `γ` walk had settled (any accepted solve) at capture
-    /// time; governs batched-solve pre-calibration after restore.
+    /// time; gates the readout-floor prediction after restore.
     pub calibrated: bool,
     /// The engine pass configuration the solver ran with at capture time.
     /// Restore rejects a checkpoint whose passes disagree with the
@@ -451,12 +428,13 @@ pub struct SolverCheckpoint {
     /// ([`SolverError::CheckpointMismatch`](crate::SolverError)) — the
     /// cached plans and obs journals would not line up.
     pub passes: aa_analog::PassConfig,
-    /// The warm-start basis the next request's runs start from (`None`
-    /// starts from the guess on the slow modes and `b` alone).
-    pub warm_start: Option<WarmStart>,
+    /// The warm-start basis `u_p`, the last settled (unscaled) readout,
+    /// the next request's runs start from (`None` starts from the guess on
+    /// the slow modes and `b` alone).
+    pub warm_start: Option<Vec<f64>>,
     /// The warm-start basis the next refinement round's correction run
     /// starts from (`None` as for `warm_start`).
-    pub correction_warm_start: Option<WarmStart>,
+    pub correction_warm_start: Option<Vec<f64>>,
     /// The chip's mutable runtime state.
     pub chip: aa_analog::ChipCheckpoint,
 }
@@ -478,15 +456,15 @@ pub struct AnalogSystemSolver {
     /// `‖Ã‖_F`, which the readout floor scales with; `Ã` does not move
     /// with `γ`.
     a_frobenius: f64,
-    /// Whether any solve has been accepted under the current `γ` — i.e.
-    /// the overflow/underuse walk has settled. A batch on an uncalibrated
-    /// solver pre-pays one sequential solve to establish `γ` instead of
-    /// running a sweep that every column would fall out of.
+    /// Whether a sequential solve has been accepted, i.e. the
+    /// overflow/underuse walk has settled; until then the readout floor
+    /// ([`run_floor`](Self::run_floor)) has no `γ` to predict at. A batch
+    /// moves `γ` to its aim and leaves the bit as it is.
     calibrated: bool,
     /// The last settled answer every request's runs start from; `None`
     /// until a run settles, so a fresh solver's first solve starts from the
-    /// guess on the slow modes and `b` alone. Checkpoints carry it as a
-    /// [`WarmStart`]; `A·u_p` is recomputed on import.
+    /// guess on the slow modes and `b` alone. Checkpoints carry `u_p` alone;
+    /// `A·u_p` is recomputed on import.
     warm_start: Option<Direction>,
     /// The last settled correction a refinement round's run starts from
     /// ([`WarmSlot::Correction`]).
@@ -651,11 +629,11 @@ impl AnalogSystemSolver {
             solution_factor: self.scaled.solution_factor,
             calibrated: self.calibrated,
             passes: self.config.engine.passes,
-            warm_start: self.warm_start.as_ref().map(Direction::warm_start),
+            warm_start: self.warm_start.as_ref().map(|d| d.vector.clone()),
             correction_warm_start: self
                 .correction_warm_start
                 .as_ref()
-                .map(Direction::warm_start),
+                .map(|d| d.vector.clone()),
             chip: self.mapped.chip().export_state(),
         }
     }
@@ -681,10 +659,7 @@ impl AnalogSystemSolver {
         }
         self.scaled.solution_factor = state.solution_factor;
         self.calibrated = state.calibrated;
-        let basis = |w: &Option<WarmStart>| {
-            w.as_ref()
-                .and_then(|w| Direction::new(&self.matrix, w.basis.clone()))
-        };
+        let basis = |u: &Option<Vec<f64>>| u.clone().and_then(|u| Direction::new(&self.matrix, u));
         self.warm_start = basis(&state.warm_start);
         self.correction_warm_start = basis(&state.correction_warm_start);
         self.mapped.chip_mut().import_state(&state.chip)?;
@@ -695,6 +670,17 @@ impl AnalogSystemSolver {
     /// `gamma` instead of where the previous solve left it.
     pub(crate) fn set_solution_factor(&mut self, gamma: f64) {
         self.scaled.solution_factor = gamma;
+    }
+
+    /// Sets `γ` where a solution peaking at `peak` (unscaled) fills
+    /// `margin` of full scale: `γ = peak/(margin·full_scale)`. A peak that
+    /// gives no positive, finite `γ` leaves it as it is.
+    pub(crate) fn aim_solution_scale(&mut self, peak: f64) {
+        let fs = self.mapped.chip().config().full_scale;
+        let gamma = peak / (self.config.margin * fs);
+        if gamma.is_finite() && gamma > 0.0 {
+            self.scaled.solution_factor = gamma;
+        }
     }
 
     /// Carries both warm-start bases over from another solver of the same
@@ -1102,25 +1088,22 @@ impl AnalogSystemSolver {
     /// sweep sharing one compiled plan and one set of per-step fault and
     /// variation draws.
     ///
-    /// If no solve has been accepted yet, the first column is solved
-    /// sequentially up front — running the full overflow/underuse γ walk —
-    /// exactly as it would be under sequential serving, so the batch sweep
-    /// runs at a settled `γ` instead of falling out wholesale. All batched
-    /// columns use the solution scale `γ` in effect after that (or at
-    /// entry, once calibrated), and the batch never changes it: a column
-    /// that would need a rescale walk
+    /// The batch first aims the solution scale at the first column's warm
+    /// guess `u₀`, `γ = ‖u₀‖∞/(margin·full_scale)`: the guess predicts the
+    /// answer, so the sweep puts it near `margin` of full scale without a
+    /// run to find `γ` first. All columns share that `γ`, and the batch
+    /// never walks it: a column that would need a rescale walk
     /// (programmed-RHS overflow/underuse or a warm guess beyond full scale
     /// up front, or an overflow exception, no-settle, or range underuse in
-    /// its run) is returned as
-    /// [`BatchColumn::Fallback`] for the caller to solve sequentially, and
-    /// the remaining columns keep their batched result. Each solved column's
-    /// readout replays the readout-noise stream from the batch entry state,
-    /// so its conversions match what a first sequential solve would see.
+    /// its run) is returned as [`BatchColumn::Fallback`] for the caller to
+    /// solve sequentially from that `γ`, and the remaining columns keep
+    /// their batched result. Each solved column's readout replays the
+    /// readout-noise stream from the batch entry state, so its conversions
+    /// match what a first sequential solve would see.
     ///
     /// Every lane starts from its own Galerkin guess on the slow modes,
-    /// the warm-start basis as it stood at batch entry (after the
-    /// pre-calibration solve, if one ran) and its own right-hand side; the
-    /// last solved column becomes the basis afterwards.
+    /// the warm-start basis as it stood at batch entry and its own
+    /// right-hand side; the last solved column becomes the basis afterwards.
     ///
     /// # Errors
     ///
@@ -1133,9 +1116,8 @@ impl AnalogSystemSolver {
     }
 
     /// [`solve_batch`](Self::solve_batch), under a supervisor whose relative
-    /// residual tolerance is `tol` when that is given: the pre-calibration
-    /// solve then stops as a supervised run does, and the shared sweep at
-    /// the smallest lane's [`residual_settle_tol`] of its own
+    /// residual tolerance is `tol` when that is given: the shared sweep then
+    /// stops at the smallest lane's [`residual_settle_tol`] of its own
     /// [`settle_budget`] (the engine has one settle tolerance for all
     /// lanes).
     pub(crate) fn solve_batch_within(
@@ -1158,20 +1140,14 @@ impl AnalogSystemSolver {
         let _span = aa_obs::span("solver.solve_batch");
         aa_obs::counter("solver.batch_solves", 1);
 
-        // γ pre-calibration: an uncalibrated solver still carries the
-        // conservative construction-time γ, under which most well-scaled
-        // systems read back far below full scale — every column of the
-        // sweep would fall out as `underuse` and re-solve sequentially
-        // anyway, doubling the work. Pay the γ walk once, up front, on the
-        // first column; the batch then serves the rest at the settled γ.
+        let guesses: Vec<Option<Guess>> = bs
+            .iter()
+            .map(|b| self.warm_guess(b, WarmSlot::Request))
+            .collect();
+        if let Some(first) = &guesses[0] {
+            self.aim_solution_scale(vector::norm_inf(&first.start));
+        }
         let stop = tol.map(Stop::Meet);
-        let calibration = if self.calibrated {
-            None
-        } else {
-            aa_obs::counter("solver.batch_calibrations", 1);
-            Some(self.solve_run(&bs[0], stop, WarmSlot::Request, false)?.0)
-        };
-
         let dac_floor = 4.0 * self.mapped.chip().config().dac_lsb();
 
         let mut out: Vec<BatchColumn> = Vec::with_capacity(bs.len());
@@ -1179,16 +1155,9 @@ impl AnalogSystemSolver {
         let mut lane_columns = Vec::new();
         // The loosest settle target every lane's residual still meets.
         let mut lane_target: Option<f64> = None;
-        for (j, b) in bs.iter().enumerate() {
-            if j == 0 {
-                if let Some(report) = calibration.as_ref() {
-                    out.push(BatchColumn::Solved(report.clone()));
-                    continue;
-                }
-            }
+        for (j, (b, guess)) in bs.iter().zip(&guesses).enumerate() {
             let b_scaled = self.scaled.scale_rhs(b);
             let b_peak = vector::norm_inf(&b_scaled);
-            let guess = self.warm_guess(b, WarmSlot::Request);
             let initial = guess.as_ref().map(|g| self.scaled.scale_solution(&g.start));
             let reach = guess
                 .as_ref()
@@ -1646,23 +1615,22 @@ mod tests {
         solver.solve(&rhs(1.0)).unwrap();
         // Four lanes of different norms, hence different floors.
         let bs: Vec<Vec<f64>> = [1.0, 0.8, 0.9, 0.7].into_iter().map(&mut rhs).collect();
-        let lane_budgets: Vec<f64> = bs
-            .iter()
-            .map(|b| {
-                let floor = solver.inner().readout_floor(b).unwrap();
-                // The premise: the floor leaves the run more than θ·tol.
-                assert!(floor < (1.0 - SETTLE_SHARE) * tol, "floor {floor}");
-                let b_scaled = solver.inner().scaling().scale_rhs(b);
-                residual_settle_tol(budget(tol, floor), &b_scaled)
-            })
-            .collect();
         let recorder = aa_obs::MemoryRecorder::shared();
         let reports = aa_obs::with_recorder(recorder.clone(), || solver.solve_batch(&bs));
+        let mut lane_budgets = Vec::new();
         for (b, report) in bs.iter().zip(reports) {
             let report = report.unwrap();
             assert_eq!(report.recovery.final_path, crate::FinalPath::Analog);
             let r = a.residual_norm(&report.solution, b) / vector::norm2(b);
             assert!(r <= tol, "residual {r}");
+            // The lane's budget at the γ the sweep ran at.
+            let mut scaling = solver.inner().scaling().clone();
+            scaling.solution_factor = report.analog.unwrap().solution_factor;
+            let b_scaled = scaling.scale_rhs(b);
+            let floor = solver.inner().floor_of(&b_scaled);
+            // The premise: the floor leaves the run more than θ·tol.
+            assert!(floor < (1.0 - SETTLE_SHARE) * tol, "floor {floor}");
+            lane_budgets.push(residual_settle_tol(budget(tol, floor), &b_scaled));
         }
         if aa_obs::ENABLED {
             let trace = recorder.snapshot();

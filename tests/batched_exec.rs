@@ -405,10 +405,11 @@ fn batch_edge_cases() {
 
 /// The solver's batched entry: a shared-γ batch solves in-range columns in
 /// one sweep (`runs == 1`, no rescale walks) and routes columns its shared
-/// scaling cannot serve to a typed `Fallback` instead of perturbing γ.
+/// scaling cannot serve to a typed `Fallback` instead of walking γ.
 #[test]
 fn solver_batch_solves_columns_and_routes_overflow_to_fallback() {
     use analog_accel::linalg::{vector, CsrMatrix, LinearOperator};
+    use analog_accel::obs;
     use analog_accel::solver::{AnalogSystemSolver, BatchColumn, SolverConfig};
 
     let a = CsrMatrix::tridiagonal(4, -1.0, 2.0, -1.0).unwrap();
@@ -420,8 +421,21 @@ fn solver_batch_solves_columns_and_routes_overflow_to_fallback() {
         vec![40.0, -25.0, 10.0, 55.0],
         vec![0.8, -0.2, 0.4, 1.0],
     ];
-    let columns = solver.solve_batch(&bs).unwrap();
+    let recorder = obs::MemoryRecorder::shared();
+    let columns = obs::with_recorder(recorder.clone(), || solver.solve_batch(&bs)).unwrap();
     assert_eq!(columns.len(), 3);
+    if obs::ENABLED {
+        // A fresh solver's first batch aims γ at column 0's warm guess
+        // instead of walking it in a run of its own: the one sweep is the
+        // only engine run.
+        let trace = recorder.snapshot();
+        assert_eq!(trace.counter("engine.batch_runs"), 1);
+        assert_eq!(
+            trace.counter("engine.runs"),
+            trace.counter("engine.batch_lanes"),
+            "every run is a lane of the one sweep"
+        );
+    }
     match &columns[1] {
         BatchColumn::Fallback(reason) => assert_eq!(*reason, "rhs_overflow"),
         other => panic!("expected rhs_overflow fallback, got {other:?}"),

@@ -336,11 +336,12 @@ fn empty_queue_checkpoint_restores_and_serves_new_work() {
     assert_identical(&baseline, &recovered, "idle checkpoint");
 }
 
-/// Krylov-mode requests leave learned state behind: each supervisor caches
-/// the preconditioner's per-application solution-scale corrections, and
-/// the next request on that structure starts its analog solves from them.
-/// A checkpoint taken mid-stream must carry that table, or the restored
-/// fleet would start those solves at other scales and drift in solutions,
+/// Krylov-mode requests leave state behind: each supervisor keeps the
+/// converged answer as its request warm-start basis and the last settled
+/// correction as its correction basis, and the next request on that
+/// structure starts its analog runs from the Galerkin guesses on them. A
+/// checkpoint taken mid-stream must carry both bases, or the restored fleet
+/// would start those runs from other guesses and drift in solutions,
 /// `analog_time_s`, and the schedule log.
 #[test]
 fn crash_restore_mid_krylov_stream_is_bit_identical() {
