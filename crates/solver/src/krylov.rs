@@ -27,7 +27,13 @@
 //! near-miss bound: a run to it settles in about half the time of a run
 //! to `tol`, two such applications contract as much as one at `tol`, and
 //! the aim sits far above any readout floor. The ½ cap keeps every
-//! application a contraction. Each application starts its solution scale
+//! application a contraction. An application's run stops once its
+//! residual, read off `max|dũ/dτ|` through the solver's shape factor ρ
+//! rather than the worst-case `√n`, meets that aim less its readout floor,
+//! so it lands near the aim rather than well under it: FCG takes a few
+//! more iterations and each costs less analog time. A readout that misses
+//! the aim is continued to the `√n` stop within the same application.
+//! Each application starts its solution scale
 //! γ at the Rayleigh estimate of its answer's peak, as a refinement
 //! round's correction does. Only the first application solves for the
 //! request's own right-hand side; the later ones solve for residuals and

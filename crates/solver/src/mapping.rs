@@ -343,6 +343,23 @@ impl MappedSystem {
         Ok(())
     }
 
+    /// Holds a run's end state: programs the integrators' initial
+    /// conditions to the state `report` stopped in, unquantized (the held
+    /// charge, not a DAC value), and commits, so the next run continues
+    /// where that one stopped.
+    ///
+    /// # Errors
+    ///
+    /// Propagates chip programming errors.
+    pub(crate) fn hold(&mut self, report: &aa_analog::RunReport) -> Result<(), SolverError> {
+        let fs = self.chip.config().full_scale;
+        for (&i, &u) in &report.integrator_values {
+            self.chip.set_int_initial(i, u.clamp(-fs, fs))?;
+        }
+        self.chip.cfg_commit()?;
+        Ok(())
+    }
+
     /// Builds the per-lane register overlay a batched execution needs for
     /// one (scaled) right-hand side: DAC constants and initial conditions
     /// (`None` is zero) quantized exactly as

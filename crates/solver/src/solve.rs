@@ -116,7 +116,8 @@ pub struct AnalogSolveReport {
     pub solution: Vec<f64>,
     /// Simulated analog computation time, in seconds, across all attempts.
     pub analog_time_s: f64,
-    /// Number of `execStart` runs (1 + rescale retries).
+    /// Number of runs (1 + rescale retries); a run continued from its held
+    /// state counts once.
     pub runs: usize,
     /// Overflow exceptions encountered on the way (empty if first-try).
     pub overflow_retries: usize,
@@ -215,19 +216,21 @@ fn mode_count(n: usize) -> usize {
     (n / ROWS_PER_MODE).clamp(1, MAX_MODES)
 }
 
-/// The slow modes of `a`, A-orthogonal, `v₁` first, and the estimated
-/// eigenvalue `λ_{m+1}` of the slowest mode they leave out.
+/// The slow modes of `a`, A-orthogonal, `v₁` first, the estimated
+/// eigenvalue `λ_{m+1}` of the slowest mode they leave out, and that
+/// mode's [`shape_factor`] ρ.
 ///
 /// `v₁` is the `λ̃_min` iteration's own vector, so `λ̃_min` and `v₁` are one
 /// estimate. A block iteration ([`eigen::smallest_eigenpairs`]) of
 /// [`mode_count`]` + 1` vectors gives the rest: its first vector estimates
 /// `v₁` again and is passed over, the next `m − 1` are A-orthogonalized in
-/// order against those kept before them, and the last one's value is
-/// `λ_{m+1}`. No modes when `v₁` spans nothing; just `v₁`, with its own
-/// Rayleigh quotient as the rate, when the block iteration fails.
-fn slow_modes(a: &CsrMatrix, v1: Vec<f64>) -> (Vec<Direction>, Option<f64>) {
+/// order against those kept before them, and the last one gives `λ_{m+1}`
+/// and ρ. No modes when `v₁` spans nothing; just `v₁`, with its own
+/// Rayleigh quotient as the rate, when the block iteration fails. Without
+/// an `(m+1)`-th vector ρ is `√n`.
+fn slow_modes(a: &CsrMatrix, v1: Vec<f64>) -> (Vec<Direction>, Option<f64>, f64) {
     let Some(v1) = Direction::new(a, v1) else {
-        return (Vec::new(), None);
+        return (Vec::new(), None, shape_factor(None, a.dim()));
     };
     let mut modes = vec![v1];
     let m = mode_count(a.dim());
@@ -238,12 +241,32 @@ fn slow_modes(a: &CsrMatrix, v1: Vec<f64>) -> (Vec<Direction>, Option<f64>) {
         let mode = Direction::new(a, pair.vector).and_then(|d| d.a_orthogonal_to(&modes));
         modes.extend(mode);
     }
-    let rest = pairs.next().map(|pair| pair.value).or_else(|| {
+    let rest = pairs.next();
+    let spread = shape_factor(rest.as_ref().map(|pair| &pair.vector[..]), a.dim());
+    let rate = rest.map(|pair| pair.value).or_else(|| {
         modes
             .last()
             .map(|w| w.energy / vector::dot(&w.vector, &w.vector))
     });
-    (modes, rest)
+    (modes, rate, spread)
+}
+
+/// The shape factor `ρ = ‖v‖₂/‖v‖∞` of the slowest mode `v` a warm run
+/// leaves to the flow, clamped to `[1, √n]`: once the guess has removed
+/// `v₁, …, v_m`, a settling run's residual has `v`'s shape, so
+/// `‖r‖₂ ≈ ρ·max|r_i|` ([`residual_settle_tol`]). `√n`, the bound for any
+/// residual, without a `v`.
+fn shape_factor(v: Option<&[f64]>, n: usize) -> f64 {
+    let root_n = (n as f64).sqrt();
+    let Some(v) = v else {
+        return root_n;
+    };
+    let ratio = vector::norm2(v) / vector::norm_inf(v);
+    if ratio.is_finite() {
+        ratio.clamp(1.0, root_n)
+    } else {
+        root_n
+    }
 }
 
 /// A warm run's initial state and its coefficients on the original
@@ -389,11 +412,13 @@ pub(crate) const SETTLE_SHARE: f64 = 0.25;
 ///
 /// In the value-scaled flow `dũ/dτ = b̃ − Ã·ũ` the derivative the engine
 /// checks for steady state is the run's residual, so a run stopped at
-/// `max|dũ/dτ| ≤ s·‖b̃‖₂/√n` has `‖b̃ − Ã·ũ‖₂ ≤ √n·max|dũ/dτ| ≤ s·‖b̃‖₂`
-/// ([`residual_settle_tol`]). Every scaling is a scalar
-/// (`b − A·u = s·γ·(b̃ − Ã·ũ)`), so the unscaled system has the same
-/// relative residual. Where `tol − q̂ < θ·tol` the readout leaves no room,
-/// and the supervisor plans two rounds instead of one run at `θ·tol`.
+/// `max|dũ/dτ| ≤ s·‖b̃‖₂/ρ` has `‖b̃ − Ã·ũ‖₂ ≈ ρ·max|dũ/dτ| ≤ s·‖b̃‖₂` when
+/// its residual has the shape of the slowest mode left to the flow
+/// ([`residual_settle_tol`], [`shape_factor`] ρ), and for certain at
+/// `ρ = √n`. Every scaling is a scalar (`b − A·u = s·γ·(b̃ − Ã·ũ)`), so the
+/// unscaled system has the same relative residual. Where `tol − q̂ < θ·tol`
+/// the readout leaves no room, and the supervisor plans two rounds instead
+/// of one run at `θ·tol`.
 pub(crate) fn settle_budget(tol: f64, floor: f64) -> f64 {
     (tol - floor).max(SETTLE_SHARE * tol)
 }
@@ -402,10 +427,14 @@ pub(crate) fn settle_budget(tol: f64, floor: f64) -> f64 {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Stop {
     /// The run's answer must meet this tolerance: it stops at the
-    /// [`settle_budget`] its own readout floor leaves.
+    /// [`settle_budget`] its own readout floor leaves, read through the
+    /// solver's shape factor ρ. A readout that misses the tolerance is
+    /// continued from its held state to the same budget at `√n`, which
+    /// bounds any residual.
     Meet(f64),
-    /// At this residual: a planned first round's `max(tol, q̂)`, past which
-    /// a longer run buys nothing the readout keeps.
+    /// At this residual, read at `√n`: a planned first round's
+    /// `max(tol, q̂)`, past which a longer run buys nothing the readout
+    /// keeps.
     At(f64),
 }
 
@@ -477,6 +506,10 @@ pub struct AnalogSystemSolver {
     /// The estimated eigenvalue `λ_{m+1}` of the slowest mode `modes`
     /// leave out, which bounds the error of a warm guess ([`Guess::reach`]).
     rest_rate: Option<f64>,
+    /// That mode's [`shape_factor`] ρ in `[1, √n]`, through which every
+    /// [`Stop::Meet`] run and supervised batch lane reads its residual off
+    /// `max|dũ/dτ|`; rebuilt by [`new`](Self::new) like the modes.
+    spread: f64,
     /// Floating-point operations spent on warm guesses of runs since
     /// construction (host-side digital work, carried over a remap).
     guess_flops: u64,
@@ -525,9 +558,9 @@ impl AnalogSystemSolver {
         if config.calibrate {
             calibrate(mapped.chip_mut())?;
         }
-        let (lambda, (modes, rest_rate)) = match slowest_mode(a) {
+        let (lambda, (modes, rest_rate, spread)) = match slowest_mode(a) {
             Ok((lambda, v)) => (Some(lambda), slow_modes(a, v)),
-            Err(_) => (None, (Vec::new(), None)),
+            Err(_) => (None, (Vec::new(), None, shape_factor(None, a.dim()))),
         };
         let engine = EngineOptions {
             steady_tol: readout_settle_tol(lambda, a.dim(), &template, config.engine.steady_tol),
@@ -550,6 +583,7 @@ impl AnalogSystemSolver {
             warm_start: None,
             correction_warm_start: None,
             rest_rate,
+            spread,
             modes,
             guess_flops: 0,
             #[cfg(test)]
@@ -838,15 +872,15 @@ impl AnalogSystemSolver {
         self.a_frobenius * 0.5 * self.mapped.chip().config().adc_lsb() / vector::norm2(b_scaled)
     }
 
-    /// The readout floor of a run programmed with `b_scaled` and the
-    /// relative residual it stops at under `stop`.
-    fn settle(&self, stop: Stop, b_scaled: &[f64]) -> (f64, f64) {
+    /// The readout floor of a run programmed with `b_scaled`, the relative
+    /// residual it stops at under `stop`, and the shape factor it reads
+    /// that residual through: ρ for [`Stop::Meet`], `√n` for [`Stop::At`].
+    fn settle(&self, stop: Stop, b_scaled: &[f64]) -> (f64, f64, f64) {
         let floor = self.floor_of(b_scaled);
-        let settle = match stop {
-            Stop::Meet(tol) => settle_budget(tol, floor),
-            Stop::At(residual) => residual,
-        };
-        (floor, settle)
+        match stop {
+            Stop::Meet(tol) => (floor, settle_budget(tol, floor), self.spread),
+            Stop::At(residual) => (floor, residual, shape_factor(None, self.dim())),
+        }
     }
 
     /// The engine options of one run: the solver's own, with the settle
@@ -860,6 +894,69 @@ impl AnalogSystemSolver {
         engine
     }
 
+    /// The §III-B response to an overflow exception (`exceptions` units
+    /// latched) after `retries` rescales: grow the headroom and count one
+    /// more, for the caller to run again at the new `γ`.
+    ///
+    /// # Errors
+    ///
+    /// [`SolverError::RescaleExhausted`] once `max_rescale_attempts`
+    /// rescales are spent.
+    fn grow_after_overflow(
+        &mut self,
+        retries: &mut usize,
+        exceptions: usize,
+    ) -> Result<(), SolverError> {
+        // §III-B: "When such exceptions occur the original problem is
+        // scaled to fit in the dynamic range of the analog accelerator and
+        // computation is reattempted."
+        if *retries >= self.config.max_rescale_attempts {
+            return Err(SolverError::RescaleExhausted { attempts: *retries });
+        }
+        self.scaled.grow_headroom();
+        *retries += 1;
+        aa_obs::counter("solver.rescales", 1);
+        aa_obs::counter("solver.rescales.overflow", 1);
+        aa_obs::event(
+            aa_obs::Event::new("solver.rescale")
+                .with("cause", "overflow")
+                .with("retry", *retries)
+                .with("exceptions", exceptions),
+        );
+        Ok(())
+    }
+
+    /// The peak integrator range usage of a run, `max_i |ũ_i|/fs`.
+    fn peak_of(&self, report: &aa_analog::RunReport) -> f64 {
+        self.mapped
+            .integrator_range_usage(report)
+            .values()
+            .fold(0.0f64, |m, v| m.max(*v))
+    }
+
+    /// The engine options that continue a run stopped under `stop` with
+    /// `engine`, programmed with `b_scaled`, from its held state, and the
+    /// tolerance its readout must miss for that: the same settle budget read
+    /// at `√n` ([`residual_settle_tol`]), which bounds the residual whatever
+    /// its shape. `None` unless `stop` is [`Stop::Meet`] and the
+    /// continuation settles further than the run did (not at `ρ = √n`, nor
+    /// under a readout bound looser than both).
+    fn continuation(
+        &self,
+        stop: Option<Stop>,
+        settled: Option<(f64, f64, f64)>,
+        engine: &EngineOptions,
+        b_scaled: &[f64],
+    ) -> Option<(EngineOptions, f64)> {
+        let (Some(Stop::Meet(tol)), Some((_, settle, _))) = (stop, settled) else {
+            return None;
+        };
+        let root_n = shape_factor(None, self.dim());
+        let full = self.run_options(Some(residual_settle_tol(settle, b_scaled, root_n)));
+        let further = matches!((full.steady_tol, engine.steady_tol), (Some(f), Some(e)) if f < e);
+        further.then_some((full, tol))
+    }
+
     /// Solves `A·u = b` on the accelerator with overflow-driven retry.
     ///
     /// # Errors
@@ -869,25 +966,29 @@ impl AnalogSystemSolver {
     /// * [`SolverError::NoSteadyState`] if the flow does not settle (e.g.
     ///   non-positive-definite `A`).
     pub fn solve(&mut self, b: &[f64]) -> Result<AnalogSolveReport, SolverError> {
-        self.solve_run(b, None, WarmSlot::Request, false)
-            .map(|(report, _)| report)
+        self.solve_run(b, None, WarmSlot::Request)
+            .map(|(report, ..)| report)
     }
 
     /// [`solve`](Self::solve) for a supervisor: every run stops once its
     /// residual meets `stop` (for [`Stop::Meet`], the [`settle_budget`] of
-    /// the floor at the `γ` that run uses), starts from and refreshes the
+    /// the floor at the `γ` that run uses, read through ρ, and continued to
+    /// `√n` when its readout misses the tolerance), starts from and refreshes the
     /// basis in `slot`, and a run which hits its time cap without an
     /// exception is read out instead of reported as
     /// [`SolverError::NoSteadyState`]. The flag is `true` for such a
     /// timed-out readout. Only the supervisor, which validates every
-    /// answer and refines near misses, may take an unsettled state.
+    /// answer and refines near misses, may take an unsettled state. The
+    /// last element is the answer's residual norm `‖b − A·u‖₂` when the
+    /// host already computed it (a readout checked and kept without a
+    /// continuation), for the supervisor to validate with.
     pub(crate) fn solve_or_time_out(
         &mut self,
         b: &[f64],
         stop: Stop,
         slot: WarmSlot,
-    ) -> Result<(AnalogSolveReport, bool), SolverError> {
-        self.solve_run(b, Some(stop), slot, true)
+    ) -> Result<(AnalogSolveReport, bool, Option<f64>), SolverError> {
+        self.solve_run(b, Some(stop), slot)
     }
 
     fn solve_run(
@@ -895,8 +996,10 @@ impl AnalogSystemSolver {
         b: &[f64],
         stop: Option<Stop>,
         slot: WarmSlot,
-        read_timed_out: bool,
-    ) -> Result<(AnalogSolveReport, bool), SolverError> {
+    ) -> Result<(AnalogSolveReport, bool, Option<f64>), SolverError> {
+        // Only a supervisor, which names where its runs stop, reads a
+        // timed-out run out.
+        let read_timed_out = stop.is_some();
         if b.len() != self.dim() {
             return Err(SolverError::invalid(format!(
                 "rhs has {} entries, system has {}",
@@ -971,45 +1074,27 @@ impl AnalogSystemSolver {
             }
             self.mapped.program_rhs(&b_scaled, initial.as_deref())?;
             let settled = stop.map(|stop| self.settle(stop, &b_scaled));
-            let engine =
-                self.run_options(settled.map(|(_, settle)| residual_settle_tol(settle, &b_scaled)));
+            let engine = self.run_options(
+                settled.map(|(_, settle, spread)| residual_settle_tol(settle, &b_scaled, spread)),
+            );
             Self::count_start(guess.is_some());
             let report = self.mapped.chip_mut().exec(&engine)?;
             total_time += report.duration_s;
             runs += 1;
 
             if report.exceptions.any() {
-                // §III-B: "When such exceptions occur the original problem
-                // is scaled to fit in the dynamic range of the analog
-                // accelerator and computation is reattempted."
-                if retries >= self.config.max_rescale_attempts {
-                    return Err(SolverError::RescaleExhausted { attempts: retries });
-                }
-                self.scaled.grow_headroom();
+                self.grow_after_overflow(&mut retries, report.exceptions.len())?;
                 allow_shrink = false;
-                retries += 1;
-                aa_obs::counter("solver.rescales", 1);
-                aa_obs::counter("solver.rescales.overflow", 1);
-                aa_obs::event(
-                    aa_obs::Event::new("solver.rescale")
-                        .with("cause", "overflow")
-                        .with("retry", retries)
-                        .with("exceptions", report.exceptions.len()),
-                );
                 continue;
             }
-            let timed_out = !report.reached_steady_state;
+            let mut timed_out = !report.reached_steady_state;
             if timed_out && !read_timed_out {
                 return Err(SolverError::NoSteadyState {
                     waited_s: report.duration_s,
                 });
             }
 
-            let peak = self
-                .mapped
-                .integrator_range_usage(&report)
-                .values()
-                .fold(0.0f64, |m, v| m.max(*v));
+            let mut peak = self.peak_of(&report);
             // §III-B underuse response: if the solution sat far below full
             // scale, shrink the headroom so the next run uses the range —
             // and therefore the converter resolution — properly. A
@@ -1041,7 +1126,44 @@ impl AnalogSystemSolver {
             }
 
             let raw = self.mapped.read_solution(self.config.readout_samples)?;
-            let solution = self.scaled.unscale_solution(&raw);
+            let mut solution = self.scaled.unscale_solution(&raw);
+            let mut steps = report.steps;
+            // A readout that misses the tolerance its run must meet is
+            // continued from the held state to the residual `√n` bounds:
+            // the same run, neither refined nor retried. The miss is the
+            // host's digital residual check, which a kept readout hands on
+            // to the supervisor's validation.
+            let mut checked = None;
+            let full = match self.continuation(stop, settled, &engine, &b_scaled) {
+                Some((full, tol)) if !timed_out => {
+                    let residual = self.matrix.residual_norm(&solution, b);
+                    if residual > tol * vector::norm2(b) {
+                        Some(full)
+                    } else {
+                        checked = Some(residual);
+                        None
+                    }
+                }
+                _ => None,
+            };
+            let continued = full.is_some();
+            if let Some(full) = full {
+                self.mapped.hold(&report)?;
+                Self::count_start(true);
+                aa_obs::counter("solver.continued_runs", 1);
+                let more = self.mapped.chip_mut().exec(&full)?;
+                total_time += more.duration_s;
+                if more.exceptions.any() {
+                    self.grow_after_overflow(&mut retries, more.exceptions.len())?;
+                    allow_shrink = false;
+                    continue;
+                }
+                timed_out = !more.reached_steady_state;
+                peak = peak.max(self.peak_of(&more));
+                steps += more.steps;
+                let raw = self.mapped.read_solution(self.config.readout_samples)?;
+                solution = self.scaled.unscale_solution(&raw);
+            }
             // A timed-out readout skipped the underuse walk, so its γ is
             // not one a batch should start from, and its state is not a
             // settled answer to start the next run from.
@@ -1057,7 +1179,8 @@ impl AnalogSystemSolver {
                     .with("runs", runs)
                     .with("overflow_retries", retries)
                     .with("underuse_retries", underuse_retries)
-                    .with("peak", peak);
+                    .with("peak", peak)
+                    .with("steps", steps);
                 if let Some(g) = &guess {
                     ev = ev
                         .with("alpha", g.alpha)
@@ -1065,8 +1188,12 @@ impl AnalogSystemSolver {
                         .with("rhs", g.rhs)
                         .with("modes", g.on_modes.len());
                 }
-                if let Some((floor, settle)) = settled {
-                    ev = ev.with("floor", floor).with("settle", settle);
+                if let Some((floor, settle, spread)) = settled {
+                    ev = ev
+                        .with("floor", floor)
+                        .with("settle", settle)
+                        .with("spread", spread)
+                        .with("continued", continued);
                 }
                 aa_obs::event(ev);
             }
@@ -1080,7 +1207,7 @@ impl AnalogSystemSolver {
                 value_factor: self.scaled.value_factor,
                 solution_factor: self.scaled.solution_factor,
             };
-            return Ok((report, timed_out));
+            return Ok((report, timed_out, checked));
         }
     }
 
@@ -1118,8 +1245,8 @@ impl AnalogSystemSolver {
     /// [`solve_batch`](Self::solve_batch), under a supervisor whose relative
     /// residual tolerance is `tol` when that is given: the shared sweep then
     /// stops at the smallest lane's [`residual_settle_tol`] of its own
-    /// [`settle_budget`] (the engine has one settle tolerance for all
-    /// lanes).
+    /// [`settle_budget`] read through ρ (the engine has one settle
+    /// tolerance for all lanes).
     pub(crate) fn solve_batch_within(
         &mut self,
         bs: &[Vec<f64>],
@@ -1178,8 +1305,8 @@ impl AnalogSystemSolver {
             Self::count_start(initial.is_some());
             lanes.push(self.mapped.lane_bindings(&b_scaled, initial.as_deref())?);
             if let Some(stop) = stop {
-                let (_, settle) = self.settle(stop, &b_scaled);
-                let target = residual_settle_tol(settle, &b_scaled);
+                let (_, settle, spread) = self.settle(stop, &b_scaled);
+                let target = residual_settle_tol(settle, &b_scaled, spread);
                 lane_target = Some(lane_target.map_or(target, |t| t.min(target)));
             }
             lane_columns.push(j);
@@ -1203,11 +1330,7 @@ impl AnalogSystemSolver {
                 out[j] = BatchColumn::Fallback("no_steady_state");
                 continue;
             }
-            let peak = self
-                .mapped
-                .integrator_range_usage(report)
-                .values()
-                .fold(0.0f64, |m, v| m.max(*v));
+            let peak = self.peak_of(report);
             if peak < self.config.underuse_threshold {
                 out[j] = BatchColumn::Fallback("underuse");
                 continue;
@@ -1279,10 +1402,14 @@ fn readout_settle_tol(
 }
 
 /// The settle tolerance at which a run programmed with `b_scaled` has a
-/// relative residual of at most `settle`: `settle·‖b̃‖₂/√n`, since
-/// `‖b̃ − Ã·ũ‖₂ ≤ √n·max|dũ/dτ|`.
-fn residual_settle_tol(settle: f64, b_scaled: &[f64]) -> f64 {
-    settle * vector::norm2(b_scaled) / (b_scaled.len() as f64).sqrt()
+/// relative residual of about `settle` when its residual's 2-norm is
+/// `spread` times its largest element: `settle·‖b̃‖₂/spread`. At
+/// `spread = √n` the residual is at most `settle` whatever its shape, since
+/// `‖b̃ − Ã·ũ‖₂ ≤ √n·max|dũ/dτ|`; at the solver's [`shape_factor`] ρ it is
+/// `settle` once the residual has the shape of the slowest mode left to
+/// the flow.
+fn residual_settle_tol(settle: f64, b_scaled: &[f64], spread: f64) -> f64 {
+    settle * vector::norm2(b_scaled) / spread
 }
 
 #[cfg(test)]
@@ -1484,7 +1611,7 @@ mod tests {
                 settled.start_at_rest();
                 assert!(settled.starts_at_rest(b, WarmSlot::Request));
                 // Detection is off, so no tolerance can stop the run early.
-                let (full, timed_out) = settled
+                let (full, timed_out, _) = settled
                     .solve_or_time_out(b, Stop::Meet(1e-2), WarmSlot::Request)
                     .unwrap();
                 assert!(timed_out, "detection off runs to the cap");
@@ -1532,13 +1659,14 @@ mod tests {
         let recovery = crate::RecoveryConfig::default();
         let tol = recovery.residual_tolerance;
         let mut rng = aa_linalg::rng::Rng64::seed_from_u64(23);
+        let recorder = aa_obs::MemoryRecorder::shared();
         for a in stop_rule_matrices() {
             let n = a.dim();
             let mut solver = crate::SupervisedSolver::new(&a, &cfg, &recovery).unwrap();
             // A first solve without a basis, then ones with it.
             for _ in 0..3 {
                 let b: Vec<f64> = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
-                let report = solver.solve(&b).unwrap();
+                let report = aa_obs::with_recorder(recorder.clone(), || solver.solve(&b).unwrap());
                 assert_eq!(report.recovery.final_path, crate::FinalPath::Analog);
                 // At the γ the answer was read out at.
                 let floor = solver.inner().readout_floor(&b).unwrap();
@@ -1546,6 +1674,12 @@ mod tests {
                 let r = a.residual_norm(&report.solution, &b) / vector::norm2(&b);
                 assert!(r <= bound, "n = {n}: residual {r} > {bound}");
             }
+        }
+        // The sweep reaches the continuation: some of these answers are
+        // continued runs' readouts.
+        if aa_obs::ENABLED {
+            let continued = recorder.snapshot().counter("solver.continued_runs");
+            assert!(continued > 0, "no run continued");
         }
     }
 
@@ -1630,7 +1764,9 @@ mod tests {
             let floor = solver.inner().floor_of(&b_scaled);
             // The premise: the floor leaves the run more than θ·tol.
             assert!(floor < (1.0 - SETTLE_SHARE) * tol, "floor {floor}");
-            lane_budgets.push(residual_settle_tol(budget(tol, floor), &b_scaled));
+            // Read through the solver's shape factor ρ, as every lane is.
+            let spread = solver.inner().spread;
+            lane_budgets.push(residual_settle_tol(budget(tol, floor), &b_scaled, spread));
         }
         if aa_obs::ENABLED {
             let trace = recorder.snapshot();
@@ -1644,6 +1780,166 @@ mod tests {
             );
             assert_eq!(trace.counter("solver.recovery.batch_fallbacks"), 0);
             assert_eq!(trace.counter("solver.supervised_solves"), 0);
+        }
+    }
+
+    #[test]
+    fn batch_lanes_that_miss_are_re_solved_and_validate() {
+        // 2D Poisson n = 25, whose slowest remaining mode is among the
+        // fleet's least flat (ρ ≈ 2.1 against √n = 5), and 24-bit
+        // converters, so a lane's answer is where its run stopped; the
+        // fleet's right-hand sides (entries in [0.1, 1)). A lane whose
+        // readout misses the tolerance at ρ leaves the batch for a
+        // sequential supervised solve, which continues its run to √n.
+        let a = CsrMatrix::from_row_access(&PoissonStencil::new_2d(5).unwrap());
+        let n = a.dim();
+        let recovery = crate::RecoveryConfig::default();
+        let tol = recovery.residual_tolerance;
+        let cfg = SolverConfig::ideal().adc_bits(24);
+        let mut solver = crate::SupervisedSolver::new(&a, &cfg, &recovery).unwrap();
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(71);
+        let mut rhs = || -> Vec<f64> { (0..n).map(|_| rng.range(0.1, 1.0)).collect() };
+        solver.solve(&rhs()).unwrap();
+        let recorder = aa_obs::MemoryRecorder::shared();
+        for _ in 0..4 {
+            let bs: Vec<Vec<f64>> = (0..4).map(|_| rhs()).collect();
+            let reports = aa_obs::with_recorder(recorder.clone(), || solver.solve_batch(&bs));
+            for (b, report) in bs.iter().zip(reports) {
+                let report = report.unwrap();
+                assert_eq!(report.recovery.final_path, crate::FinalPath::Analog);
+                let r = a.residual_norm(&report.solution, b) / vector::norm2(b);
+                assert!(r <= tol, "residual {r}");
+            }
+        }
+        if aa_obs::ENABLED {
+            let trace = recorder.snapshot();
+            // The premise: some lanes missed, and each was solved once more.
+            let missed = trace.counter("solver.recovery.batch_fallbacks");
+            assert!(missed > 0, "no lane missed");
+            assert_eq!(trace.counter("solver.supervised_solves"), missed);
+            // No run starts from rest, a continuation included.
+            assert_eq!(
+                trace.counter("solver.warm_starts"),
+                trace.counter("engine.runs")
+            );
+        }
+    }
+
+    /// The fleet's structure families: its tridiagonals (n = 4 to 16,
+    /// diagonals 2.0 to 2.3) and its 5-point grids (side 4 to 8, with the
+    /// batched workload's anisotropic couplings).
+    fn fleet_structures() -> Vec<CsrMatrix> {
+        let mut matrices = Vec::new();
+        for n in 4..=16 {
+            for diag in [2.0, 2.1, 2.2, 2.3] {
+                matrices.push(CsrMatrix::tridiagonal(n, -1.0, diag, -1.0).unwrap());
+            }
+        }
+        let grid = |side: usize, cx: f64, cy: f64| {
+            let at = |i: usize, j: usize| i * side + j;
+            let mut entries = Vec::new();
+            for i in 0..side {
+                for j in 0..side {
+                    entries.push(Triplet::new(at(i, j), at(i, j), 2.0 * (cx + cy)));
+                    if j + 1 < side {
+                        entries.push(Triplet::new(at(i, j), at(i, j + 1), -cx));
+                        entries.push(Triplet::new(at(i, j + 1), at(i, j), -cx));
+                    }
+                    if i + 1 < side {
+                        entries.push(Triplet::new(at(i, j), at(i + 1, j), -cy));
+                        entries.push(Triplet::new(at(i + 1, j), at(i, j), -cy));
+                    }
+                }
+            }
+            CsrMatrix::from_triplets(side * side, &entries).unwrap()
+        };
+        for side in 4..=8 {
+            for (cx, cy) in [(1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (1.0, 0.75)] {
+                matrices.push(grid(side, cx, cy));
+            }
+        }
+        matrices
+    }
+
+    #[test]
+    fn spread_lies_between_one_and_root_n_on_every_fleet_structure() {
+        for a in fleet_structures() {
+            let n = a.dim();
+            let solver = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+            let rho = solver.spread;
+            assert!(
+                (1.0..=(n as f64).sqrt()).contains(&rho),
+                "n = {n}: ρ = {rho}"
+            );
+            // A settling mode is never flat, so ρ reads a tighter stop
+            // than √n on every one of them.
+            assert!(rho < (n as f64).sqrt(), "n = {n}: ρ = {rho}");
+        }
+    }
+
+    #[test]
+    fn spread_is_root_n_without_a_further_mode() {
+        // The identity's block iteration fails (every eigenvalue is 1), so
+        // only v₁ is kept and no (m+1)-th vector shapes the stop.
+        let identity = CsrMatrix::tridiagonal(6, 0.0, 1.0, 0.0).unwrap();
+        let solver = AnalogSystemSolver::new(&identity, &SolverConfig::ideal()).unwrap();
+        assert_eq!(solver.modes.len(), 1);
+        assert_eq!(solver.spread, 6f64.sqrt());
+        // A 1×1 system has no second mode either.
+        let single = CsrMatrix::tridiagonal(1, 0.0, 2.0, 0.0).unwrap();
+        let solver = AnalogSystemSolver::new(&single, &SolverConfig::ideal()).unwrap();
+        assert_eq!(solver.spread, 1.0);
+        // Nor does a v₁ that spans nothing.
+        let a = poisson_1d(9);
+        let (modes, _, spread) = slow_modes(&a, vec![0.0; 9]);
+        assert!(modes.is_empty());
+        assert_eq!(spread, 3.0);
+    }
+
+    /// Supervised solves of the fleet's right-hand sides (entries in
+    /// [0.1, 1)) over [`stop_rule_matrices`] with `bits`-bit converters,
+    /// read through `√n` instead of ρ when `root_n`. Each structure's first
+    /// solve settles γ; per later solve: its final path, relative residual,
+    /// and whether a run was continued (traced builds only).
+    fn stop_rule_sweep(bits: u32, root_n: bool) -> Vec<(crate::FinalPath, f64, bool)> {
+        let recovery = crate::RecoveryConfig::default();
+        let mut rng = aa_linalg::rng::Rng64::seed_from_u64(67);
+        let mut out = Vec::new();
+        for a in stop_rule_matrices() {
+            let n = a.dim();
+            let mut rhs = || -> Vec<f64> { (0..n).map(|_| rng.range(0.1, 1.0)).collect() };
+            let cfg = SolverConfig::ideal().adc_bits(bits);
+            let mut solver = crate::SupervisedSolver::new(&a, &cfg, &recovery).unwrap();
+            if root_n {
+                solver.inner_mut().spread = (n as f64).sqrt();
+            }
+            solver.solve(&rhs()).unwrap();
+            for _ in 0..8 {
+                let b = rhs();
+                let recorder = aa_obs::MemoryRecorder::shared();
+                let report = aa_obs::with_recorder(recorder.clone(), || solver.solve(&b).unwrap());
+                let r = a.residual_norm(&report.solution, &b) / vector::norm2(&b);
+                let continued = recorder.snapshot().counter("solver.continued_runs") > 0;
+                out.push((report.recovery.final_path, r, continued));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_first_try_at_12_bits_is_analog() {
+        for (path, r, _) in stop_rule_sweep(12, false) {
+            assert_eq!(path, crate::FinalPath::Analog, "residual {r}");
+        }
+    }
+
+    #[test]
+    fn a_root_n_solver_never_continues_a_run() {
+        for bits in [12, 24] {
+            for (path, r, continued) in stop_rule_sweep(bits, true) {
+                assert_eq!(path, crate::FinalPath::Analog, "{bits} bits: residual {r}");
+                assert!(!continued, "{bits} bits: residual {r}");
+            }
         }
     }
 
@@ -1707,7 +2003,7 @@ mod tests {
                 // The same γ and basis.
                 let mut supervised = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
                 supervised.import_state(&plain.export_state()).unwrap();
-                let (sup, timed_out) = supervised
+                let (sup, timed_out, _) = supervised
                     .solve_or_time_out(&b, Stop::Meet(tol), WarmSlot::Request)
                     .unwrap();
                 let full = plain.solve(&b).unwrap();

@@ -50,11 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // A burst on every integrator in the first 2.5 ms of chip lifetime
-    // keeps the derivative alive, so the first run hits its time cap (at
-    // this amplitude, one or two noisy integrators pass through zero often
-    // enough for a run to stop mid-burst). A weak burst leaves the state
-    // close to the answer (a near miss, refined once); a strong one does
-    // not, and the supervisor waits the burst out.
+    // keeps the derivative alive. A weak one passes through zero often
+    // enough that the run, which stops once its residual read through the
+    // slowest remaining mode's shape meets the tolerance, stops mid-burst
+    // with an answer that validates. A strong one keeps the run going to
+    // its time cap, far from the answer, and the supervisor waits the
+    // burst out.
     for (label, amplitude) in [("weak", 0.05), ("strong", 0.5)] {
         println!("== {label} transient noise burst (first 2.5 ms of chip lifetime) ==");
         let mut solver = SupervisedSolver::new(&a, &cfg, &RecoveryConfig::default())?;
