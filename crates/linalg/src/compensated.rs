@@ -58,16 +58,6 @@ impl TwoFloat {
         self.hi + self.lo
     }
 
-    /// `self + b` with the rounding error folded into `lo`.
-    #[inline]
-    pub fn add_f64(self, b: f64) -> Self {
-        let (s, e) = two_sum(self.hi, b);
-        TwoFloat {
-            hi: s,
-            lo: self.lo + e,
-        }
-    }
-
     /// `self + a·b` with both the product and sum errors folded into `lo`.
     #[inline]
     pub fn add_prod(self, a: f64, b: f64) -> Self {

@@ -102,11 +102,6 @@ impl CholeskyFactor {
         }
         Ok(x)
     }
-
-    /// Log-determinant of `A`, `2·Σ log(l_ii)` (cheap by-product of factoring).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l.get(i, i).ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -171,11 +166,5 @@ mod tests {
         let a = DenseMatrix::identity(2);
         let chol = CholeskyFactor::new(&a).unwrap();
         assert!(chol.solve(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn log_det_of_identity_is_zero() {
-        let chol = CholeskyFactor::new(&DenseMatrix::identity(4)).unwrap();
-        assert!(chol.log_det().abs() < 1e-14);
     }
 }

@@ -8,13 +8,9 @@
 
 mod cholesky;
 mod lu;
-mod qr;
-mod svd;
 
 pub use cholesky::CholeskyFactor;
 pub use lu::LuFactor;
-pub use qr::QrFactor;
-pub use svd::SvdFactor;
 
 use crate::{DenseMatrix, LinalgError};
 

@@ -10,8 +10,6 @@
 //! * [`smallest_eigenpairs`] — the `k` slowest eigenpairs by the block form
 //!   of the same iteration.
 //! * [`gershgorin_bounds`] — cheap analytic enclosure of the spectrum.
-//! * [`poisson_lambda_min`] / [`poisson_lambda_max`] — closed forms for the
-//!   model Poisson operators.
 
 use crate::op::{LinearOperator, RowAccess};
 use crate::rng::Rng64;
@@ -290,52 +288,28 @@ pub fn gershgorin_bounds<M: RowAccess>(a: &M) -> (f64, f64) {
     (lower, upper)
 }
 
-/// Condition number estimate `λ_max / λ_min` for an SPD operator.
-///
-/// # Errors
-///
-/// Propagates iteration errors; returns
-/// [`LinalgError::NotPositiveDefinite`] if the smallest eigenvalue estimate
-/// is non-positive.
-pub fn condition_estimate<M: RowAccess>(
-    a: &M,
-    max_iterations: usize,
-    tolerance: f64,
-) -> Result<f64, LinalgError> {
-    let max = power_iteration(a, max_iterations, tolerance)?;
-    let min = smallest_eigenvalue(a, max_iterations, tolerance)?;
-    if min.value <= 0.0 {
-        return Err(LinalgError::NotPositiveDefinite { pivot: 0 });
-    }
-    Ok(max.value / min.value)
-}
-
-/// Closed-form smallest eigenvalue of the `d`-dimensional Poisson operator
-/// with `l` interior points per side: `λ_min = d·(4/h²)·sin²(π·h/2)`,
-/// `h = 1/(l+1)`.
-///
-/// As `l → ∞` this tends to `d·π²` — the continuum limit — which is why the
-/// *scaled* analog solve time grows like `L² = N` (2D) after the paper's
-/// value/time scaling.
-pub fn poisson_lambda_min(l: usize, dimensionality: usize) -> f64 {
-    let h = 1.0 / (l as f64 + 1.0);
-    let s = (std::f64::consts::PI * h / 2.0).sin();
-    dimensionality as f64 * (4.0 / (h * h)) * s * s
-}
-
-/// Closed-form largest eigenvalue of the `d`-dimensional Poisson operator:
-/// `λ_max = d·(4/h²)·cos²(π·h/2)`.
-pub fn poisson_lambda_max(l: usize, dimensionality: usize) -> f64 {
-    let h = 1.0 / (l as f64 + 1.0);
-    let c = (std::f64::consts::PI * h / 2.0).cos();
-    dimensionality as f64 * (4.0 / (h * h)) * c * c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stencil::PoissonStencil;
     use crate::CsrMatrix;
+
+    /// Closed-form smallest eigenvalue of the `d`-dimensional Poisson
+    /// operator with `l` interior points per side, `λ_min =
+    /// d·(4/h²)·sin²(π·h/2)`, `h = 1/(l+1)`: with [`poisson_lambda_max`],
+    /// the reference the numerical estimates are checked against.
+    fn poisson_lambda_min(l: usize, dimensionality: usize) -> f64 {
+        let h = 1.0 / (l as f64 + 1.0);
+        let s = (std::f64::consts::PI * h / 2.0).sin();
+        dimensionality as f64 * (4.0 / (h * h)) * s * s
+    }
+
+    /// Closed-form largest eigenvalue, `λ_max = d·(4/h²)·cos²(π·h/2)`.
+    fn poisson_lambda_max(l: usize, dimensionality: usize) -> f64 {
+        let h = 1.0 / (l as f64 + 1.0);
+        let c = (std::f64::consts::PI * h / 2.0).cos();
+        dimensionality as f64 * (4.0 / (h * h)) * c * c
+    }
 
     #[test]
     fn power_iteration_finds_dominant_eigenvalue() {
@@ -468,15 +442,6 @@ mod tests {
         assert!(hi >= poisson_lambda_max(5, 2));
         // For interior rows the bound is [0, 8/h²].
         assert!(lo >= 0.0);
-    }
-
-    #[test]
-    fn condition_number_grows_like_l_squared() {
-        let k4 = condition_estimate(&PoissonStencil::new_1d(4).unwrap(), 50_000, 1e-13).unwrap();
-        let k9 = condition_estimate(&PoissonStencil::new_1d(9).unwrap(), 50_000, 1e-13).unwrap();
-        // h halves (1/5 → 1/10): κ ≈ 4/(π h)² should grow ≈4×.
-        let ratio = k9 / k4;
-        assert!(ratio > 3.0 && ratio < 5.0, "ratio = {ratio}");
     }
 
     #[test]

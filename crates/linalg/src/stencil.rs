@@ -114,11 +114,6 @@ impl PoissonStencil {
         2.0 * self.dimensionality as f64 * self.prefactor()
     }
 
-    /// Off-diagonal (neighbour) coefficient `−1/h²`.
-    pub fn offdiagonal_value(&self) -> f64 {
-        -self.prefactor()
-    }
-
     /// Decomposes a linear index into per-dimension coordinates.
     fn coords(&self, mut idx: usize) -> [usize; 3] {
         let l = self.points_per_side;

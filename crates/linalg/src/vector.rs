@@ -77,21 +77,6 @@ pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
     x.iter().zip(y).map(|(a, b)| a - b).collect()
 }
 
-/// Largest absolute element-wise change between two iterates,
-/// `max_i |x_i − y_i|`.
-///
-/// This is the paper's digital stopping criterion: iteration stops when no
-/// element of the output vector changes by more than 1/256 (one 8-bit ADC
-/// code) of full scale.
-///
-/// # Panics
-///
-/// Panics if `x.len() != y.len()`.
-pub fn max_abs_change(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "max_abs_change: length mismatch");
-    x.iter().zip(y).fold(0.0, |m, (a, b)| m.max((a - b).abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,11 +115,10 @@ mod tests {
     }
 
     #[test]
-    fn sub_and_max_change() {
+    fn sub_is_element_wise() {
         let x = [3.0, 5.0];
         let y = [1.0, 9.0];
         assert_eq!(sub(&x, &y), vec![2.0, -4.0]);
-        assert_eq!(max_abs_change(&x, &y), 4.0);
     }
 
     #[test]

@@ -12,8 +12,6 @@ pub enum PdeError {
     },
     /// An underlying linear-algebra failure.
     Linalg(aa_linalg::LinalgError),
-    /// An underlying ODE-integration failure.
-    Ode(aa_ode::OdeError),
     /// An iterative solve failed to converge within its budget.
     NotConverged {
         /// Iterations or cycles performed.
@@ -36,7 +34,6 @@ impl fmt::Display for PdeError {
         match self {
             PdeError::InvalidGrid { message } => write!(f, "invalid grid: {message}"),
             PdeError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
-            PdeError::Ode(e) => write!(f, "ode failure: {e}"),
             PdeError::NotConverged {
                 iterations,
                 residual,
@@ -52,7 +49,6 @@ impl Error for PdeError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             PdeError::Linalg(e) => Some(e),
-            PdeError::Ode(e) => Some(e),
             _ => None,
         }
     }
@@ -61,12 +57,6 @@ impl Error for PdeError {
 impl From<aa_linalg::LinalgError> for PdeError {
     fn from(e: aa_linalg::LinalgError) -> Self {
         PdeError::Linalg(e)
-    }
-}
-
-impl From<aa_ode::OdeError> for PdeError {
-    fn from(e: aa_ode::OdeError) -> Self {
-        PdeError::Ode(e)
     }
 }
 
@@ -82,8 +72,6 @@ mod tests {
         assert!(e.source().is_none());
         let e: PdeError = aa_linalg::LinalgError::invalid("x").into();
         assert!(e.source().is_some());
-        let e: PdeError = aa_ode::OdeError::Diverged { at_time: 0.0 }.into();
-        assert!(e.to_string().contains("ode failure"));
         let e = PdeError::NotConverged {
             iterations: 7,
             residual: 0.5,

@@ -2,7 +2,7 @@
 //!
 //! The paper's Figure 4 taxonomy maps physical phenomena (PDEs) down to the
 //! sparse systems of linear equations the accelerator solves. This crate
-//! walks the same boxes:
+//! covers the elliptic path the paper evaluates:
 //!
 //! * [`poisson`] — elliptic PDEs: the 2D/3D Poisson problems of §IV-B and
 //!   §V, discretized by second-order central differences, with Dirichlet
@@ -11,10 +11,6 @@
 //!   coarse-grid solver, so "less stable, inaccurate, low precision
 //!   techniques, such as analog acceleration, may also be used to support
 //!   multigrid" (§IV-A).
-//! * [`heat`] — a parabolic PDE solved by both explicit time stepping and
-//!   implicit (backward Euler) stepping, the latter producing one sparse
-//!   linear solve per step — exactly the workload the accelerator targets.
-//! * [`wave`] — a hyperbolic PDE solved explicitly.
 //!
 //! ```
 //! use aa_pde::poisson::Poisson2d;
@@ -34,10 +30,8 @@
 
 mod error;
 
-pub mod heat;
 pub mod multigrid;
 pub mod poisson;
-pub mod wave;
 
 pub use error::PdeError;
 pub use multigrid::{CgCoarseSolver, CoarseSolver, MultigridReport, MultigridSolver};

@@ -278,7 +278,7 @@ impl MultigridSolver {
 }
 
 /// One weighted-Jacobi sweep: `u ← u + ω·D⁻¹·(b − A·u)`.
-pub fn weighted_jacobi_sweep(a: &PoissonStencil, u: &mut [f64], b: &[f64], omega: f64) {
+fn weighted_jacobi_sweep(a: &PoissonStencil, u: &mut [f64], b: &[f64], omega: f64) {
     let r = a.residual(u, b);
     let inv_diag = 1.0 / a.diagonal(0);
     for (ui, ri) in u.iter_mut().zip(&r) {
@@ -288,7 +288,7 @@ pub fn weighted_jacobi_sweep(a: &PoissonStencil, u: &mut [f64], b: &[f64], omega
 
 /// Full-weighting restriction from a fine grid of side `l_fine = 2·l_c + 1`
 /// to the coarse grid of side `l_c`.
-pub fn restrict(fine: &[f64], l_fine: usize) -> Vec<f64> {
+fn restrict(fine: &[f64], l_fine: usize) -> Vec<f64> {
     assert!(l_fine >= 3 && l_fine % 2 == 1, "fine side must be odd >= 3");
     let l_c = (l_fine - 1) / 2;
     let at = |i: isize, j: isize| -> f64 {
@@ -314,7 +314,7 @@ pub fn restrict(fine: &[f64], l_fine: usize) -> Vec<f64> {
 
 /// Bilinear prolongation from a coarse grid of side `l_c` to the fine grid
 /// of side `2·l_c + 1`.
-pub fn prolong(coarse: &[f64], l_c: usize) -> Vec<f64> {
+fn prolong(coarse: &[f64], l_c: usize) -> Vec<f64> {
     let l_f = 2 * l_c + 1;
     let at = |ic: isize, jc: isize| -> f64 {
         if ic < 0 || jc < 0 || ic as usize >= l_c || jc as usize >= l_c {

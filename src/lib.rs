@@ -2,16 +2,16 @@
 //! Accelerator for Linear Algebra* (Huang, Guo, Seok, Tsividis,
 //! Sethumadhavan — ISCA 2016) as a Rust workspace.
 //!
-//! This umbrella crate re-exports the subsystem crates:
+//! This umbrella crate defines [`algorithm1`], the paper's Algorithm 1
+//! (scalar Euler), and re-exports the subsystem crates:
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`linalg`] | `aa-linalg` | dense/sparse matrices, stencils, direct & iterative solvers |
-//! | [`ode`] | `aa-ode` | explicit/implicit/adaptive ODE integrators |
 //! | [`analog`] | `aa-analog` | the behavioural chip model + Table I ISA |
 //! | [`hwmodel`] | `aa-hwmodel` | Table II costs, bandwidth scaling, digital baselines |
 //! | [`solver`] | `aa-solver` | the analog linear-algebra solver (the paper's contribution) |
-//! | [`pde`] | `aa-pde` | Poisson problems, multigrid, heat/wave demos |
+//! | [`pde`] | `aa-pde` | Poisson problems, multigrid |
 //! | [`obs`] | `aa-obs` | structured tracing/metrics with a deterministic replay journal |
 //! | [`sched`] | `aa-sched` | chip-fleet scheduler: batched solve service with admission control |
 //!
@@ -45,10 +45,12 @@ pub use aa_analog as analog;
 pub use aa_hwmodel as hwmodel;
 pub use aa_linalg as linalg;
 pub use aa_obs as obs;
-pub use aa_ode as ode;
 pub use aa_pde as pde;
 pub use aa_sched as sched;
 pub use aa_solver as solver;
+
+mod euler;
+pub use euler::algorithm1;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
@@ -61,7 +63,6 @@ pub mod prelude {
     pub use aa_linalg::stencil::PoissonStencil;
     pub use aa_linalg::{CsrMatrix, DenseMatrix, LinearOperator, RowAccess, Triplet};
     pub use aa_obs::{MemoryRecorder, Recorder, TraceSnapshot};
-    pub use aa_ode::{integrate_fixed, integrate_to_steady_state, FixedMethod, GradientFlow};
     pub use aa_pde::poisson::{Poisson2d, Poisson3d};
     pub use aa_pde::{CgCoarseSolver, MultigridSolver};
     pub use aa_sched::{

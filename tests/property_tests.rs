@@ -145,32 +145,6 @@ fn cg_and_analog_agree_on_poisson() {
     }
 }
 
-/// Trajectory sampling is exact at knots and bounded between them.
-#[test]
-fn trajectory_interpolation_bounds() {
-    let mut rng = Rng64::seed_from_u64(13);
-    for _ in 0..32 {
-        let len = 2 + rng.below(18);
-        let points: Vec<f64> = (0..len).map(|_| rng.range(-1.0, 1.0)).collect();
-        let mut traj = analog_accel::ode::Trajectory::new(0.0, vec![points[0]]);
-        for (k, v) in points.iter().enumerate().skip(1) {
-            traj.push(k as f64, vec![*v]);
-        }
-        // Exact at knots.
-        for (k, v) in points.iter().enumerate() {
-            let s = traj.sample(k as f64).unwrap();
-            assert!((s[0] - v).abs() < 1e-12);
-        }
-        // Bounded between knots.
-        for k in 0..points.len() - 1 {
-            let mid = traj.sample(k as f64 + 0.5).unwrap()[0];
-            let lo = points[k].min(points[k + 1]);
-            let hi = points[k].max(points[k + 1]);
-            assert!(mid >= lo - 1e-12 && mid <= hi + 1e-12);
-        }
-    }
-}
-
 /// ADC round trip: every code survives value_of → (re)conversion.
 #[test]
 fn adc_code_round_trip() {
