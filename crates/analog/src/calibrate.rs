@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use crate::chip::AnalogChip;
 use crate::error::AnalogError;
-use crate::nonideal::{trim_code_max, trim_code_min, BlockImperfection};
+use crate::nonideal::{trim_code_max, trim_code_min};
 use crate::units::UnitId;
 
 /// Per-unit calibration outcome.
@@ -50,14 +50,6 @@ impl CalibrationReport {
         self.units
             .values()
             .map(|u| u.offset_after.abs())
-            .fold(0.0, f64::max)
-    }
-
-    /// The worst residual relative gain error across all units.
-    pub fn worst_gain_error(&self) -> f64 {
-        self.units
-            .values()
-            .map(|u| u.gain_error_after.abs())
             .fold(0.0, f64::max)
     }
 }
@@ -151,20 +143,6 @@ fn binary_search_code<F: Fn(i32) -> bool>(reads_high: F) -> i32 {
     lo
 }
 
-/// Convenience: the paper's claim that calibration leaves sub-LSB residuals.
-///
-/// Returns the residual offset and gain error of `imp` if its trims were
-/// chosen ideally (for documentation/tests).
-pub fn ideal_residuals(imp: &BlockImperfection) -> (f64, f64) {
-    let trim_step =
-        crate::nonideal::OFFSET_TRIM_RANGE / f64::from(1u32 << (crate::nonideal::TRIM_BITS - 1));
-    let gain_step =
-        crate::nonideal::GAIN_TRIM_RANGE / f64::from(1u32 << (crate::nonideal::TRIM_BITS - 1));
-    let offset_residual = (imp.offset / trim_step).fract().abs() * trim_step;
-    let gain_residual = (imp.gain_error / gain_step).fract().abs() * gain_step;
-    (offset_residual.min(trim_step), gain_residual.min(gain_step))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,7 +155,7 @@ mod tests {
         let mut chip = AnalogChip::new(ChipConfig::prototype());
         let report = calibrate(&mut chip).unwrap();
         let trim_step = crate::nonideal::OFFSET_TRIM_RANGE / 512.0;
-        assert!(chip.is_calibrated());
+        assert!(chip.export_state().calibrated);
         assert!(
             report.worst_offset() <= 2.0 * trim_step,
             "worst residual offset {} > {}",
@@ -195,7 +173,10 @@ mod tests {
         let mut chip = AnalogChip::new(ChipConfig::prototype());
         let report = calibrate(&mut chip).unwrap();
         let gain_step = crate::nonideal::GAIN_TRIM_RANGE / 512.0;
-        assert!(report.worst_gain_error() <= 3.0 * gain_step);
+        assert!(report
+            .units
+            .values()
+            .all(|u| u.gain_error_after.abs() <= 3.0 * gain_step));
     }
 
     #[test]

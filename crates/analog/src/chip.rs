@@ -11,8 +11,8 @@ use aa_linalg::rng::Rng64;
 
 use crate::config::ChipConfig;
 use crate::engine::{
-    run_committed, run_committed_batch, Compiled, EngineOptions, LaneBindings, PlanCache,
-    PlanStats, RunReport, Structure,
+    run_committed_batch, Compiled, EngineOptions, LaneBindings, PlanCache, PlanStats, RunReport,
+    Structure,
 };
 use crate::error::AnalogError;
 use crate::exceptions::ExceptionVector;
@@ -280,11 +280,6 @@ impl AnalogChip {
         Ok(crate::ir::lower_plan(&circuit, passes).dump())
     }
 
-    /// Whether `init` (calibration) has run.
-    pub fn is_calibrated(&self) -> bool {
-        self.calibrated
-    }
-
     pub(crate) fn set_calibrated(&mut self, calibrated: bool) {
         self.calibrated = calibrated;
     }
@@ -306,15 +301,6 @@ impl AnalogChip {
     /// The injected fault schedule, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
-    }
-
-    /// Whether any injected fault event is active at the chip's current
-    /// lifetime instant — the health signal a fleet scheduler polls when
-    /// deciding to quarantine a chip.
-    pub fn has_active_fault(&self) -> bool {
-        self.fault_plan
-            .as_ref()
-            .is_some_and(|plan| plan.any_active(self.lifetime_s))
     }
 
     /// Cumulative analog seconds this instance has been powered (every
@@ -573,13 +559,6 @@ impl AnalogChip {
         self.committed.is_some()
     }
 
-    /// Resets the draft configuration to empty (and invalidates the commit).
-    pub fn reset_config(&mut self) {
-        self.draft = Registers::new(&self.config);
-        self.committed = None;
-        self.plan_epoch += 1;
-    }
-
     // ----- Control instructions -----
 
     /// `execStart` … `execStop`: runs the committed configuration.
@@ -588,80 +567,35 @@ impl AnalogChip {
     /// until the committed timeout (if any), the engine's steady-state
     /// detector (if enabled in `options`), or the safety cap — whichever
     /// comes first. Exception latches are cleared at start and captured at
-    /// the end, along with every ADC's input value.
+    /// the end, along with every ADC's input value. This is the unbound
+    /// one-lane case of [`exec_lane`](Self::exec_lane).
     ///
     /// # Errors
     ///
     /// * [`AnalogError::ProtocolViolation`] if no configuration is committed.
     /// * [`AnalogError::Diverged`] if the integration diverges.
     pub fn exec(&mut self, options: &EngineOptions) -> Result<RunReport, AnalogError> {
-        let registers = self
-            .committed
-            .as_ref()
-            .ok_or_else(|| AnalogError::protocol("execStart before cfgCommit"))?;
-        self.exceptions.clear();
-        let report = match &self.fault_plan {
-            Some(plan) => {
-                // LUT upsets corrupt what the SRAM *reads back*, not what was
-                // programmed: apply them to a scratch copy of the register
-                // file so a transient upset heals once its window closes.
-                let overrides: Vec<_> = plan.lut_overrides(self.lifetime_s).collect();
-                if overrides.is_empty() {
-                    run_committed(
-                        registers,
-                        &self.config,
-                        &self.variation,
-                        &self.input_signals,
-                        Some(plan),
-                        self.lifetime_s,
-                        Some((&mut self.plan_cache, self.plan_epoch)),
-                        options,
-                    )?
-                } else {
-                    let mut scratch = registers.clone();
-                    let (depth, bits, fs) = (
-                        self.config.lut_depth,
-                        self.config.adc_bits,
-                        self.config.full_scale,
-                    );
-                    for (lut, entry, value) in overrides {
-                        if entry < depth {
-                            scratch
-                                .luts
-                                .entry(lut)
-                                .or_insert_with(|| LookupTable::identity(depth, bits, fs))
-                                .write_entry(entry, value);
-                        }
-                    }
-                    // The scratch register file (upset LUT contents) must
-                    // not pollute the cache: compile fresh.
-                    run_committed(
-                        &scratch,
-                        &self.config,
-                        &self.variation,
-                        &self.input_signals,
-                        Some(plan),
-                        self.lifetime_s,
-                        None,
-                        options,
-                    )?
-                }
-            }
-            None => run_committed(
-                registers,
-                &self.config,
-                &self.variation,
-                &self.input_signals,
-                None,
-                0.0,
-                Some((&mut self.plan_cache, self.plan_epoch)),
-                options,
-            )?,
-        };
-        self.lifetime_s += report.duration_s;
-        self.exceptions = report.exceptions.clone();
-        self.adc_inputs = report.adc_inputs.clone();
-        Ok(report)
+        self.exec_lane(&LaneBindings::default(), options)
+    }
+
+    /// `execStart` with the run's own data: runs the committed
+    /// configuration once, with `lane`'s DAC constants and initial
+    /// conditions in place of the committed ones (a field the lane leaves
+    /// `None` keeps the committed registers). The run is sequential — it
+    /// reads out, and advances the lifetime clock, exactly as
+    /// [`exec`](Self::exec) after writing the same values and committing —
+    /// but touches no register, so no per-run commit is needed.
+    ///
+    /// # Errors
+    ///
+    /// As [`exec_batch`](Self::exec_batch).
+    pub fn exec_lane(
+        &mut self,
+        lane: &LaneBindings,
+        options: &EngineOptions,
+    ) -> Result<RunReport, AnalogError> {
+        let mut run = self.run_lanes(std::slice::from_ref(lane), false, options)?;
+        Ok(run.reports.pop().expect("one lane yields one report"))
     }
 
     /// Batched `execStart`: runs the committed configuration for K lanes in
@@ -672,11 +606,11 @@ impl AnalogChip {
     ///
     /// All lanes start at the chip's current lifetime instant and see the
     /// same fault/variation draws per `(unit, t)`; each lane's report is
-    /// bit-identical to a sequential [`exec`](Self::exec) of that lane from
-    /// this same instant. The lifetime clock advances by the **longest**
-    /// lane (the lanes ran concurrently), and the readout latches hold the
-    /// last lane's outputs until [`select_lane`](Self::select_lane) stages
-    /// a specific one.
+    /// bit-identical to a sequential [`exec_lane`](Self::exec_lane) of that
+    /// lane from this same instant. The lifetime clock advances by the
+    /// **longest** lane (the lanes ran concurrently), and the readout
+    /// latches hold the last lane's outputs until
+    /// [`select_lane`](Self::select_lane) stages a specific one.
     ///
     /// # Errors
     ///
@@ -688,102 +622,98 @@ impl AnalogChip {
         lanes: &[LaneBindings],
         options: &EngineOptions,
     ) -> Result<BatchExec, AnalogError> {
+        self.run_lanes(lanes, true, options)
+    }
+
+    /// The one body every run goes through: a sequential run (`batch`
+    /// unset) is its one-lane case.
+    fn run_lanes(
+        &mut self,
+        lanes: &[LaneBindings],
+        batch: bool,
+        options: &EngineOptions,
+    ) -> Result<BatchExec, AnalogError> {
         let registers = self
             .committed
             .as_ref()
             .ok_or_else(|| AnalogError::protocol("execStart before cfgCommit"))?;
+        let fs = self.config.full_scale;
         for lane in lanes {
-            for (&_, &v) in lane.dac_values.iter().flatten() {
-                if v.abs() > self.config.full_scale || !v.is_finite() {
-                    return Err(AnalogError::ValueOutOfRange {
-                        context: "batch lane dac constant",
-                        value: v,
-                        limit: self.config.full_scale,
-                    });
-                }
-            }
-            for (&_, &v) in lane.int_initial.iter().flatten() {
-                if v.abs() > self.config.full_scale || !v.is_finite() {
-                    return Err(AnalogError::ValueOutOfRange {
-                        context: "batch lane integrator initial condition",
-                        value: v,
-                        limit: self.config.full_scale,
-                    });
+            let bound = [
+                ("lane dac constant", &lane.dac_values),
+                ("lane integrator initial condition", &lane.int_initial),
+            ];
+            for (context, map) in bound {
+                for &value in map.iter().flat_map(BTreeMap::values) {
+                    if value.abs() > fs || !value.is_finite() {
+                        return Err(AnalogError::ValueOutOfRange {
+                            context,
+                            value,
+                            limit: fs,
+                        });
+                    }
                 }
             }
         }
         let start_lifetime_s = self.lifetime_s;
         self.exceptions.clear();
-        let reports = match &self.fault_plan {
-            Some(plan) => {
-                let overrides: Vec<_> = plan.lut_overrides(self.lifetime_s).collect();
-                if overrides.is_empty() {
-                    run_committed_batch(
-                        registers,
-                        &self.config,
-                        &self.variation,
-                        &self.input_signals,
-                        Some(plan),
-                        self.lifetime_s,
-                        lanes,
-                        Some((&mut self.plan_cache, self.plan_epoch)),
-                        options,
-                    )?
-                } else {
-                    // Active LUT upsets force the scratch-register path;
-                    // run the lanes sequentially from the shared start
-                    // instant (trivially identical to the batch semantics,
-                    // since the lifetime clock only advances afterwards).
-                    let (depth, bits, fs) = (
-                        self.config.lut_depth,
-                        self.config.adc_bits,
-                        self.config.full_scale,
-                    );
-                    let mut scratch = registers.clone();
-                    for (lut, entry, value) in overrides {
-                        if entry < depth {
-                            scratch
-                                .luts
-                                .entry(lut)
-                                .or_insert_with(|| LookupTable::identity(depth, bits, fs))
-                                .write_entry(entry, value);
-                        }
-                    }
-                    lanes
-                        .iter()
-                        .map(|lane| {
-                            let mut regs = scratch.clone();
-                            if let Some(dacs) = &lane.dac_values {
-                                regs.dac_values = dacs.clone();
-                            }
-                            if let Some(ints) = &lane.int_initial {
-                                regs.int_initial = ints.clone();
-                            }
-                            run_committed(
-                                &regs,
-                                &self.config,
-                                &self.variation,
-                                &self.input_signals,
-                                Some(plan),
-                                start_lifetime_s,
-                                None,
-                                options,
-                            )
-                        })
-                        .collect::<Result<Vec<_>, _>>()?
-                }
-            }
-            None => run_committed_batch(
+        let faults = self.fault_plan.as_ref();
+        let t_offset = if faults.is_some() {
+            start_lifetime_s
+        } else {
+            0.0
+        };
+        let overrides: Vec<_> = faults
+            .map(|plan| plan.lut_overrides(start_lifetime_s).collect())
+            .unwrap_or_default();
+        let reports = if overrides.is_empty() {
+            run_committed_batch(
                 registers,
                 &self.config,
                 &self.variation,
                 &self.input_signals,
-                None,
-                0.0,
+                faults,
+                t_offset,
                 lanes,
+                batch,
                 Some((&mut self.plan_cache, self.plan_epoch)),
                 options,
-            )?,
+            )?
+        } else {
+            // LUT upsets corrupt what the SRAM *reads back*, not what was
+            // programmed: apply them to a scratch copy of the register file
+            // so a transient upset heals once its window closes. The
+            // scratch file must not pollute the plan cache, so each lane
+            // compiles fresh and runs on its own from the shared start
+            // instant (identical to the batch semantics, since the lifetime
+            // clock only advances afterwards).
+            let (depth, bits) = (self.config.lut_depth, self.config.adc_bits);
+            let mut scratch = registers.clone();
+            for (lut, entry, value) in overrides {
+                if entry < depth {
+                    scratch
+                        .luts
+                        .entry(lut)
+                        .or_insert_with(|| LookupTable::identity(depth, bits, fs))
+                        .write_entry(entry, value);
+                }
+            }
+            let mut reports = Vec::with_capacity(lanes.len());
+            for lane in lanes {
+                reports.extend(run_committed_batch(
+                    &scratch,
+                    &self.config,
+                    &self.variation,
+                    &self.input_signals,
+                    faults,
+                    t_offset,
+                    std::slice::from_ref(lane),
+                    false,
+                    None,
+                    options,
+                )?);
+            }
+            reports
         };
         let batch = BatchExec {
             reports,
@@ -1021,14 +951,6 @@ impl AnalogChip {
         }
         Ok(())
     }
-
-    /// The committed timeout converted to seconds, if set.
-    pub fn timeout_seconds(&self) -> Option<f64> {
-        self.committed
-            .as_ref()
-            .and_then(|r| r.timeout_cycles)
-            .map(|c| c as f64 / CONTROL_CLOCK_HZ)
-    }
 }
 
 #[cfg(test)]
@@ -1090,23 +1012,6 @@ mod tests {
             let v = chip.value_of(code);
             assert_eq!(chip.code_of(v), code);
         }
-    }
-
-    #[test]
-    fn timeout_conversion() {
-        let mut chip = ideal_chip();
-        chip.set_timeout(2_000_000);
-        chip.cfg_commit().unwrap();
-        assert!((chip.timeout_seconds().unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_config_clears_draft() {
-        let mut chip = ideal_chip();
-        chip.set_mul_gain(0, 0.5).unwrap();
-        chip.reset_config();
-        assert!(chip.draft.mul_gains.is_empty());
-        assert!(!chip.is_committed());
     }
 
     #[test]

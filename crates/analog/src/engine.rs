@@ -119,20 +119,6 @@ pub struct RunReport {
     pub faults_active_steps: usize,
 }
 
-impl RunReport {
-    /// Units whose dynamic range usage fell below `threshold` (fraction of
-    /// full scale) — candidates for scaling the problem *up* (paper §III-B:
-    /// "the host also observes if the dynamic range is not fully used,
-    /// which may result in low precision").
-    pub fn underused_units(&self, threshold: f64) -> Vec<UnitId> {
-        self.range_usage
-            .iter()
-            .filter(|(_, usage)| **usage < threshold)
-            .map(|(u, _)| *u)
-            .collect()
-    }
-}
-
 /// One value slot: either a unit output port or a sink (ADC / analog output)
 /// input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -532,9 +518,9 @@ pub struct PlanStats {
 /// mutation that changes what compilation would produce (netlist edits,
 /// multiplier mode/gain, LUT contents, calibration trims). Mutations that
 /// only feed per-run state — DAC constants, initial conditions, timeout,
-/// input signals, fault plans — leave the epoch alone, so the common
-/// reprogram-and-rerun cycle (`program_rhs` → `cfg_commit` → `exec`) hits
-/// the cache on every solve after the first.
+/// input signals, fault plans — leave the epoch alone, so a run bound to
+/// new DACs and initial conditions ([`LaneBindings`]), or a reprogram,
+/// `cfg_commit` and `exec`, hits the cache on every solve after the first.
 #[derive(Default)]
 pub(crate) struct PlanCache {
     epoch: u64,
@@ -571,7 +557,7 @@ impl PlanCache {
     }
 
     /// Whether the cache holds compilation products for `epoch` — i.e. the
-    /// next run through [`run_committed`] would be a cache hit.
+    /// next run through [`run_committed_batch`] would be a cache hit.
     pub(crate) fn is_current(&self, epoch: u64) -> bool {
         self.structure.is_some() && self.epoch == epoch
     }
@@ -761,45 +747,6 @@ fn compile_then<R>(
     }
 }
 
-/// Runs a committed register file. Called by
-/// [`AnalogChip::exec`](crate::AnalogChip::exec); `cache` as in
-/// [`compile_then`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_committed(
-    registers: &Registers,
-    config: &ChipConfig,
-    variation: &ProcessVariation,
-    signals: &BTreeMap<usize, InputSignal>,
-    faults: Option<&FaultPlan>,
-    t_offset: f64,
-    cache: Option<(&mut PlanCache, u64)>,
-    options: &EngineOptions,
-) -> Result<RunReport, AnalogError> {
-    if !(options.dt_tau > 0.0 && options.dt_tau.is_finite()) {
-        return Err(AnalogError::protocol(format!(
-            "engine dt_tau must be positive, got {}",
-            options.dt_tau
-        )));
-    }
-    let run_span = aa_obs::span("engine.run");
-    let report = compile_then(
-        registers,
-        config,
-        variation,
-        signals,
-        faults,
-        t_offset,
-        cache,
-        options,
-        |circuit, plan| execute_batch(circuit, plan, std::slice::from_ref(registers), options),
-    )?
-    .pop()
-    .expect("one lane yields one report");
-    observe_run(&report);
-    drop(run_span);
-    Ok(report)
-}
-
 /// The per-run observability block shared by the single-lane and batched
 /// entry points (a batched lane accounts exactly like a sequential run).
 fn observe_run(report: &RunReport) {
@@ -829,15 +776,27 @@ fn observe_run(report: &RunReport) {
     }
 }
 
-/// Runs a committed register file across K lanes in one lockstep RK4 sweep.
-/// Called by [`AnalogChip::exec_batch`](crate::AnalogChip::exec_batch).
+/// One lane's per-run state: the maps its [`LaneBindings`] bind, or the
+/// committed registers' own where it binds none, borrowed either way.
+struct LaneState<'a> {
+    dac_values: &'a BTreeMap<usize, f64>,
+    int_initial: &'a BTreeMap<usize, f64>,
+}
+
+/// Runs a committed register file for K lanes in one lockstep RK4 sweep —
+/// every analog run the chip issues. A sequential run is the one-lane case
+/// (`batch` unset): it opens `engine.run` and counts in no batch counter;
+/// a batch opens `engine.run_batch` and counts in `engine.batch_runs` and
+/// `engine.batch_lanes`. Either way each lane accounts like a run of its
+/// own.
 ///
-/// Each lane overlays the committed registers with its own DAC constants
-/// and initial conditions ([`LaneBindings`]) — the per-run state that never
-/// invalidates the plan cache — so all lanes share one compilation. Under
+/// Each lane binds its own DAC constants and initial conditions
+/// ([`LaneBindings`]) — the per-run state that never invalidates the plan
+/// cache — so all lanes share one compilation. Under
 /// [`EvalStrategy::Reference`] the lanes run as K sequential reference
 /// integrations from the same start instant: the batched compiled path must
 /// (and does, property-tested) match that column for column, bit for bit.
+/// `cache` as in [`compile_then`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_committed_batch(
     registers: &Registers,
@@ -847,6 +806,7 @@ pub(crate) fn run_committed_batch(
     faults: Option<&FaultPlan>,
     t_offset: f64,
     lanes: &[LaneBindings],
+    batch: bool,
     cache: Option<(&mut PlanCache, u64)>,
     options: &EngineOptions,
 ) -> Result<Vec<RunReport>, AnalogError> {
@@ -859,22 +819,18 @@ pub(crate) fn run_committed_batch(
     if lanes.is_empty() {
         return Ok(Vec::new());
     }
-    let run_span = aa_obs::span("engine.run_batch");
-
-    // Per-lane effective register files: the committed base with the lane's
-    // DAC/initial-condition overrides applied. Structure and plan are pure
-    // functions of the *shared* fields, so one compilation serves them all.
-    let overlays: Vec<Registers> = lanes
+    let run_span = aa_obs::span(if batch {
+        "engine.run_batch"
+    } else {
+        "engine.run"
+    });
+    // Structure and plan are pure functions of the *shared* fields, so one
+    // compilation serves every lane.
+    let states: Vec<LaneState<'_>> = lanes
         .iter()
-        .map(|lane| {
-            let mut regs = registers.clone();
-            if let Some(dacs) = &lane.dac_values {
-                regs.dac_values = dacs.clone();
-            }
-            if let Some(ints) = &lane.int_initial {
-                regs.int_initial = ints.clone();
-            }
-            regs
+        .map(|lane| LaneState {
+            dac_values: lane.dac_values.as_ref().unwrap_or(&registers.dac_values),
+            int_initial: lane.int_initial.as_ref().unwrap_or(&registers.int_initial),
         })
         .collect();
 
@@ -887,10 +843,10 @@ pub(crate) fn run_committed_batch(
         t_offset,
         cache,
         options,
-        |circuit, plan| execute_batch(circuit, plan, &overlays, options),
+        |circuit, plan| execute_batch(circuit, plan, &states, options),
     )?;
 
-    if aa_obs::is_active() {
+    if batch && aa_obs::is_active() {
         aa_obs::counter("engine.batch_runs", 1);
         aa_obs::counter("engine.batch_lanes", reports.len() as u64);
     }
@@ -908,26 +864,32 @@ pub(crate) fn run_committed_batch(
 fn execute_batch(
     circuit: &Compiled<'_>,
     plan: Option<&CompiledPlan>,
-    overlays: &[Registers],
+    lanes: &[LaneState<'_>],
     options: &EngineOptions,
 ) -> Result<Vec<RunReport>, AnalogError> {
     let execute_span = aa_obs::span("engine.execute");
     let reports = match plan {
         Some(plan) => {
             let lane_dacs: Vec<&BTreeMap<usize, f64>> =
-                overlays.iter().map(|r| &r.dac_values).collect();
+                lanes.iter().map(|lane| lane.dac_values).collect();
             let mut batch = BatchRun::bind(plan, circuit, &lane_dacs);
-            integrate(circuit, &mut batch, overlays, options)?
+            integrate(circuit, &mut batch, lanes, options)?
         }
         None => {
-            let mut reports = Vec::with_capacity(overlays.len());
-            for registers in overlays {
-                let mut lane = Compiled {
-                    registers,
+            let mut reports = Vec::with_capacity(lanes.len());
+            for lane in lanes {
+                // The oracle reads DAC constants off a register file of
+                // the lane's own.
+                let registers = Registers {
+                    dac_values: lane.dac_values.clone(),
+                    ..circuit.registers.clone()
+                };
+                let mut reference = Compiled {
+                    registers: &registers,
                     ..*circuit
                 };
-                let lane_regs = std::slice::from_ref(registers);
-                reports.extend(integrate(circuit, &mut lane, lane_regs, options)?);
+                let lane = std::slice::from_ref(lane);
+                reports.extend(integrate(circuit, &mut reference, lane, options)?);
             }
             reports
         }
@@ -939,7 +901,7 @@ fn execute_batch(
 /// The RK4 driver — the engine's one integration loop — generic over the
 /// circuit evaluator and its lane count K. `circuit` supplies the
 /// structural metadata (slot numbering, used-unit lists, timeout, fault
-/// schedule) shared by every lane, `overlays` each lane's initial
+/// schedule) shared by every lane, `lanes` each lane's initial
 /// conditions, and `evaluator` the per-stage arithmetic. All lanes share the
 /// time axis (`dt` and the end-of-run horizon are lane-independent), and a
 /// lane **retires** individually the moment its own stop condition fires:
@@ -953,7 +915,7 @@ fn execute_batch(
 fn integrate<E: Evaluator>(
     circuit: &Compiled<'_>,
     evaluator: &mut E,
-    overlays: &[Registers],
+    lanes: &[LaneState<'_>],
     options: &EngineOptions,
 ) -> Result<Vec<RunReport>, AnalogError> {
     let registers = circuit.registers;
@@ -961,7 +923,7 @@ fn integrate<E: Evaluator>(
     let faults = circuit.faults;
     let t_offset = circuit.t_offset;
     let k = evaluator.lanes();
-    debug_assert_eq!(k, overlays.len());
+    debug_assert_eq!(k, lanes.len());
     let n = circuit.n_states();
     let n_slots = circuit
         .structure
@@ -1003,8 +965,8 @@ fn integrate<E: Evaluator>(
     // Initial conditions, column-major: `state[slot_state * k + lane]`.
     let mut state = vec![0.0; n * k];
     for (slot_state, i) in circuit.structure.integrator_of_state.iter().enumerate() {
-        for (lane, regs) in overlays.iter().enumerate() {
-            state[slot_state * k + lane] = regs.int_initial.get(i).copied().unwrap_or(0.0);
+        for (lane, bound) in lanes.iter().enumerate() {
+            state[slot_state * k + lane] = bound.int_initial.get(i).copied().unwrap_or(0.0);
         }
     }
 
@@ -1394,12 +1356,11 @@ mod tests {
         // Tiny problem values: b = 0.01 → steady state 0.01, far below fs.
         let mut chip = figure1_chip(-1.0, 0.01, 0.0, ChipConfig::ideal());
         let report = chip.exec(&EngineOptions::default()).unwrap();
-        let underused = report.underused_units(0.5);
-        assert!(underused.contains(&UnitId::Integrator(0)));
+        assert!(report.range_usage[&UnitId::Integrator(0)] < 0.5);
         // A full-range problem is not underused.
         let mut chip = figure1_chip(-1.0, 0.9, 0.0, ChipConfig::ideal());
         let report = chip.exec(&EngineOptions::default()).unwrap();
-        assert!(!report.underused_units(0.5).contains(&UnitId::Integrator(0)));
+        assert!(report.range_usage[&UnitId::Integrator(0)] >= 0.5);
     }
 
     #[test]

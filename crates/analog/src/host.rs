@@ -115,21 +115,6 @@ impl Host {
         &mut self.chip
     }
 
-    /// Consumes the host, returning the chip.
-    pub fn into_chip(self) -> AnalogChip {
-        self.chip
-    }
-
-    /// Replaces the engine options used by `execStart`.
-    pub fn set_engine_options(&mut self, options: EngineOptions) {
-        self.engine_options = options;
-    }
-
-    /// The engine options used by `execStart`.
-    pub fn engine_options(&self) -> &EngineOptions {
-        &self.engine_options
-    }
-
     /// Selects where subsequent `writeParallel` bytes are routed.
     pub fn select_parallel_target(&mut self, target: ParallelTarget) {
         self.parallel_target = Some(target);
@@ -354,7 +339,7 @@ mod tests {
         let mut host = Host::new(AnalogChip::new(ChipConfig::prototype()));
         let r = host.execute(&Instruction::Init).unwrap();
         assert!(matches!(r, Response::Calibrated(_)));
-        assert!(host.chip().is_calibrated());
+        assert!(host.chip().export_state().calibrated);
     }
 
     #[test]

@@ -157,11 +157,6 @@ impl Netlist {
         Ok(())
     }
 
-    /// Removes the connection driven by `from`, returning its sink if any.
-    pub fn disconnect(&mut self, from: OutputPort) -> Option<InputPort> {
-        self.connections.remove(&from)
-    }
-
     /// Removes every connection.
     pub fn clear(&mut self) {
         self.connections.clear();
@@ -474,16 +469,9 @@ mod tests {
     }
 
     #[test]
-    fn disconnect_and_clear() {
+    fn clear_removes_every_connection() {
         let mut net = Netlist::new(inv());
         let from = OutputPort::of(UnitId::Dac(0));
-        net.connect(from, InputPort::of(UnitId::Integrator(0)))
-            .unwrap();
-        assert_eq!(
-            net.disconnect(from),
-            Some(InputPort::of(UnitId::Integrator(0)))
-        );
-        assert!(net.is_empty());
         net.connect(from, InputPort::of(UnitId::Integrator(0)))
             .unwrap();
         net.clear();

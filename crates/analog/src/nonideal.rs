@@ -62,16 +62,6 @@ impl BlockImperfection {
             + self.offset
             + self.offset_trim_value()
     }
-
-    /// The residual offset after trimming (what calibration minimizes).
-    pub fn residual_offset(&self) -> f64 {
-        self.offset + self.offset_trim_value()
-    }
-
-    /// The residual relative gain error after trimming.
-    pub fn residual_gain_error(&self) -> f64 {
-        (1.0 + self.gain_error) * (1.0 + self.gain_trim_value()) - 1.0
-    }
 }
 
 /// Converts a signed trim code into its analog value over `±range/…`.
@@ -208,7 +198,6 @@ mod tests {
         // Choose the code closest to −0.013.
         let step = OFFSET_TRIM_RANGE / f64::from(1 << (TRIM_BITS - 1));
         b.offset_trim = (-b.offset / step).round() as i32;
-        assert!(b.residual_offset().abs() < step, "{}", b.residual_offset());
         assert!(b.apply(0.0).abs() < step);
     }
 
@@ -224,7 +213,6 @@ mod tests {
         // (1+e)(1+t) = 1 → t = −e/(1+e).
         let target = -b.gain_error / (1.0 + b.gain_error);
         b.gain_trim = (target / step).round() as i32;
-        assert!(b.residual_gain_error().abs() < step * 1.1);
         // apply(1.0) should now be ≈ 1.0.
         assert!((b.apply(1.0) - 1.0).abs() < 2.0 * step);
     }

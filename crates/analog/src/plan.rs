@@ -119,9 +119,9 @@ pub(crate) struct IntSource {
     pub(crate) out: u32,
 }
 
-/// One DAC output. The programmed constant is **not** baked in — DACs are
-/// reprogrammed on every solve without invalidating the plan cache, so
-/// [`BatchRun`] fetches each lane's value from its registers per run.
+/// One DAC output. The programmed constant is **not** baked in — every
+/// solve binds new DACs without invalidating the plan cache, so
+/// [`BatchRun`] fetches each lane's value from its bindings per run.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DacSource {
     pub(crate) unit: UnitId,

@@ -476,9 +476,9 @@ fn figure_paths(r: &mut Report) {
 
 /// A fresh solver's first solve starts from the Galerkin guess on
 /// span{v₁…v_m, b}, not from rest. The solve, its `γ` walk included, is one
-/// measurement; its accepted run is then executed again on the chip as the
-/// solve left it (the same DACs, `γ` and readout stop), once from the
-/// programmed guess and once with every integrator at zero. Simulated chip
+/// measurement; its accepted run is then issued again on the chip as the
+/// solve left it (the same lane of DACs at its `γ`, and readout stop), once
+/// from the guess the lane binds and once with every integrator at zero. Simulated chip
 /// time and RK4 steps are exact, so the gate fires on every host.
 fn first_solve(r: &mut Report) {
     println!(
@@ -501,13 +501,14 @@ fresh solver, first solve: run from the guess vs from rest"
         let bound = lambda * chip.max_gain * chip.adc_lsb() / (2.0 * (n as f64).sqrt());
         let mut options = solver.config().engine.clone();
         options.steady_tol = options.steady_tol.map(|tol| tol.max(bound));
+        let lane = solver.mapped().last_lane().expect("the solve ran").clone();
+        let at_rest = LaneBindings {
+            int_initial: Some((0..n).map(|i| (i, 0.0)).collect()),
+            ..lane.clone()
+        };
         let chip = solver.chip_mut();
-        let guess = chip.exec(&options).expect("run from the guess");
-        for i in 0..n {
-            chip.set_int_initial(i, 0.0).expect("integrator");
-        }
-        chip.cfg_commit().expect("commit");
-        let rest = chip.exec(&options).expect("run from rest");
+        let guess = chip.exec_lane(&lane, &options).expect("run from the guess");
+        let rest = chip.exec_lane(&at_rest, &options).expect("run from rest");
         let wall_s = start.elapsed().as_secs_f64();
         assert!(guess.reached_steady_state && rest.reached_steady_state);
         if first.runs == 1 {

@@ -25,14 +25,12 @@
 mod cg;
 mod gauss_seidel;
 mod jacobi;
-mod pcg;
 mod sor;
 mod steepest;
 
 pub use cg::{cg, cg_observed};
 pub use gauss_seidel::{gauss_seidel, gauss_seidel_observed};
 pub use jacobi::{jacobi, jacobi_observed};
-pub use pcg::pcg;
 pub use sor::{sor, sor_observed, sor_optimal_omega};
 pub use steepest::{steepest_descent, steepest_descent_observed};
 

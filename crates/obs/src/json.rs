@@ -57,14 +57,6 @@ impl Json {
         }
     }
 
-    /// The value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -87,11 +79,6 @@ impl Json {
             Json::Obj(map) => Some(map),
             _ => None,
         }
-    }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 }
 
@@ -284,7 +271,7 @@ mod tests {
             json.get("a").unwrap().as_array().unwrap()[2].as_f64(),
             Some(-300.0)
         );
-        assert!(json.get("b").unwrap().get("c").unwrap().is_null());
+        assert_eq!(json.get("b").unwrap().get("c"), Some(&Json::Null));
         assert_eq!(
             json.get("b").unwrap().get("d").unwrap().as_str(),
             Some("x\"y")

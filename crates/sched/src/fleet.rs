@@ -18,7 +18,7 @@ use aa_linalg::iterative::{cg, IterativeConfig, StoppingCriterion};
 use aa_linalg::rng::mix64;
 use aa_linalg::{vector, CsrMatrix, LinearOperator};
 use aa_solver::{
-    fcg_solve, AnalogPreconditioner, FinalPath, KrylovConfig, RecoveryConfig, SolverConfig,
+    fcg_solve, AnalogPreconditioner, KrylovConfig, RecoveryConfig, SolverConfig,
     SupervisedCheckpoint, SupervisedSolveReport, SupervisedSolver,
 };
 
@@ -416,6 +416,19 @@ pub(crate) struct ChipOutcome {
     pub analog_time_s: f64,
 }
 
+impl ChipOutcome {
+    /// The outcome of a supervised solve for `ticket`.
+    fn supervised(ticket: u64, report: SupervisedSolveReport) -> Self {
+        ChipOutcome {
+            ticket,
+            path: report.recovery.final_path.into(),
+            residual: report.recovery.final_residual,
+            analog_time_s: report.recovery.analog_time_s(),
+            solution: report.solution,
+        }
+    }
+}
+
 /// One physical accelerator: the solver instances bound to it, its fault
 /// plan, and its identity. Lives inside a worker thread's state.
 pub(crate) struct ChipSlot {
@@ -562,52 +575,49 @@ impl ChipSlot {
     /// goes through the scalar path, several share one batched analog
     /// sweep with per-column validation (a column the batch could not
     /// certify is re-solved through the full recovery ladder inside
-    /// [`SupervisedSolver::solve_batch`]).
+    /// [`SupervisedSolver::solve_batch`]). Every assignment the chip could
+    /// not answer in analog, or answered past its deadline, is answered by
+    /// the chip's digital lane.
     fn serve_chunk(&mut self, chunk: &[Assignment]) -> Vec<ChipOutcome> {
-        if chunk.len() == 1 {
-            let (ticket, structure, rhs, deadline_s, mode) = &chunk[0];
-            return vec![match mode {
-                SolveMode::Direct => self.serve(*ticket, *structure, rhs, *deadline_s),
-                SolveMode::KrylovPrecond => {
-                    self.serve_krylov(*ticket, *structure, rhs, *deadline_s)
-                }
-            }];
-        }
         let structure = chunk[0].1;
         debug_assert!(chunk.iter().all(|a| a.1 == structure));
-        debug_assert!(chunk.iter().all(|a| a.4 == SolveMode::Direct));
-        if !self.ensure_solver(structure) {
+        let served: Vec<Result<ChipOutcome, f64>> = if !self.ensure_solver(structure) {
             // The structure cannot be mapped onto this chip at all; the
             // digital lane still owes each client an answer.
-            return chunk
+            vec![Err(0.0); chunk.len()]
+        } else if let [(ticket, _, rhs, _, mode)] = chunk {
+            vec![match mode {
+                SolveMode::Direct => self.serve(*ticket, structure, rhs),
+                SolveMode::KrylovPrecond => self.serve_krylov(*ticket, structure, rhs),
+            }]
+        } else {
+            debug_assert!(chunk.iter().all(|a| a.4 == SolveMode::Direct));
+            let bs: Vec<Vec<f64>> = chunk.iter().map(|(_, _, rhs, _, _)| rhs.clone()).collect();
+            let solver = self.solvers.get_mut(&structure).expect("ensured above");
+            let results = solver.solve_batch(&bs);
+            aa_obs::counter("sched.chip_batches", 1);
+            chunk
                 .iter()
-                .map(|(ticket, structure, rhs, _, _)| {
-                    self.digital(
-                        *ticket,
-                        *structure,
-                        rhs,
-                        CompletionPath::DigitalFallback,
-                        0.0,
-                    )
+                .zip(results)
+                .map(|((ticket, ..), result)| {
+                    result
+                        .map(|report| ChipOutcome::supervised(*ticket, report))
+                        .map_err(|_| 0.0)
                 })
-                .collect();
-        }
-        let bs: Vec<Vec<f64>> = chunk.iter().map(|(_, _, rhs, _, _)| rhs.clone()).collect();
-        let solver = self.solvers.get_mut(&structure).expect("ensured above");
-        let results = solver.solve_batch(&bs);
-        aa_obs::counter("sched.chip_batches", 1);
+                .collect()
+        };
         chunk
             .iter()
-            .zip(results)
+            .zip(served)
             .map(
-                |((ticket, structure, rhs, deadline_s, _), result)| match result {
-                    Ok(report) => self.finish(*ticket, *structure, rhs, *deadline_s, report),
-                    Err(_) => self.digital(
+                |((ticket, structure, rhs, deadline_s, _), served)| match served {
+                    Ok(outcome) => self.within_deadline(outcome, *structure, rhs, *deadline_s),
+                    Err(analog_time_s) => self.digital(
                         *ticket,
                         *structure,
                         rhs,
                         CompletionPath::DigitalFallback,
-                        0.0,
+                        analog_time_s,
                     ),
                 },
             )
@@ -676,126 +686,74 @@ impl ChipSlot {
         }
     }
 
-    fn serve(
-        &mut self,
-        ticket: u64,
-        structure: usize,
-        rhs: &[f64],
-        deadline_s: Option<f64>,
-    ) -> ChipOutcome {
-        if !self.ensure_solver(structure) {
-            // The structure cannot be mapped onto this chip at all;
-            // the digital lane still owes the client an answer.
-            return self.digital(ticket, structure, rhs, CompletionPath::DigitalFallback, 0.0);
-        }
-        let solver = self.solvers.get_mut(&structure).expect("ensured above");
+    /// Serves one direct assignment on the structure's supervised solver
+    /// (built by the caller): its outcome, or `Err` with the analog
+    /// seconds spent when the digital lane must answer instead.
+    fn serve(&mut self, ticket: u64, structure: usize, rhs: &[f64]) -> Result<ChipOutcome, f64> {
+        let solver = self
+            .solvers
+            .get_mut(&structure)
+            .expect("built by the caller");
         match solver.solve(rhs) {
-            Ok(report) => self.finish(ticket, structure, rhs, deadline_s, report),
-            Err(_) => self.digital(ticket, structure, rhs, CompletionPath::DigitalFallback, 0.0),
+            Ok(report) => Ok(ChipOutcome::supervised(ticket, report)),
+            Err(_) => Err(0.0),
         }
     }
 
-    /// Serves one Krylov-mode assignment: flexible CG around the chip's
-    /// persistent supervised solver as analog preconditioner. The
-    /// completion path comes from the preconditioner's own accounting
+    /// Serves one Krylov-mode assignment as [`serve`](Self::serve) does a
+    /// direct one: flexible CG around the chip's persistent supervised
+    /// solver as analog preconditioner. The completion path comes from the
+    /// preconditioner's own accounting
     /// ([`aa_solver::PrecondStats::final_path`]) — a demoted
     /// preconditioner reports `DigitalFallback` even though the FCG
     /// iterate itself is still served. A loop that fails outright (or
-    /// never reaches tolerance) falls back to the digital lane, exactly
-    /// like a failed direct solve.
+    /// never reaches tolerance) leaves the answer to the digital lane,
+    /// exactly like a failed direct solve.
     fn serve_krylov(
         &mut self,
         ticket: u64,
         structure: usize,
         rhs: &[f64],
-        deadline_s: Option<f64>,
-    ) -> ChipOutcome {
-        if !self.ensure_solver(structure) {
-            return self.digital(ticket, structure, rhs, CompletionPath::DigitalFallback, 0.0);
-        }
-        let solver = self.solvers.get_mut(&structure).expect("ensured above");
+    ) -> Result<ChipOutcome, f64> {
+        let solver = self
+            .solvers
+            .get_mut(&structure)
+            .expect("built by the caller");
         let mut precond = AnalogPreconditioner::new(solver);
-        let outcome = fcg_solve(&mut precond, rhs, &self.krylov);
-        match outcome {
-            Ok(report) if report.converged => {
-                let stats = report.precond;
-                let analog_time_s = stats.analog_time_s;
-                let path = match stats.final_path() {
-                    FinalPath::Analog => CompletionPath::Analog,
-                    FinalPath::AnalogAfterRecovery => CompletionPath::AnalogAfterRecovery,
-                    FinalPath::DigitalFallback => CompletionPath::DigitalFallback,
-                };
-                if path.is_analog() {
-                    if let Some(deadline) = deadline_s {
-                        if analog_time_s > deadline {
-                            return self.digital(
-                                ticket,
-                                structure,
-                                rhs,
-                                CompletionPath::DeadlineFallback,
-                                analog_time_s,
-                            );
-                        }
-                    }
-                }
-                ChipOutcome {
-                    ticket,
-                    solution: report.solution,
-                    path,
-                    residual: report.residual_history.last().copied().unwrap_or(0.0),
-                    analog_time_s,
-                }
-            }
-            Ok(report) => self.digital(
+        match fcg_solve(&mut precond, rhs, &self.krylov) {
+            Ok(report) if report.converged => Ok(ChipOutcome {
                 ticket,
-                structure,
-                rhs,
-                CompletionPath::DigitalFallback,
-                report.precond.analog_time_s,
-            ),
-            Err(_) => self.digital(ticket, structure, rhs, CompletionPath::DigitalFallback, 0.0),
+                path: report.precond.final_path().into(),
+                residual: report.residual_history.last().copied().unwrap_or(0.0),
+                analog_time_s: report.precond.analog_time_s,
+                solution: report.solution,
+            }),
+            Ok(report) => Err(report.precond.analog_time_s),
+            Err(_) => Err(0.0),
         }
     }
 
-    /// Turns one supervised report into the chip's outcome: maps the final
-    /// path to a [`CompletionPath`], then swaps in the digital lane's
-    /// answer when an analog result arrived past its deadline budget.
-    fn finish(
+    /// `outcome`, unless it is an analog answer that arrived past its
+    /// deadline budget: then the digital lane's answer, served as a
+    /// [`CompletionPath::DeadlineFallback`].
+    fn within_deadline(
         &self,
-        ticket: u64,
+        outcome: ChipOutcome,
         structure: usize,
         rhs: &[f64],
         deadline_s: Option<f64>,
-        report: SupervisedSolveReport,
     ) -> ChipOutcome {
-        let analog_time_s = report.recovery.analog_time_s();
-        let path = match report.recovery.final_path {
-            FinalPath::Analog => CompletionPath::Analog,
-            FinalPath::AnalogAfterRecovery => CompletionPath::AnalogAfterRecovery,
-            FinalPath::DigitalFallback => CompletionPath::DigitalFallback,
-        };
-        if path.is_analog() {
-            if let Some(deadline) = deadline_s {
-                if analog_time_s > deadline {
-                    // The analog answer exists but arrived past its
-                    // budget; serve the digital lane's instead.
-                    return self.digital(
-                        ticket,
-                        structure,
-                        rhs,
-                        CompletionPath::DeadlineFallback,
-                        analog_time_s,
-                    );
-                }
-            }
+        let late = deadline_s.is_some_and(|deadline| outcome.analog_time_s > deadline);
+        if outcome.path.is_analog() && late {
+            return self.digital(
+                outcome.ticket,
+                structure,
+                rhs,
+                CompletionPath::DeadlineFallback,
+                outcome.analog_time_s,
+            );
         }
-        ChipOutcome {
-            ticket,
-            solution: report.solution,
-            path,
-            residual: report.recovery.final_residual,
-            analog_time_s,
-        }
+        outcome
     }
 
     /// The chip-local digital lane: CG to the fallback tolerance.

@@ -3,6 +3,7 @@
 //! typed backpressure verdicts into paced resubmission.
 
 use aa_linalg::rng::Rng64;
+use aa_solver::FinalPath;
 
 /// Priority class of a [`SolveRequest`]. Higher classes are dispatched
 /// first within a round; ties break by admission order.
@@ -198,6 +199,12 @@ pub enum Rejected {
         /// The submitted length.
         got: usize,
     },
+    /// A right-hand side entry is NaN or infinite: no chip can program it,
+    /// so it is refused before it can cost a chip its health.
+    NonFiniteRhs {
+        /// The first non-finite entry.
+        index: usize,
+    },
 }
 
 impl Rejected {
@@ -210,6 +217,7 @@ impl Rejected {
             Rejected::DeadlineInfeasible { .. } => "deadline_infeasible",
             Rejected::UnknownStructure { .. } => "unknown_structure",
             Rejected::RhsLengthMismatch { .. } => "rhs_length_mismatch",
+            Rejected::NonFiniteRhs { .. } => "non_finite_rhs",
         }
     }
 
@@ -268,6 +276,9 @@ impl std::fmt::Display for Rejected {
             }
             Rejected::RhsLengthMismatch { expected, got } => {
                 write!(f, "rhs has {got} entries, structure needs {expected}")
+            }
+            Rejected::NonFiniteRhs { index } => {
+                write!(f, "rhs entry {index} is not finite")
             }
         }
     }
@@ -362,6 +373,17 @@ impl CompletionPath {
             self,
             CompletionPath::Analog | CompletionPath::AnalogAfterRecovery
         )
+    }
+}
+
+/// The path a chip's supervisor (or analog preconditioner) reports.
+impl From<FinalPath> for CompletionPath {
+    fn from(path: FinalPath) -> Self {
+        match path {
+            FinalPath::Analog => CompletionPath::Analog,
+            FinalPath::AnalogAfterRecovery => CompletionPath::AnalogAfterRecovery,
+            FinalPath::DigitalFallback => CompletionPath::DigitalFallback,
+        }
     }
 }
 

@@ -350,7 +350,8 @@ impl FleetService {
     /// # Errors
     ///
     /// A typed [`Rejected`] verdict — never a panic — naming the reason:
-    /// unknown structure, wrong rhs length, tenant over its fair-share
+    /// unknown structure, wrong rhs length, a NaN or infinite rhs entry,
+    /// tenant over its fair-share
     /// quota, every shard's queue full, brownout shedding, or a deadline
     /// below the structure's predicted (coalescing-amortized) solve time.
     /// Transient verdicts carry a [`retry_after_s`](Rejected::retry_after_s)
@@ -428,6 +429,9 @@ impl FleetService {
                 expected: matrix.dim(),
                 got: request.rhs.len(),
             });
+        }
+        if let Some(index) = request.rhs.iter().position(|v| !v.is_finite()) {
+            return Err(Rejected::NonFiniteRhs { index });
         }
         if let Some(rejection) = self.check_quota(request.tenant) {
             return Err(rejection);
@@ -1349,12 +1353,17 @@ mod tests {
         let inf = fleet
             .submit(SolveRequest::new(0, vec![1.0; 4]).with_deadline_s(f64::INFINITY))
             .unwrap();
-        // A NaN rhs is structurally valid; the solve must still settle it.
-        let nan_rhs = fleet
-            .submit(SolveRequest::new(0, vec![f64::NAN; 4]))
-            .unwrap();
+        // A NaN or infinite rhs entry is refused up front with its index.
+        assert_eq!(
+            fleet.submit(SolveRequest::new(0, vec![f64::NAN; 4])),
+            Err(Rejected::NonFiniteRhs { index: 0 })
+        );
+        assert_eq!(
+            fleet.submit(SolveRequest::new(0, vec![1.0, 1.0, f64::INFINITY, 1.0])),
+            Err(Rejected::NonFiniteRhs { index: 2 })
+        );
         fleet.run_until_idle();
-        for ticket in [nan, inf, nan_rhs] {
+        for ticket in [nan, inf] {
             assert!(fleet.completion(ticket).is_some(), "{ticket:?}");
         }
         // Out-of-range chaos targets are typed errors too.

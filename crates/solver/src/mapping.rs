@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 
 use aa_analog::netlist::{InputPort, OutputPort};
 use aa_analog::units::{ResourceInventory, UnitId};
-use aa_analog::{AnalogChip, ChipConfig};
+use aa_analog::{AnalogChip, ChipConfig, EngineOptions, LaneBindings, RunReport};
 use aa_linalg::{CsrMatrix, LinearOperator, RowAccess};
 
 use crate::SolverError;
@@ -119,6 +119,8 @@ pub struct MappedSystem {
     n: usize,
     strategy: MappingStrategy,
     needs: ResourceNeeds,
+    /// The lane of the last sequential run ([`run`](Self::run)).
+    last_lane: Option<LaneBindings>,
 }
 
 impl std::fmt::Debug for MappedSystem {
@@ -283,6 +285,7 @@ impl MappedSystem {
             n,
             strategy,
             needs,
+            last_lane: None,
         })
     }
 
@@ -311,60 +314,13 @@ impl MappedSystem {
         &mut self.chip
     }
 
-    /// Programs a (scaled) right-hand side into the DACs, plus initial
-    /// conditions, and commits the configuration. The initial state
-    /// (`None` is zero) is clamped to full scale and quantized to the DAC
-    /// resolution, so a programmed start carries no more precision than
-    /// the host's converters.
-    ///
-    /// # Errors
-    ///
-    /// * [`SolverError::InvalidProblem`] on length mismatch or values beyond
-    ///   full scale (grow the solution headroom and rescale).
-    pub fn program_rhs(
-        &mut self,
-        b_scaled: &[f64],
-        initial: Option<&[f64]>,
-    ) -> Result<(), SolverError> {
-        self.check_lengths(b_scaled, initial)?;
-        let fs = self.chip.config().full_scale;
-        for (i, v) in b_scaled.iter().enumerate() {
-            if v.abs() > fs {
-                return Err(SolverError::invalid(format!(
-                    "scaled rhs element {i} = {v} exceeds full scale {fs}"
-                )));
-            }
-            self.chip.set_dac_constant(i, *v)?;
-        }
-        for (i, u0) in self.initial_conditions(initial) {
-            self.chip.set_int_initial(i, u0)?;
-        }
-        self.chip.cfg_commit()?;
-        Ok(())
-    }
-
-    /// Holds a run's end state: programs the integrators' initial
-    /// conditions to the state `report` stopped in, unquantized (the held
-    /// charge, not a DAC value), and commits, so the next run continues
-    /// where that one stopped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates chip programming errors.
-    pub(crate) fn hold(&mut self, report: &aa_analog::RunReport) -> Result<(), SolverError> {
-        let fs = self.chip.config().full_scale;
-        for (&i, &u) in &report.integrator_values {
-            self.chip.set_int_initial(i, u.clamp(-fs, fs))?;
-        }
-        self.chip.cfg_commit()?;
-        Ok(())
-    }
-
-    /// Builds the per-lane register overlay a batched execution needs for
-    /// one (scaled) right-hand side: DAC constants and initial conditions
-    /// (`None` is zero) quantized exactly as
-    /// [`program_rhs`](Self::program_rhs) would store them — so a batched
-    /// lane is bit-identical to the sequential programming path.
+    /// The lane bindings that program one run for a (scaled) right-hand
+    /// side — the one way a run is programmed, sequential
+    /// ([`run`](Self::run)) or batched: DAC constants quantized exactly as
+    /// `setDacConstant` stores them, and initial conditions (`None` is
+    /// zero) clamped to full scale and quantized to the DAC resolution, so
+    /// a programmed start carries no more precision than the host's
+    /// converters.
     ///
     /// # Errors
     ///
@@ -374,7 +330,7 @@ impl MappedSystem {
         &self,
         b_scaled: &[f64],
         initial: Option<&[f64]>,
-    ) -> Result<aa_analog::LaneBindings, SolverError> {
+    ) -> Result<LaneBindings, SolverError> {
         self.check_lengths(b_scaled, initial)?;
         let fs = self.chip.config().full_scale;
         let mut dacs = BTreeMap::new();
@@ -386,7 +342,7 @@ impl MappedSystem {
             }
             dacs.insert(i, self.chip.quantize_dac(*v));
         }
-        Ok(aa_analog::LaneBindings {
+        Ok(LaneBindings {
             dac_values: Some(dacs),
             int_initial: Some(self.initial_conditions(initial)),
         })
@@ -414,8 +370,8 @@ impl MappedSystem {
             .collect()
     }
 
-    /// Commits the draft configuration if no commit is in effect yet (a
-    /// batched solve may run before any sequential `program_rhs` call).
+    /// Commits the draft configuration if no commit is in effect yet: the
+    /// circuit every lane runs on.
     ///
     /// # Errors
     ///
@@ -425,6 +381,46 @@ impl MappedSystem {
             self.chip.cfg_commit()?;
         }
         Ok(())
+    }
+
+    /// Issues one sequential run of the committed circuit bound to `lane`
+    /// (from [`lane_bindings`](Self::lane_bindings)) and keeps the lane as
+    /// [`last_lane`](Self::last_lane).
+    ///
+    /// # Errors
+    ///
+    /// Propagates chip errors.
+    pub fn run(
+        &mut self,
+        lane: LaneBindings,
+        options: &EngineOptions,
+    ) -> Result<RunReport, SolverError> {
+        let report = self.chip.exec_lane(&lane, options)?;
+        self.last_lane = Some(lane);
+        Ok(report)
+    }
+
+    /// The lane the last [`run`](Self::run) was bound to: what a replay of
+    /// that run binds again.
+    pub fn last_lane(&self) -> Option<&LaneBindings> {
+        self.last_lane.as_ref()
+    }
+
+    /// The lane that continues the last run from the state `report`
+    /// stopped in: that run's DACs, and every integrator holding its end
+    /// state, clamped to full scale but unquantized (the held charge, not
+    /// a DAC value).
+    pub(crate) fn held(&mut self, report: &RunReport) -> LaneBindings {
+        let fs = self.chip.config().full_scale;
+        let held = report
+            .integrator_values
+            .iter()
+            .map(|(&i, &u)| (i, u.clamp(-fs, fs)))
+            .collect();
+        LaneBindings {
+            int_initial: Some(held),
+            ..self.last_lane.take().expect("a run to continue")
+        }
     }
 
     /// Reads the steady-state solution (scaled domain) through the ADCs,
@@ -441,7 +437,7 @@ impl MappedSystem {
 
     /// The per-variable dynamic-range usage of the last run, for underuse
     /// diagnostics.
-    pub fn integrator_range_usage(&self, report: &aa_analog::RunReport) -> BTreeMap<usize, f64> {
+    pub fn integrator_range_usage(&self, report: &RunReport) -> BTreeMap<usize, f64> {
         (0..self.n)
             .filter_map(|i| {
                 report
@@ -456,7 +452,6 @@ impl MappedSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aa_analog::EngineOptions;
     use aa_linalg::stencil::PoissonStencil;
     use aa_linalg::Triplet;
 
@@ -531,8 +526,9 @@ mod tests {
         let mut mapped = MappedSystem::new(&scaled.matrix, &template_12bit()).unwrap();
         let b = vec![1.0, 1.0, 1.0, 1.0];
         let b_scaled = scaled.scale_rhs(&b);
-        mapped.program_rhs(&b_scaled, None).unwrap();
-        let report = mapped.chip_mut().exec(&EngineOptions::default()).unwrap();
+        mapped.ensure_committed().unwrap();
+        let lane = mapped.lane_bindings(&b_scaled, None).unwrap();
+        let report = mapped.run(lane, &EngineOptions::default()).unwrap();
         assert!(report.reached_steady_state);
         assert!(report.exceptions.is_empty(), "{}", report.exceptions);
         // Steady state × γ must solve the original system.
@@ -564,8 +560,9 @@ mod tests {
         let mut mapped = MappedSystem::new(&a, &template_12bit()).unwrap();
         assert_eq!(mapped.strategy(), MappingStrategy::PerCoefficient);
         let b = vec![0.5, 0.2, 0.1];
-        mapped.program_rhs(&b, None).unwrap();
-        let report = mapped.chip_mut().exec(&EngineOptions::default()).unwrap();
+        mapped.ensure_committed().unwrap();
+        let lane = mapped.lane_bindings(&b, None).unwrap();
+        let report = mapped.run(lane, &EngineOptions::default()).unwrap();
         assert!(report.reached_steady_state);
         let u: Vec<f64> = (0..3).map(|i| report.integrator_values[&i]).collect();
         let exact = aa_linalg::direct::solve(&a.to_dense(), &b).unwrap();
@@ -586,11 +583,11 @@ mod tests {
     #[test]
     fn rhs_validation() {
         let a = CsrMatrix::identity(2);
-        let mut mapped = MappedSystem::new(&a, &ChipConfig::ideal()).unwrap();
-        assert!(mapped.program_rhs(&[0.1], None).is_err());
-        assert!(mapped.program_rhs(&[0.1, 2.0], None).is_err());
-        assert!(mapped.program_rhs(&[0.1, 0.2], None).is_ok());
-        assert!(mapped.program_rhs(&[0.1, 0.2], Some(&[0.0])).is_err());
+        let mapped = MappedSystem::new(&a, &ChipConfig::ideal()).unwrap();
+        assert!(mapped.lane_bindings(&[0.1], None).is_err());
+        assert!(mapped.lane_bindings(&[0.1, 2.0], None).is_err());
+        assert!(mapped.lane_bindings(&[0.1, f64::NAN], None).is_err());
+        assert!(mapped.lane_bindings(&[0.1, 0.2], None).is_ok());
         assert!(mapped.lane_bindings(&[0.1, 0.2], Some(&[0.0])).is_err());
     }
 
@@ -606,25 +603,46 @@ mod tests {
         assert_eq!(ints[&1], -mapped.chip().config().full_scale);
         assert_ne!(ints[&0], 0.3001, "carries no more than DAC precision");
 
-        // The sequential path programs the same state: a run from it
-        // reproduces the lane's run on an identical chip.
+        // A sequential run bound to the lane reproduces its batched run on
+        // an identical chip.
         let mut twin = MappedSystem::new(&a, &ChipConfig::ideal()).unwrap();
         twin.ensure_committed().unwrap();
         let batch = twin
             .chip_mut()
-            .exec_batch(&[lane], &EngineOptions::default())
+            .exec_batch(std::slice::from_ref(&lane), &EngineOptions::default())
             .unwrap();
-        mapped.program_rhs(&[0.1, 0.2], Some(&initial)).unwrap();
-        let sequential = mapped.chip_mut().exec(&EngineOptions::default()).unwrap();
+        mapped.ensure_committed().unwrap();
+        let sequential = mapped.run(lane, &EngineOptions::default()).unwrap();
         assert_eq!(batch.reports[0], sequential);
+    }
+
+    #[test]
+    fn a_held_lane_keeps_the_run_dacs_and_its_unquantized_end_state() {
+        let a = CsrMatrix::identity(2);
+        let mut mapped = MappedSystem::new(&a, &ChipConfig::ideal()).unwrap();
+        mapped.ensure_committed().unwrap();
+        let lane = mapped.lane_bindings(&[0.3001, -0.2], None).unwrap();
+        let options = EngineOptions {
+            max_tau: 1.0,
+            ..EngineOptions::default()
+        };
+        let mut report = mapped.run(lane.clone(), &options).unwrap();
+        assert_eq!(mapped.last_lane(), Some(&lane));
+        report.integrator_values.insert(1, -7.0);
+        let held = mapped.held(&report);
+        assert_eq!(held.dac_values, lane.dac_values);
+        let ints = held.int_initial.unwrap();
+        assert_eq!(ints[&0], report.integrator_values[&0], "unquantized");
+        assert_eq!(ints[&1], -mapped.chip().config().full_scale, "clamped");
     }
 
     #[test]
     fn readout_matches_integrator_state() {
         let a = CsrMatrix::identity(2);
         let mut mapped = MappedSystem::new(&a, &ChipConfig::ideal()).unwrap();
-        mapped.program_rhs(&[0.5, -0.25], None).unwrap();
-        let report = mapped.chip_mut().exec(&EngineOptions::default()).unwrap();
+        mapped.ensure_committed().unwrap();
+        let lane = mapped.lane_bindings(&[0.5, -0.25], None).unwrap();
+        let report = mapped.run(lane, &EngineOptions::default()).unwrap();
         assert!(report.reached_steady_state);
         let read = mapped.read_solution(4).unwrap();
         // Identity system: u = b; ADC quantization bounds the error.

@@ -35,8 +35,8 @@ use aa_linalg::vector;
 
 use crate::refine;
 use crate::solve::{
-    AnalogSolveReport, AnalogSystemSolver, SolverCheckpoint, SolverConfig, Stop, WarmSlot,
-    SETTLE_SHARE,
+    check_rhs, AnalogSolveReport, AnalogSystemSolver, SolverCheckpoint, SolverConfig, Stop,
+    WarmSlot, SETTLE_SHARE,
 };
 use crate::SolverError;
 
@@ -292,8 +292,6 @@ pub struct SupervisedSolveReport {
 /// ```
 pub struct SupervisedSolver {
     inner: AnalogSystemSolver,
-    matrix: CsrMatrix,
-    solver_config: SolverConfig,
     recovery: RecoveryConfig,
     /// The injected fault plan, kept so a remap can re-base it onto the
     /// replacement chip's fresh lifetime clock.
@@ -305,7 +303,7 @@ pub struct SupervisedSolver {
 impl std::fmt::Debug for SupervisedSolver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SupervisedSolver")
-            .field("n", &self.matrix.dim())
+            .field("n", &self.inner.dim())
             .field("recovery", &self.recovery)
             .field("faulted", &self.fault_plan.is_some())
             .finish()
@@ -325,8 +323,6 @@ impl SupervisedSolver {
     ) -> Result<Self, SolverError> {
         let inner = AnalogSystemSolver::new(a, config)?;
         Ok(SupervisedSolver {
-            matrix: a.clone(),
-            solver_config: config.clone(),
             recovery: recovery.clone(),
             inner,
             fault_plan: None,
@@ -397,8 +393,8 @@ impl SupervisedSolver {
     /// The γ a solve for the request left is the wrong start for a
     /// correction, which solves for a rough residual.
     pub(crate) fn aim_at_correction(&mut self, r_unit: &[f64]) {
-        self.inner
-            .aim_solution_scale(rayleigh_inverse_gain(&self.matrix, r_unit));
+        let gain = rayleigh_inverse_gain(self.inner.matrix(), r_unit);
+        self.inner.aim_solution_scale(gain);
     }
 
     /// Makes `u`, a digitally converged answer to the request just
@@ -417,8 +413,9 @@ impl SupervisedSolver {
     ///
     /// # Errors
     ///
-    /// * [`SolverError::InvalidProblem`] for a wrong-length `b` (no retry —
-    ///   structural errors are not recoverable).
+    /// * [`SolverError::InvalidProblem`] for a wrong-length `b`, or one with
+    ///   a NaN or infinite entry (no attempt — a client error is no chip
+    ///   fault, and no retry or remap can cure it).
     /// * [`SolverError::RecoveryExhausted`] when the retry budget is spent
     ///   and the digital fallback is disabled (or CG itself fails).
     pub fn solve(&mut self, b: &[f64]) -> Result<SupervisedSolveReport, SolverError> {
@@ -439,13 +436,7 @@ impl SupervisedSolver {
         tol: f64,
         slot: WarmSlot,
     ) -> Result<SupervisedSolveReport, SolverError> {
-        if b.len() != self.matrix.dim() {
-            return Err(SolverError::invalid(format!(
-                "rhs has {} entries, system has {}",
-                b.len(),
-                self.matrix.dim()
-            )));
-        }
+        check_rhs(b, self.inner.dim())?;
         let b_norm = b
             .iter()
             .map(|v| v * v)
@@ -467,11 +458,8 @@ impl SupervisedSolver {
         let _span = aa_obs::span("solver.recovery");
         aa_obs::counter("solver.supervised_solves", 1);
 
-        let mut attempts: Vec<AttemptRecord> = Vec::new();
+        let mut ladder = Ladder::default();
         let mut cooldown = self.recovery.cooldown_s;
-        let mut total_cooldown = 0.0;
-        let mut recalibrations = 0usize;
-        let mut remaps = 0usize;
         let mut best_residual: Option<f64> = None;
         let mut wants_fallback = self.recovery.digital_fallback;
         // The near-miss answer, with its relative residual, that the next
@@ -499,8 +487,8 @@ impl SupervisedSolver {
 
             let (candidate, residual, classification, error) = match outcome {
                 Ok((report, timed_out, checked)) => {
-                    let residual =
-                        checked.unwrap_or_else(|| self.matrix.residual_norm(&report.solution, b));
+                    let residual = checked
+                        .unwrap_or_else(|| self.inner.matrix().residual_norm(&report.solution, b));
                     let r = residual / b_norm;
                     if best_residual.is_none_or(|best| r < best) {
                         best_residual = Some(r);
@@ -512,22 +500,9 @@ impl SupervisedSolver {
                             // starts from.
                             self.inner.set_basis(slot, &report.solution);
                         }
-                        let recovered = attempts.iter().any(|a| a.classification.is_some());
-                        attempts.push(AttemptRecord {
-                            attempt,
-                            residual: Some(r),
-                            classification: None,
-                            action: RecoveryAction::Accept,
-                            error: None,
-                            analog_time_s,
-                            wall_time_s: wall_s,
-                        });
-                        let final_path = if recovered {
-                            FinalPath::AnalogAfterRecovery
-                        } else {
-                            FinalPath::Analog
-                        };
+                        let accepted = ladder.accept(report, r, analog_time_s, wall_s);
                         if aa_obs::is_active() {
+                            let recovery = &accepted.recovery;
                             aa_obs::event(
                                 aa_obs::Event::new("solver.recovery.attempt")
                                     .with("attempt", attempt)
@@ -535,22 +510,11 @@ impl SupervisedSolver {
                             );
                             aa_obs::event(
                                 aa_obs::Event::new("solver.recovery.final")
-                                    .with("path", final_path.label())
-                                    .with("attempts", attempts.len()),
+                                    .with("path", recovery.final_path.label())
+                                    .with("attempts", recovery.attempts.len()),
                             );
                         }
-                        return Ok(SupervisedSolveReport {
-                            solution: report.solution.clone(),
-                            analog: Some(report),
-                            recovery: RecoveryReport {
-                                attempts,
-                                final_path,
-                                recalibrations,
-                                remaps,
-                                total_cooldown_s: total_cooldown,
-                                final_residual: r,
-                            },
-                        });
+                        return Ok(accepted);
                     }
                     let class = if timed_out {
                         FailureClass::NoSettle
@@ -583,13 +547,13 @@ impl SupervisedSolver {
             let action = if near_miss {
                 RecoveryAction::Refine
             } else {
-                self.pick_action(classification, attempt, recalibrations, remaps, cooldown)
+                self.pick_action(classification, attempt, &ladder, cooldown)
             };
             // A planned round that settled within √tol did what it was
             // planned for: it is the first half of the plan, not a failure.
             let on_plan =
                 planned.filter(|_| near_miss && classification == FailureClass::ResidualTooHigh);
-            attempts.push(AttemptRecord {
+            ladder.attempts.push(AttemptRecord {
                 attempt,
                 residual,
                 classification: on_plan.is_none().then_some(classification),
@@ -625,7 +589,7 @@ impl SupervisedSolver {
                 RecoveryAction::Retry { cooldown_s } => {
                     // Idle the chip so a transient fault window can expire.
                     self.inner.chip_mut().idle(cooldown_s);
-                    total_cooldown += cooldown_s;
+                    ladder.total_cooldown_s += cooldown_s;
                     cooldown *= self.recovery.cooldown_growth;
                 }
                 RecoveryAction::Recalibrate => {
@@ -634,12 +598,12 @@ impl SupervisedSolver {
                     // trim range) is not fatal: the next attempt's failure
                     // escalates to a remap.
                     let _ = calibrate(self.inner.chip_mut());
-                    recalibrations += 1;
+                    ladder.recalibrations += 1;
                     aa_obs::counter("solver.recovery.recalibrations", 1);
                 }
                 RecoveryAction::Remap => {
                     self.remap()?;
-                    remaps += 1;
+                    ladder.remaps += 1;
                     aa_obs::counter("solver.recovery.remaps", 1);
                 }
                 RecoveryAction::DigitalFallback => break,
@@ -652,22 +616,15 @@ impl SupervisedSolver {
         }
 
         if wants_fallback {
-            return self.digital_fallback(
-                b,
-                b_norm,
-                attempts,
-                recalibrations,
-                remaps,
-                total_cooldown,
-            );
+            return self.digital_fallback(b, b_norm, ladder);
         }
         aa_obs::event(
             aa_obs::Event::new("solver.recovery.final")
                 .with("path", "exhausted")
-                .with("attempts", attempts.len()),
+                .with("attempts", ladder.attempts.len()),
         );
         Err(SolverError::RecoveryExhausted {
-            attempts: attempts.len(),
+            attempts: ladder.attempts.len(),
             best_residual,
         })
     }
@@ -721,7 +678,7 @@ impl SupervisedSolver {
                     .sum::<f64>()
                     .sqrt()
                     .max(f64::MIN_POSITIVE);
-                let residual = self.matrix.residual_norm(&report.solution, b) / b_norm;
+                let residual = self.inner.matrix().residual_norm(&report.solution, b) / b_norm;
                 if residual > tol {
                     // Per-column validation failure: this column re-enters
                     // the sequential supervision ladder on its own.
@@ -729,26 +686,8 @@ impl SupervisedSolver {
                     return self.solve(b);
                 }
                 batched_accepts += 1;
-                Ok(SupervisedSolveReport {
-                    solution: report.solution.clone(),
-                    analog: Some(report.clone()),
-                    recovery: RecoveryReport {
-                        attempts: vec![AttemptRecord {
-                            attempt: 1,
-                            residual: Some(residual),
-                            classification: None,
-                            action: RecoveryAction::Accept,
-                            error: None,
-                            analog_time_s: report.analog_time_s,
-                            wall_time_s: wall_s,
-                        }],
-                        final_path: FinalPath::Analog,
-                        recalibrations: 0,
-                        remaps: 0,
-                        total_cooldown_s: 0.0,
-                        final_residual: residual,
-                    },
-                })
+                let analog_time_s = report.analog_time_s;
+                Ok(Ladder::default().accept(report, residual, analog_time_s, wall_s))
             })
             .collect();
         if aa_obs::is_active() {
@@ -777,7 +716,7 @@ impl SupervisedSolver {
         r1: f64,
         tol: f64,
     ) -> Result<AnalogSolveReport, SolverError> {
-        let residual = self.matrix.residual(&candidate.solution, b);
+        let residual = self.inner.matrix().residual(&candidate.solution, b);
         let target = (tol / r1).min(1.0);
         let round = refine::correction(&residual, |r_unit| {
             self.aim_at_correction(r_unit);
@@ -797,8 +736,7 @@ impl SupervisedSolver {
         &self,
         class: FailureClass,
         attempt: usize,
-        recalibrations: usize,
-        remaps: usize,
+        ladder: &Ladder,
         cooldown: f64,
     ) -> RecoveryAction {
         let give_up = if self.recovery.digital_fallback {
@@ -809,14 +747,15 @@ impl SupervisedSolver {
         if attempt >= self.recovery.max_attempts {
             return give_up;
         }
-        let may_remap = remaps == 0;
+        let may_remap = ladder.remaps == 0;
         let remap_due = attempt >= self.recovery.remap_after && may_remap;
         match class {
             FailureClass::ResidualTooHigh => {
                 // First failure: assume a transient and wait it out. A
                 // repeat of the settled-but-wrong signature means drift —
                 // recalibrate; if even that does not cure it, remap.
-                if self.recovery.recalibrate_on_drift && recalibrations == 0 && attempt >= 2 {
+                if self.recovery.recalibrate_on_drift && ladder.recalibrations == 0 && attempt >= 2
+                {
                     RecoveryAction::Recalibrate
                 } else if remap_due {
                     RecoveryAction::Remap
@@ -853,7 +792,7 @@ impl SupervisedSolver {
     /// warm-start bases are host data, not chip state, so they carry over.
     fn remap(&mut self) -> Result<(), SolverError> {
         self.consumed_lifetime_s += self.inner.chip().lifetime_s();
-        let fresh = AnalogSystemSolver::new(&self.matrix, &self.solver_config)?;
+        let fresh = AnalogSystemSolver::new(self.inner.matrix(), self.inner.config())?;
         let old = std::mem::replace(&mut self.inner, fresh);
         self.inner.keep_warm_starts_of(&old);
         if let Some(plan) = &self.fault_plan {
@@ -869,22 +808,24 @@ impl SupervisedSolver {
         &self,
         b: &[f64],
         b_norm: f64,
-        mut attempts: Vec<AttemptRecord>,
-        recalibrations: usize,
-        remaps: usize,
-        total_cooldown_s: f64,
+        mut ladder: Ladder,
     ) -> Result<SupervisedSolveReport, SolverError> {
         let wall = Instant::now();
         let cfg = IterativeConfig::with_stopping(StoppingCriterion::RelativeResidual(
             self.recovery.fallback_tolerance,
         ));
-        let analog_attempts = attempts.len();
-        let report = cg(&self.matrix, b, &cfg).map_err(|_| SolverError::RecoveryExhausted {
+        let matrix = self.inner.matrix();
+        let analog_attempts = ladder.attempts.len();
+        let report = cg(matrix, b, &cfg).map_err(|_| SolverError::RecoveryExhausted {
             attempts: analog_attempts,
-            best_residual: attempts.iter().filter_map(|a| a.residual).reduce(f64::min),
+            best_residual: ladder
+                .attempts
+                .iter()
+                .filter_map(|a| a.residual)
+                .reduce(f64::min),
         })?;
-        let residual = self.matrix.residual_norm(&report.solution, b) / b_norm;
-        attempts.push(AttemptRecord {
+        let residual = matrix.residual_norm(&report.solution, b) / b_norm;
+        ladder.attempts.push(AttemptRecord {
             attempt: analog_attempts + 1,
             residual: Some(residual),
             classification: None,
@@ -903,21 +844,71 @@ impl SupervisedSolver {
             aa_obs::event(
                 aa_obs::Event::new("solver.recovery.final")
                     .with("path", FinalPath::DigitalFallback.label())
-                    .with("attempts", attempts.len()),
+                    .with("attempts", ladder.attempts.len()),
             );
         }
         Ok(SupervisedSolveReport {
             solution: report.solution,
             analog: None,
-            recovery: RecoveryReport {
-                attempts,
-                final_path: FinalPath::DigitalFallback,
-                recalibrations,
-                remaps,
-                total_cooldown_s,
-                final_residual: residual,
-            },
+            recovery: ladder.close(FinalPath::DigitalFallback, residual),
         })
+    }
+}
+
+/// What a supervised solve's recovery ladder has done so far: the
+/// [`RecoveryReport`] it closes into once the solve has its answer.
+#[derive(Debug, Default)]
+struct Ladder {
+    attempts: Vec<AttemptRecord>,
+    recalibrations: usize,
+    remaps: usize,
+    total_cooldown_s: f64,
+}
+
+impl Ladder {
+    /// The report of an answer `final_path` produced at relative residual
+    /// `final_residual`.
+    fn close(self, final_path: FinalPath, final_residual: f64) -> RecoveryReport {
+        RecoveryReport {
+            attempts: self.attempts,
+            final_path,
+            recalibrations: self.recalibrations,
+            remaps: self.remaps,
+            total_cooldown_s: self.total_cooldown_s,
+            final_residual,
+        }
+    }
+
+    /// Accepts the analog `report` at relative residual `residual` as the
+    /// ladder's next attempt, which took `analog_time_s` of chip time and
+    /// `wall_time_s` on the host: [`FinalPath::AnalogAfterRecovery`] after
+    /// a rejected attempt, [`FinalPath::Analog`] otherwise.
+    fn accept(
+        mut self,
+        report: AnalogSolveReport,
+        residual: f64,
+        analog_time_s: f64,
+        wall_time_s: f64,
+    ) -> SupervisedSolveReport {
+        let final_path = if self.attempts.iter().any(|a| a.classification.is_some()) {
+            FinalPath::AnalogAfterRecovery
+        } else {
+            FinalPath::Analog
+        };
+        self.attempts.push(AttemptRecord {
+            attempt: self.attempts.len() + 1,
+            residual: Some(residual),
+            classification: None,
+            action: RecoveryAction::Accept,
+            error: None,
+            analog_time_s,
+            wall_time_s,
+        });
+        SupervisedSolveReport {
+            solution: report.solution.clone(),
+            analog: Some(report),
+            recovery: self.close(final_path, residual),
+        }
     }
 }
 
@@ -1294,6 +1285,26 @@ mod tests {
             s.solve(&[1.0]),
             Err(SolverError::InvalidProblem { .. })
         ));
+    }
+
+    #[test]
+    fn a_non_finite_rhs_is_refused_without_an_attempt() {
+        let a = CsrMatrix::tridiagonal(4, -1.0, 2.0, -1.0).unwrap();
+        let recovery = RecoveryConfig::default();
+        let mut s = SupervisedSolver::new(&a, &SolverConfig::ideal(), &recovery).unwrap();
+        s.solve(&[1.0, 0.0, 0.0, 1.0]).unwrap();
+        let warm = s.export_state();
+        for b in [[f64::NAN; 4], [1.0, f64::INFINITY, 0.0, 1.0]] {
+            assert!(matches!(
+                s.solve(&b),
+                Err(SolverError::InvalidProblem { .. })
+            ));
+        }
+        // No run, no remap: the healthy chip is left as it was.
+        assert_eq!(s.export_state(), warm);
+        let report = s.solve(&[1.0, 0.0, 0.0, 1.0]).unwrap();
+        assert_eq!(report.recovery.remaps, 0);
+        assert_eq!(report.recovery.final_path, FinalPath::Analog);
     }
 
     #[test]

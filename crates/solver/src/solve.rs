@@ -401,6 +401,30 @@ pub(crate) enum WarmSlot {
     Correction,
 }
 
+/// Checks that `b` is a right-hand side for a system of `n` unknowns: `n`
+/// entries, every one finite. Either failure is the caller's error, which
+/// no run, rescale or retry can cure.
+///
+/// # Errors
+///
+/// [`SolverError::InvalidProblem`] naming the length or the first
+/// non-finite entry.
+pub(crate) fn check_rhs(b: &[f64], n: usize) -> Result<(), SolverError> {
+    if b.len() != n {
+        return Err(SolverError::invalid(format!(
+            "rhs has {} entries, system has {n}",
+            b.len()
+        )));
+    }
+    match b.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(SolverError::invalid(format!(
+            "rhs entry {i} = {} is not finite",
+            b[i]
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// The least share `θ` of its tolerance that a supervised run may leave
 /// unsettled when it stops ([`settle_budget`]).
 pub(crate) const SETTLE_SHARE: f64 = 0.25;
@@ -471,8 +495,9 @@ pub struct SolverCheckpoint {
 /// A solver bound to one matrix `A`, reusable across right-hand sides.
 ///
 /// Construction compiles the circuit once (the expensive, static part);
-/// each [`solve`](AnalogSystemSolver::solve) only reprograms DACs — exactly
-/// the configuration/computation split of the paper's ISA.
+/// each [`solve`](AnalogSystemSolver::solve) only binds its runs' DACs and
+/// initial conditions — exactly the configuration/computation split of the
+/// paper's ISA.
 pub struct AnalogSystemSolver {
     mapped: MappedSystem,
     scaled: ScaledSystem,
@@ -650,7 +675,7 @@ impl AnalogSystemSolver {
     }
 
     /// Plan-cache activity of the underlying chip. Because `solve` only
-    /// reprograms DACs/initial conditions between runs, a long sequence of
+    /// binds new DACs/initial conditions to each run, a long sequence of
     /// solves against the same matrix shows exactly one lowered plan.
     pub fn plan_stats(&self) -> aa_analog::PlanStats {
         self.mapped.chip().plan_stats()
@@ -961,6 +986,8 @@ impl AnalogSystemSolver {
     ///
     /// # Errors
     ///
+    /// * [`SolverError::InvalidProblem`] for a `b` of the wrong length or
+    ///   with a NaN or infinite entry.
     /// * [`SolverError::RescaleExhausted`] if overflow persists after the
     ///   configured retries.
     /// * [`SolverError::NoSteadyState`] if the flow does not settle (e.g.
@@ -1000,13 +1027,7 @@ impl AnalogSystemSolver {
         // Only a supervisor, which names where its runs stop, reads a
         // timed-out run out.
         let read_timed_out = stop.is_some();
-        if b.len() != self.dim() {
-            return Err(SolverError::invalid(format!(
-                "rhs has {} entries, system has {}",
-                b.len(),
-                self.dim()
-            )));
-        }
+        check_rhs(b, self.dim())?;
         let _span = aa_obs::span("solver.solve");
         aa_obs::counter("solver.solves", 1);
         let mut total_time = 0.0;
@@ -1022,6 +1043,8 @@ impl AnalogSystemSolver {
         if guess.is_some() {
             self.count_guess(slot);
         }
+        // One commit serves every run: each binds its own DACs and start.
+        self.mapped.ensure_committed()?;
 
         loop {
             let b_scaled = self.scaled.scale_rhs(b);
@@ -1072,13 +1095,13 @@ impl AnalogSystemSolver {
                 );
                 continue;
             }
-            self.mapped.program_rhs(&b_scaled, initial.as_deref())?;
+            let lane = self.mapped.lane_bindings(&b_scaled, initial.as_deref())?;
             let settled = stop.map(|stop| self.settle(stop, &b_scaled));
             let engine = self.run_options(
                 settled.map(|(_, settle, spread)| residual_settle_tol(settle, &b_scaled, spread)),
             );
             Self::count_start(guess.is_some());
-            let report = self.mapped.chip_mut().exec(&engine)?;
+            let report = self.mapped.run(lane, &engine)?;
             total_time += report.duration_s;
             runs += 1;
 
@@ -1148,10 +1171,10 @@ impl AnalogSystemSolver {
             };
             let continued = full.is_some();
             if let Some(full) = full {
-                self.mapped.hold(&report)?;
+                let held = self.mapped.held(&report);
                 Self::count_start(true);
                 aa_obs::counter("solver.continued_runs", 1);
-                let more = self.mapped.chip_mut().exec(&full)?;
+                let more = self.mapped.run(held, &full)?;
                 total_time += more.duration_s;
                 if more.exceptions.any() {
                     self.grow_after_overflow(&mut retries, more.exceptions.len())?;
@@ -1253,13 +1276,7 @@ impl AnalogSystemSolver {
         tol: Option<f64>,
     ) -> Result<Vec<BatchColumn>, SolverError> {
         for b in bs {
-            if b.len() != self.dim() {
-                return Err(SolverError::invalid(format!(
-                    "rhs has {} entries, system has {}",
-                    b.len(),
-                    self.dim()
-                )));
-            }
+            check_rhs(b, self.dim())?;
         }
         if bs.is_empty() {
             return Ok(Vec::new());

@@ -127,7 +127,7 @@ fn reference_strategy_never_lowers_a_plan() {
 }
 
 /// Solver-level view of the same property: a sequence of `solve` calls
-/// against one matrix only reprograms DACs/initial conditions, so the
+/// against one matrix only binds new DACs/initial conditions, so the
 /// whole sequence lowers exactly one plan.
 #[test]
 fn repeated_system_solves_lower_one_plan() {
